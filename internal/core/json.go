@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 )
@@ -11,6 +10,11 @@ import (
 // later occurrence is emitted as {"backref": id}. This mirrors what the paper
 // obtains from Python pickling across the GDB pipe (Section II-C1) and is
 // what flows over our MI connection.
+//
+// The structs below define the format. The encoder in json_encode.go writes
+// the bytes encoding/json would write for them, straight from the value
+// graph; the parser in json_parse.go fills them from a document, and the
+// walk below turns them back into a value graph.
 
 type jsonValue struct {
 	ID      int             `json:"id,omitempty"`
@@ -77,69 +81,17 @@ type jsonState struct {
 	Reason  *jsonPause      `json:"reason,omitempty"`
 }
 
-type valueEncoder struct {
-	next int
-	ids  map[*Value]int
-}
-
-func (e *valueEncoder) encode(v *Value) *jsonValue {
-	if v == nil {
-		return nil
-	}
-	if id, seen := e.ids[v]; seen {
-		return &jsonValue{Backref: id}
-	}
-	e.next++
-	id := e.next
-	e.ids[v] = id
-	jv := &jsonValue{
-		ID:    id,
-		Kind:  v.Kind.String(),
-		Loc:   v.Location.String(),
-		Addr:  v.Address,
-		LType: v.LanguageType,
-	}
-	switch v.Kind {
-	case Primitive:
-		switch c := v.Content.(type) {
-		case int64:
-			jv.Prim = &jsonPrim{Type: "int", Value: strconv.FormatInt(c, 10)}
-		case float64:
-			jv.Prim = &jsonPrim{Type: "float", Value: strconv.FormatFloat(c, 'g', -1, 64)}
-		case bool:
-			jv.Prim = &jsonPrim{Type: "bool", Value: strconv.FormatBool(c)}
-		case string:
-			jv.Prim = &jsonPrim{Type: "str", Value: c}
-		default:
-			jv.Prim = &jsonPrim{Type: "str", Value: fmt.Sprint(c)}
-		}
-	case Ref:
-		jv.Ref = e.encode(v.Deref())
-	case List:
-		elems := v.Elems()
-		jv.List = make([]*jsonValue, len(elems))
-		for i, el := range elems {
-			jv.List[i] = e.encode(el)
-		}
-	case Dict:
-		for _, en := range v.Entries() {
-			jv.Dict = append(jv.Dict, &jsonDictPair{Key: e.encode(en.Key), Val: e.encode(en.Val)})
-		}
-	case Struct:
-		for _, f := range v.Fields() {
-			jv.Struct = append(jv.Struct, &jsonField{Name: f.Name, Value: e.encode(f.Value)})
-		}
-	case Function:
-		s, _ := v.Content.(string)
-		jv.Func = s
-	case None, Invalid:
-		// no payload
-	}
-	return jv
+// errNull reports a null where the format requires an object.
+func errNull(what string) error {
+	return fmt.Errorf("core: null %s", what)
 }
 
 type valueDecoder struct {
 	byID map[int]*Value
+}
+
+func newValueDecoder() *valueDecoder {
+	return &valueDecoder{byID: map[int]*Value{}}
 }
 
 func (d *valueDecoder) decode(jv *jsonValue) (*Value, error) {
@@ -214,6 +166,9 @@ func (d *valueDecoder) decode(jv *jsonValue) (*Value, error) {
 	case Dict:
 		entries := make([]DictEntry, len(jv.Dict))
 		for i, jp := range jv.Dict {
+			if jp == nil {
+				return nil, errNull("dict entry")
+			}
 			if entries[i].Key, err = d.decode(jp.Key); err != nil {
 				return nil, err
 			}
@@ -225,6 +180,9 @@ func (d *valueDecoder) decode(jv *jsonValue) (*Value, error) {
 	case Struct:
 		fields := make([]Field, len(jv.Struct))
 		for i, jf := range jv.Struct {
+			if jf == nil {
+				return nil, errNull("struct field")
+			}
 			fields[i].Name = jf.Name
 			if fields[i].Value, err = d.decode(jf.Value); err != nil {
 				return nil, err
@@ -237,20 +195,47 @@ func (d *valueDecoder) decode(jv *jsonValue) (*Value, error) {
 	return v, nil
 }
 
-// MarshalJSON encodes the value graph, preserving sharing and cycles.
+// decodeVars decodes a frame's or the globals' variables, nil for none.
+func (d *valueDecoder) decodeVars(jvs []*jsonVariable) ([]*Variable, error) {
+	if len(jvs) == 0 {
+		return nil, nil
+	}
+	vars := make([]*Variable, len(jvs))
+	slots := make([]Variable, len(jvs))
+	for i, jv := range jvs {
+		if jv == nil {
+			return nil, errNull("variable")
+		}
+		val, err := d.decode(jv.Value)
+		if err != nil {
+			return nil, err
+		}
+		slots[i] = Variable{Name: jv.Name, Value: val}
+		vars[i] = &slots[i]
+	}
+	return vars, nil
+}
+
+// MarshalJSON encodes the value graph, preserving sharing and cycles. A nil
+// value encodes as null.
 func (v *Value) MarshalJSON() ([]byte, error) {
-	e := &valueEncoder{ids: map[*Value]int{}}
-	return json.Marshal(e.encode(v))
+	e := getEncoder()
+	e.value(v)
+	return e.finish(), nil
 }
 
 // UnmarshalJSON decodes a value graph produced by MarshalJSON.
 func (v *Value) UnmarshalJSON(data []byte) error {
 	var jv jsonValue
-	if err := json.Unmarshal(data, &jv); err != nil {
+	if err := parseValue(data, &jv); err != nil {
 		return err
 	}
-	d := &valueDecoder{byID: map[int]*Value{}}
-	dec, err := d.decode(&jv)
+	return v.fromWire(&jv)
+}
+
+// fromWire rebuilds v from its wire form.
+func (v *Value) fromWire(jv *jsonValue) error {
+	dec, err := newValueDecoder().decode(jv)
 	if err != nil {
 		return err
 	}
@@ -320,44 +305,41 @@ type State struct {
 }
 
 // MarshalJSON encodes the snapshot with one shared value table, so values
-// referenced from several frames or globals keep their identity.
+// referenced from several frames or globals keep their identity. A nil
+// State encodes as null, as encoding/json writes it.
 func (s *State) MarshalJSON() ([]byte, error) {
-	e := &valueEncoder{ids: map[*Value]int{}}
-	var js jsonState
-	for _, fr := range s.Frame.Stack() {
-		jf := &jsonFrame{Name: fr.Name, Depth: fr.Depth, File: fr.File, Line: fr.Line, PC: fr.PC}
-		for _, va := range fr.Vars {
-			jf.Vars = append(jf.Vars, &jsonVariable{Name: va.Name, Value: e.encode(va.Value)})
-		}
-		js.Frames = append(js.Frames, jf)
+	if s == nil {
+		return []byte("null"), nil
 	}
-	for _, g := range s.Globals {
-		js.Globals = append(js.Globals, &jsonVariable{Name: g.Name, Value: e.encode(g.Value)})
-	}
-	js.Reason = encodePause(e, s.Reason)
-	return json.Marshal(&js)
+	e := getEncoder()
+	e.state(s)
+	return e.finish(), nil
 }
 
 // UnmarshalJSON decodes a snapshot produced by MarshalJSON.
 func (s *State) UnmarshalJSON(data []byte) error {
 	var js jsonState
-	if err := json.Unmarshal(data, &js); err != nil {
+	if err := parseState(data, &js); err != nil {
 		return err
 	}
-	d := &valueDecoder{byID: map[int]*Value{}}
+	return s.fromWire(&js)
+}
+
+// fromWire rebuilds s from its wire form.
+func (s *State) fromWire(js *jsonState) error {
+	d := newValueDecoder()
 	// Frames were serialized innermost first; decode in the same order so
 	// value backrefs resolve, then link the Parent chain.
 	frames := make([]*Frame, len(js.Frames))
 	for i, jf := range js.Frames {
-		fr := &Frame{Name: jf.Name, Depth: jf.Depth, File: jf.File, Line: jf.Line, PC: jf.PC}
-		for _, jv := range jf.Vars {
-			val, err := d.decode(jv.Value)
-			if err != nil {
-				return err
-			}
-			fr.Vars = append(fr.Vars, &Variable{Name: jv.Name, Value: val})
+		if jf == nil {
+			return errNull("frame")
 		}
-		frames[i] = fr
+		vars, err := d.decodeVars(jf.Vars)
+		if err != nil {
+			return err
+		}
+		frames[i] = &Frame{Name: jf.Name, Depth: jf.Depth, File: jf.File, Line: jf.Line, PC: jf.PC, Vars: vars}
 	}
 	for i := 0; i+1 < len(frames); i++ {
 		frames[i].Parent = frames[i+1]
@@ -367,13 +349,9 @@ func (s *State) UnmarshalJSON(data []byte) error {
 	} else {
 		s.Frame = nil
 	}
-	s.Globals = nil
-	for _, jg := range js.Globals {
-		val, err := d.decode(jg.Value)
-		if err != nil {
-			return err
-		}
-		s.Globals = append(s.Globals, &Variable{Name: jg.Name, Value: val})
+	var err error
+	if s.Globals, err = d.decodeVars(js.Globals); err != nil {
+		return err
 	}
 	if js.Reason != nil {
 		r, err := decodePause(d, js.Reason)
@@ -395,22 +373,24 @@ type ValueList []*Value
 
 // MarshalJSON encodes the list with one shared value table.
 func (l ValueList) MarshalJSON() ([]byte, error) {
-	e := &valueEncoder{ids: map[*Value]int{}}
-	arr := make([]*jsonValue, len(l))
-	for i, v := range l {
-		arr[i] = e.encode(v)
-	}
-	return json.Marshal(arr)
+	e := getEncoder()
+	e.list(l)
+	return e.finish(), nil
 }
 
 // UnmarshalJSON decodes a list produced by MarshalJSON. The decoded values
 // share one backref table, so aliasing among them is restored.
 func (l *ValueList) UnmarshalJSON(data []byte) error {
-	var arr []*jsonValue
-	if err := json.Unmarshal(data, &arr); err != nil {
+	arr, err := parseValueList(data)
+	if err != nil {
 		return err
 	}
-	d := &valueDecoder{byID: map[int]*Value{}}
+	return l.fromWire(arr)
+}
+
+// fromWire rebuilds l from its wire form.
+func (l *ValueList) fromWire(arr []*jsonValue) error {
+	d := newValueDecoder()
 	out := make(ValueList, len(arr))
 	for i, jv := range arr {
 		v, err := d.decode(jv)
@@ -428,34 +408,19 @@ func (l *ValueList) UnmarshalJSON(data []byte) error {
 // graph of Old/New/ReturnValue keeps its sharing through the same backref
 // table the State codec uses.
 func EncodePauseReasonJSON(r PauseReason) ([]byte, error) {
-	e := &valueEncoder{ids: map[*Value]int{}}
-	return json.Marshal(encodePause(e, r))
+	e := getEncoder()
+	e.pause(&r)
+	return e.finish(), nil
 }
 
 // DecodePauseReasonJSON decodes a pause reason produced by
 // EncodePauseReasonJSON.
 func DecodePauseReasonJSON(data []byte) (PauseReason, error) {
 	var jp jsonPause
-	if err := json.Unmarshal(data, &jp); err != nil {
+	if err := parsePause(data, &jp); err != nil {
 		return PauseReason{}, err
 	}
-	d := &valueDecoder{byID: map[int]*Value{}}
-	return decodePause(d, &jp)
-}
-
-func encodePause(e *valueEncoder, r PauseReason) *jsonPause {
-	return &jsonPause{
-		Type:     r.Type.String(),
-		Function: r.Function,
-		File:     r.File,
-		Line:     r.Line,
-		Variable: r.Variable,
-		Old:      e.encode(r.Old),
-		New:      e.encode(r.New),
-		RetVal:   e.encode(r.ReturnValue),
-		ExitCode: r.ExitCode,
-		Detail:   r.Detail,
-	}
+	return decodePause(newValueDecoder(), &jp)
 }
 
 func decodePause(d *valueDecoder, jp *jsonPause) (PauseReason, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -195,6 +196,55 @@ func TestQuickJSONDeterministic(t *testing.T) {
 		return err1 == nil && err2 == nil && string(a) == string(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickJSONMatchesReference holds the encoder to the reference encoder,
+// byte for byte, on random graphs with wide strings and floats: a Value, a
+// ValueList of the graph's composites, a pause reason and a State that
+// reach the same values from two frames, the globals and the reason.
+func TestQuickJSONMatchesReference(t *testing.T) {
+	f := func(g wideValueGen) bool {
+		v, pool := g.V, g.Pool
+		vars := func(vs ...*Value) []*Variable {
+			var out []*Variable
+			for i, x := range vs {
+				out = append(out, &Variable{Name: "v" + strings.Repeat("<", i), Value: x})
+			}
+			return out
+		}
+		pick := func(i int) *Value {
+			if len(pool) == 0 {
+				return nil
+			}
+			return pool[i%len(pool)]
+		}
+		outer := &Frame{Name: "main", File: "a&b.py", Line: 9, PC: 0x40, Vars: vars(pick(1), v)}
+		inner := &Frame{Name: "f\u2028", Depth: 1, Vars: vars(v, pick(0)), Parent: outer}
+		r := PauseReason{Type: PauseReturn, Function: "f", Variable: "x", Old: pick(2), New: v, ReturnValue: pick(3), ExitCode: -1, Detail: "d"}
+		st := &State{Frame: inner, Globals: vars(pick(4), v), Reason: r}
+		check := func(name string, got []byte, gotErr error, want []byte, wantErr error) bool {
+			if gotErr != nil || wantErr != nil || !bytes.Equal(got, want) {
+				t.Logf("%s: got %s (%v)\nwant %s (%v)", name, got, gotErr, want, wantErr)
+				return false
+			}
+			return true
+		}
+		gv, err1 := v.MarshalJSON()
+		wv, err2 := refMarshalValue(v)
+		gl, err3 := ValueList(pool).MarshalJSON()
+		wl, err4 := refMarshalList(pool)
+		gp, err5 := EncodePauseReasonJSON(r)
+		wp, err6 := refEncodePause(r)
+		gs, err7 := st.MarshalJSON()
+		ws, err8 := refMarshalState(st)
+		return check("Value", gv, err1, wv, err2) &&
+			check("ValueList", gl, err3, wl, err4) &&
+			check("PauseReason", gp, err5, wp, err6) &&
+			check("State", gs, err7, ws, err8)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -142,14 +142,14 @@ const (
 	GaugeWatches     = "watches.armed"
 
 	// Remote-session server instruments (internal/remote.Server).
-	OpRemoteRound       = "remote.round_trip"       // one request executed server-side
-	CtrRemoteFramesIn   = "remote.frames_in"        // wire frames received
-	CtrRemoteFramesOut  = "remote.frames_out"       // wire frames sent
-	CtrRemoteSessions   = "remote.sessions_opened"  // sessions ever admitted
-	CtrRemoteEvictions  = "remote.sessions_evicted" // idle sessions evicted
-	CtrRemoteRefusals   = "remote.sessions_refused" // hellos refused (full/draining)
-	CtrRemoteFiltered   = "remote.pauses_filtered"  // pauses swallowed by a subscription
-	GaugeRemoteSessions = "remote.sessions_active"  // live sessions
+	OpRemoteRound       = "remote.round_trip"          // one request executed server-side
+	CtrRemoteFramesIn   = "remote.frames_in"           // wire frames received
+	CtrRemoteFramesOut  = "remote.frames_out"          // wire frames sent
+	CtrRemoteSessions   = "remote.sessions_opened"     // sessions ever admitted
+	CtrRemoteEvictions  = "remote.sessions_evicted"    // idle sessions evicted
+	CtrRemoteRefusals   = "remote.sessions_refused"    // hellos refused (full/draining)
+	CtrRemoteFiltered   = "remote.pauses_filtered"     // pauses swallowed by a subscription
+	GaugeRemoteSessions = "remote.sessions_active"     // live sessions
 	CtrRemoteHBEvicts   = "remote.heartbeat_evictions" // silent peers evicted by missed beats
 
 	// Remote-session client instruments (internal/remote.Tracker).

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -210,22 +212,31 @@ func TestSortedEntries(t *testing.T) {
 }
 
 // randomValue builds a random value tree of bounded depth, with occasional
-// shared subvalues, for property tests.
-func randomValue(r *rand.Rand, depth int, pool *[]*Value) *Value {
+// shared subvalues, for property tests. With wide set, strings and floats
+// also take the forms that exercise every escaping and formatting rule of
+// the JSON encoder (see randString), plus NaN and the infinities, and some
+// primitives hold a Go type the encoder formats with fmt.Sprint.
+func randomValue(r *rand.Rand, depth int, pool *[]*Value, wide bool) *Value {
 	if depth <= 0 || r.Intn(3) == 0 {
 		switch r.Intn(6) {
 		case 0:
 			return NewInt(r.Int63() - r.Int63())
 		case 1:
+			if wide && r.Intn(2) == 0 {
+				return NewFloat([]float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e21, 1e-7, math.Copysign(0, -1)}[r.Intn(6)])
+			}
 			return NewFloat(r.NormFloat64())
 		case 2:
 			return NewBool(r.Intn(2) == 0)
 		case 3:
-			return NewString(randString(r))
+			if wide && r.Intn(4) == 0 {
+				return &Value{Kind: Primitive, Content: int32(r.Intn(100))}
+			}
+			return NewString(randString(r, wide))
 		case 4:
 			return NewNone()
 		default:
-			return NewFunction(randString(r))
+			return NewFunction(randString(r, wide))
 		}
 	}
 	// Occasionally reuse an existing value to create sharing.
@@ -235,26 +246,26 @@ func randomValue(r *rand.Rand, depth int, pool *[]*Value) *Value {
 	var v *Value
 	switch r.Intn(4) {
 	case 0:
-		v = NewRef(randomValue(r, depth-1, pool))
+		v = NewRef(randomValue(r, depth-1, pool, wide))
 	case 1:
 		n := r.Intn(4)
 		elems := make([]*Value, n)
 		for i := range elems {
-			elems[i] = randomValue(r, depth-1, pool)
+			elems[i] = randomValue(r, depth-1, pool, wide)
 		}
 		v = NewList(elems...)
 	case 2:
 		n := r.Intn(3)
 		entries := make([]DictEntry, n)
 		for i := range entries {
-			entries[i] = DictEntry{randomValue(r, depth-1, pool), randomValue(r, depth-1, pool)}
+			entries[i] = DictEntry{randomValue(r, depth-1, pool, wide), randomValue(r, depth-1, pool, wide)}
 		}
 		v = NewDict(entries...)
 	default:
 		n := r.Intn(3)
 		fields := make([]Field, n)
 		for i := range fields {
-			fields[i] = Field{randString(r), randomValue(r, depth-1, pool)}
+			fields[i] = Field{randString(r, wide), randomValue(r, depth-1, pool, wide)}
 		}
 		v = NewStruct(fields...)
 		v.LanguageType = "S"
@@ -265,10 +276,26 @@ func randomValue(r *rand.Rand, depth int, pool *[]*Value) *Value {
 	return v
 }
 
-func randString(r *rand.Rand) string {
+// wideFragments are the pieces of wide random strings: plain text, and
+// each byte or character the JSON encoder escapes — quote, backslash,
+// the HTML characters, control bytes, U+2028, U+2029 and a byte that is not
+// valid UTF-8.
+var wideFragments = []string{
+	"a", "_", "日本", `"`, `\`, "<", ">", "&", "\n", "\t", "\x01", "\x7f",
+	"\xe2\x80\xa8", "\xe2\x80\xa9", "\xff",
+}
+
+func randString(r *rand.Rand, wide bool) string {
+	n := r.Intn(6)
+	if wide {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			b.WriteString(wideFragments[r.Intn(len(wideFragments))])
+		}
+		return b.String()
+	}
 	const alpha = "abcdefgh_日本"
 	rs := []rune(alpha)
-	n := r.Intn(6)
 	out := make([]rune, n)
 	for i := range out {
 		out[i] = rs[r.Intn(len(rs))]
@@ -282,7 +309,23 @@ type valueGen struct{ V *Value }
 // Generate implements quick.Generator.
 func (valueGen) Generate(r *rand.Rand, size int) reflect.Value {
 	var pool []*Value
-	return reflect.ValueOf(valueGen{randomValue(r, 4, &pool)})
+	return reflect.ValueOf(valueGen{randomValue(r, 4, &pool, false)})
+}
+
+// wideValueGen is valueGen with the wide strings and floats of randomValue.
+// They do not survive a round trip (U+FFFD replaces invalid UTF-8, NaN is
+// not equal to itself), so only encoder properties use it. Pool holds the
+// composite values built along the way.
+type wideValueGen struct {
+	V    *Value
+	Pool []*Value
+}
+
+// Generate implements quick.Generator.
+func (wideValueGen) Generate(r *rand.Rand, size int) reflect.Value {
+	var pool []*Value
+	v := randomValue(r, 4, &pool, true)
+	return reflect.ValueOf(wideValueGen{v, pool})
 }
 
 func TestQuickEqualReflexive(t *testing.T) {

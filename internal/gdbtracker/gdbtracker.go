@@ -866,7 +866,7 @@ func (t *Tracker) fetchState() (*core.State, error) {
 		return nil, err
 	}
 	var st core.State
-	if err := json.Unmarshal([]byte(resp.Result.GetString("state")), &st); err != nil {
+	if err := st.UnmarshalJSON([]byte(resp.Result.GetString("state"))); err != nil {
 		sp.EndErr(err)
 		return nil, fmt.Errorf("gdbtracker: bad state payload: %w", err)
 	}

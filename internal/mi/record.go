@@ -1,7 +1,6 @@
 package mi
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -202,7 +201,7 @@ func (s *Server) replayInspect(token string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.Marshal(st)
+	data, err := st.MarshalJSON()
 	if err != nil {
 		return nil, err
 	}

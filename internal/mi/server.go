@@ -375,7 +375,7 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		}
 		reason := s.reasonFromStop(s.d.LastStop())
 		st := s.d.State(reason)
-		data, err := json.Marshal(st)
+		data, err := st.MarshalJSON()
 		if err != nil {
 			return nil, err
 		}

@@ -38,16 +38,16 @@ const (
 	// ops index the module scope's slot array. B names the identifier
 	// (index into Program.names) for error messages and the dynamic
 	// fallbacks.
-	opLoadLocal     // A=slot, B=name; nil slot falls back to globals
-	opStoreLocal    // A=slot, B=name
-	opDelLocal      // A=slot, B=name
-	opLoadGlobal    // A=slot, B=name
-	opStoreGlobal   // A=slot, B=name
-	opDelGlobal     // A=slot, B=name
-	opLoadGlobalN   // B=name; map-path fallback for names outside the symtab
-	opStoreGlobalN  // B=name
-	opDelGlobalN    // B=name
-	opRaiseNameErr  // B=name; always "name 'x' is not defined"
+	opLoadLocal    // A=slot, B=name; nil slot falls back to globals
+	opStoreLocal   // A=slot, B=name
+	opDelLocal     // A=slot, B=name
+	opLoadGlobal   // A=slot, B=name
+	opStoreGlobal  // A=slot, B=name
+	opDelGlobal    // A=slot, B=name
+	opLoadGlobalN  // B=name; map-path fallback for names outside the symtab
+	opStoreGlobalN // B=name
+	opDelGlobalN   // B=name
+	opRaiseNameErr // B=name; always "name 'x' is not defined"
 
 	// Stack shuffling and control flow. Jump targets are absolute
 	// instruction indices.

@@ -23,9 +23,9 @@ print(maybe_defined)
 	}
 	listing := Compile(mod).Disasm()
 	for _, want := range []string{
-		"STORE_GLOBAL      slot",   // x = 1: module store by slot
-		"LOAD_LOCAL        slot 0", // a inside f
-		"STORE_LOCAL",              // y inside f
+		"STORE_GLOBAL      slot",          // x = 1: module store by slot
+		"LOAD_LOCAL        slot 0",        // a inside f
+		"STORE_LOCAL",                     // y inside f
 		"LOAD_GLOBAL_NAME  maybe_defined", // never assigned: dynamic path
 	} {
 		if !strings.Contains(listing, want) {

@@ -17,9 +17,9 @@ type Snapshot struct {
 	// UptimeNs is the time since the Metrics value was created.
 	UptimeNs int64 `json:"uptime_ns,omitempty"`
 	// Counters, Gauges and Ops hold the named instruments.
-	Counters map[string]uint64        `json:"counters,omitempty"`
-	Gauges   map[string]GaugeStats    `json:"gauges,omitempty"`
-	Ops      map[string]LatencyStats  `json:"ops,omitempty"`
+	Counters map[string]uint64       `json:"counters,omitempty"`
+	Gauges   map[string]GaugeStats   `json:"gauges,omitempty"`
+	Ops      map[string]LatencyStats `json:"ops,omitempty"`
 	// Events is the flight recorder's retained tail, oldest first;
 	// EventsDropped counts the older events the ring wrapped over.
 	Events        []Event `json:"events,omitempty"`

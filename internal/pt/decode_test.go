@@ -109,3 +109,42 @@ func TestRecordStopsOnSupervisionPause(t *testing.T) {
 		t.Errorf("detail = %q, want step-budget", last.State.Reason.Detail)
 	}
 }
+
+// TestDecodeNullStateElements embeds States that put null where a frame, a
+// variable, a dict entry or a struct field belongs, as a v1 step's state and
+// as a v2 checkpoint: both decoders must report a *pt.DecodeError, not
+// crash. A well-formed State in the same slot decodes.
+func TestDecodeNullStateElements(t *testing.T) {
+	v1 := func(state string) []byte {
+		return []byte(`{"code":"","file":"p.py","lang":"minipy","trace":[{"event":"step_line","line":1,"stdout":"","state":` + state + `}],"exit_code":0}`)
+	}
+	v2 := func(state string) []byte {
+		return []byte(`{"v":2,"code":"","file":"p.py","lang":"minipy","steps":[{"event":"step_line","line":1}],"checkpoints":[{"step":0,"state":` + state + `}],"exit_code":0}`)
+	}
+	decoders := []struct {
+		name   string
+		decode func([]byte) error
+		wrap   func(string) []byte
+	}{
+		{"Decode", func(d []byte) error { _, err := pt.Decode(d); return err }, v1},
+		{"DecodeV2", func(d []byte) error { _, err := pt.DecodeV2(d); return err }, v2},
+	}
+	for _, dec := range decoders {
+		if err := dec.decode(dec.wrap(`{"reason":{"type":"STEP","line":1}}`)); err != nil {
+			t.Fatalf("%s rejected a well-formed state: %v", dec.name, err)
+		}
+		for _, state := range []string{
+			`{"frames":[null]}`,
+			`{"frames":[{"name":"f","depth":0,"vars":[null]}]}`,
+			`{"globals":[null]}`,
+			`{"globals":[{"name":"d","value":{"id":1,"kind":"DICT","dict":[null]}}]}`,
+			`{"globals":[{"name":"s","value":{"id":1,"kind":"STRUCT","struct":[null]}}]}`,
+		} {
+			err := dec.decode(dec.wrap(state))
+			var de *pt.DecodeError
+			if !errors.As(err, &de) || !strings.Contains(err.Error(), "core: null") {
+				t.Errorf("%s with state %s: err = %v, want a *pt.DecodeError for the null element", dec.name, state, err)
+			}
+		}
+	}
+}

@@ -204,7 +204,7 @@ func (t *TraceV2) Validate() error {
 		}
 		prevCP = cp.Step
 		var st core.State
-		if err := json.Unmarshal(cp.State, &st); err != nil {
+		if err := st.UnmarshalJSON(cp.State); err != nil {
 			return &DecodeError{Err: fmt.Errorf("pt: checkpoint %d state: %w", i, err)}
 		}
 	}

@@ -1071,7 +1071,7 @@ func (t *Tracker) state(op string) (*core.State, error) {
 		return nil, err
 	}
 	var st core.State
-	if err := json.Unmarshal(resp.State, &st); err != nil {
+	if err := st.UnmarshalJSON(resp.State); err != nil {
 		return nil, core.WrapErr("remote", op, t.file, t.line, fmt.Errorf("decoding state: %w", err))
 	}
 	t.stateCache = &st

@@ -821,7 +821,7 @@ func (c *serverConn) exec(sess *session, req *Request) *Response {
 			err = core.WrapErr(sess.kind, "State", "", 0, core.ErrUnsupported)
 		}
 		if err == nil {
-			resp.State, err = json.Marshal(st)
+			resp.State, err = st.MarshalJSON()
 		}
 	case OpSource:
 		resp.Lines, err = sess.tr.SourceLines()

@@ -116,7 +116,7 @@ func (r *Recorder) addStep(event string, line int, fn, out string, d *pt.Delta, 
 		return err
 	}
 	if full != nil && r.wantCheckpoint(i) {
-		raw, err := json.Marshal(full)
+		raw, err := full.MarshalJSON()
 		if err != nil {
 			return fmt.Errorf("ttd: checkpoint state: %w", err)
 		}

@@ -17,7 +17,6 @@
 package ttd
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"easytracker/internal/core"
@@ -103,7 +102,7 @@ func FromV2(t *pt.TraceV2) (*Store, error) {
 	for ci := range t.Checkpoints {
 		cp := &t.Checkpoints[ci]
 		var st core.State
-		if err := json.Unmarshal(cp.State, &st); err != nil {
+		if err := st.UnmarshalJSON(cp.State); err != nil {
 			return nil, &pt.DecodeError{Err: fmt.Errorf("ttd: checkpoint at step %d: %w", cp.Step, err)}
 		}
 		if got, want := len(st.Frame.Stack()), int(s.depths[cp.Step])+1; got != want {
@@ -244,7 +243,7 @@ func (s *Store) StateAt(i int) (*core.State, error) {
 		from := 0
 		if ci >= 0 {
 			var st core.State
-			if err := json.Unmarshal(s.t.Checkpoints[ci].State, &st); err != nil {
+			if err := st.UnmarshalJSON(s.t.Checkpoints[ci].State); err != nil {
 				return nil, fmt.Errorf("ttd: checkpoint at step %d: %w", cpStep, err)
 			}
 			r = fromState(&st)
