@@ -356,6 +356,18 @@ func (v *Value) Equivalent(o *Value) bool {
 	return valueEquivalent(v, o, nil)
 }
 
+// WatchChanged is the one rule every tracker applies to decide whether a
+// watched variable changed between two observations in forward time, before
+// and after (nil: undefined). A variable that becomes defined has changed;
+// one that disappears (a returned frame, a del) has not; otherwise it changed
+// if and only if the two values are not Equivalent.
+func WatchChanged(before, after *Value) bool {
+	if after == nil {
+		return false
+	}
+	return before == nil || !before.Equivalent(after)
+}
+
 // numEquivalent compares primitive payloads numerically when both are
 // numbers; ok is false when either payload is not an int64/float64.
 func numEquivalent(a, b any) (eq, ok bool) {

@@ -134,35 +134,40 @@ func TestEnginesDifferentialExpressions(t *testing.T) {
 	}
 }
 
+// genListProgram generates a random list-mutation program.
+func genListProgram(r *rand.Rand) string {
+	var body strings.Builder
+	body.WriteString("xs = []\nn = 0\n")
+	ops := 5 + r.Intn(15)
+	size := 0
+	for i := 0; i < ops; i++ {
+		switch r.Intn(5) {
+		case 0, 1:
+			fmt.Fprintf(&body, "xs.append(%d)\n", r.Intn(50))
+			size++
+		case 2:
+			if size > 0 {
+				body.WriteString("n = n + xs.pop()\n")
+				size--
+			}
+		case 3:
+			if size > 1 {
+				fmt.Fprintf(&body, "xs[%d] = %d\n", r.Intn(size), r.Intn(50))
+			}
+		case 4:
+			body.WriteString("xs.sort()\nprint(xs)\n")
+		}
+	}
+	body.WriteString("print(xs, n)\n")
+	return body.String()
+}
+
 // TestEnginesDifferentialListPrograms feeds randomly generated list-mutation
 // programs through both engines.
 func TestEnginesDifferentialListPrograms(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 30; trial++ {
-		var body strings.Builder
-		body.WriteString("xs = []\nn = 0\n")
-		ops := 5 + r.Intn(15)
-		size := 0
-		for i := 0; i < ops; i++ {
-			switch r.Intn(5) {
-			case 0, 1:
-				fmt.Fprintf(&body, "xs.append(%d)\n", r.Intn(50))
-				size++
-			case 2:
-				if size > 0 {
-					body.WriteString("n = n + xs.pop()\n")
-					size--
-				}
-			case 3:
-				if size > 1 {
-					fmt.Fprintf(&body, "xs[%d] = %d\n", r.Intn(size), r.Intn(50))
-				}
-			case 4:
-				body.WriteString("xs.sort()\nprint(xs)\n")
-			}
-		}
-		body.WriteString("print(xs, n)\n")
-		diffEngines(t, body.String())
+		diffEngines(t, genListProgram(r))
 	}
 }
 

@@ -160,6 +160,24 @@ func (s *Scope) Names() []string { return append([]string(nil), s.names...) }
 // Len returns the number of bindings.
 func (s *Scope) Len() int { return len(s.names) }
 
+// Slot returns the symtab slot index of name, or -1 when the scope has no
+// attached symtab (the tree walker's scopes, or the globals before the
+// bytecode engine starts the module) or the name is outside it. A
+// non-negative index is stable for the scope's lifetime, so trackers may
+// cache it and read the binding with At instead of a map lookup.
+func (s *Scope) Slot(name string) int {
+	if s.syms != nil {
+		if i, ok := s.syms.index[name]; ok {
+			return i
+		}
+	}
+	return -1
+}
+
+// At returns the object bound in slot i (from Slot), or nil while the name
+// is unbound.
+func (s *Scope) At(i int) *Object { return s.slots[i] }
+
 // RTFrame is a live activation record of the MiniPy interpreter.
 type RTFrame struct {
 	// Name is the function name, or "<module>" for the module frame.
@@ -250,6 +268,11 @@ type Interp struct {
 	// and every in-place heap mutation (the write barriers). An unchanged
 	// epoch guarantees the program state is identical.
 	epoch uint64
+	// heapClock counts in-place heap mutations only (stamp advances it,
+	// binding writes do not). It keys the ReachableEpoch memo: a binding
+	// write changes which object a name points to, never what is reachable
+	// from an existing object or any object's stamp.
+	heapClock uint64
 	// visitStamp numbers ReachableEpoch walks for cycle detection.
 	visitStamp uint64
 
@@ -381,9 +404,12 @@ func (in *Interp) alloc(o *Object) *Object {
 }
 
 // stamp records an in-place mutation of o: the write barrier advances the
-// interpreter's epoch and stamps the mutated object with it.
+// interpreter's epoch and heap clock and stamps the mutated object with the
+// epoch. Every container write must come through here: it is what
+// invalidates the ReachableEpoch memo.
 func (in *Interp) stamp(o *Object) {
 	in.epoch++
+	in.heapClock++
 	o.Epoch = in.epoch
 }
 
@@ -399,33 +425,15 @@ func (in *Interp) newScope() *Scope {
 // can use an unchanged epoch as proof that no program state moved.
 func (in *Interp) Epoch() uint64 { return in.epoch }
 
-// GlobalSlot returns the module-scope slot index of name, or -1 when the
-// globals scope has no attached symtab (the bytecode engine attaches it when
-// the module starts) or the name is outside it. A non-negative index is
-// stable for the interpreter's lifetime, so trackers may cache it and read
-// the binding with GlobalAt instead of a map lookup on every trace event.
-func (in *Interp) GlobalSlot(name string) int {
-	g := in.Globals
-	if g.syms == nil {
-		return -1
-	}
-	if i, ok := g.syms.index[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// GlobalAt returns the object bound in module-scope slot i (from GlobalSlot),
-// or nil while the name is unbound.
-func (in *Interp) GlobalAt(i int) *Object { return in.Globals.slots[i] }
-
 // ReachableEpoch returns the maximum mutation epoch of o and of every object
 // reachable from it through list/tuple elements, dict values, instance
 // attributes and bound receivers. Watch checking uses it as an allocation-free
 // dirty test: a result not larger than the epoch of the last snapshot proves
 // the watched value graph is unchanged. Results are memoized on the walked
-// root and stay valid until the global epoch advances; dict keys are skipped
-// because MiniPy keys are restricted to immutable (hashable) objects.
+// root and stay valid until the heap clock advances, so a run of lines that
+// only rebind names answers from the memo whatever the size of the graph;
+// dict keys are skipped because MiniPy keys are restricted to immutable
+// (hashable) objects.
 func (in *Interp) ReachableEpoch(o *Object) uint64 {
 	if o == nil {
 		return 0
@@ -439,7 +447,7 @@ func (in *Interp) ReachableEpoch(o *Object) uint64 {
 		// immutable objects (sharedInts) writable-by-nobody.
 		return o.Epoch
 	}
-	if o.reachAt == in.epoch+1 {
+	if o.reachAt == in.heapClock+1 {
 		return o.reachMax
 	}
 	in.visitStamp++
@@ -447,7 +455,7 @@ func (in *Interp) ReachableEpoch(o *Object) uint64 {
 	// Memoize only at the root of the walk: a root's result covers its
 	// whole reachable closure, while an interior node of a cycle would
 	// cache a value truncated at the back edge.
-	o.reachAt = in.epoch + 1
+	o.reachAt = in.heapClock + 1
 	o.reachMax = m
 	return m
 }
@@ -462,7 +470,7 @@ func (in *Interp) reachEpoch(o *Object, visit uint64) uint64 {
 		return 0 // cycle: the first visit accounts for this object
 	}
 	o.visit = visit
-	if o.reachAt == in.epoch+1 {
+	if o.reachAt == in.heapClock+1 {
 		return o.reachMax
 	}
 	max := o.Epoch

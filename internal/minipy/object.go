@@ -56,8 +56,8 @@ type Object struct {
 	// was allocated or last mutated in place (the write-barrier stamp).
 	Epoch uint64
 	// reachAt/reachMax memoize Interp.ReachableEpoch: reachMax is valid
-	// while reachAt equals the interpreter's current epoch plus one (the
-	// +1 keeps the zero value distinct from epoch 0).
+	// while reachAt equals the interpreter's heap clock plus one (the +1
+	// keeps the zero value distinct from clock 0).
 	reachAt  uint64
 	reachMax uint64
 	// visit is the cycle-detection stamp of the current reachability walk.

@@ -123,15 +123,25 @@ type watch struct {
 	// identifier string.
 	scope string
 	name  string
-	// gslot caches the module-scope slot index of a global ("::") watch
-	// once the interpreter has attached its compile-time symtab; -1 means
-	// not (yet) resolvable and falls back to the map lookup.
+	// gslot caches the module-scope slot index of a global ("::") watch,
+	// and of a bare-name watch's fallback to the globals, once the
+	// interpreter has attached its compile-time symtab; -1 means not (yet)
+	// resolvable and falls back to the map lookup.
 	gslot int
+	// evFr, holder and slot cache the frame walk of a "fn:name" or
+	// bare-name watch: evFr is the event frame they were resolved against,
+	// holder the scope binding the name as seen from it (nil: no frame
+	// named fn is live) and slot the name's symtab slot in holder (-1: the
+	// name lives in holder's map). An event from evFr reuses them; any
+	// other frame re-resolves. Holding evFr is safe: RTFrames are allocated
+	// per call and never pooled, so the held pointer cannot alias a later
+	// frame, and a frame's Parent chain never changes.
+	evFr   *minipy.RTFrame
+	holder *minipy.Scope
+	slot   int
 	// snap is the last observed value snapshot; nil means "not yet
 	// observed/defined".
 	snap *core.Value
-	// defined reports whether the variable resolved at last check.
-	defined bool
 	// lastObj is the object the identifier resolved to when snap was
 	// taken, and epoch the interpreter's mutation epoch at that moment.
 	// Together they form the O(1) dirty check: the same object with no
@@ -641,7 +651,9 @@ func (t *Tracker) checkWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 }
 
 // compareWatches is the comparison loop behind checkWatches; a hit stores
-// the pause into t.reason.
+// the pause into t.reason. Whether a watch changed is core.WatchChanged, the
+// rule the replay paths share: a first definition fires, disappearing does
+// not.
 func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 	for _, w := range t.watches {
 		// A conditioned watch is gated before the snapshot compare: while
@@ -655,10 +667,10 @@ func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 			continue
 		}
 		if w.cond != nil && !t.evalCond(w.cond, fr, ev) {
-			if !w.defined {
+			if w.snap == nil {
 				if obj, ok := t.resolveWatch(fr, w); ok {
 					conv := minipy.NewConverter()
-					w.snap, w.defined = conv.VarValue(obj), true
+					w.snap = conv.VarValue(obj)
 					w.lastObj, w.epoch = obj, t.interp.Epoch()
 				}
 			}
@@ -666,75 +678,89 @@ func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 		}
 		obj, ok := t.resolveWatch(fr, w)
 		if !ok {
-			// Still undefined, or frame holding it is gone.
-			if w.defined {
-				w.defined = false
-				w.snap = nil
-				w.lastObj = nil
-			}
+			// Still undefined, or the frame holding it is gone.
+			w.snap, w.lastObj = nil, nil
 			continue
 		}
-		if w.defined && obj == w.lastObj && t.interp.ReachableEpoch(obj) <= w.epoch {
+		if obj == w.lastObj && t.interp.ReachableEpoch(obj) <= w.epoch {
 			continue // provably unchanged: skip conversion and compare
 		}
 		conv := minipy.NewConverter()
 		now := conv.VarValue(obj)
-		epoch := t.interp.Epoch()
-		if !w.defined {
-			// First definition counts as a modification.
-			old := w.snap
-			w.snap, w.defined = now, true
-			w.lastObj, w.epoch = obj, epoch
-			// An ignored hit still advances the snapshot above, so the
-			// next report is relative to the value it skipped.
-			if !w.fire() {
-				continue
-			}
-			t.reason = core.PauseReason{
-				Type: core.PauseWatch, Variable: w.id,
-				Old: old, New: now,
-				File: t.file, Line: fr.Line,
-			}
-			return true
-		}
-		changed := !w.snap.Equivalent(now)
 		old := w.snap
-		w.snap = now
-		w.lastObj, w.epoch = obj, epoch
-		if changed {
-			if !w.fire() {
-				continue
-			}
-			t.reason = core.PauseReason{
-				Type: core.PauseWatch, Variable: w.id,
-				Old: old, New: now,
-				File: t.file, Line: fr.Line,
-			}
-			return true
+		w.snap, w.lastObj, w.epoch = now, obj, t.interp.Epoch()
+		// An ignored hit still advances the snapshot above, so the next
+		// report is relative to the value it skipped.
+		if !core.WatchChanged(old, now) || !w.fire() {
+			continue
 		}
+		t.reason = core.PauseReason{
+			Type: core.PauseWatch, Variable: w.id,
+			Old: old, New: now,
+			File: t.file, Line: fr.Line,
+		}
+		return true
 	}
 	return false
 }
 
 // resolveWatch resolves a registered watch against the paused state. This is
-// the hot half of resolveVar: the identifier is pre-split, and a global
-// watch upgrades itself to a direct slot read (one array load per event) the
-// first time the interpreter's module symtab is attached — the bytecode
-// engine attaches it before the first trace event, so in practice every
-// event after the first skips the map lookup.
+// the hot half of resolveVar, constant-time in the depth of the stack: the
+// identifier is pre-split, a "fn:name" or bare-name watch walks the frames
+// only when the event's frame changes (one pointer compare plus one slot
+// load otherwise), and global reads go through globalWatch's slot cache.
+// Names outside a symtab (the tree walker, dynamically injected bindings)
+// keep the map lookup.
 func (t *Tracker) resolveWatch(fr *minipy.RTFrame, w *watch) (*minipy.Object, bool) {
 	if w.scope == "::" {
-		if w.gslot < 0 {
-			w.gslot = t.interp.GlobalSlot(w.name)
-			if w.gslot < 0 {
-				o, ok := t.interp.Globals.Get(w.name)
-				return o, ok
+		return t.globalWatch(w)
+	}
+	if fr != w.evFr {
+		w.evFr, w.holder = fr, nil
+		if w.scope == "" {
+			w.holder = fr.Locals
+		} else {
+			for f := fr; f != nil; f = f.Parent {
+				if f.Name == w.scope {
+					w.holder = f.Locals
+					break
+				}
 			}
 		}
-		o := t.interp.GlobalAt(w.gslot)
-		return o, o != nil
+		if w.holder != nil {
+			w.slot = w.holder.Slot(w.name)
+		}
 	}
-	return t.resolveVar(fr, w.scope, w.name)
+	if w.holder == nil {
+		return nil, false
+	}
+	var o *minipy.Object
+	if w.slot >= 0 {
+		o = w.holder.At(w.slot)
+	} else {
+		o, _ = w.holder.Get(w.name)
+	}
+	if o == nil && w.scope == "" {
+		return t.globalWatch(w) // resolveVar's bare-name fallback
+	}
+	return o, o != nil
+}
+
+// globalWatch reads a watch's name from the module globals. The watch
+// upgrades itself to a direct slot read (one array load per event) the first
+// time the interpreter's module symtab is attached — the bytecode engine
+// attaches it before the first trace event, so in practice every event after
+// the first skips the map lookup.
+func (t *Tracker) globalWatch(w *watch) (*minipy.Object, bool) {
+	g := t.interp.Globals
+	if w.gslot < 0 {
+		w.gslot = g.Slot(w.name)
+		if w.gslot < 0 {
+			return g.Get(w.name)
+		}
+	}
+	o := g.At(w.gslot)
+	return o, o != nil
 }
 
 // resolveVar resolves a pre-split variable identifier against the paused

@@ -363,10 +363,11 @@ func (t *Tracker) recPauseAt(pos int) (core.PauseReason, bool) {
 		}
 		hereV := s.VarAt(pos, w.id)
 		fromV := s.VarAt(pos+1, w.id)
-		if recRender(hereV) != recRender(fromV) {
-			// Old is the value at the step we came from (later in time),
-			// New the value here — the transition as crossed in reverse,
-			// matching the trace replayer's convention.
+		// The rule reads the transition in forward time, here -> from.
+		// Old is the value at the step we came from (later in time),
+		// New the value here — the transition as crossed in reverse,
+		// matching the trace replayer's convention.
+		if core.WatchChanged(hereV, fromV) {
 			return core.PauseReason{
 				Type: core.PauseWatch, Variable: w.id,
 				Old: fromV, New: hereV,
@@ -425,13 +426,6 @@ func recQueryEvent(ev string) string {
 	default:
 		return query.EventLine
 	}
-}
-
-func recRender(v *core.Value) string {
-	if v == nil {
-		return "<undef>"
-	}
-	return v.String()
 }
 
 // replayState serves State() while rewound: the reconstructed snapshot at

@@ -276,7 +276,9 @@ func (t *Tracker) pauseHere(prev int) (core.PauseReason, bool) {
 		DepthNo: depth,
 	}
 
-	// Watches: compare variable renderings between prev and now.
+	// Watches: core.WatchChanged on the transition between prev and now,
+	// read in forward time — running backwards (prev after pos) the value
+	// here is the earlier one. Old/New keep the crossing order.
 	for _, w := range t.watches {
 		if w.disarmed {
 			continue
@@ -286,7 +288,11 @@ func (t *Tracker) pauseHere(prev int) (core.PauseReason, bool) {
 		}
 		oldV := t.src.varAt(prev, w.id)
 		newV := t.src.varAt(pos, w.id)
-		if renderVal(oldV) != renderVal(newV) && w.hit() {
+		before, after := oldV, newV
+		if prev > pos {
+			before, after = newV, oldV
+		}
+		if core.WatchChanged(before, after) && w.hit() {
 			return core.PauseReason{
 				Type: core.PauseWatch, Variable: w.id,
 				Old: oldV, New: newV,
@@ -352,13 +358,6 @@ func queryEvent(ev string) string {
 
 func depthOK(maxDepth, depth int) bool {
 	return maxDepth <= 0 || depth < maxDepth
-}
-
-func renderVal(v *core.Value) string {
-	if v == nil {
-		return "<undef>"
-	}
-	return v.String()
 }
 
 // werr wraps err in the tracker's typed error (core.TrackerError), keeping
