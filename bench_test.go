@@ -572,6 +572,44 @@ func BenchmarkResumeWithWatchpointMiniPy(b *testing.B) {
 	}
 }
 
+// BenchmarkStateAcrossPausesMiniPy prices State conversion across pauses
+// (DESIGN.md §19). One op is a 100-pause session: a watch on a scalar, a
+// 1000-element global list written at every 10th pause, and CurrentFrame
+// at every pause. The session converter updates the previous snapshot, so
+// the unchanged list costs nothing and a written one costs a slot-slice
+// copy; converting the list again at every pause costs ~1,000 allocations
+// a pause.
+func BenchmarkStateAcrossPausesMiniPy(b *testing.B) {
+	b.ReportAllocs()
+	src := "data = list(range(1000))\nw = 0\nwhile w < 99:\n    w = w + 1\n    if w % 10 == 0:\n        data[w] = w + 1000\n"
+	for i := 0; i < b.N; i++ {
+		tr := mustTracker(b, "minipy", "p.py", src)
+		if err := tr.Start(); err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.Watch("::w"); err != nil {
+			b.Fatal(err)
+		}
+		pauses := 0
+		for {
+			if err := tr.Resume(); err != nil {
+				b.Fatal(err)
+			}
+			if _, done := tr.ExitCode(); done {
+				break
+			}
+			if _, err := tr.CurrentFrame(); err != nil {
+				b.Fatal(err)
+			}
+			pauses++
+		}
+		if pauses != 100 {
+			b.Fatalf("%d pauses, want 100", pauses)
+		}
+		tr.Terminate()
+	}
+}
+
 // BenchmarkConditionalBreakMiniPy prices the conditional-probe fast path
 // (DESIGN.md §14's cost model): a breakpoint on the hot loop line whose
 // condition is false for 199 of the 200 hits, so the line hook compiles

@@ -1,9 +1,11 @@
-// Command et-benchdiff runs the watchpoint, observability and State codec
-// benchmarks, compares them against the committed baseline, and writes a
-// JSON report. It exits non-zero when any gated benchmark's allocs/op or
-// ns/op regresses beyond its tolerance, so it can serve as a CI guard for
-// the watchpoint fast path, for the obs-off overhead budget and against a
-// return to per-value allocations in the State codec.
+// Command et-benchdiff runs the watchpoint, observability, State codec and
+// State conversion benchmarks, compares them against the committed
+// baseline, and writes a JSON report. It exits non-zero when any gated
+// benchmark's allocs/op or ns/op regresses beyond its tolerance, so it can
+// serve as a CI guard for the watchpoint fast path, for the obs-off
+// overhead budget, against a return to per-value allocations in the State
+// codec and against converting unchanged MiniPy values again at every
+// pause.
 //
 // Usage:
 //
@@ -110,11 +112,11 @@ func loadBaseline(path string) (*Baseline, error) {
 }
 
 func main() {
-	bench := flag.String("bench", "BenchmarkResumeWithWatchpointMiniPy|BenchmarkAblationWatchCountMiniPy|BenchmarkAblationEngineMiniPy|BenchmarkCompileMiniPy|BenchmarkObsOverhead|BenchmarkSpanOverhead|BenchmarkBudgetCheckOverhead|BenchmarkConditionalBreakMiniPy|BenchmarkRemoteRoundTrip|BenchmarkRedialOverheadOff|BenchmarkSeekColdVsCheckpoint|BenchmarkRecordingOverhead|BenchmarkFig3StateSerialize|BenchmarkMIInspectState", "benchmark regex passed to go test -bench")
+	bench := flag.String("bench", "BenchmarkResumeWithWatchpointMiniPy|BenchmarkAblationWatchCountMiniPy|BenchmarkAblationEngineMiniPy|BenchmarkCompileMiniPy|BenchmarkObsOverhead|BenchmarkSpanOverhead|BenchmarkBudgetCheckOverhead|BenchmarkConditionalBreakMiniPy|BenchmarkRemoteRoundTrip|BenchmarkRedialOverheadOff|BenchmarkSeekColdVsCheckpoint|BenchmarkRecordingOverhead|BenchmarkFig3StateSerialize|BenchmarkMIInspectState|BenchmarkStateAcrossPausesMiniPy", "benchmark regex passed to go test -bench")
 	baselinePath := flag.String("baseline", filepath.Join("cmd", "et-benchdiff", "baseline.json"), "committed baseline JSON")
 	outPath := flag.String("o", "BENCH_1.json", "report output path")
 	count := flag.Int("count", 1, "benchmark repetitions (best of N is kept)")
-	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkObsOverheadOff,BenchmarkSpanOverheadOff,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,BenchmarkRecordingOverheadOff,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency)")
+	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkObsOverheadOff,BenchmarkSpanOverheadOff,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,BenchmarkRecordingOverheadOff,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateAcrossPausesMiniPy", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency)")
 	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op regression in percent")
 	nsTolerance := flag.Float64("ns-tolerance", 15, "allowed ns/op regression in percent (ns/op is noisier than allocs/op)")
 	dir := flag.String("dir", ".", "module directory to benchmark")

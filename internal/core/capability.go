@@ -6,6 +6,8 @@ package core
 // PauseReason by hand.
 type StateProvider interface {
 	// State returns the full snapshot (frames, globals, pause reason).
+	// Its frames, variables and values may be shared with other results,
+	// across pauses too, and must be treated as read-only.
 	State() (*State, error)
 }
 

@@ -46,7 +46,7 @@ func runEngine(t *testing.T, src string, eng Engine) *engineRun {
 	})
 	r.code, r.err = in.Run()
 	r.stdout = out.String()
-	r.globals = SnapshotGlobals(NewConverter(), in.Globals)
+	r.globals = SnapshotGlobals(NewConverter(in), in.Globals)
 	return r
 }
 

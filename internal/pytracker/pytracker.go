@@ -223,6 +223,12 @@ type Tracker struct {
 	snapSeq   uint64
 	snapEpoch uint64
 	snapState *core.State
+	// conv is the session converter behind State: each snapshot is built
+	// as an update of the previous one, so unchanged values, variables
+	// and frames are shared between States (DESIGN.md §19). Watch,
+	// return-value and recorder conversions keep one-shot converters:
+	// they share a document with these values or rewrite what they hold.
+	conv *minipy.Converter
 
 	// obs is the tracker's instrument panel, nil unless WithObservability
 	// was given: unlike gdbtracker there is no session layer needing a
@@ -298,6 +304,7 @@ func (t *Tracker) LoadProgram(path string, opts ...core.LoadOption) error {
 	}
 	in.SetTrace(t.traceFn)
 	t.file = path
+	t.conv = nil
 	if cfg.Recording {
 		t.initRecording(in, cfg, path, src)
 	}
@@ -553,7 +560,7 @@ func (t *Tracker) checkPause(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.Ob
 
 	case minipy.EventReturn:
 		if ti := t.tracked[fr.Name]; ti != nil && t.probeHit(&ti.probeCtl, fr, ev) {
-			conv := minipy.NewConverter()
+			conv := minipy.NewConverter(t.interp)
 			t.reason = core.PauseReason{
 				Type: core.PauseReturn, Function: fr.Name,
 				File: t.file, Line: fr.Line,
@@ -669,7 +676,7 @@ func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 		if w.cond != nil && !t.evalCond(w.cond, fr, ev) {
 			if w.snap == nil {
 				if obj, ok := t.resolveWatch(fr, w); ok {
-					conv := minipy.NewConverter()
+					conv := minipy.NewConverter(t.interp)
 					w.snap = conv.VarValue(obj)
 					w.lastObj, w.epoch = obj, t.interp.Epoch()
 				}
@@ -685,7 +692,7 @@ func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 		if obj == w.lastObj && t.interp.ReachableEpoch(obj) <= w.epoch {
 			continue // provably unchanged: skip conversion and compare
 		}
-		conv := minipy.NewConverter()
+		conv := minipy.NewConverter(t.interp)
 		now := conv.VarValue(obj)
 		old := w.snap
 		w.snap, w.lastObj, w.epoch = now, obj, t.interp.Epoch()
@@ -803,6 +810,7 @@ func (t *Tracker) waitPause() error {
 		t.exited = true
 		t.exitCode = d.code
 		t.curFrame = nil
+		t.conv = nil
 		t.finishRecording(d.code)
 		t.reason = core.PauseReason{Type: core.PauseExited, ExitCode: d.code}
 		t.notePause()
@@ -1063,7 +1071,7 @@ func (t *Tracker) GlobalVariables() ([]*core.Variable, error) {
 	if t.exited || t.curFrame == nil {
 		// After exit there is no frame to snapshot, but the module
 		// scope is still inspectable (State would return no globals).
-		conv := minipy.NewConverter()
+		conv := minipy.NewConverter(t.interp)
 		return minipy.SnapshotGlobals(conv, t.interp.Globals), nil
 	}
 	st, err := t.State()
@@ -1079,7 +1087,8 @@ func (t *Tracker) GlobalVariables() ([]*core.Variable, error) {
 // and invalidated by resuming, so repeated inspection of the same pause is
 // free. Each call returns a fresh shallow copy of the cached struct: callers
 // may set its Reason without writing into the cache, but the Frame and
-// Globals graphs are shared and must be treated as read-only.
+// Globals graphs are shared, within a pause and with the States of earlier
+// and later pauses, and must be treated as read-only.
 func (t *Tracker) State() (*core.State, error) {
 	if !t.started {
 		return nil, t.werr("State", core.ErrNotStarted)
@@ -1097,10 +1106,12 @@ func (t *Tracker) State() (*core.State, error) {
 	if t.snapState == nil || t.snapSeq != t.pauseSeq || t.snapEpoch != t.interp.Epoch() {
 		sp := t.tracer.Start(core.OpStateFetch)
 		t0 := t.obs.Now()
-		conv := minipy.NewConverter()
+		if t.conv == nil {
+			t.conv = minipy.NewConverter(t.interp)
+		}
 		t.snapState = &core.State{
-			Frame:   minipy.SnapshotFrame(conv, t.curFrame, t.file),
-			Globals: minipy.SnapshotGlobals(conv, t.interp.Globals),
+			Frame:   minipy.SnapshotFrame(t.conv, t.curFrame, t.file),
+			Globals: minipy.SnapshotGlobals(t.conv, t.interp.Globals),
 			Reason:  t.reason,
 		}
 		t.snapSeq, t.snapEpoch = t.pauseSeq, t.interp.Epoch()

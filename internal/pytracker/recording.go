@@ -88,7 +88,7 @@ func (t *Tracker) recordEvent(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.O
 		}
 		return
 	}
-	conv := minipy.NewConverter()
+	conv := minipy.NewConverter(t.interp)
 	st := &core.State{
 		Frame:   minipy.SnapshotFrame(conv, fr, t.file),
 		Globals: minipy.SnapshotGlobals(conv, t.interp.Globals),

@@ -94,7 +94,7 @@ func oracleWatchRun(t *testing.T, src string, ids []string, opts ...core.LoadOpt
 			scope, name := core.SplitVarID(id)
 			var now *core.Value
 			if obj, ok := tr.resolveVar(fr, scope, name); ok {
-				now = minipy.NewConverter().VarValue(obj)
+				now = minipy.NewConverter(tr.interp).VarValue(obj)
 			}
 			old := prev[i]
 			prev[i] = now

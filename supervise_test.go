@@ -320,14 +320,18 @@ func TestSuperviseBudgetsMiniPy(t *testing.T) {
 // armed watchpoint: a supervision pause must not disturb the watch
 // machinery's dirty tracking, so the watch hit after an interrupted pause
 // still reports the correct old/new transition.
+//
+// The interrupts are deterministic: the flag is sticky, so interrupting a
+// paused inferior makes the next resume pause at its first trace event.
+// Each round parks the inferior at a chosen line with a one-shot
+// breakpoint, interrupts it there and resumes, which covers both an
+// interrupt landing between watch hits and one consumed on the very event
+// where the write to w first becomes visible.
 func TestSuperviseInterruptWithWatchpoints(t *testing.T) {
-	// The inner loop is deliberately long: each outer iteration takes a
-	// few tens of milliseconds, so the 5ms interrupt below reliably lands
-	// between watch hits rather than racing them.
 	src := `w = 0
 while True:
     k = 0
-    while k < 20000:
+    while k < 3:
         k = k + 1
     w = w + 1
 `
@@ -367,34 +371,47 @@ while True:
 		}
 		next++
 	}
+	resume := func(round int, want easytracker.PauseReasonType, line int) {
+		t.Helper()
+		if err := tr.Resume(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if r := tr.PauseReason(); r.Type != want || r.Line != line {
+			t.Fatalf("round %d: reason %+v, want %v at line %d", round, r, want, line)
+		}
+	}
+	// parkThenInterrupt stops before line with a one-shot breakpoint,
+	// raises the interrupt while paused, and resumes: the inferior must
+	// pause at the very next event, at wantLine, without a watch report.
+	parkThenInterrupt := func(round, line, wantLine int) {
+		t.Helper()
+		if err := tr.BreakBeforeLine("watchloop.py", line, easytracker.WithOneShot()); err != nil {
+			t.Fatal(err)
+		}
+		resume(round, easytracker.PauseBreakpoint, line)
+		if !easytracker.Interrupt(tr) {
+			t.Fatal("minipy tracker is not interruptible")
+		}
+		resume(round, easytracker.PauseInterrupted, wantLine)
+	}
 	for round := 0; round < 4; round++ {
-		// Alternate: watch hit, then interrupt somewhere inside the
-		// inner loop, then the next watch hit must still see the exact
-		// w transition — nothing skipped, nothing double-reported.
 		if err := tr.Resume(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		checkHit(round, tr.PauseReason())
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			easytracker.Interrupt(tr)
-		}()
-		if err := tr.Resume(); err != nil {
-			t.Fatalf("round %d interrupt: %v", round, err)
-		}
-		if r := tr.PauseReason(); r.Type != easytracker.PauseInterrupted {
-			// The interrupt lost the race with the next watch hit;
-			// accept that hit, then consume the latched interrupt as
-			// its own pause (it may also surface as one more hit).
-			checkHit(round, r)
-			if err := tr.Resume(); err != nil {
-				t.Fatal(err)
-			}
-			if r := tr.PauseReason(); r.Type == easytracker.PauseWatch {
-				checkHit(round, r)
-			}
-		}
+		// Between watch hits: inside the inner loop, where w is not
+		// written; the interrupt lands on the loop test that follows.
+		parkThenInterrupt(round, 5, 4)
+		// On the write: stopped before w = w + 1, the interrupt is
+		// consumed on the next event, the first one at which the new w
+		// is visible. The supervision pause skips the watch compare, so
+		// the next resume must report exactly that write.
+		parkThenInterrupt(round, 6, 2)
 	}
+	if err := tr.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	checkHit(4, tr.PauseReason())
 }
 
 // TestSuperviseBudgetSnapshotAliasing checks the budget-trip pause against
