@@ -11,8 +11,8 @@ import (
 // had its own method with its own option set — BreakBeforeLine took
 // options, Watch took none. A Probe gives all four the same shape and the
 // same option set (BreakConfig: maxdepth, condition, ignore count,
-// one-shot), and Tracker.Arm installs any of them. The legacy methods
-// remain as thin wrappers over Arm.
+// one-shot), and Tracker.Arm installs any of them. The paper-named methods
+// remain, written once over Arm by Arming.
 
 // ProbeKind discriminates the probe target.
 type ProbeKind int
@@ -81,6 +81,37 @@ func WatchProbe(varID string, opts ...BreakOption) Probe {
 // TrackProbe builds a function-tracking probe.
 func TrackProbe(name string, opts ...BreakOption) Probe {
 	return Probe{Kind: ProbeTrack, Function: name, BreakConfig: ApplyBreakOptions(opts)}
+}
+
+// Arming derives the four paper-named arming calls from a tracker's Arm.
+// Trackers embed it, set to themselves when constructed; it holds the
+// tracker as an interface value, so constructing a tracker allocates
+// nothing more.
+type Arming struct {
+	arm interface{ Arm(Probe) error }
+}
+
+// NewArming returns the arming calls of the tracker t.
+func NewArming(t interface{ Arm(Probe) error }) Arming { return Arming{arm: t} }
+
+// BreakBeforeLine is Arm(LineProbe(file, line, opts...)).
+func (a Arming) BreakBeforeLine(file string, line int, opts ...BreakOption) error {
+	return a.arm.Arm(LineProbe(file, line, opts...))
+}
+
+// BreakBeforeFunc is Arm(FuncProbe(name, opts...)).
+func (a Arming) BreakBeforeFunc(name string, opts ...BreakOption) error {
+	return a.arm.Arm(FuncProbe(name, opts...))
+}
+
+// TrackFunction is Arm(TrackProbe(name, opts...)).
+func (a Arming) TrackFunction(name string, opts ...BreakOption) error {
+	return a.arm.Arm(TrackProbe(name, opts...))
+}
+
+// Watch is Arm(WatchProbe(varID, opts...)).
+func (a Arming) Watch(varID string, opts ...BreakOption) error {
+	return a.arm.Arm(WatchProbe(varID, opts...))
 }
 
 // Op returns the legacy method name behind this probe kind, used as the Op

@@ -57,6 +57,8 @@ type bpInfo struct {
 
 // Tracker drives one compiled inferior through MiniGDB/MI.
 type Tracker struct {
+	core.Arming
+
 	// trans is the hardened command transport: the MI client, optionally
 	// behind a DeadlineTransport (core.WithCommandTimeout) and, in
 	// tests, behind a fault-injection wrapper (SetConnWrapper).
@@ -139,11 +141,13 @@ type Tracker struct {
 
 // New returns an unloaded MiniGDB tracker using an in-process MI pipe.
 func New() *Tracker {
-	return &Tracker{
+	t := &Tracker{
 		bps:     map[int]bpInfo{},
 		watches: map[int]string{},
 		replay:  -1,
 	}
+	t.Arming = core.NewArming(t)
+	return t
 }
 
 // LoadProgram builds the program at path (MiniC for .c, assembly for .s,
@@ -678,12 +682,6 @@ func breakArgs(bc core.BreakConfig) []string {
 	return args
 }
 
-// BreakBeforeLine arms a line breakpoint. Equivalent to
-// Arm(core.LineProbe(file, line, opts...)).
-func (t *Tracker) BreakBeforeLine(file string, line int, opts ...core.BreakOption) error {
-	return t.Arm(core.LineProbe(file, line, opts...))
-}
-
 // armBreakLine performs the line-breakpoint insertion.
 func (t *Tracker) armBreakLine(line int, bc core.BreakConfig) error {
 	args := append(breakArgs(bc), strconv.Itoa(line))
@@ -698,13 +696,8 @@ func (t *Tracker) armBreakLine(line int, bc core.BreakConfig) error {
 	return nil
 }
 
-// BreakBeforeFunc arms a function breakpoint (fires with arguments stored).
-// Equivalent to Arm(core.FuncProbe(name, opts...)).
-func (t *Tracker) BreakBeforeFunc(name string, opts ...core.BreakOption) error {
-	return t.Arm(core.FuncProbe(name, opts...))
-}
-
-// armBreakFunc performs the function-breakpoint insertion.
+// armBreakFunc performs the function-breakpoint insertion (the breakpoint
+// fires with arguments stored).
 func (t *Tracker) armBreakFunc(name string, bc core.BreakConfig) error {
 	args := append(breakArgs(bc), "--function", name)
 	resp, err := t.send("-break-insert", args...)
@@ -718,18 +711,12 @@ func (t *Tracker) armBreakFunc(name string, bc core.BreakConfig) error {
 	return nil
 }
 
-// TrackFunction arms entry and exit pauses for every execution of the named
-// function. The exit breakpoints are found exactly as in the paper: ask the
-// debugger to disassemble the function, scan for the return instruction,
-// and breakpoint its address. Equivalent to
-// Arm(core.TrackProbe(name, opts...)).
-func (t *Tracker) TrackFunction(name string, opts ...core.BreakOption) error {
-	return t.Arm(core.TrackProbe(name, opts...))
-}
-
-// armTrack performs the entry/exit breakpoint insertion of TrackFunction. A
-// condition gates entry and exit independently; the --event flag tells the
-// server which event vocabulary the condition sees at each site.
+// armTrack performs the entry/exit breakpoint insertion of TrackFunction.
+// The exit breakpoints are found exactly as in the paper: ask the debugger
+// to disassemble the function, scan for the return instruction, and
+// breakpoint its address. A condition gates entry and exit independently;
+// the --event flag tells the server which event vocabulary the condition
+// sees at each site.
 func (t *Tracker) armTrack(name string, bc core.BreakConfig) error {
 	args := append(breakArgs(bc), "--event", "call", "--function", name)
 	resp, err := t.send("-break-insert", args...)
@@ -766,17 +753,11 @@ func (t *Tracker) armTrack(name string, bc core.BreakConfig) error {
 	return nil
 }
 
-// Watch pauses whenever the identified variable is modified. Global
-// variables ("name" or "::name") can be watched any time; locals
-// ("func:name") require a live activation of the function, as with GDB.
-// Equivalent to Arm(core.WatchProbe(varID, opts...)).
-func (t *Tracker) Watch(varID string, opts ...core.BreakOption) error {
-	return t.Arm(core.WatchProbe(varID, opts...))
-}
-
-// armWatch performs the watchpoint insertion. The MI -break-watch command
-// has no temporary (-t) form, so a one-shot watch is rejected up front
-// rather than silently armed as persistent.
+// armWatch performs the watchpoint insertion. Global variables ("name" or
+// "::name") can be watched any time; locals ("func:name") require a live
+// activation of the function, as with GDB. The MI -break-watch command has
+// no temporary (-t) form, so a one-shot watch is rejected up front rather
+// than silently armed as persistent.
 func (t *Tracker) armWatch(varID string, bc core.BreakConfig) error {
 	if bc.OneShot {
 		return fmt.Errorf("one-shot watchpoints: %w", core.ErrUnsupported)

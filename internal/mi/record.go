@@ -49,7 +49,7 @@ func (s *Server) etRecord(token string, args []string) ([]Record, error) {
 func (s *Server) startRecording() {
 	s.rec = ttd.NewRecorder(s.prog.SourceFile, s.prog.Source, "minigdb", s.recInterval)
 	s.recErr = nil
-	s.replay = -1
+	s.replay = ttd.Cursor{}
 }
 
 // recordStop appends the stop to the recording. Runs before the stdout
@@ -90,25 +90,6 @@ func (s *Server) needRec() error {
 	return nil
 }
 
-// recHead is the recorded step of the live present: the last real step,
-// skipping a finished recording's terminal bookkeeping step.
-func (s *Server) recHead() int {
-	st := s.rec.Store()
-	h := st.Len() - 1
-	if h > 0 && st.EventAt(h) == pt.EventFinished {
-		h--
-	}
-	return h
-}
-
-// recPos is the step the replay surface reports as current.
-func (s *Server) recPos() int {
-	if s.replay >= 0 {
-		return s.replay
-	}
-	return s.recHead()
-}
-
 func (s *Server) inferiorDone() bool {
 	r := s.d.LastStop().Reason
 	return r == dbg.StopExited || r == dbg.StopFault
@@ -119,15 +100,7 @@ func (s *Server) execStepBack(token string) ([]Record, error) {
 	if err := s.needRec(); err != nil {
 		return nil, err
 	}
-	pos := s.recPos() - 1
-	if s.replay < 0 && s.inferiorDone() {
-		// Stepping back off the exit lands on the last live moment.
-		pos = s.recHead()
-	}
-	if pos < 0 {
-		pos = 0
-	}
-	s.replay = pos
+	s.replay.StepBack(s.rec.Store(), s.inferiorDone())
 	return s.replayStopRecords(token, "step-back"), nil
 }
 
@@ -142,18 +115,10 @@ func (s *Server) execSeek(token string, args []string) ([]Record, error) {
 	}
 	st := s.rec.Store()
 	pos, err := strconv.Atoi(args[0])
-	if err != nil || pos < 0 || pos >= st.Len() {
+	if err != nil || s.replay.Seek(st, pos, s.inferiorDone()) != nil {
 		return nil, fmt.Errorf("seek target %q out of range [0,%d)", args[0], st.Len())
 	}
-	if st.EventAt(pos) == pt.EventFinished && pos > 0 {
-		pos--
-	}
-	if pos == s.recHead() && !s.inferiorDone() {
-		s.replay = -1
-	} else {
-		s.replay = pos
-	}
-	return s.replayStopAt(token, "seek", pos), nil
+	return s.replayStopRecords(token, "seek"), nil
 }
 
 // etReplayPos reports the replay cursor without moving it.
@@ -162,11 +127,11 @@ func (s *Server) etReplayPos(token string) ([]Record, error) {
 		return nil, err
 	}
 	mode := "live"
-	if s.replay >= 0 {
+	if !s.replay.AtHead() {
 		mode = "replay"
 	}
 	return []Record{doneRec(token,
-		Result{Var: "pos", Val: StringVal(strconv.Itoa(s.recPos()))},
+		Result{Var: "pos", Val: StringVal(strconv.Itoa(s.replay.Pos(s.rec.Store())))},
 		Result{Var: "len", Val: StringVal(strconv.Itoa(s.rec.Len()))},
 		Result{Var: "mode", Val: StringVal(mode)},
 	)}, nil
@@ -176,11 +141,8 @@ func (s *Server) etReplayPos(token string) ([]Record, error) {
 // *stopped, the same synchronous condensation live exec commands use, so MI
 // clients drive time travel with their existing stop machinery.
 func (s *Server) replayStopRecords(token, reason string) []Record {
-	return s.replayStopAt(token, reason, s.replay)
-}
-
-func (s *Server) replayStopAt(token, reason string, pos int) []Record {
 	st := s.rec.Store()
+	pos := s.replay.Pos(st)
 	recs := []Record{{Kind: ResultRecord, Token: token, Class: "running"}}
 	stp := Record{Kind: AsyncRecord, Class: "stopped"}
 	stp.Results = append(stp.Results,
@@ -197,7 +159,8 @@ func (s *Server) replayStopAt(token, reason string, pos int) []Record {
 // replayInspect serves -et-inspect from the recording while rewound: the
 // reconstructed snapshot plus a synthetic, per-step data version.
 func (s *Server) replayInspect(token string) ([]Record, error) {
-	st, err := s.rec.Store().StateAt(s.replay)
+	pos := s.replay.Pos(s.rec.Store())
+	st, err := s.rec.Store().StateAt(pos)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +168,7 @@ func (s *Server) replayInspect(token string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	version := replayVersionBase + uint64(s.replay)
+	version := replayVersionBase + uint64(pos)
 	return []Record{doneRec(token,
 		Result{Var: "state", Val: StringVal(string(data))},
 		Result{Var: "version", Val: StringVal(strconv.FormatUint(version, 10))},

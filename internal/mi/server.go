@@ -55,13 +55,13 @@ type Server struct {
 
 	// Time-travel state (record.go): recArmed/recInterval hold the
 	// -et-record arming until -exec-run starts the recorder; rec records
-	// one delta step per stop; replay is the rewind cursor (-1 = live);
-	// recErr latches the first recording failure.
+	// one delta step per stop; replay is the rewind cursor, on the head
+	// while inspection is live; recErr latches the first recording failure.
 	recArmed    bool
 	recInterval int
 	rec         *ttd.Recorder
 	recErr      error
-	replay      int
+	replay      ttd.Cursor
 }
 
 // NewServer builds a server; prog may be nil when the client will load a
@@ -370,7 +370,7 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		if err := s.need(); err != nil {
 			return nil, err
 		}
-		if s.rec != nil && s.replay >= 0 {
+		if s.rec != nil && !s.replay.AtHead() {
 			return s.replayInspect(token)
 		}
 		reason := s.reasonFromStop(s.d.LastStop())
@@ -788,7 +788,7 @@ func (s *Server) stopRecords(token string, stop dbg.Stop) []Record {
 	// the buffered output is this step's delta) and snap any rewound replay
 	// cursor back to live.
 	s.recordStop(stop)
-	s.replay = -1
+	s.replay = ttd.Cursor{}
 	recs := s.drainOutput()
 	recs = append(recs, Record{Kind: ResultRecord, Token: token, Class: "running"})
 	st := Record{Kind: AsyncRecord, Class: "stopped"}

@@ -74,50 +74,9 @@ const (
 	modeNext
 )
 
-// probeCtl is the conditional-arming state shared by every probe kind: a
-// compiled condition (nil = always true), the remaining ignore count, and
-// the one-shot disarm latch. It is embedded, so checkPause mutates it in
-// place through the owning probe.
-type probeCtl struct {
-	cond       *query.Program
-	ignoreLeft int
-	oneShot    bool
-	disarmed   bool
-}
-
-// fire applies the post-condition hit bookkeeping: consume an ignore credit
-// (reporting nothing), or report the hit and disarm a one-shot probe.
-func (c *probeCtl) fire() bool {
-	if c.ignoreLeft > 0 {
-		c.ignoreLeft--
-		return false
-	}
-	if c.oneShot {
-		c.disarmed = true
-	}
-	return true
-}
-
-type lineBP struct {
-	file     string
-	line     int
-	maxDepth int
-	probeCtl
-}
-
-type funcBP struct {
-	name     string
-	maxDepth int
-	probeCtl
-}
-
-// trackInfo is the per-function state of TrackFunction.
-type trackInfo struct {
-	probeCtl
-}
-
-type watch struct {
-	id string
+// watchCache is the live state a watch keeps next to its entry in the
+// probe table: the caches that make the per-line check constant-time.
+type watchCache struct {
 	// scope/name are the two halves of core.SplitVarID(id), split once at
 	// Watch registration so the per-line comparison never re-parses the
 	// identifier string.
@@ -149,7 +108,6 @@ type watch struct {
 	// compare (and its conversion allocations) is skipped.
 	lastObj *minipy.Object
 	epoch   uint64
-	probeCtl
 }
 
 type exitInfo struct {
@@ -160,6 +118,8 @@ type exitInfo struct {
 // Tracker controls one MiniPy inferior. It is driven by a single tool
 // goroutine; the inferior runs in a second goroutine started by Start.
 type Tracker struct {
+	core.Arming
+
 	file     string
 	srcLines []string
 	module   *minipy.Module
@@ -190,10 +150,9 @@ type Tracker struct {
 
 	mode      stepMode
 	nextDepth int
-	lineBPs   []lineBP
-	funcBPs   []funcBP
-	tracked   map[string]*trackInfo
-	watches   []*watch
+	// probes is the armed-probe table; replays of the session's recording
+	// classify against the same table (ttd.Probes.PauseAt).
+	probes ttd.Probes[watchCache]
 
 	// view is the reusable EventView handed to condition programs; holding
 	// it by value keeps conditional evaluation allocation-free.
@@ -253,27 +212,29 @@ type Tracker struct {
 	// (BenchmarkRecordingOverheadOff gates it). recFr/recEpoch key the
 	// snapshot-free fast path; recOut tees the inferior's stdout so steps
 	// carry output deltas; recErr latches the first recording failure.
-	// replay is the time-travel cursor into the recording (-1 = live);
-	// liveReason/liveLast stash the present-moment pause bookkeeping while
-	// inspection is rewound. See recording.go.
+	// cur is the time-travel cursor into the recording, on the head while
+	// inspection is live; liveReason/liveLast stash the present-moment
+	// pause bookkeeping while inspection is rewound. See recording.go.
 	rec        *ttd.Recorder
 	recErr     error
 	recOut     *recordTee
 	recFr      *minipy.RTFrame
 	recEpoch   uint64
-	replay     int
+	cur        ttd.Cursor
 	liveReason core.PauseReason
 	liveLast   int
 }
 
 // New returns an unloaded MiniPy tracker.
 func New() *Tracker {
-	return &Tracker{
+	t := &Tracker{
 		pauseCh:  make(chan struct{}),
 		resumeCh: make(chan struct{}),
 		doneCh:   make(chan exitInfo, 1),
-		tracked:  map[string]*trackInfo{},
 	}
+	t.Arming = core.NewArming(t)
+	t.view.t = t
+	return t
 }
 
 // LoadProgram parses the MiniPy program at path (or the source provided via
@@ -537,7 +498,7 @@ func (t *Tracker) checkPause(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.Ob
 	switch ev {
 	case minipy.EventCall:
 		// 2. Tracked function entered.
-		if ti := t.tracked[fr.Name]; ti != nil && t.probeHit(&ti.probeCtl, fr, ev) {
+		if g := t.probes.Tracked[fr.Name]; g != nil && t.probeHit(g, fr, ev) {
 			t.reason = core.PauseReason{
 				Type: core.PauseCall, Function: fr.Name,
 				File: t.file, Line: fr.Line,
@@ -546,10 +507,9 @@ func (t *Tracker) checkPause(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.Ob
 		}
 		// 3. Function breakpoint (args are bound at EventCall, which
 		// is what guarantees the paper's "arguments are initialized").
-		for i := range t.funcBPs {
-			bp := &t.funcBPs[i]
-			if bp.name == fr.Name && depthOK(bp.maxDepth, fr.Depth) &&
-				t.probeHit(&bp.probeCtl, fr, ev) {
+		for i := range t.probes.Funcs {
+			bp := &t.probes.Funcs[i]
+			if bp.At(fr.Name, fr.Depth) && t.probeHit(&bp.Gate, fr, ev) {
 				t.reason = core.PauseReason{
 					Type: core.PauseBreakpoint, Function: fr.Name,
 					File: t.file, Line: fr.Line,
@@ -559,7 +519,7 @@ func (t *Tracker) checkPause(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.Ob
 		}
 
 	case minipy.EventReturn:
-		if ti := t.tracked[fr.Name]; ti != nil && t.probeHit(&ti.probeCtl, fr, ev) {
+		if g := t.probes.Tracked[fr.Name]; g != nil && t.probeHit(g, fr, ev) {
 			conv := minipy.NewConverter(t.interp)
 			t.reason = core.PauseReason{
 				Type: core.PauseReturn, Function: fr.Name,
@@ -571,11 +531,9 @@ func (t *Tracker) checkPause(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.Ob
 
 	case minipy.EventLine:
 		// 4. Line breakpoints.
-		for i := range t.lineBPs {
-			bp := &t.lineBPs[i]
-			if bp.line == fr.Line && (bp.file == "" || bp.file == t.file) &&
-				depthOK(bp.maxDepth, fr.Depth) &&
-				t.probeHit(&bp.probeCtl, fr, ev) {
+		for i := range t.probes.Lines {
+			bp := &t.probes.Lines[i]
+			if bp.At(t.file, fr.Line, fr.Depth) && t.probeHit(&bp.Gate, fr, ev) {
 				t.reason = core.PauseReason{
 					Type: core.PauseBreakpoint,
 					File: t.file, Line: fr.Line,
@@ -609,30 +567,13 @@ func (t *Tracker) checkPause(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.Ob
 	return false
 }
 
-func depthOK(maxDepth, depth int) bool {
-	return maxDepth <= 0 || depth < maxDepth
-}
-
 // probeHit is the conditional gate of a probe: the condition (if any) is
-// evaluated against the current event, then ignore-count and one-shot
-// bookkeeping apply. A disarmed (spent one-shot) probe never fires again.
-func (t *Tracker) probeHit(c *probeCtl, fr *minipy.RTFrame, ev minipy.Event) bool {
-	if c.disarmed {
-		return false
-	}
-	if c.cond != nil && !t.evalCond(c.cond, fr, ev) {
-		return false
-	}
-	return c.fire()
-}
-
-// evalCond evaluates a compiled condition against the current event through
-// the tracker's reusable view; zero allocations on the miss path.
-func (t *Tracker) evalCond(p *query.Program, fr *minipy.RTFrame, ev minipy.Event) bool {
-	t.view.t = t
-	t.view.fr = fr
-	t.view.ev = ev
-	return p.Match(&t.view)
+// evaluated against the current event through the tracker's reusable view
+// (zero allocations on the miss path), then the hit spends an ignore credit
+// or a one-shot latch. A spent one-shot probe never fires again.
+func (t *Tracker) probeHit(g *query.Gate, fr *minipy.RTFrame, ev minipy.Event) bool {
+	t.view.fr, t.view.ev = fr, ev
+	return g.Open(&t.view) && g.Fire()
 }
 
 // checkWatches compares every watched variable against its last snapshot.
@@ -645,7 +586,7 @@ func (t *Tracker) evalCond(p *query.Program, fr *minipy.RTFrame, ev minipy.Event
 // anything. Only a rebinding or a dirty object graph falls back to the deep
 // structural compare (core.Value.Equivalent) on a fresh conversion.
 func (t *Tracker) checkWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
-	if len(t.watches) == 0 {
+	if len(t.probes.Watches) == 0 {
 		return false
 	}
 	if t.obs == nil {
@@ -662,47 +603,48 @@ func (t *Tracker) checkWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 // rule the replay paths share: a first definition fires, disappearing does
 // not.
 func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
-	for _, w := range t.watches {
+	t.view.fr, t.view.ev = fr, ev
+	for _, w := range t.probes.Watches {
+		c := &w.Live
 		// A conditioned watch is gated before the snapshot compare: while
 		// the condition is false the watch neither fires nor advances its
 		// snapshot, so a change made outside the condition window is
 		// reported at the first event back inside it. The baseline is
 		// still established once while gated — without it the first
 		// in-window report would claim a first definition (nil Old)
-		// instead of a change relative to the pre-window value.
-		if w.disarmed {
-			continue
-		}
-		if w.cond != nil && !t.evalCond(w.cond, fr, ev) {
-			if w.snap == nil {
-				if obj, ok := t.resolveWatch(fr, w); ok {
+		// instead of a change relative to the pre-window value. A spent
+		// one-shot watch keeps the snapshot it fired with, so it never
+		// takes the baseline branch.
+		if !w.Open(&t.view) {
+			if c.snap == nil {
+				if obj, ok := t.resolveWatch(fr, c); ok {
 					conv := minipy.NewConverter(t.interp)
-					w.snap = conv.VarValue(obj)
-					w.lastObj, w.epoch = obj, t.interp.Epoch()
+					c.snap = conv.VarValue(obj)
+					c.lastObj, c.epoch = obj, t.interp.Epoch()
 				}
 			}
 			continue
 		}
-		obj, ok := t.resolveWatch(fr, w)
+		obj, ok := t.resolveWatch(fr, c)
 		if !ok {
 			// Still undefined, or the frame holding it is gone.
-			w.snap, w.lastObj = nil, nil
+			c.snap, c.lastObj = nil, nil
 			continue
 		}
-		if obj == w.lastObj && t.interp.ReachableEpoch(obj) <= w.epoch {
+		if obj == c.lastObj && t.interp.ReachableEpoch(obj) <= c.epoch {
 			continue // provably unchanged: skip conversion and compare
 		}
 		conv := minipy.NewConverter(t.interp)
 		now := conv.VarValue(obj)
-		old := w.snap
-		w.snap, w.lastObj, w.epoch = now, obj, t.interp.Epoch()
+		old := c.snap
+		c.snap, c.lastObj, c.epoch = now, obj, t.interp.Epoch()
 		// An ignored hit still advances the snapshot above, so the next
 		// report is relative to the value it skipped.
-		if !core.WatchChanged(old, now) || !w.fire() {
+		if !core.WatchChanged(old, now) || !w.Fire() {
 			continue
 		}
 		t.reason = core.PauseReason{
-			Type: core.PauseWatch, Variable: w.id,
+			Type: core.PauseWatch, Variable: w.ID,
 			Old: old, New: now,
 			File: t.file, Line: fr.Line,
 		}
@@ -718,7 +660,7 @@ func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 // load otherwise), and global reads go through globalWatch's slot cache.
 // Names outside a symtab (the tree walker, dynamically injected bindings)
 // keep the map lookup.
-func (t *Tracker) resolveWatch(fr *minipy.RTFrame, w *watch) (*minipy.Object, bool) {
+func (t *Tracker) resolveWatch(fr *minipy.RTFrame, w *watchCache) (*minipy.Object, bool) {
 	if w.scope == "::" {
 		return t.globalWatch(w)
 	}
@@ -758,7 +700,7 @@ func (t *Tracker) resolveWatch(fr *minipy.RTFrame, w *watch) (*minipy.Object, bo
 // time the interpreter's module symtab is attached — the bytecode engine
 // attaches it before the first trace event, so in practice every event after
 // the first skips the map lookup.
-func (t *Tracker) globalWatch(w *watch) (*minipy.Object, bool) {
+func (t *Tracker) globalWatch(w *watchCache) (*minipy.Object, bool) {
 	g := t.interp.Globals
 	if w.gslot < 0 {
 		w.gslot = g.Slot(w.name)
@@ -923,7 +865,7 @@ func (t *Tracker) arm(p core.Probe) error {
 	if !t.loaded {
 		return t.werr(op, core.ErrNoProgram)
 	}
-	ctl, err := compileCtl(p.BreakConfig)
+	g, err := query.NewGate(p.BreakConfig)
 	if err != nil {
 		return t.werr(op, err)
 	}
@@ -932,66 +874,25 @@ func (t *Tracker) arm(p core.Probe) error {
 		if p.Line < 1 || p.Line > len(t.srcLines) {
 			return t.werr(op, core.ErrBadLine)
 		}
-		t.lineBPs = append(t.lineBPs, lineBP{
-			file: p.File, line: p.Line, maxDepth: p.MaxDepth, probeCtl: ctl,
-		})
-	case core.ProbeFunc:
+	case core.ProbeFunc, core.ProbeTrack:
 		if !t.functionExists(p.Function) {
 			return t.werr(op, core.ErrUnknownFunction)
 		}
-		t.funcBPs = append(t.funcBPs, funcBP{
-			name: p.Function, maxDepth: p.MaxDepth, probeCtl: ctl,
-		})
-	case core.ProbeTrack:
-		if !t.functionExists(p.Function) {
-			return t.werr(op, core.ErrUnknownFunction)
-		}
-		t.tracked[p.Function] = &trackInfo{probeCtl: ctl}
-	case core.ProbeWatch:
+	}
+	w, err := t.probes.Arm(p, g)
+	if err != nil {
+		return t.werr(op, err)
+	}
+	if w != nil {
 		fn, name := core.SplitVarID(p.VarID)
-		t.watches = append(t.watches, &watch{
-			id: p.VarID, scope: fn, name: name, gslot: -1, probeCtl: ctl,
-		})
-		t.obs.Gauge(core.GaugeWatches).Set(int64(len(t.watches)))
-	default:
-		return t.werr(op, core.ErrUnsupported)
+		w.Live = watchCache{scope: fn, name: name, gslot: -1}
+		t.obs.Gauge(core.GaugeWatches).Set(int64(len(t.probes.Watches)))
 	}
 	return nil
 }
 
-// compileCtl compiles a BreakConfig's condition into the runtime gate.
-func compileCtl(bc core.BreakConfig) (probeCtl, error) {
-	ctl := probeCtl{ignoreLeft: bc.IgnoreHits, oneShot: bc.OneShot}
-	if bc.Condition != "" {
-		p, err := query.Compile(bc.Condition)
-		if err != nil {
-			return ctl, err
-		}
-		ctl.cond = p
-	}
-	return ctl, nil
-}
-
 // ConditionalProbes advertises the ConditionalBreaker capability.
 func (t *Tracker) ConditionalProbes() bool { return true }
-
-// BreakBeforeLine registers a line breakpoint. Equivalent to
-// Arm(core.LineProbe(file, line, opts...)).
-func (t *Tracker) BreakBeforeLine(file string, line int, opts ...core.BreakOption) error {
-	return t.Arm(core.LineProbe(file, line, opts...))
-}
-
-// BreakBeforeFunc registers a function-entry breakpoint. Equivalent to
-// Arm(core.FuncProbe(name, opts...)).
-func (t *Tracker) BreakBeforeFunc(name string, opts ...core.BreakOption) error {
-	return t.Arm(core.FuncProbe(name, opts...))
-}
-
-// TrackFunction pauses at every entry and exit of the named function.
-// Equivalent to Arm(core.TrackProbe(name, opts...)).
-func (t *Tracker) TrackFunction(name string, opts ...core.BreakOption) error {
-	return t.Arm(core.TrackProbe(name, opts...))
-}
 
 // functionExists scans the module for a def (or class method) of this name.
 func (t *Tracker) functionExists(name string) bool {
@@ -1019,12 +920,6 @@ func (t *Tracker) functionExists(name string) bool {
 	}
 	walk(t.module.Body)
 	return found
-}
-
-// Watch pauses whenever the identified variable is modified. Equivalent to
-// Arm(core.WatchProbe(varID, opts...)).
-func (t *Tracker) Watch(varID string, opts ...core.BreakOption) error {
-	return t.Arm(core.WatchProbe(varID, opts...))
 }
 
 // PauseReason reports why the inferior is paused.
@@ -1129,7 +1024,8 @@ func (t *Tracker) State() (*core.State, error) {
 // recording it reports the replay cursor's line.
 func (t *Tracker) Position() (string, int) {
 	if t.replaying() {
-		return t.file, t.rec.Store().LineAt(t.replay)
+		s := t.rec.Store()
+		return t.file, s.LineAt(t.cur.Pos(s))
 	}
 	if t.curFrame == nil {
 		return t.file, 0

@@ -7,7 +7,6 @@ import (
 	"easytracker/internal/core"
 	"easytracker/internal/minipy"
 	"easytracker/internal/pt"
-	"easytracker/internal/query"
 	"easytracker/internal/ttd"
 )
 
@@ -65,7 +64,6 @@ func (t *Tracker) initRecording(in *minipy.Interp, cfg core.LoadConfig, path, sr
 	t.rec = ttd.NewRecorder(path, src, Kind, cfg.RecordInterval)
 	t.recOut = &recordTee{dst: cfg.Stdout}
 	in.SetStdout(t.recOut)
-	t.replay = -1
 }
 
 // recordEvent runs on the inferior goroutine for every trace event, ahead of
@@ -152,7 +150,7 @@ func (t *Tracker) SupportsCapability(ptr any) bool {
 }
 
 // replaying reports whether inspection is rewound into the recording.
-func (t *Tracker) replaying() bool { return t.rec != nil && t.replay >= 0 }
+func (t *Tracker) replaying() bool { return t.rec != nil && !t.cur.AtHead() }
 
 // ttOK guards every time-travel operation.
 func (t *Tracker) ttOK() error {
@@ -171,62 +169,31 @@ func (t *Tracker) ttOK() error {
 	return nil
 }
 
-// head is the recorded step of the inferior's present moment: the last real
-// step, skipping the terminal bookkeeping step of a finished recording.
-func (t *Tracker) head() int {
-	s := t.rec.Store()
-	h := s.Len() - 1
-	if h > 0 && s.EventAt(h) == pt.EventFinished {
-		h--
-	}
-	return h
-}
-
-// curPos is the step index navigation operates from: the replay cursor while
-// rewound, the live head otherwise.
-func (t *Tracker) curPos() int {
-	if t.replay >= 0 {
-		return t.replay
-	}
-	return t.head()
-}
-
-// enterReplay rewinds inspection to the given step, stashing the live pause
-// bookkeeping the first time so returning to the present restores it.
-func (t *Tracker) enterReplay(pos int) {
-	if t.replay < 0 {
+// leaveLive stashes the present-moment pause bookkeeping before a cursor
+// move, so returning to the present restores it.
+func (t *Tracker) leaveLive() {
+	if t.cur.AtHead() {
 		t.liveReason, t.liveLast = t.reason, t.lastLine
 	}
-	t.replay = pos
+}
+
+// land reports where a cursor move put inspection: the landing step, or the
+// live present when the move ended on the head of a running inferior.
+func (t *Tracker) land() {
+	if t.cur.AtHead() {
+		t.reason, t.lastLine = t.liveReason, t.liveLast
+		return
+	}
 	s := t.rec.Store()
-	t.lastLine = 0
-	if pos > 0 {
-		t.lastLine = s.LineAt(pos - 1)
-	}
-	typ := core.PauseStep
-	if pos == 0 {
-		typ = core.PauseEntry
-	}
-	t.reason = core.PauseReason{Type: typ, File: t.file, Line: s.LineAt(pos)}
+	t.reason, t.lastLine = ttd.Landing(s, t.file, t.cur.Pos(s))
 }
 
 // returnToLive snaps inspection back to the inferior's present moment.
 func (t *Tracker) returnToLive() {
-	if t.replay < 0 {
-		return
+	if !t.cur.AtHead() {
+		t.cur = ttd.Cursor{}
+		t.land()
 	}
-	t.replay = -1
-	t.reason, t.lastLine = t.liveReason, t.liveLast
-}
-
-// backFrom is the first candidate step of a backward move: one before the
-// cursor, except when leaving the exit pause, where the head itself is the
-// last moment the program was alive.
-func (t *Tracker) backFrom() int {
-	if t.replay < 0 && t.exited {
-		return t.head()
-	}
-	return t.curPos() - 1
 }
 
 // StepBack implements core.TimeTraveler: rewind inspection one recorded step.
@@ -234,11 +201,9 @@ func (t *Tracker) StepBack() error {
 	if err := t.ttOK(); err != nil {
 		return t.werr("StepBack", err)
 	}
-	pos := t.backFrom()
-	if pos < 0 {
-		pos = 0
-	}
-	t.enterReplay(pos)
+	t.leaveLive()
+	t.cur.StepBack(t.rec.Store(), t.exited)
+	t.land()
 	return nil
 }
 
@@ -249,38 +214,32 @@ func (t *Tracker) SeekTo(step int) error {
 	if err := t.ttOK(); err != nil {
 		return t.werr("SeekTo", err)
 	}
-	s := t.rec.Store()
-	if step < 0 || step >= s.Len() {
-		return t.werr("SeekTo", core.ErrBadLine)
+	t.leaveLive()
+	if err := t.cur.Seek(t.rec.Store(), step, t.exited); err != nil {
+		return t.werr("SeekTo", err)
 	}
-	if s.EventAt(step) == pt.EventFinished && step > 0 {
-		step--
-	}
-	if step == t.head() && !t.exited {
-		t.returnToLive()
-		return nil
-	}
-	t.enterReplay(step)
+	t.land()
 	return nil
 }
 
 // ResumeBack implements core.TimeTraveler: rewind to the previous recorded
-// step matching an armed pause condition (line/function breakpoints, tracked
-// functions, watches — all evaluated against the recording), or to entry.
-// Reverse traversal does not consume ignore counts or one-shot arming: the
-// probes' forward bookkeeping stays untouched.
+// step where an armed probe would pause (ttd.Probes.PauseAt over the
+// session's own probe table), or to entry. Reverse traversal does not
+// consume ignore counts or one-shot arming: the probes' forward
+// bookkeeping stays untouched.
 func (t *Tracker) ResumeBack() error {
 	if err := t.ttOK(); err != nil {
 		return t.werr("ResumeBack", err)
 	}
-	for pos := t.backFrom(); pos > 0; pos-- {
-		if r, ok := t.recPauseAt(pos); ok {
-			t.enterReplay(pos)
-			t.reason = r
-			return nil
-		}
+	s := t.rec.Store()
+	t.leaveLive()
+	r, ok := t.cur.ResumeBack(s, t.exited, func(pos int) (core.PauseReason, bool) {
+		return t.probes.PauseAt(s, t.file, pos, pos+1)
+	})
+	t.land()
+	if ok {
+		t.reason = r
 	}
-	t.enterReplay(0)
 	return nil
 }
 
@@ -290,16 +249,9 @@ func (t *Tracker) NextBack() error {
 	if err := t.ttOK(); err != nil {
 		return t.werr("NextBack", err)
 	}
-	s := t.rec.Store()
-	startDepth := s.DepthAt(t.curPos())
-	pos := t.backFrom()
-	for pos > 0 && s.DepthAt(pos) > startDepth {
-		pos--
-	}
-	if pos < 0 {
-		pos = 0
-	}
-	t.enterReplay(pos)
+	t.leaveLive()
+	t.cur.NextBack(t.rec.Store(), t.exited)
+	t.land()
 	return nil
 }
 
@@ -308,7 +260,7 @@ func (t *Tracker) Pos() int {
 	if t.rec == nil || t.rec.Len() == 0 {
 		return 0
 	}
-	return t.curPos()
+	return t.cur.Pos(t.rec.Store())
 }
 
 // Len implements core.TimeTraveler: the number of recorded steps.
@@ -326,106 +278,12 @@ func (t *Tracker) LastChange(expr string) (*core.VarChange, error) {
 	if err := t.ttOK(); err != nil {
 		return nil, t.werr("LastChange", err)
 	}
-	ch, err := t.rec.Store().LastChange(expr, t.curPos())
+	s := t.rec.Store()
+	ch, err := s.LastChange(expr, t.cur.Pos(s))
 	if err != nil {
 		return nil, t.werr("LastChange", err)
 	}
 	return ch, nil
-}
-
-// recPauseAt evaluates the armed pause conditions against recorded step pos,
-// mirroring checkPause's priority order on the recording's metadata: watches
-// (a change between pos and pos+1 is a modification crossed in reverse),
-// tracked boundaries, function breakpoints, then line breakpoints. Probe
-// conditions are honored through a lazy StateView, so sweeping past steps
-// whose conditions never touch variables reconstructs no state.
-func (t *Tracker) recPauseAt(pos int) (core.PauseReason, bool) {
-	s := t.rec.Store()
-	ev, line, fn := s.EventAt(pos), s.LineAt(pos), s.FuncAt(pos)
-	view := query.StateView{
-		EventName: recQueryEvent(ev), LineNo: line,
-		FileName: t.file, FuncName: fn,
-		LazyState: func() *core.State {
-			st, err := s.StateAt(pos)
-			if err != nil {
-				return nil
-			}
-			return st
-		},
-		DepthNo: s.DepthAt(pos),
-	}
-	for _, w := range t.watches {
-		if w.disarmed {
-			continue
-		}
-		if w.cond != nil && !w.cond.Match(&view) {
-			continue
-		}
-		hereV := s.VarAt(pos, w.id)
-		fromV := s.VarAt(pos+1, w.id)
-		// The rule reads the transition in forward time, here -> from.
-		// Old is the value at the step we came from (later in time),
-		// New the value here — the transition as crossed in reverse,
-		// matching the trace replayer's convention.
-		if core.WatchChanged(hereV, fromV) {
-			return core.PauseReason{
-				Type: core.PauseWatch, Variable: w.id,
-				Old: fromV, New: hereV,
-				File: t.file, Line: line,
-			}, true
-		}
-	}
-	condOK := func(c *probeCtl) bool {
-		return !c.disarmed && (c.cond == nil || c.cond.Match(&view))
-	}
-	switch ev {
-	case pt.EventCall:
-		if ti := t.tracked[fn]; ti != nil && condOK(&ti.probeCtl) {
-			return core.PauseReason{
-				Type: core.PauseCall, Function: fn, File: t.file, Line: line,
-			}, true
-		}
-		for i := range t.funcBPs {
-			bp := &t.funcBPs[i]
-			if bp.name == fn && depthOK(bp.maxDepth, s.DepthAt(pos)) && condOK(&bp.probeCtl) {
-				return core.PauseReason{
-					Type: core.PauseBreakpoint, Function: fn, File: t.file, Line: line,
-				}, true
-			}
-		}
-	case pt.EventReturn:
-		if ti := t.tracked[fn]; ti != nil && condOK(&ti.probeCtl) {
-			r, _ := s.ReasonAt(pos)
-			return core.PauseReason{
-				Type: core.PauseReturn, Function: fn,
-				ReturnValue: r.ReturnValue,
-				File:        t.file, Line: line,
-			}, true
-		}
-	default:
-		for i := range t.lineBPs {
-			bp := &t.lineBPs[i]
-			if bp.line == line && depthOK(bp.maxDepth, s.DepthAt(pos)) && condOK(&bp.probeCtl) {
-				return core.PauseReason{
-					Type: core.PauseBreakpoint, File: t.file, Line: line,
-				}, true
-			}
-		}
-	}
-	return core.PauseReason{}, false
-}
-
-// recQueryEvent maps a recorded pt event onto the query language's event
-// vocabulary.
-func recQueryEvent(ev string) string {
-	switch ev {
-	case pt.EventCall:
-		return query.EventCall
-	case pt.EventReturn:
-		return query.EventReturn
-	default:
-		return query.EventLine
-	}
 }
 
 // replayState serves State() while rewound: the reconstructed snapshot at
@@ -433,7 +291,8 @@ func recQueryEvent(ev string) string {
 // value graphs are shared with the store's memo and must be treated as
 // read-only, like the live snapshot cache.
 func (t *Tracker) replayState() (*core.State, error) {
-	st, err := t.rec.Store().StateAt(t.replay)
+	s := t.rec.Store()
+	st, err := s.StateAt(t.cur.Pos(s))
 	if err != nil {
 		return nil, err
 	}

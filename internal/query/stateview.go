@@ -17,21 +17,26 @@ type StateView struct {
 	FuncName string
 	// State is the paused snapshot; may be nil (all variables Missing).
 	State *core.State
-	// LazyState, when set and State is nil, materializes the snapshot on
-	// first use. Delta-encoded trace replays hand a reconstruction closure
-	// here so conditions that never touch variables never pay for a state
-	// reconstruction.
-	LazyState func() *core.State
-	// DepthNo, when LazyState is set, answers Depth without materializing
+	// Source, when set and State is nil, materializes recorded step Step
+	// on first use. Trace replays hand their recording here so conditions
+	// that never touch variables never pay for a state reconstruction.
+	Source StateSource
+	Step   int
+	// DepthNo, when Source is set, answers Depth without materializing
 	// the state (replay metadata records depths per step).
 	DepthNo int
 }
 
-// state returns the snapshot, materializing it through LazyState on demand.
+// StateSource reconstructs the snapshot of a recorded step.
+type StateSource interface {
+	StateAt(i int) (*core.State, error)
+}
+
+// state returns the snapshot, materializing it through Source on demand.
 func (v *StateView) state() *core.State {
-	if v.State == nil && v.LazyState != nil {
-		v.State = v.LazyState()
-		v.LazyState = nil
+	if v.State == nil && v.Source != nil {
+		v.State, _ = v.Source.StateAt(v.Step)
+		v.Source = nil
 	}
 	return v.State
 }
@@ -41,7 +46,7 @@ func (v *StateView) Line() int { return v.LineNo }
 
 // Depth implements EventView: the innermost frame's depth (entry = 0).
 func (v *StateView) Depth() int {
-	if v.State == nil && v.LazyState != nil {
+	if v.State == nil && v.Source != nil {
 		return v.DepthNo
 	}
 	if v.State == nil || v.State.Frame == nil {

@@ -260,6 +260,8 @@ func (c *wireConn) close() {
 // the backend's capability set. Like every tracker it is driven by one tool
 // goroutine; Interrupt alone is safe from any goroutine.
 type Tracker struct {
+	core.Arming
+
 	addr string
 	kind string
 
@@ -406,6 +408,7 @@ func WithDialTimeout(d time.Duration) ConnectOption {
 // done (Terminate alone keeps it open so Stats stays readable).
 func Connect(addr, kind string, opts ...ConnectOption) (*Tracker, error) {
 	t := &Tracker{addr: addr, kind: kind, rng: uint64(time.Now().UnixNano()) | 1, ttPos: -1}
+	t.Arming = core.NewArming(t)
 	for _, o := range opts {
 		o(t)
 	}
@@ -956,26 +959,6 @@ func (t *Tracker) Subscribe(expr string) error {
 		}
 	}
 	return err
-}
-
-// BreakBeforeLine implements core.Tracker.
-func (t *Tracker) BreakBeforeLine(file string, line int, opts ...core.BreakOption) error {
-	return t.Arm(core.LineProbe(file, line, opts...))
-}
-
-// BreakBeforeFunc implements core.Tracker.
-func (t *Tracker) BreakBeforeFunc(name string, opts ...core.BreakOption) error {
-	return t.Arm(core.FuncProbe(name, opts...))
-}
-
-// TrackFunction implements core.Tracker.
-func (t *Tracker) TrackFunction(name string, opts ...core.BreakOption) error {
-	return t.Arm(core.TrackProbe(name, opts...))
-}
-
-// Watch implements core.Tracker.
-func (t *Tracker) Watch(varID string, opts ...core.BreakOption) error {
-	return t.Arm(core.WatchProbe(varID, opts...))
 }
 
 // ttControl runs one reverse-navigation op. Like forward control ops it

@@ -2,7 +2,7 @@ package tracetracker
 
 import (
 	"easytracker/internal/core"
-	"easytracker/internal/pt"
+	"easytracker/internal/ttd"
 )
 
 // Reverse execution over the recorded trace — the paper's future-work item
@@ -11,129 +11,77 @@ import (
 // immutable recording, stepping backwards is exact and deterministic; on
 // the delta-encoded format every landing reconstructs its state from the
 // nearest checkpoint, so a backward state is byte-identical to the forward
-// replay's.
+// replay's. The moves are ttd.Cursor's, shared with live recordings and the
+// MI server; reverse execution resurrects a finished replay.
 
-// seekLastLine recomputes lastLine for an absolute landing: the previously
-// replayed line is the one of the step before the landing, or 0 at entry.
-func (t *Tracker) seekLastLine() {
-	t.lastLine = 0
-	if t.pos > 0 {
-		t.lastLine = t.src.line(t.pos - 1)
+// navOK guards the reverse-navigation calls.
+func (t *Tracker) navOK(op string) error {
+	if !t.loaded {
+		return t.werr(op, core.ErrNoProgram)
 	}
+	if !t.started {
+		return t.werr(op, core.ErrNotStarted)
+	}
+	return nil
+}
+
+// land reports a navigation landing: the replay is running again, paused
+// at the cursor with the ENTRY/STEP reason and the line before it.
+func (t *Tracker) land() {
+	t.exited = false
+	t.reason, t.lastLine = ttd.Landing(t.tl, t.file, t.cur.Pos(t.tl))
 }
 
 // StepBack moves one recorded step backwards. At the first step it reports
 // the entry pause again.
 func (t *Tracker) StepBack() error {
-	if !t.loaded {
-		return t.werr("StepBack", core.ErrNoProgram)
+	if err := t.navOK("StepBack"); err != nil {
+		return err
 	}
-	if !t.started {
-		return t.werr("StepBack", core.ErrNotStarted)
-	}
-	// Reverse execution resurrects a finished replay.
-	if t.exited {
-		t.exited = false
-		t.pos = t.src.numSteps() - 1
-		if t.src.event(t.pos) == pt.EventFinished && t.pos > 0 {
-			t.pos--
-		}
-	} else if t.pos > 0 {
-		t.pos--
-	}
-	t.seekLastLine()
-	if t.pos == 0 {
-		t.reason = core.PauseReason{
-			Type: core.PauseEntry, File: t.src.file(), Line: t.src.line(t.pos),
-		}
-		return nil
-	}
-	t.reason = core.PauseReason{
-		Type: core.PauseStep, File: t.src.file(), Line: t.src.line(t.pos),
-	}
+	t.cur.StepBack(t.tl, t.exited)
+	t.land()
 	return nil
 }
 
-// ResumeBack runs backwards to the previous step matching a pause
-// condition (breakpoints, tracked functions, watches evaluated against the
-// recording), or the entry point.
+// ResumeBack runs backwards to the previous step where an armed probe would
+// pause (ttd.Probes.PauseAt, which spends no ignore count or one-shot
+// latch), or to the entry point.
 func (t *Tracker) ResumeBack() error {
-	if !t.loaded {
-		return t.werr("ResumeBack", core.ErrNoProgram)
+	if err := t.navOK("ResumeBack"); err != nil {
+		return err
 	}
-	if !t.started {
-		return t.werr("ResumeBack", core.ErrNotStarted)
+	r, ok := t.cur.ResumeBack(t.tl, t.exited, func(pos int) (core.PauseReason, bool) {
+		return t.probes.PauseAt(t.tl, t.file, pos, pos+1)
+	})
+	t.land()
+	if ok {
+		t.reason = r
 	}
-	for {
-		if err := t.StepBack(); err != nil {
-			return err
-		}
-		if t.pos == 0 {
-			return nil // entry pause already set
-		}
-		// Watches compare against the step we just came from (the
-		// "next" step in forward order): running backwards, a change
-		// between pos and pos+1 is a modification crossed in reverse.
-		// The synthetic "finished" step carries no state and must not
-		// count as a transition.
-		prev := t.pos + 1
-		if prev >= t.src.numSteps() || !t.src.hasState(prev) {
-			prev = t.pos
-		}
-		if r, ok := t.pauseHere(prev); ok {
-			t.reason = r
-			return nil
-		}
-	}
+	return nil
 }
 
 // NextBack steps backwards to the previous step at the same or shallower
 // depth.
 func (t *Tracker) NextBack() error {
-	if !t.loaded {
-		return t.werr("NextBack", core.ErrNoProgram)
+	if err := t.navOK("NextBack"); err != nil {
+		return err
 	}
-	if !t.started {
-		return t.werr("NextBack", core.ErrNotStarted)
-	}
-	startDepth := t.src.depth(t.pos)
-	for {
-		if err := t.StepBack(); err != nil {
-			return err
-		}
-		if t.pos == 0 || t.src.depth(t.pos) <= startDepth {
-			return nil
-		}
-	}
+	t.cur.NextBack(t.tl, t.exited)
+	t.land()
+	return nil
 }
 
 // Seek jumps the replay to an absolute step index (deterministic
-// time-travel, the capability RR recording enables).
+// time-travel, the capability RR recording enables). The terminal
+// "finished" step maps to the last real step.
 func (t *Tracker) Seek(step int) error {
-	if !t.loaded {
-		return t.werr("Seek", core.ErrNoProgram)
+	if err := t.navOK("Seek"); err != nil {
+		return err
 	}
-	if !t.started {
-		return t.werr("Seek", core.ErrNotStarted)
+	if err := t.cur.Seek(t.tl, step, t.exited); err != nil {
+		return t.werr("Seek", err)
 	}
-	if step < 0 || step >= t.src.numSteps() {
-		return t.werr("Seek", core.ErrBadLine)
-	}
-	if t.src.event(step) == pt.EventFinished {
-		step--
-	}
-	t.exited = false
-	t.pos = step
-	// An absolute jump must rebase lastLine like StepBack does; leaving the
-	// pre-seek value would report a "previously executed line" from a
-	// different region of the timeline.
-	t.seekLastLine()
-	t.reason = core.PauseReason{
-		Type: core.PauseStep, File: t.src.file(), Line: t.src.line(t.pos),
-	}
-	if step == 0 {
-		t.reason.Type = core.PauseEntry
-	}
+	t.land()
 	return nil
 }
 
@@ -141,15 +89,20 @@ func (t *Tracker) Seek(step int) error {
 // surface's name.
 func (t *Tracker) SeekTo(step int) error { return t.Seek(step) }
 
-// Pos returns the current step index (navigation UIs).
-func (t *Tracker) Pos() int { return t.pos }
+// Pos returns the current step index (navigation UIs); -1 before Start.
+func (t *Tracker) Pos() int {
+	if !t.started {
+		return -1
+	}
+	return t.cur.Pos(t.tl)
+}
 
 // Len returns the number of recorded steps.
 func (t *Tracker) Len() int {
-	if t.src == nil {
+	if t.tl == nil {
 		return 0
 	}
-	return t.src.numSteps()
+	return t.tl.Len()
 }
 
 // LastChange implements core.ReverseWatcher: the most recent recorded
@@ -157,17 +110,10 @@ func (t *Tracker) Len() int {
 // is answered from the write log by binary search; on v0/v1 traces it
 // falls back to a backward scan of the recorded states.
 func (t *Tracker) LastChange(expr string) (*core.VarChange, error) {
-	if !t.loaded {
-		return nil, t.werr("LastChange", core.ErrNoProgram)
+	if err := t.navOK("LastChange"); err != nil {
+		return nil, err
 	}
-	if !t.started {
-		return nil, t.werr("LastChange", core.ErrNotStarted)
-	}
-	before := t.pos
-	if t.exited || before >= t.src.numSteps() {
-		before = t.src.numSteps() - 1
-	}
-	ch, err := t.src.lastChange(expr, before)
+	ch, err := t.tl.LastChange(expr, t.cur.Pos(t.tl))
 	if err != nil {
 		return nil, t.werr("LastChange", err)
 	}

@@ -6,52 +6,21 @@ import (
 	"easytracker/internal/core"
 	"easytracker/internal/pt"
 	"easytracker/internal/query"
-	"easytracker/internal/ttd"
 )
 
-// source is the replay engine's view of a recording. Two implementations
-// exist: v1source reads the full-state-per-step v0/v1 trace directly, and
-// v2source reconstructs states on demand from a delta-encoded ttd.Store.
-// The replay loop goes through this interface only, so breakpoints,
-// watches, tracked functions and reverse navigation behave identically on
-// both formats.
-type source interface {
-	numSteps() int
-	event(i int) string
-	line(i int) int
-	fn(i int) string
-	depth(i int) int
-	// stateAt returns the full state at step i; (nil, nil) for bookkeeping
-	// steps that carry none (v1's trailing "finished" step).
-	stateAt(i int) (*core.State, error)
-	// hasState reports whether step i carries inspectable state.
-	hasState(i int) bool
-	// varAt resolves a variable identifier (core.SplitVarID conventions)
-	// at step i; nil when absent.
-	varAt(i int, id string) *core.Value
-	// returnValue is the recorded return value at a return-event step.
-	returnValue(i int) *core.Value
-	// stdoutAt is the cumulative program output through step i.
-	stdoutAt(i int) string
-	file() string
-	code() string
-	exitCode() int
-	// lastChange is the reverse-watchpoint query at or before step
-	// `before`; core.ErrUnknownVariable when nothing matches.
-	lastChange(expr string, before int) (*core.VarChange, error)
-}
-
-// v1source replays a v0/v1 full-state trace.
+// v1source adapts a v0/v1 full-state-per-step trace to ttd.Timeline, the
+// interface a *ttd.Store implements for the delta format, so the replay
+// engine treats both formats alike.
 type v1source struct {
 	tr *pt.Trace
 }
 
-func (s *v1source) numSteps() int      { return len(s.tr.Steps) }
-func (s *v1source) event(i int) string { return s.tr.Steps[i].Event }
-func (s *v1source) line(i int) int     { return s.tr.Steps[i].Line }
-func (s *v1source) fn(i int) string    { return s.tr.Steps[i].Func }
+func (s *v1source) Len() int             { return len(s.tr.Steps) }
+func (s *v1source) EventAt(i int) string { return s.tr.Steps[i].Event }
+func (s *v1source) LineAt(i int) int     { return s.tr.Steps[i].Line }
+func (s *v1source) FuncAt(i int) string  { return s.tr.Steps[i].Func }
 
-func (s *v1source) depth(i int) int {
+func (s *v1source) DepthAt(i int) int {
 	st := s.tr.Steps[i].State
 	if st == nil || st.Frame == nil {
 		return 0
@@ -59,10 +28,16 @@ func (s *v1source) depth(i int) int {
 	return st.Frame.Depth
 }
 
-func (s *v1source) stateAt(i int) (*core.State, error) { return s.tr.Steps[i].State, nil }
-func (s *v1source) hasState(i int) bool                { return s.tr.Steps[i].State != nil }
+func (s *v1source) StateAt(i int) (*core.State, error) { return s.tr.Steps[i].State, nil }
 
-func (s *v1source) varAt(i int, id string) *core.Value {
+func (s *v1source) ReasonAt(i int) (core.PauseReason, error) {
+	if st := s.tr.Steps[i].State; st != nil {
+		return st.Reason, nil
+	}
+	return core.PauseReason{}, nil
+}
+
+func (s *v1source) VarAt(i int, id string) *core.Value {
 	if i < 0 || i >= len(s.tr.Steps) {
 		return nil
 	}
@@ -75,23 +50,13 @@ func (s *v1source) varAt(i int, id string) *core.Value {
 	return v
 }
 
-func (s *v1source) returnValue(i int) *core.Value {
-	if st := s.tr.Steps[i].State; st != nil {
-		return st.Reason.ReturnValue
-	}
-	return nil
-}
+func (s *v1source) StdoutAt(i int) string { return s.tr.Steps[i].Stdout }
 
-func (s *v1source) stdoutAt(i int) string { return s.tr.Steps[i].Stdout }
-func (s *v1source) file() string          { return s.tr.File }
-func (s *v1source) code() string          { return s.tr.Code }
-func (s *v1source) exitCode() int         { return s.tr.ExitCode }
-
-// lastChange on a v1 trace has no write log to consult; it scans the
+// LastChange on a v1 trace has no write log to consult; it scans the
 // recorded full states backwards, comparing the variable's resolution
 // between consecutive steps. Correct, but O(steps): the delta format
 // exists so this query does not have to do this.
-func (s *v1source) lastChange(expr string, before int) (*core.VarChange, error) {
+func (s *v1source) LastChange(expr string, before int) (*core.VarChange, error) {
 	scope, name, err := query.ParseVarRef(expr)
 	if err != nil {
 		return nil, err
@@ -164,37 +129,4 @@ func valueEq(a, b *core.Value) bool {
 		return false
 	}
 	return a.Equal(b)
-}
-
-// v2source replays a delta-encoded recording through its ttd store.
-type v2source struct {
-	s *ttd.Store
-}
-
-func (s *v2source) numSteps() int      { return s.s.Len() }
-func (s *v2source) event(i int) string { return s.s.EventAt(i) }
-func (s *v2source) line(i int) int     { return s.s.LineAt(i) }
-func (s *v2source) fn(i int) string    { return s.s.FuncAt(i) }
-func (s *v2source) depth(i int) int    { return s.s.DepthAt(i) }
-
-func (s *v2source) stateAt(i int) (*core.State, error) { return s.s.StateAt(i) }
-func (s *v2source) hasState(i int) bool                { return s.s.EventAt(i) != pt.EventFinished }
-
-func (s *v2source) varAt(i int, id string) *core.Value { return s.s.VarAt(i, id) }
-
-func (s *v2source) returnValue(i int) *core.Value {
-	r, err := s.s.ReasonAt(i)
-	if err != nil {
-		return nil
-	}
-	return r.ReturnValue
-}
-
-func (s *v2source) stdoutAt(i int) string { return s.s.StdoutAt(i) }
-func (s *v2source) file() string          { return s.s.Trace().File }
-func (s *v2source) code() string          { return s.s.Trace().Code }
-func (s *v2source) exitCode() int         { return s.s.Trace().ExitCode }
-
-func (s *v2source) lastChange(expr string, before int) (*core.VarChange, error) {
-	return s.s.LastChange(expr, before)
 }

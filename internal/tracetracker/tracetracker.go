@@ -27,84 +27,28 @@ func init() {
 	core.RegisterTracker(Kind, func() core.Tracker { return New() })
 }
 
-// probeCtl is the conditional-arming state of a replay probe: compiled
-// condition, remaining ignore count, one-shot latch.
-type probeCtl struct {
-	cond       *query.Program
-	ignoreLeft int
-	oneShot    bool
-	disarmed   bool
-}
-
-// hit gates one condition-passing event through ignore/one-shot
-// bookkeeping.
-func (c *probeCtl) hit() bool {
-	if c.ignoreLeft > 0 {
-		c.ignoreLeft--
-		return false
-	}
-	if c.oneShot {
-		c.disarmed = true
-	}
-	return true
-}
-
-// passes evaluates the full gate against the event view.
-func (c *probeCtl) passes(v *query.StateView) bool {
-	if c.disarmed {
-		return false
-	}
-	if c.cond != nil && !c.cond.Match(v) {
-		return false
-	}
-	return c.hit()
-}
-
-type lineBP struct {
-	line     int
-	maxDepth int
-	probeCtl
-}
-
-type funcBP struct {
-	name     string
-	maxDepth int
-	probeCtl
-}
-
-// trackInfo is the per-function state of TrackFunction.
-type trackInfo struct {
-	probeCtl
-}
-
-// traceWatch is one armed watch over the recorded variable stream.
-type traceWatch struct {
-	id string
-	probeCtl
-}
-
 // Tracker replays a recorded trace through the control/inspection API.
 type Tracker struct {
-	// src abstracts the recording's format: a v0/v1 full-state trace or a
-	// v2 delta store.
-	src    source
-	loaded bool
+	core.Arming
 
-	// pos indexes the current step; -1 before Start.
-	pos     int
+	// tl is the recording: a v0/v1 full-state trace or a v2 delta store.
+	// file, code and exitCode are its header, read once at load.
+	tl       ttd.Timeline
+	file     string
+	code     string
+	exitCode int
+	loaded   bool
+
+	// cur is the replay position; after the replay runs off the end it
+	// rests on the head, the last real step.
+	cur     ttd.Cursor
 	started bool
 	exited  bool
 
 	reason   core.PauseReason
 	lastLine int
 
-	lineBPs []lineBP
-	funcBPs []funcBP
-	tracked map[string]*trackInfo
-	watches []*traceWatch
-
-	// view is the reusable condition view over the current step.
-	view query.StateView
+	probes ttd.Probes[struct{}]
 
 	// obs is the tracker's instrument panel, nil unless WithObservability
 	// was given on LoadProgram (LoadTrace installs a trace directly and
@@ -121,25 +65,32 @@ type Tracker struct {
 
 // New returns an unloaded trace tracker.
 func New() *Tracker {
-	return &Tracker{pos: -1, tracked: map[string]*trackInfo{}}
+	t := &Tracker{}
+	t.Arming = core.NewArming(t)
+	return t
 }
 
 // LoadTrace installs an in-memory v0/v1 trace.
 func (t *Tracker) LoadTrace(tr *pt.Trace) error {
-	if len(tr.Steps) == 0 {
-		return errors.New("tracetracker: empty trace")
-	}
-	t.src = &v1source{tr: tr}
-	t.loaded = true
-	return nil
+	return t.load(&v1source{tr: tr}, tr.File, tr.Code, tr.ExitCode)
 }
 
 // LoadStore installs an in-memory delta-encoded recording.
 func (t *Tracker) LoadStore(s *ttd.Store) error {
-	if s.Len() == 0 {
+	h := s.Trace()
+	return t.load(s, h.File, h.Code, h.ExitCode)
+}
+
+// load installs a recording. One that does not record a step before its
+// terminal "finished" step has nothing to replay.
+func (t *Tracker) load(tl ttd.Timeline, file, code string, exitCode int) error {
+	if tl.Len() == 0 {
 		return errors.New("tracetracker: empty trace")
 	}
-	t.src = &v2source{s: s}
+	if tl.EventAt(0) == pt.EventFinished {
+		return errors.New("tracetracker: trace records no step before it finished")
+	}
+	t.tl, t.file, t.code, t.exitCode = tl, file, code, exitCode
 	t.loaded = true
 	return nil
 }
@@ -220,12 +171,8 @@ func (t *Tracker) Start() error {
 	}
 	sp := t.tracer.StartOp(core.OpStart)
 	t.started = true
-	t.pos = 0
-	t.reason = core.PauseReason{
-		Type: core.PauseEntry,
-		File: t.src.file(),
-		Line: t.src.line(0),
-	}
+	t.cur.Seek(t.tl, 0, false) // cannot fail: load rejects an empty trace
+	t.reason, t.lastLine = ttd.Landing(t.tl, t.file, 0)
 	t.notePause()
 	sp.End()
 	return nil
@@ -245,119 +192,14 @@ func (t *Tracker) notePause() {
 
 // advance moves to the next step, handling the end of the trace.
 func (t *Tracker) advance() bool {
-	t.lastLine = t.src.line(t.pos)
-	t.pos++
+	t.lastLine = t.tl.LineAt(t.cur.Pos(t.tl))
 	t.ctrSteps.Inc()
-	if t.pos >= t.src.numSteps() || t.src.event(t.pos) == pt.EventFinished {
+	if !t.cur.Advance(t.tl) {
 		t.exited = true
-		t.reason = core.PauseReason{Type: core.PauseExited, ExitCode: t.src.exitCode()}
+		t.reason = core.PauseReason{Type: core.PauseExited, ExitCode: t.exitCode}
 		return false
 	}
 	return true
-}
-
-// pauseHere classifies the current step against the registered pause
-// conditions; ok=false means the replay should keep advancing on Resume.
-// The condition view materializes the step's full state lazily, so on the
-// delta-encoded format a Resume that sweeps thousands of steps with no
-// variable-touching conditions never reconstructs a state.
-func (t *Tracker) pauseHere(prev int) (core.PauseReason, bool) {
-	pos := t.pos
-	ev, line, fn := t.src.event(pos), t.src.line(pos), t.src.fn(pos)
-	file := t.src.file()
-	depth := t.src.depth(pos)
-	t.view = query.StateView{
-		EventName: queryEvent(ev), LineNo: line,
-		FileName: file, FuncName: fn,
-		LazyState: func() *core.State {
-			st, _ := t.src.stateAt(pos)
-			return st
-		},
-		DepthNo: depth,
-	}
-
-	// Watches: core.WatchChanged on the transition between prev and now,
-	// read in forward time — running backwards (prev after pos) the value
-	// here is the earlier one. Old/New keep the crossing order.
-	for _, w := range t.watches {
-		if w.disarmed {
-			continue
-		}
-		if w.cond != nil && !w.cond.Match(&t.view) {
-			continue
-		}
-		oldV := t.src.varAt(prev, w.id)
-		newV := t.src.varAt(pos, w.id)
-		before, after := oldV, newV
-		if prev > pos {
-			before, after = newV, oldV
-		}
-		if core.WatchChanged(before, after) && w.hit() {
-			return core.PauseReason{
-				Type: core.PauseWatch, Variable: w.id,
-				Old: oldV, New: newV,
-				File: file, Line: line,
-			}, true
-		}
-	}
-	// Tracked function boundaries recorded in the trace.
-	if ev == pt.EventCall {
-		if ti := t.tracked[fn]; ti != nil && ti.passes(&t.view) {
-			return core.PauseReason{
-				Type: core.PauseCall, Function: fn,
-				File: file, Line: line,
-			}, true
-		}
-	}
-	if ev == pt.EventReturn {
-		if ti := t.tracked[fn]; ti != nil && ti.passes(&t.view) {
-			return core.PauseReason{
-				Type: core.PauseReturn, Function: fn,
-				ReturnValue: t.src.returnValue(pos),
-				File:        file, Line: line,
-			}, true
-		}
-	}
-	// Function breakpoints: a call event entering the function.
-	if ev == pt.EventCall {
-		for i := range t.funcBPs {
-			bp := &t.funcBPs[i]
-			if bp.name == fn && depthOK(bp.maxDepth, depth) && bp.passes(&t.view) {
-				return core.PauseReason{
-					Type: core.PauseBreakpoint, Function: fn,
-					File: file, Line: line,
-				}, true
-			}
-		}
-	}
-	// Line breakpoints.
-	for i := range t.lineBPs {
-		bp := &t.lineBPs[i]
-		if bp.line == line && depthOK(bp.maxDepth, depth) && bp.passes(&t.view) {
-			return core.PauseReason{
-				Type: core.PauseBreakpoint,
-				File: file, Line: line,
-			}, true
-		}
-	}
-	return core.PauseReason{}, false
-}
-
-// queryEvent maps a recorded pt event onto the query language's event
-// vocabulary; step_line (and exception) read as "line".
-func queryEvent(ev string) string {
-	switch ev {
-	case pt.EventCall:
-		return query.EventCall
-	case pt.EventReturn:
-		return query.EventReturn
-	default:
-		return query.EventLine
-	}
-}
-
-func depthOK(maxDepth, depth int) bool {
-	return maxDepth <= 0 || depth < maxDepth
 }
 
 // werr wraps err in the tracker's typed error (core.TrackerError), keeping
@@ -367,7 +209,7 @@ func (t *Tracker) werr(op string, err error) error {
 	return core.WrapErr(Kind, op, file, line, err)
 }
 
-// Resume advances to the next recorded step matching a pause condition.
+// Resume advances to the next recorded step where an armed probe pauses.
 func (t *Tracker) Resume() error {
 	if err := t.controlOK(); err != nil {
 		return t.werr("Resume", err)
@@ -375,11 +217,11 @@ func (t *Tracker) Resume() error {
 	sp := t.tracer.StartOp(core.OpResume)
 	t0 := t.obs.Now()
 	for {
-		prev := t.pos
+		from := t.cur.Pos(t.tl)
 		if !t.advance() {
 			break
 		}
-		if r, ok := t.pauseHere(prev); ok {
+		if r, ok := t.probes.PauseAt(t.tl, t.file, t.cur.Pos(t.tl), from); ok {
 			t.reason = r
 			break
 		}
@@ -399,7 +241,7 @@ func (t *Tracker) Step() error {
 	t0 := t.obs.Now()
 	if t.advance() {
 		t.reason = core.PauseReason{
-			Type: core.PauseStep, File: t.src.file(), Line: t.src.line(t.pos),
+			Type: core.PauseStep, File: t.file, Line: t.tl.LineAt(t.cur.Pos(t.tl)),
 		}
 	}
 	t.obs.Observe(core.OpStep, t0)
@@ -415,15 +257,10 @@ func (t *Tracker) Next() error {
 	}
 	sp := t.tracer.StartOp(core.OpNext)
 	t0 := t.obs.Now()
-	startDepth := t.src.depth(t.pos)
-	for {
-		if !t.advance() {
-			break
-		}
-		if t.src.depth(t.pos) <= startDepth {
-			t.reason = core.PauseReason{
-				Type: core.PauseStep, File: t.src.file(), Line: t.src.line(t.pos),
-			}
+	startDepth := t.tl.DepthAt(t.cur.Pos(t.tl))
+	for t.advance() {
+		if pos := t.cur.Pos(t.tl); t.tl.DepthAt(pos) <= startDepth {
+			t.reason = core.PauseReason{Type: core.PauseStep, File: t.file, Line: t.tl.LineAt(pos)}
 			break
 		}
 	}
@@ -452,9 +289,8 @@ func (t *Tracker) Terminate() error {
 	return nil
 }
 
-// Arm registers any probe kind against the replay — the unified arming
-// surface behind the four convenience methods. Conditions compile here so a
-// bad expression fails the arming call with ErrBadQuery.
+// Arm registers any probe kind against the replay. Conditions compile here
+// so a bad expression fails the arming call with ErrBadQuery.
 func (t *Tracker) Arm(p core.Probe) error {
 	sp := t.tracer.Start(core.SpanArm)
 	sp.Detail = p.Op()
@@ -464,62 +300,24 @@ func (t *Tracker) Arm(p core.Probe) error {
 }
 
 func (t *Tracker) arm(p core.Probe) error {
-	op := p.Op()
 	if !t.loaded {
-		return t.werr(op, core.ErrNoProgram)
+		return t.werr(p.Op(), core.ErrNoProgram)
 	}
-	ctl := probeCtl{ignoreLeft: p.IgnoreHits, oneShot: p.OneShot}
-	if p.Condition != "" {
-		prog, err := query.Compile(p.Condition)
-		if err != nil {
-			return t.werr(op, err)
-		}
-		ctl.cond = prog
+	g, err := query.NewGate(p.BreakConfig)
+	if err == nil {
+		_, err = t.probes.Arm(p, g)
 	}
-	switch p.Kind {
-	case core.ProbeLine:
-		t.lineBPs = append(t.lineBPs, lineBP{line: p.Line, maxDepth: p.MaxDepth, probeCtl: ctl})
-	case core.ProbeFunc:
-		t.funcBPs = append(t.funcBPs, funcBP{name: p.Function, maxDepth: p.MaxDepth, probeCtl: ctl})
-	case core.ProbeTrack:
-		t.tracked[p.Function] = &trackInfo{probeCtl: ctl}
-	case core.ProbeWatch:
-		t.watches = append(t.watches, &traceWatch{id: p.VarID, probeCtl: ctl})
-		t.obs.Gauge(core.GaugeWatches).Set(int64(len(t.watches)))
-	default:
-		return t.werr(op, core.ErrUnsupported)
+	if err != nil {
+		return t.werr(p.Op(), err)
+	}
+	if p.Kind == core.ProbeWatch {
+		t.obs.Gauge(core.GaugeWatches).Set(int64(len(t.probes.Watches)))
 	}
 	return nil
 }
 
 // ConditionalProbes advertises the ConditionalBreaker capability.
 func (t *Tracker) ConditionalProbes() bool { return true }
-
-// BreakBeforeLine arms a replay breakpoint on a source line. Equivalent to
-// Arm(core.LineProbe(file, line, opts...)).
-func (t *Tracker) BreakBeforeLine(file string, line int, opts ...core.BreakOption) error {
-	return t.Arm(core.LineProbe(file, line, opts...))
-}
-
-// BreakBeforeFunc arms a replay breakpoint on function entry; only
-// functions whose calls were recorded can fire. Equivalent to
-// Arm(core.FuncProbe(name, opts...)).
-func (t *Tracker) BreakBeforeFunc(name string, opts ...core.BreakOption) error {
-	return t.Arm(core.FuncProbe(name, opts...))
-}
-
-// TrackFunction pauses at recorded entries/exits of the named function.
-// Equivalent to Arm(core.TrackProbe(name, opts...)).
-func (t *Tracker) TrackFunction(name string, opts ...core.BreakOption) error {
-	return t.Arm(core.TrackProbe(name, opts...))
-}
-
-// Watch pauses when the identified variable's recorded value changes
-// between consecutive steps. Equivalent to
-// Arm(core.WatchProbe(varID, opts...)).
-func (t *Tracker) Watch(varID string, opts ...core.BreakOption) error {
-	return t.Arm(core.WatchProbe(varID, opts...))
-}
 
 // PauseReason reports why the replay is paused.
 func (t *Tracker) PauseReason() core.PauseReason { return t.reason }
@@ -529,42 +327,41 @@ func (t *Tracker) ExitCode() (int, bool) {
 	if !t.exited {
 		return 0, false
 	}
-	return t.src.exitCode(), true
+	return t.exitCode, true
 }
 
-// state reconstructs (or fetches) the current step's snapshot.
-func (t *Tracker) state() (*core.State, error) {
-	st, err := t.src.stateAt(t.pos)
-	if err != nil {
-		return nil, err
+// state reconstructs (or fetches) the current step's snapshot; every
+// failure is a TrackerError for op.
+func (t *Tracker) state(op string) (*core.State, error) {
+	if err := t.controlOK(); err != nil {
+		return nil, t.werr(op, err)
 	}
-	if st == nil {
-		return nil, fmt.Errorf("tracetracker: step %d has no recorded state", t.pos)
+	pos := t.cur.Pos(t.tl)
+	st, err := t.tl.StateAt(pos)
+	if err == nil && st == nil {
+		err = fmt.Errorf("tracetracker: step %d has no recorded state", pos)
+	}
+	if err != nil {
+		return nil, t.werr(op, err)
 	}
 	return st, nil
 }
 
 // CurrentFrame returns the recorded frame at the current step.
 func (t *Tracker) CurrentFrame() (*core.Frame, error) {
-	if err := t.controlOK(); err != nil {
-		return nil, t.werr("CurrentFrame", err)
-	}
-	st, err := t.state()
+	st, err := t.state("CurrentFrame")
 	if err != nil {
 		return nil, err
 	}
 	if st.Frame == nil {
-		return nil, fmt.Errorf("tracetracker: step %d has no recorded state", t.pos)
+		return nil, t.werr("CurrentFrame", fmt.Errorf("tracetracker: step %d has no recorded frame", t.cur.Pos(t.tl)))
 	}
 	return st.Frame, nil
 }
 
 // GlobalVariables returns the recorded globals at the current step.
 func (t *Tracker) GlobalVariables() ([]*core.Variable, error) {
-	if err := t.controlOK(); err != nil {
-		return nil, t.werr("GlobalVariables", err)
-	}
-	st, err := t.state()
+	st, err := t.state("GlobalVariables")
 	if err != nil {
 		return nil, err
 	}
@@ -572,26 +369,14 @@ func (t *Tracker) GlobalVariables() ([]*core.Variable, error) {
 }
 
 // State returns the recorded snapshot at the current step.
-func (t *Tracker) State() (*core.State, error) {
-	if err := t.controlOK(); err != nil {
-		return nil, t.werr("State", err)
-	}
-	return t.src.stateAt(t.pos)
-}
+func (t *Tracker) State() (*core.State, error) { return t.state("State") }
 
 // Position returns the replay's current source position.
 func (t *Tracker) Position() (string, int) {
-	if !t.started || t.exited || t.pos < 0 {
-		return t.fileName(), 0
+	if !t.started || t.exited {
+		return t.file, 0
 	}
-	return t.fileName(), t.src.line(t.pos)
-}
-
-func (t *Tracker) fileName() string {
-	if t.src == nil {
-		return ""
-	}
-	return t.src.file()
+	return t.file, t.tl.LineAt(t.cur.Pos(t.tl))
 }
 
 // LastLine returns the most recently replayed line.
@@ -602,17 +387,17 @@ func (t *Tracker) SourceLines() ([]string, error) {
 	if !t.loaded {
 		return nil, t.werr("SourceLines", core.ErrNoProgram)
 	}
-	return strings.Split(strings.TrimRight(t.src.code(), "\n"), "\n"), nil
+	return strings.Split(strings.TrimRight(t.code, "\n"), "\n"), nil
 }
 
 // Stdout returns the cumulative program output recorded at the current
 // step (trace-specific extension).
 func (t *Tracker) Stdout() string {
-	if !t.started || t.pos < 0 {
+	if !t.started {
 		return ""
 	}
 	if t.exited {
-		return t.src.stdoutAt(t.src.numSteps() - 1)
+		return t.tl.StdoutAt(t.tl.Len() - 1)
 	}
-	return t.src.stdoutAt(t.pos)
+	return t.tl.StdoutAt(t.cur.Pos(t.tl))
 }

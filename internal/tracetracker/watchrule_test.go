@@ -2,6 +2,10 @@ package tracetracker
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -43,15 +47,15 @@ y = 1
 `},
 }
 
-// watchTracker is the tracker surface the transcripts drive: the forward
+// surfaceTracker is the tracker surface the transcripts drive: the forward
 // control calls plus reverse execution.
-type watchTracker interface {
+type surfaceTracker interface {
 	core.Tracker
 	ResumeBack() error
 	Pos() int
 }
 
-// renderPause renders a watch pause for a transcript.
+// renderPause renders a pause for a transcript.
 func renderPause(r core.PauseReason) string {
 	val := func(v *core.Value) string {
 		if v == nil {
@@ -59,50 +63,167 @@ func renderPause(r core.PauseReason) string {
 		}
 		return v.String()
 	}
-	return fmt.Sprintf("%s@%d %s -> %s", r.Variable, r.Line, val(r.Old), val(r.New))
+	switch r.Type {
+	case core.PauseWatch:
+		return fmt.Sprintf("%s@%d %s -> %s", r.Variable, r.Line, val(r.Old), val(r.New))
+	case core.PauseReturn:
+		return fmt.Sprintf("%s %s@%d -> %s", r.Type, r.Function, r.Line, val(r.ReturnValue))
+	default:
+		return fmt.Sprintf("%s %s@%d", r.Type, r.Function, r.Line)
+	}
 }
 
-// forwardWatches resumes a started tracker to exit, rendering every pause.
-func forwardWatches(t *testing.T, tr watchTracker) []string {
+// forwardPauses resumes a started tracker to exit, rendering every pause.
+func forwardPauses(t *testing.T, tr surfaceTracker) []string {
 	t.Helper()
 	var got []string
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 10000; i++ {
 		if err := tr.Resume(); err != nil {
 			t.Fatal(err)
 		}
 		if _, done := tr.ExitCode(); done {
 			return got
 		}
-		r := tr.PauseReason()
-		if r.Type != core.PauseWatch {
-			t.Fatalf("unexpected pause %v", r)
-		}
-		got = append(got, renderPause(r))
+		got = append(got, renderPause(tr.PauseReason()))
 	}
-	t.Fatal("forward replay did not finish")
+	t.Fatal("forward run did not finish")
 	return nil
 }
 
-// backwardWatches runs ResumeBack from the exit pause to the entry point,
-// rendering every watch pause.
-func backwardWatches(t *testing.T, tr watchTracker) []string {
+// backwardPauses runs ResumeBack from the exit pause to the entry point,
+// rendering every pause on the way.
+func backwardPauses(t *testing.T, tr surfaceTracker) []string {
 	t.Helper()
 	var got []string
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 10000; i++ {
 		if err := tr.ResumeBack(); err != nil {
 			t.Fatal(err)
 		}
 		if tr.Pos() == 0 {
 			return got
 		}
-		r := tr.PauseReason()
-		if r.Type != core.PauseWatch {
-			t.Fatalf("unexpected pause %v", r)
-		}
-		got = append(got, renderPause(r))
+		got = append(got, renderPause(tr.PauseReason()))
 	}
-	t.Fatal("backward replay did not reach entry")
+	t.Fatal("backward run did not reach entry")
 	return nil
+}
+
+// surfaces runs one program on the three trackers a transcript is taken
+// on: a live MiniPy session that records itself (so it can rewind), and
+// replays of the v1 and v2 encodings of its full-step recording, each
+// decoded once from its bytes.
+type surfaces struct {
+	src   string
+	v1    *pt.Trace
+	store *ttd.Store
+}
+
+var defName = regexp.MustCompile(`(?m)^\s*def (\w+)\(`)
+
+// newSurfaces records src with every function tracked, so the trace has
+// the call and return steps a live session pauses on.
+func newSurfaces(t *testing.T, src string) surfaces {
+	t.Helper()
+	var fns []string
+	for _, m := range defName.FindAllStringSubmatch(src, -1) {
+		fns = append(fns, m[1])
+	}
+	rec := pytracker.New()
+	var out strings.Builder
+	if err := rec.LoadProgram("p.py", core.WithSource(src), core.WithStdout(&out)); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := pt.Record(rec, &out, pt.Options{Mode: pt.ModeFullStep, TrackFunctions: fns, Lang: "minipy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := trace.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := pt.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := ttd.FromTrace(trace, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err = store.Trace().Encode(); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := pt.DecodeV2(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store, err = ttd.FromV2(v2); err != nil {
+		t.Fatal(err)
+	}
+	return surfaces{src: src, v1: v1, store: store}
+}
+
+// open returns a started tracker on the named surface.
+func (s surfaces) open(t *testing.T, name string) surfaceTracker {
+	t.Helper()
+	var tr surfaceTracker
+	var err error
+	switch name {
+	case "live":
+		tr = pytracker.New()
+		err = tr.LoadProgram("p.py", core.WithSource(s.src), core.WithRecording(0), core.WithStdout(&strings.Builder{}))
+	case "v1":
+		rt := New()
+		tr, err = rt, rt.LoadTrace(s.v1)
+	default:
+		rt := New()
+		tr, err = rt, rt.LoadStore(s.store)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// transcripts arms p on every surface and takes two transcripts each:
+// forward, resuming from entry to exit; and reverse, running to exit with
+// nothing armed, arming, then resuming backwards to entry. The live
+// session's reverse transcript is the rewound live session's.
+func (s surfaces) transcripts(t *testing.T, p core.Probe) (fwd, back map[string][]string) {
+	t.Helper()
+	fwd, back = map[string][]string{}, map[string][]string{}
+	for _, name := range []string{"live", "v1", "v2"} {
+		tr := s.open(t, name)
+		if err := tr.Arm(p); err != nil {
+			t.Fatalf("%s: arm %v: %v", name, p, err)
+		}
+		fwd[name] = forwardPauses(t, tr)
+
+		tr = s.open(t, name)
+		forwardPauses(t, tr)
+		if err := tr.Arm(p); err != nil {
+			t.Fatalf("%s: arm %v: %v", name, p, err)
+		}
+		back[name] = backwardPauses(t, tr)
+	}
+	return fwd, back
+}
+
+// agree reports every replay transcript that differs from the live one.
+func agree(t *testing.T, fwd, back map[string][]string) {
+	t.Helper()
+	same := func(what string, got, want []string) {
+		t.Helper()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s:\n got %q\nwant %q", what, got, want)
+		}
+	}
+	same("forward v1 vs live", fwd["v1"], fwd["live"])
+	same("forward v2 vs live", fwd["v2"], fwd["live"])
+	same("ResumeBack v1 vs rewound live", back["v1"], back["live"])
+	same("ResumeBack v2 vs rewound live", back["v2"], back["live"])
 }
 
 // TestWatchRuleAgreesAcrossSurfaces pins the one watch-change rule: a live
@@ -112,69 +233,157 @@ func backwardWatches(t *testing.T, tr watchTracker) []string {
 func TestWatchRuleAgreesAcrossSurfaces(t *testing.T) {
 	for _, p := range watchRulePrograms {
 		t.Run(p.name, func(t *testing.T) {
-			live := pytracker.New()
-			if err := live.LoadProgram("p.py", core.WithSource(p.src), core.WithRecording(0)); err != nil {
-				t.Fatal(err)
+			fwd, back := newSurfaces(t, p.src).transcripts(t, core.WatchProbe(p.watch))
+			if len(fwd["live"]) == 0 || len(back["live"]) == 0 {
+				t.Fatalf("live transcripts empty: forward %q, back %q", fwd["live"], back["live"])
 			}
-			if err := live.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if err := live.Watch(p.watch); err != nil {
-				t.Fatal(err)
-			}
-			liveFwd := forwardWatches(t, live)
-			liveBack := backwardWatches(t, live)
-
-			rec := pytracker.New()
-			var out strings.Builder
-			if err := rec.LoadProgram("p.py", core.WithSource(p.src), core.WithStdout(&out)); err != nil {
-				t.Fatal(err)
-			}
-			trace, err := pt.Record(rec, &out, pt.Options{Mode: pt.ModeFullStep, Lang: "minipy"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			v1, err := trace.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			store, err := ttd.FromTrace(trace, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v2, err := store.Trace().Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			replay := func(data []byte) ([]string, []string) {
-				tr := New()
-				if err := tr.LoadProgram("p.trace", core.WithSource(string(data))); err != nil {
-					t.Fatal(err)
-				}
-				if err := tr.Start(); err != nil {
-					t.Fatal(err)
-				}
-				if err := tr.Watch(p.watch); err != nil {
-					t.Fatal(err)
-				}
-				return forwardWatches(t, tr), backwardWatches(t, tr)
-			}
-			v1Fwd, v1Back := replay(v1)
-			v2Fwd, v2Back := replay(v2)
-
-			if len(liveFwd) == 0 || len(liveBack) == 0 {
-				t.Fatalf("live transcripts empty: forward %q, back %q", liveFwd, liveBack)
-			}
-			same := func(what string, got, want []string) {
-				t.Helper()
-				if strings.Join(got, "\n") != strings.Join(want, "\n") {
-					t.Errorf("%s:\n got %q\nwant %q", what, got, want)
-				}
-			}
-			same("forward v1 vs live", v1Fwd, liveFwd)
-			same("forward v2 vs live", v2Fwd, liveFwd)
-			same("ResumeBack v1 vs rewound live", v1Back, liveBack)
-			same("ResumeBack v2 vs rewound live", v2Back, liveBack)
+			agree(t, fwd, back)
 		})
+	}
+}
+
+// oracleDefProgram is a function called in a loop: its def line is also
+// the line of every call event, and its return line that of every return
+// event, so a line probe that fires on call or return steps shows.
+const oracleDefProgram = `def f(n):
+    m = n + 1
+    return m
+
+g = 0
+i = 0
+while i < 4:
+    g = f(i)
+    i = i + 1
+`
+
+var (
+	blockHeader  = regexp.MustCompile(`^\s*(def|while|for) .*:$`)
+	moduleAssign = regexp.MustCompile(`^([a-z_]\w*) = `)
+)
+
+// oracleProbes derives the probes of the oracle from a program's text: line
+// probes on its first def line and first return line, probes with every
+// BreakConfig option on the first line of its first block body, a function
+// breakpoint and tracked function on its first def, and a watch on its
+// first module-level variable.
+func oracleProbes(src string) []core.Probe {
+	lines := strings.Split(src, "\n")
+	var defLine, retLine, hotLine int
+	var fn, global string
+	for i, l := range lines {
+		n, trimmed := i+1, strings.TrimSpace(l)
+		if defLine == 0 && strings.HasPrefix(trimmed, "def ") {
+			defLine = n
+		}
+		if retLine == 0 && strings.HasPrefix(trimmed, "return ") {
+			retLine = n
+		}
+		if hotLine == 0 && blockHeader.MatchString(l) {
+			hotLine = n + 1
+		}
+		if m := moduleAssign.FindStringSubmatch(l); global == "" && m != nil {
+			global = m[1]
+		}
+	}
+	if m := defName.FindStringSubmatch(src); m != nil {
+		fn = m[1]
+	}
+	if hotLine == 0 {
+		hotLine = 1
+	}
+	ps := []core.Probe{
+		core.LineProbe("", hotLine, core.WithIgnoreHits(1)),
+		core.LineProbe("", hotLine, core.WithOneShot()),
+		core.LineProbe("", hotLine, core.WithMaxDepth(1)),
+		core.LineProbe("", hotLine, core.WithCondition("depth >= 1")),
+	}
+	if defLine > 0 {
+		ps = append(ps, core.LineProbe("", defLine))
+	}
+	if retLine > 0 {
+		ps = append(ps, core.LineProbe("", retLine))
+	}
+	if fn != "" {
+		ps = append(ps,
+			core.FuncProbe(fn),
+			core.TrackProbe(fn),
+			core.TrackProbe(fn, core.WithCondition("depth < 3")))
+	}
+	if global != "" {
+		ps = append(ps,
+			core.LineProbe("", hotLine, core.WithCondition("exists(::"+global+")")),
+			core.WatchProbe("::"+global))
+	}
+	return ps
+}
+
+// probeLabel names a probe for a subtest.
+func probeLabel(p core.Probe) string {
+	s := p.String()
+	switch {
+	case p.IgnoreHits > 0:
+		s += fmt.Sprintf(" ignore %d", p.IgnoreHits)
+	case p.OneShot:
+		s += " oneshot"
+	case p.MaxDepth > 0:
+		s += fmt.Sprintf(" maxdepth %d", p.MaxDepth)
+	}
+	return s
+}
+
+// oraclePrograms are the MiniPy testdata programs plus oracleDefProgram. A
+// v1 trace has no step after the last statement, so a program whose last
+// statement writes its watched variable gets a trailing statement.
+func oraclePrograms(t *testing.T) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob("../minipy/testdata/programs/*.py")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("testdata programs: %v (%d found)", err, len(paths))
+	}
+	progs := map[string]string{"def-loop": oracleDefProgram}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := strings.TrimRight(string(data), "\n") + "\n"
+		lines := strings.Split(strings.TrimSpace(src), "\n")
+		if moduleAssign.MatchString(lines[len(lines)-1]) {
+			src += "pass\n"
+		}
+		progs[strings.TrimSuffix(filepath.Base(p), ".py")] = src
+	}
+	return progs
+}
+
+// TestProbeTranscriptsAgreeAcrossSurfaces is the probe-transcript oracle:
+// for every probe kind and BreakConfig option, a live session, a v1 replay
+// and a v2 replay pause at the same events resuming forward, and the
+// rewound live session, v1 and v2 pause at the same events resuming
+// backward. Reverse runs test ignore counts and one-shot probes but never
+// spend them, and line probes fire on line events only.
+func TestProbeTranscriptsAgreeAcrossSurfaces(t *testing.T) {
+	progs := oraclePrograms(t)
+	names := make([]string, 0, len(progs))
+	for name := range progs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	pauses := 0
+	for _, name := range names {
+		src := progs[name]
+		t.Run(name, func(t *testing.T) {
+			s := newSurfaces(t, src)
+			for _, p := range oracleProbes(src) {
+				t.Run(probeLabel(p), func(t *testing.T) {
+					fwd, back := s.transcripts(t, p)
+					pauses += len(fwd["live"]) + len(back["live"])
+					agree(t, fwd, back)
+				})
+			}
+		})
+	}
+	if pauses < 100 {
+		t.Fatalf("oracle saw only %d live pauses", pauses)
 	}
 }

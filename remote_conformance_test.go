@@ -536,6 +536,14 @@ func TestRemoteConformanceTimeTravel(t *testing.T) {
 		tr.observePause(t, tk)
 		pos, length, ok = easytracker.ReplayPos(tk)
 		tr.note("replay-pos %d/%d %v", pos, length, ok)
+		// After the exit the cursor rests on the last real step, and the
+		// reverse watch answers from there: the real last write, never a
+		// deletion read off the terminal bookkeeping step.
+		tr.resumeUntilExit(t, tk)
+		pos, length, ok = easytracker.ReplayPos(tk)
+		tr.note("replay-pos %d/%d %v", pos, length, ok)
+		ch, err = easytracker.LastChange(tk, "::total")
+		tr.noteChange("last-change", ch, err)
 		return tr.lines
 	}
 
@@ -556,6 +564,40 @@ func TestRemoteConformanceTimeTravel(t *testing.T) {
 				t.Errorf("%s line %d differs:\nv1-local: %s\n%s: %s", name, i, ref[i], name, lines[i])
 			}
 		}
+	}
+}
+
+// TestRemoteReplayRejectsTraceWithoutSteps sends a trace whose only step
+// is the terminal "finished" step through a loopback session. The server
+// runs a connection's ops without recovering panics, so a replay that
+// indexed before step 0 would kill the hosting process. The load fails,
+// the session's later calls report errors, and the server keeps serving
+// new sessions.
+func TestRemoteReplayRejectsTraceWithoutSteps(t *testing.T) {
+	addr := startConformanceServer(t)
+	const finishedOnly = `{"code":"x = 1","file":"a.py","trace":[{"event":"finished","line":0,"stdout":""}]}`
+	tk := conformanceTracker(t, "trace", addr)
+	defer tk.Terminate()
+	if err := tk.LoadProgram("a.trace", easytracker.WithSource(finishedOnly)); err == nil {
+		t.Fatal("trace with only a finished step loaded")
+	}
+	if err := tk.Start(); err == nil {
+		t.Fatal("Start after a rejected load succeeded")
+	}
+	if err := easytracker.SeekTo(tk, 0); err == nil {
+		t.Fatal("SeekTo after a rejected load succeeded")
+	}
+	_, v2Path := recordAgreeTraces(t)
+	next := conformanceTracker(t, "trace", addr)
+	defer next.Terminate()
+	if err := next.LoadProgram(v2Path); err != nil {
+		t.Fatalf("server stopped serving after the rejected trace: %v", err)
+	}
+	if err := next.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := easytracker.SeekTo(next, 0); err != nil {
+		t.Fatal(err)
 	}
 }
 
