@@ -700,6 +700,71 @@ func BenchmarkRedialOverheadOff(b *testing.B) {
 	benchRemoteSession(b, easytracker.WithRedialPolicy(easytracker.DefaultRedialPolicy()))
 }
 
+// inspectPy is a tutor-style program: a function call, a growing list and a
+// dict of lists, so every pause has frames and containers to show.
+const inspectPy = `def score(i, best):
+    s = i * 7 % 10
+    if s > best:
+        return s
+    return best
+
+xs = []
+seen = {"even": [], "odd": []}
+best = 0
+i = 0
+while i < 8:
+    xs.append(i * i)
+    if i % 2 == 0:
+        seen["even"].append(i)
+    else:
+        seen["odd"].append(i)
+    best = score(i, best)
+    i = i + 1
+`
+
+// BenchmarkRemoteInspectMiniPy is the paper's Listing 1 over the wire: one
+// loopback session per iteration (connect, load, start, then State and Step
+// at every pause to the exit, terminate). It is the gated benchmark that
+// reads remote States, so it prices both the State's framing and the round
+// trips an inspected pause costs.
+func BenchmarkRemoteInspectMiniPy(b *testing.B) {
+	b.ReportAllocs()
+	srv := easytracker.NewServer()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	addr := ln.Addr().String()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := easytracker.Connect(addr, "minipy")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.LoadProgram("inspect.py", easytracker.WithSource(inspectPy)); err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.Start(); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, done := tr.ExitCode(); done {
+				break
+			}
+			if _, err := tr.State(); err != nil {
+				b.Fatal(err)
+			}
+			if err := tr.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tr.Terminate()
+		tr.Close()
+	}
+}
+
 // benchRemoteSession runs one full client lifecycle (connect, load, watch,
 // resume to exit, terminate) per iteration with caller-chosen load options.
 func benchRemoteSession(b *testing.B, opts ...easytracker.LoadOption) {

@@ -26,7 +26,7 @@ type wireConn struct {
 	wmu    sync.Mutex
 	nextID atomic.Uint64
 
-	// tracev is the negotiated trace-context framing version; atomic because
+	// tracev is the negotiated framing version; atomic because
 	// dial stores it after the hello exchange while the read loop is already
 	// parsing frames.
 	tracev atomic.Int32
@@ -70,7 +70,7 @@ func (c *wireConn) readLoop() {
 		// The response's trace context (the server's executor span) is not
 		// needed client-side — the client's own call span already brackets
 		// the round trip — but the framing must still be consumed.
-		_, body, perr := ParsePayload(payload, int(c.tracev.Load()))
+		_, body, tail, perr := splitPayload(payload, int(c.tracev.Load()))
 		if perr != nil {
 			err = perr
 			break
@@ -79,6 +79,9 @@ func (c *wireConn) readLoop() {
 		if err = json.Unmarshal(body, &resp); err != nil {
 			err = fmt.Errorf("remote: bad response frame: %w", err)
 			break
+		}
+		if tail != nil {
+			resp.State = tail
 		}
 		c.pmu.Lock()
 		ch := c.pending[resp.ID]
@@ -316,7 +319,13 @@ type Tracker struct {
 	ttPos int
 	ttLen int
 
+	// stateCache is the State the tool read at the current pause; while it
+	// is set, the next control op asks for the next pause's State
+	// (WantState). stateRaw holds the codec bytes such a response brought,
+	// decoded by the first inspection call. Both drop at every control op,
+	// at Terminate and on reconnect.
 	stateCache *core.State
+	stateRaw   []byte
 	srcCache   []string
 }
 
@@ -461,7 +470,7 @@ func (t *Tracker) dial() (*wireConn, core.CapabilitySet, error) {
 	if err != nil {
 		return nil, core.CapabilitySet{}, fmt.Errorf("remote: connect %s: %w", t.addr, err)
 	}
-	resp, err := conn.callTimeout(&Request{Op: OpHello, Kind: t.kind, TraceV: TraceVersion, HB: true}, t.effDialTimeout())
+	resp, err := conn.callTimeout(&Request{Op: OpHello, Kind: t.kind, TraceV: FrameVersion, HB: true}, t.effDialTimeout())
 	if err != nil {
 		conn.close()
 		return nil, core.CapabilitySet{}, err
@@ -470,13 +479,10 @@ func (t *Tracker) dial() (*wireConn, core.CapabilitySet, error) {
 		conn.close()
 		return nil, core.CapabilitySet{}, resp.Err.DecodeError()
 	}
-	// Adopt the negotiated trace framing version, clamped to what this build
+	// Adopt the negotiated framing version, clamped to what this build
 	// speaks in case the server mis-advertises. Stored after the hello round
 	// trip completed, so no earlier frame used it.
-	tracev := resp.TraceV
-	if tracev > TraceVersion {
-		tracev = TraceVersion
-	}
+	tracev := min(resp.TraceV, FrameVersion)
 	conn.tracev.Store(int32(tracev))
 	// A server configured for heartbeats told us to beat; hold up our half.
 	conn.startHeartbeat(time.Duration(resp.HBNs), resp.HBMiss)
@@ -677,7 +683,7 @@ func (t *Tracker) recover(op string, cause error) error {
 		t.connMu.Lock()
 		t.conn = conn
 		t.connMu.Unlock()
-		t.stateCache = nil
+		t.stateCache, t.stateRaw = nil, nil
 		return &core.TrackerError{
 			Op:       op,
 			Kind:     "remote[" + t.kind + "]",
@@ -845,34 +851,37 @@ func (t *Tracker) LoadProgram(path string, opts ...core.LoadOption) error {
 	return nil
 }
 
-// control runs one execution-resuming (or terminate) op.
-func (t *Tracker) control(op, wireOp string) error {
+// control runs one execution-resuming op, forward or reverse. The pause
+// moves, so the cached State goes; a tool that read the State at the pause
+// it is leaving likely reads the next one too, so the request asks for it
+// to ride back on the response.
+func (t *Tracker) control(op string, req *Request) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.stateCache = nil
-	_, err := t.do(op, &Request{Op: wireOp})
-	return err
+	req.WantState = t.stateCache != nil
+	t.stateCache, t.stateRaw = nil, nil
+	resp, err := t.do(op, req)
+	if err != nil {
+		return err
+	}
+	t.stateRaw = resp.State
+	if req.Op == OpStart {
+		t.started = true
+	}
+	return nil
 }
 
 // Start implements core.Tracker.
-func (t *Tracker) Start() error {
-	err := t.control("Start", OpStart)
-	if err == nil {
-		t.mu.Lock()
-		t.started = true
-		t.mu.Unlock()
-	}
-	return err
-}
+func (t *Tracker) Start() error { return t.control("Start", &Request{Op: OpStart}) }
 
 // Resume implements core.Tracker.
-func (t *Tracker) Resume() error { return t.control("Resume", OpResume) }
+func (t *Tracker) Resume() error { return t.control("Resume", &Request{Op: OpResume}) }
 
 // Step implements core.Tracker.
-func (t *Tracker) Step() error { return t.control("Step", OpStep) }
+func (t *Tracker) Step() error { return t.control("Step", &Request{Op: OpStep}) }
 
 // Next implements core.Tracker.
-func (t *Tracker) Next() error { return t.control("Next", OpNext) }
+func (t *Tracker) Next() error { return t.control("Next", &Request{Op: OpNext}) }
 
 // Terminate implements core.Tracker. The connection stays open so Stats and
 // the status cache remain readable; Close releases it.
@@ -882,7 +891,7 @@ func (t *Tracker) Terminate() error {
 	if t.deadErr != nil {
 		return nil // retired sessions terminate trivially
 	}
-	t.stateCache = nil
+	t.stateCache, t.stateRaw = nil, nil
 	_, err := t.do("Terminate", &Request{Op: OpTerminate})
 	var te *core.TrackerError
 	if errors.As(err, &te) && te.Recovery != core.RecoveryNone {
@@ -961,28 +970,21 @@ func (t *Tracker) Subscribe(expr string) error {
 	return err
 }
 
-// ttControl runs one reverse-navigation op. Like forward control ops it
-// invalidates the state cache — the replay cursor moved, so the next
-// inspection must refetch; the landing position rides back in the Status.
-func (t *Tracker) ttControl(op, wireOp string, step int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stateCache = nil
-	_, err := t.do(op, &Request{Op: wireOp, Step: step})
-	return err
-}
-
 // StepBack implements core.TimeTraveler (gated on the backend's capability).
-func (t *Tracker) StepBack() error { return t.ttControl("StepBack", OpStepBack, 0) }
+// Reverse ops move the replay cursor as forward ones move the inferior; the
+// landing position rides back in the Status.
+func (t *Tracker) StepBack() error { return t.control("StepBack", &Request{Op: OpStepBack}) }
 
 // ResumeBack implements core.TimeTraveler (gated).
-func (t *Tracker) ResumeBack() error { return t.ttControl("ResumeBack", OpResumeBack, 0) }
+func (t *Tracker) ResumeBack() error { return t.control("ResumeBack", &Request{Op: OpResumeBack}) }
 
 // NextBack implements core.TimeTraveler (gated).
-func (t *Tracker) NextBack() error { return t.ttControl("NextBack", OpNextBack, 0) }
+func (t *Tracker) NextBack() error { return t.control("NextBack", &Request{Op: OpNextBack}) }
 
 // SeekTo implements core.TimeTraveler (gated).
-func (t *Tracker) SeekTo(step int) error { return t.ttControl("SeekTo", OpSeek, step) }
+func (t *Tracker) SeekTo(step int) error {
+	return t.control("SeekTo", &Request{Op: OpSeek, Step: step})
+}
 
 // Pos implements core.TimeTraveler from the status cache: every response on
 // a recording session reports the cursor, and it cannot move between
@@ -1043,18 +1045,24 @@ func (t *Tracker) LastLine() int {
 	return t.lastLine
 }
 
-// state fetches (or reuses) the full snapshot for the current pause.
-// Callers hold t.mu.
+// state returns the full snapshot for the current pause: cached, decoded
+// from the bytes the last control response brought, or fetched with
+// OpState. Callers hold t.mu.
 func (t *Tracker) state(op string) (*core.State, error) {
 	if t.stateCache != nil {
 		return t.stateCache, nil
 	}
-	resp, err := t.do(op, &Request{Op: OpState})
-	if err != nil {
-		return nil, err
+	raw := t.stateRaw
+	t.stateRaw = nil
+	if raw == nil {
+		resp, err := t.do(op, &Request{Op: OpState})
+		if err != nil {
+			return nil, err
+		}
+		raw = resp.State
 	}
 	var st core.State
-	if err := st.UnmarshalJSON(resp.State); err != nil {
+	if err := st.UnmarshalJSON(raw); err != nil {
 		return nil, core.WrapErr("remote", op, t.file, t.line, fmt.Errorf("decoding state: %w", err))
 	}
 	t.stateCache = &st

@@ -90,6 +90,9 @@ func TestTelemetryEndpoints(t *testing.T) {
 		if in.FramesIn == 0 || in.FramesOut == 0 {
 			t.Fatalf("frame counters not moving: %+v", in)
 		}
+		if want := tr.PauseReason().String(); in.Pause != want || want == "" {
+			t.Fatalf("session pause = %q, want the client's %q", in.Pause, want)
+		}
 	})
 
 	t.Run("spans", func(t *testing.T) {

@@ -90,12 +90,13 @@ type LoadSpec struct {
 	RecordInterval int  `json:"record_interval,omitempty"`
 }
 
-// TraceVersion is the highest trace-context framing version this build
-// speaks (see wire.go). Hellos advertise it; both sides then use
+// FrameVersion is the highest framing version this build speaks (see
+// wire.go): 1 adds trace contexts, 2 the State tail and the checksum.
+// Hellos advertise it under the tracev key; both sides then use
 // min(client, server), so an old peer that never sends the field (JSON
 // drops zero values and ignores unknown ones) pins the connection to the
 // bare-JSON v0 framing.
-const TraceVersion = 1
+const FrameVersion = 2
 
 // Request is one client frame.
 type Request struct {
@@ -104,7 +105,7 @@ type Request struct {
 
 	// OpHello.
 	Kind string `json:"kind,omitempty"`
-	// TraceV advertises the client's trace-context framing version.
+	// TraceV advertises the client's framing version.
 	TraceV int `json:"tracev,omitempty"`
 	// HB advertises that the client can answer and emit heartbeats
 	// (OpPing). The server only arms heartbeat eviction — and only tells
@@ -133,6 +134,12 @@ type Request struct {
 
 	// OpSeek operand: the absolute recorded step to seek to.
 	Step int `json:"step,omitempty"`
+
+	// WantState (control ops) asks for the State of the pause the op
+	// reaches in the response, sparing an OpState round trip. The client
+	// sets it when it read the State at the pause it is leaving; servers
+	// that predate it ignore it, and the client then asks with OpState.
+	WantState bool `json:"want_state,omitempty"`
 }
 
 // Status is the tracker's observable condition after an operation: the
@@ -170,9 +177,8 @@ type Response struct {
 	Kind     string              `json:"kind,omitempty"`
 	Caps     *core.CapabilitySet `json:"caps,omitempty"`
 	MaxFrame int                 `json:"max_frame,omitempty"`
-	// TraceV is the negotiated trace-context framing version — the min of
-	// what both peers advertised. All frames after the hello exchange use
-	// it.
+	// TraceV is the negotiated framing version — the min of what both
+	// peers advertised. All frames after the hello exchange use it.
 	TraceV int `json:"tracev,omitempty"`
 	// HBNs/HBMiss are the negotiated heartbeat contract (hello responses
 	// only): the client must send OpPing every HBNs nanoseconds, and each
@@ -181,7 +187,9 @@ type Response struct {
 	HBNs   int64 `json:"hb_ns,omitempty"`
 	HBMiss int   `json:"hb_miss,omitempty"`
 
-	// Inspection payloads.
+	// Inspection payloads. State answers OpState and a control op's
+	// WantState; at framing v2 it crosses in the frame's tail, outside
+	// the JSON.
 	Change *core.VarChange   `json:"change,omitempty"`
 	State  json.RawMessage   `json:"state,omitempty"`
 	Lines  []string          `json:"lines,omitempty"`

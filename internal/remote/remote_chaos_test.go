@@ -269,14 +269,16 @@ func TestChaosDrainUnderFire(t *testing.T) {
 	pol.MaxRecoveries = 8
 
 	const fleet = 16
-	var wg sync.WaitGroup
+	var wg, dialed sync.WaitGroup
 	outcome := make(chan error, fleet)
 	for i := 0; i < fleet; i++ {
 		name := fmt.Sprintf("drain-%02d", i)
 		wg.Add(1)
+		dialed.Add(1)
 		go func() {
 			defer wg.Done()
 			tr, err := Connect("srv", "minipy", WithDialer(n.Dialer(name)))
+			dialed.Done()
 			if err != nil {
 				outcome <- err
 				return
@@ -286,7 +288,10 @@ func TestChaosDrainUnderFire(t *testing.T) {
 			outcome <- err
 		}()
 	}
-	time.Sleep(10 * time.Millisecond) // let the fleet get airborne
+	// The fleet is airborne once every first contact is made: a drain that
+	// closed the listener before a Connect would refuse first contact,
+	// which the redial policy does not cover.
+	dialed.Wait()
 	for i := 0; i < fleet; i += 2 {
 		n.Sever(fmt.Sprintf("drain-%02d", i), "srv")
 	}

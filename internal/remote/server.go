@@ -402,8 +402,8 @@ type serverConn struct {
 	srv *Server
 	nc  net.Conn
 
-	// tracev is the negotiated trace-context framing version: written once
-	// during the handshake (before the executor goroutine exists), read-only
+	// tracev is the negotiated framing version: written once during the
+	// handshake (before the executor goroutine exists), read-only
 	// afterwards.
 	tracev int
 
@@ -425,9 +425,12 @@ type serverConn struct {
 	framesOut atomic.Uint64
 
 	// infoMu guards the mutable half of the session's /sessions row,
-	// written by the executor and read by the HTTP handler.
+	// written by the executor and read by the HTTP handler. pause is the
+	// last reported pause reason (set once info.Loaded is), formatted only
+	// when the row is read.
 	infoMu sync.Mutex
 	info   SessionInfo
+	pause  core.PauseReason
 }
 
 // command is one queued request plus the trace context its frame carried.
@@ -464,6 +467,9 @@ func (s *Server) SessionsInfo() []SessionInfo {
 	for _, c := range conns {
 		c.infoMu.Lock()
 		info := c.info
+		if info.Loaded {
+			info.Pause = c.pause.String()
+		}
 		c.infoMu.Unlock()
 		if info.ID == 0 {
 			continue // handshake not finished
@@ -482,17 +488,17 @@ func (c *serverConn) writeResp(r *Response) error {
 }
 
 // writeRespCtx writes one response frame under the negotiated framing,
-// stamping tc (the responding executor span) when the connection speaks v1.
+// stamping tc (the responding executor span) from v1 on. The frame is
+// counted before it is written, so a client that has read a response finds
+// it in the counters; a frame whose write fails still counts, on a
+// connection that is dead from then on.
 func (c *serverConn) writeRespCtx(r *Response, tc *TraceContext) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	c.srv.met.Counter(core.CtrRemoteFramesOut).Inc()
+	c.framesOut.Add(1)
 	c.nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	err := WriteFrameV(c.nc, r, c.tracev, tc)
-	if err == nil {
-		c.srv.met.Counter(core.CtrRemoteFramesOut).Inc()
-		c.framesOut.Add(1)
-	}
-	return err
+	return WriteFrameV(c.nc, r, c.tracev, tc)
 }
 
 // interrupt pokes the session's tracker so a command running in the
@@ -660,10 +666,7 @@ func (c *serverConn) handshake() (*session, bool) {
 		c.imu.Unlock()
 	}
 	caps := core.CapabilitiesOf(tr)
-	tracev := req.TraceV
-	if tracev > TraceVersion {
-		tracev = TraceVersion
-	}
+	tracev := min(req.TraceV, FrameVersion)
 	// Heartbeats arm only when both sides opted in: the server was
 	// configured with WithHeartbeat and the client advertised HB. Old
 	// peers on either end leave hb off and keep pre-heartbeat behavior.
@@ -715,7 +718,6 @@ func (c *serverConn) execute(sess *session, cmds <-chan command) {
 		c.srv.met.Observe(core.OpRemoteRound, t0)
 		bt.SetParent(obs.SpanContext{})
 		sp.End()
-		c.noteStatus(sess, resp.Status)
 		spCtx := sp.Context()
 		if err := c.writeRespCtx(resp, &TraceContext{TraceID: spCtx.TraceID, SpanID: spCtx.SpanID}); err != nil {
 			// Client is gone; keep draining so Terminate below runs.
@@ -729,20 +731,6 @@ func (c *serverConn) execute(sess *session, cmds <-chan command) {
 	c.srv.logf("session %d: closed", sess.id)
 	c.srv.release(c)
 	c.nc.Close()
-}
-
-// noteStatus refreshes the connection's /sessions row from the response
-// just produced. Executor goroutine only (plus the HTTP reader via infoMu).
-func (c *serverConn) noteStatus(sess *session, st *Status) {
-	c.infoMu.Lock()
-	c.info.Loaded = sess.loaded
-	if st != nil {
-		c.info.Exited = st.Exited
-		if r, err := core.DecodePauseReasonJSON(st.Reason); err == nil {
-			c.info.Pause = r.String()
-		}
-	}
-	c.infoMu.Unlock()
 }
 
 // exec runs one request against the session tracker.
@@ -868,8 +856,31 @@ func (c *serverConn) exec(sess *session, req *Request) *Response {
 	resp.Err = core.EncodeError(err)
 	if sess.loaded {
 		resp.Status = c.status(sess)
+		if err == nil && req.WantState {
+			resp.State = pushedState(sess)
+		}
 	}
 	return resp
+}
+
+// pushedState answers WantState: the codec bytes of the State at the pause
+// the op reached, or nil when the backend has no State or fails to produce
+// it — the client's next State() then asks with OpState and gets the error
+// there.
+func pushedState(sess *session) []byte {
+	sp, ok := core.As[core.StateProvider](sess.tr)
+	if !ok {
+		return nil
+	}
+	st, err := sp.State()
+	if err != nil {
+		return nil
+	}
+	raw, err := st.MarshalJSON()
+	if err != nil {
+		return nil
+	}
+	return raw
 }
 
 // load runs OpLoad: it builds the effective load options with the server's
@@ -900,11 +911,13 @@ func (c *serverConn) load(sess *session, req *Request) error {
 	return nil
 }
 
-// status snapshots the tracker's observable condition for the response.
-// Executor goroutine only.
+// status snapshots the tracker's observable condition for the response and
+// refreshes the connection's /sessions row from it. Executor goroutine
+// only.
 func (c *serverConn) status(sess *session) *Status {
 	st := &Status{}
-	if raw, err := core.EncodePauseReasonJSON(sess.tr.PauseReason()); err == nil {
+	r := sess.tr.PauseReason()
+	if raw, err := core.EncodePauseReasonJSON(r); err == nil {
 		st.Reason = raw
 	}
 	st.ExitCode, st.Exited = sess.tr.ExitCode()
@@ -918,6 +931,9 @@ func (c *serverConn) status(sess *session) *Status {
 			st.TTLen = l
 		}
 	}
+	c.infoMu.Lock()
+	c.info.Loaded, c.info.Exited, c.pause = true, st.Exited, r
+	c.infoMu.Unlock()
 	return st
 }
 

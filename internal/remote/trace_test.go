@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"net"
 	"testing"
 
@@ -80,21 +82,92 @@ func TestWriteFrameVRoundTrip(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("v2 State tail", func(t *testing.T) {
+		state := json.RawMessage(`{"frames":[{"name":"<module>","line":3}]}`)
+		resp := &Response{ID: 9, Status: &Status{Line: 3}, State: state}
+		want := &TraceContext{TraceID: 5, SpanID: 6}
+		var buf bytes.Buffer
+		if err := WriteFrameV(&buf, resp, 2, want); err != nil {
+			t.Fatal(err)
+		}
+		if string(resp.State) != string(state) {
+			t.Fatalf("writing moved the caller's State: %q", resp.State)
+		}
+		payload, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload[0] != flagTraceContext|flagStateTail {
+			t.Fatalf("flags byte = %#x, want trace context and State tail", payload[0])
+		}
+		tc, body, tail, err := splitPayload(payload, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc == nil || *tc != *want {
+			t.Fatalf("context drifted: %+v", tc)
+		}
+		if string(tail) != string(state) {
+			t.Fatalf("tail = %q, want the State bytes", tail)
+		}
+		if bytes.Contains(body, []byte(`"state"`)) {
+			t.Fatalf("State still inside the JSON body: %s", body)
+		}
+		var got Response
+		if err := json.Unmarshal(body, &got); err != nil || got.ID != 9 || got.Status.Line != 3 {
+			t.Fatalf("v2 body: %v %+v", err, got)
+		}
+		// A request never carries a tail, and a payload without one has no
+		// body length: flags, JSON, checksum.
+		buf.Reset()
+		if err := WriteFrameV(&buf, req, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if payload, err = ReadFrame(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if payload[0] != 0 || payload[len(payload)-crcSize-1] != '}' {
+			t.Fatalf("v2 request payload = %q, want [0][JSON][CRC]", payload)
+		}
+		if _, body, err := ParsePayload(payload, 2); err != nil || !json.Valid(body) {
+			t.Fatalf("v2 request parse: %v %q", err, body)
+		}
+	})
 }
 
 func TestParsePayloadRejects(t *testing.T) {
+	// v2 builds a payload whose checksum is right, so the rejection is the
+	// structural one the case names.
+	v2 := func(p ...byte) []byte {
+		return binary.BigEndian.AppendUint32(p, crc32.Checksum(p, castagnoli))
+	}
 	cases := []struct {
 		name    string
 		payload []byte
+		tracev  int
 	}{
-		{"empty v1", nil},
-		{"unknown flags", []byte{0x80, '{', '}'}},
-		{"truncated context", append([]byte{flagTraceContext}, make([]byte, 8)...)},
+		{"empty v1", nil, 1},
+		{"unknown flags", []byte{0x80, '{', '}'}, 1},
+		{"truncated context", append([]byte{flagTraceContext}, make([]byte, 8)...), 1},
+		{"State tail at v1", []byte{flagStateTail, 0, 0, 0, 2, '{', '}'}, 1},
+		{"empty v2", nil, 2},
+		{"v2 without checksum", []byte{0, '{', '}'}, 2},
+		{"bad checksum", []byte{0, '{', '}', 0, 0, 0, 0}, 2},
+		{"unknown v2 flags", v2(0x80, '{', '}'), 2},
+		{"truncated body length", v2(flagStateTail, 0, 0), 2},
+		{"body length past payload", v2(flagStateTail, 0, 0, 0, 3, '{', '}'), 2},
+		{"request with a State tail", v2(flagStateTail, 0, 0, 0, 2, '{', '}', '{', '}'), 2},
 	}
 	for _, c := range cases {
-		if _, _, err := ParsePayload(c.payload, 1); err == nil {
+		if _, _, err := ParsePayload(c.payload, c.tracev); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+	_, _, err := ParsePayload([]byte{0, '{', '}', 0, 0, 0, 0}, 2)
+	var de *DecodeError
+	if !errors.As(err, &de) || !errors.Is(err, ErrChecksum) {
+		t.Errorf("bad checksum: err = %v, want a *DecodeError wrapping ErrChecksum", err)
 	}
 }
 
@@ -282,9 +355,10 @@ func TestTraceConformanceLoopback(t *testing.T) {
 	}
 }
 
-// FuzzTraceContextDecode drives the v1 payload splitter with arbitrary bytes
-// and framing versions. Properties: never panics, and every payload it
-// accepts survives a re-encode/re-parse round trip bit for bit.
+// FuzzTraceContextDecode drives the v1/v2 payload splitter with arbitrary
+// bytes and framing versions: trace contexts, State tails with their body
+// length, and v2 checksums. Properties: never panics, and every payload it
+// accepts re-encodes bit for bit and re-parses to the same parts.
 func FuzzTraceContextDecode(f *testing.F) {
 	enc := func(tc *TraceContext, body []byte) []byte {
 		p := []byte{0}
@@ -303,29 +377,51 @@ func FuzzTraceContextDecode(f *testing.F) {
 	f.Add([]byte{0x80, '{', '}'}, 1)
 	f.Add([]byte{flagTraceContext, 1, 2, 3}, 1)
 	f.Add([]byte{}, 1)
+	v2 := func(tc *TraceContext, body, tail []byte) []byte {
+		return appendPayload(nil, 2, tc, body, tail)
+	}
+	f.Add(v2(nil, []byte(`{"id":4}`), nil), 2)
+	f.Add(v2(&TraceContext{TraceID: 1, SpanID: 2}, []byte(`{"id":5}`), []byte(`{"frames":[]}`)), 2)
+	f.Add(v2(nil, []byte(`{"id":6}`), []byte{}), 2)
+	f.Add([]byte{flagStateTail, 0, 0, 0, 9, '{', '}', 0, 0, 0, 0}, 2)
+	f.Add([]byte{0, '{', '}', 1, 2, 3, 4}, 2)
 
 	f.Fuzz(func(t *testing.T, payload []byte, tracev int) {
-		tracev &= 1
-		tc, body, err := ParsePayload(payload, tracev)
+		tracev &= 3
+		if tracev > FrameVersion {
+			tracev = FrameVersion
+		}
+		tc, body, tail, err := splitPayload(payload, tracev)
 		if err != nil {
 			return // rejecting garbage is fine; not panicking is the test
 		}
 		if tracev == 0 {
-			if tc != nil || !bytes.Equal(body, payload) {
+			if tc != nil || tail != nil || !bytes.Equal(body, payload) {
 				t.Fatalf("v0 must pass payload through untouched")
 			}
 			return
 		}
-		re := enc(tc, body)
-		tc2, body2, err := ParsePayload(re, tracev)
+		if tracev == 1 {
+			if tail != nil {
+				t.Fatalf("v1 payload produced a State tail")
+			}
+			if re := enc(tc, body); !bytes.Equal(re, payload) {
+				t.Fatalf("v1 re-encode drifted: %x -> %x", payload, re)
+			}
+		}
+		re := appendPayload(nil, tracev, tc, body, tail)
+		if !bytes.Equal(re, payload) {
+			t.Fatalf("re-encode drifted: %x -> %x", payload, re)
+		}
+		tc2, body2, tail2, err := splitPayload(re, tracev)
 		if err != nil {
 			t.Fatalf("re-parsing accepted payload: %v", err)
 		}
 		if (tc == nil) != (tc2 == nil) || (tc != nil && *tc != *tc2) {
 			t.Fatalf("context drifted: %+v -> %+v", tc, tc2)
 		}
-		if !bytes.Equal(body, body2) {
-			t.Fatalf("body drifted")
+		if !bytes.Equal(body, body2) || (tail == nil) != (tail2 == nil) || !bytes.Equal(tail, tail2) {
+			t.Fatalf("body or tail drifted")
 		}
 	})
 }

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 )
 
@@ -39,7 +40,8 @@ var ErrFrameTooLarge = errors.New("remote: frame exceeds size limit")
 // the stream went bad and what the length prefix promised. It wraps the
 // underlying cause (ErrFrameTooLarge for a hostile prefix,
 // io.ErrUnexpectedEOF for a stream cut mid-frame — the torn-frame
-// signature), so errors.Is keeps working; the client surfaces it inside
+// signature — and ErrChecksum for a v2 payload corrupted in transit), so
+// errors.Is keeps working; the client surfaces it inside
 // TrackerError.Err, where errors.As(&DecodeError{}) tells a corrupt frame
 // apart from an ordinary hangup.
 type DecodeError struct {
@@ -111,32 +113,51 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// Trace-context framing (wire tracing version 1).
+// Framing versions 1 and 2.
 //
-// The v0 frame payload is bare JSON. When both peers negotiated tracing
-// version >= 1 in the hello exchange (the TraceV field — hello frames
-// themselves are always v0, which is what makes the negotiation backward
-// compatible: old peers omit the field, JSON ignores it, negotiated version
-// stays 0 and nothing changes on the wire), every subsequent payload is
+// The v0 frame payload is bare JSON. Hellos negotiate a framing version
+// (the TraceV field; hello frames themselves are always v0, which is what
+// makes the negotiation backward compatible: old peers omit the field, JSON
+// ignores it, the negotiated version stays 0 and nothing changes on the
+// wire). At v1 every later payload is
 //
 //	[1 flags byte][16-byte trace context when flags&flagTraceContext][JSON]
 //
 // so a request can carry the client span that caused it without touching
 // the JSON schema, and a peer that has nothing to propagate pays one byte.
+// v2 adds a State tail and a checksum:
+//
+//	[flags][trace context?][4-byte body length when flags&flagStateTail]
+//	[JSON][State bytes when flags&flagStateTail][4-byte CRC-32C]
+//
+// A response's State crosses as the codec's own bytes after the JSON body,
+// where encoding/json neither compacts it on the way out nor scans it twice
+// on the way in. The checksum covers everything before it, so a flipped
+// bit that would leave the JSON parseable still kills the connection.
 
 const (
 	// flagTraceContext marks a payload carrying a 16-byte trace context
 	// (big-endian trace id, then span id) between the flags byte and the
 	// JSON body.
 	flagTraceContext = 0x01
-	// knownFlags is the set of assigned flag bits; the rest must be zero —
-	// rejecting them now is what lets a future version assign meaning to
-	// them without silently misparsing against old peers.
-	knownFlags = flagTraceContext
+	// flagStateTail (v2, responses only) marks a payload whose State rides
+	// after the JSON body, which is prefixed by its 4-byte length.
+	flagStateTail = 0x02
 
 	// traceCtxSize is the encoded size of one TraceContext.
 	traceCtxSize = 16
+	// bodyLenSize and crcSize are the v2 body-length and checksum fields.
+	bodyLenSize = 4
+	crcSize     = 4
 )
+
+// castagnoli is the CRC-32C table of the v2 checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrChecksum reports a v2 payload whose CRC-32C does not match: the bytes
+// were corrupted in transit and the connection is unusable afterwards. It
+// arrives wrapped in a *DecodeError.
+var ErrChecksum = errors.New("remote: frame checksum mismatch")
 
 // TraceContext is the span identity a frame can carry across the wire: the
 // sender's in-flight span, which the receiver adopts as the parent of the
@@ -146,66 +167,143 @@ type TraceContext struct {
 	SpanID  uint64
 }
 
-// WriteFrameV writes one frame under the negotiated tracing version: v0 is
-// WriteFrame; v1 prefixes the flags byte and the optional trace context (tc
-// nil or zero means "none").
+// WriteFrameV writes one frame under the negotiated framing version: v0 is
+// WriteFrame; v1 and v2 prefix the flags byte and the optional trace
+// context (tc nil or zero means "none"). At v2 a *Response's State moves
+// out of the JSON into the tail, and the payload ends in its checksum.
 func WriteFrameV(w io.Writer, v any, tracev int, tc *TraceContext) error {
 	if tracev < 1 {
 		return WriteFrame(w, v)
 	}
+	var tail []byte
+	resp, _ := v.(*Response)
+	if resp != nil && tracev >= 2 && len(resp.State) > 0 {
+		tail, resp.State = resp.State, nil
+	}
 	body, err := json.Marshal(v)
+	if tail != nil {
+		resp.State = tail
+	}
 	if err != nil {
 		return fmt.Errorf("remote: encoding frame: %w", err)
 	}
-	withCtx := tc != nil && (tc.TraceID != 0 || tc.SpanID != 0)
+	if tc != nil && tc.TraceID == 0 && tc.SpanID == 0 {
+		tc = nil
+	}
 	n := 1 + len(body)
-	if withCtx {
+	if tc != nil {
 		n += traceCtxSize
+	}
+	if tracev >= 2 {
+		n += len(tail) + crcSize
+		if tail != nil {
+			n += bodyLenSize
+		}
 	}
 	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	buf := make([]byte, 4+n)
+	buf := make([]byte, 4, 4+n)
 	binary.BigEndian.PutUint32(buf, uint32(n))
-	p := buf[4:]
-	if withCtx {
-		p[0] = flagTraceContext
-		binary.BigEndian.PutUint64(p[1:], tc.TraceID)
-		binary.BigEndian.PutUint64(p[9:], tc.SpanID)
-		p = p[1+traceCtxSize:]
-	} else {
-		p[0] = 0
-		p = p[1:]
-	}
-	copy(p, body)
-	_, err = w.Write(buf)
+	_, err = w.Write(appendPayload(buf, tracev, tc, body, tail))
 	return err
 }
 
-// ParsePayload splits one frame payload read by ReadFrame into its optional
-// trace context and the JSON body, under the negotiated tracing version: v0
-// payloads are bare JSON (nil context). The returned body aliases payload.
+// appendPayload appends one v1 or v2 payload to dst: the flags byte, the
+// trace context when tc is non-nil and the body; at v2 also the body length
+// and tail when tail is non-nil, then the checksum. Callers pass no tail
+// below v2.
+func appendPayload(dst []byte, tracev int, tc *TraceContext, body, tail []byte) []byte {
+	start := len(dst)
+	var flags byte
+	if tc != nil {
+		flags |= flagTraceContext
+	}
+	if tail != nil {
+		flags |= flagStateTail
+	}
+	dst = append(dst, flags)
+	if tc != nil {
+		dst = binary.BigEndian.AppendUint64(dst, tc.TraceID)
+		dst = binary.BigEndian.AppendUint64(dst, tc.SpanID)
+	}
+	if tail != nil {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
+	}
+	dst = append(dst, body...)
+	if tracev < 2 {
+		return dst
+	}
+	dst = append(dst, tail...)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+}
+
+// ParsePayload splits one request payload read by ReadFrame into its
+// optional trace context and the JSON body, under the negotiated framing
+// version: v0 payloads are bare JSON (nil context). Only responses carry a
+// State tail, so a request with one is rejected. The returned body aliases
+// payload.
 func ParsePayload(payload []byte, tracev int) (*TraceContext, []byte, error) {
+	tc, body, tail, err := splitPayload(payload, tracev)
+	if err == nil && tail != nil {
+		err = errors.New("remote: request frame carries a State tail")
+	}
+	return tc, body, err
+}
+
+// splitPayload splits one payload into its trace context, JSON body and
+// State tail. tail is non-nil exactly when the payload set flagStateTail;
+// body and tail alias payload. A v2 payload whose checksum does not match
+// fails with a *DecodeError wrapping ErrChecksum.
+func splitPayload(payload []byte, tracev int) (tc *TraceContext, body, tail []byte, err error) {
 	if tracev < 1 {
-		return nil, payload, nil
+		return nil, payload, nil, nil
 	}
-	if len(payload) < 1 {
-		return nil, nil, fmt.Errorf("remote: empty v1 frame payload")
+	p := payload
+	if tracev >= 2 {
+		if len(p) < 1+crcSize {
+			return nil, nil, nil, fmt.Errorf("remote: short v2 frame payload (%d bytes)", len(p))
+		}
+		n := len(p) - crcSize
+		if crc32.Checksum(p[:n], castagnoli) != binary.BigEndian.Uint32(p[n:]) {
+			return nil, nil, nil, &DecodeError{Offset: 4 + len(p), Len: len(p), Err: ErrChecksum}
+		}
+		p = p[:n]
 	}
-	flags := payload[0]
-	if flags&^byte(knownFlags) != 0 {
-		return nil, nil, fmt.Errorf("remote: unknown frame flags %#x", flags)
+	if len(p) < 1 {
+		return nil, nil, nil, fmt.Errorf("remote: empty v1 frame payload")
 	}
-	body := payload[1:]
-	if flags&flagTraceContext == 0 {
-		return nil, body, nil
+	// Bits a version has not assigned must be zero: rejecting them is what
+	// let v2 assign flagStateTail without old peers misparsing it.
+	flags := p[0]
+	known := byte(flagTraceContext)
+	if tracev >= 2 {
+		known |= flagStateTail
 	}
-	if len(body) < traceCtxSize {
-		return nil, nil, fmt.Errorf("remote: truncated trace context (%d bytes)", len(body))
+	if flags&^known != 0 {
+		return nil, nil, nil, fmt.Errorf("remote: unknown frame flags %#x", flags)
 	}
-	tc := &TraceContext{
-		TraceID: binary.BigEndian.Uint64(body[:8]),
-		SpanID:  binary.BigEndian.Uint64(body[8:16]),
+	p = p[1:]
+	if flags&flagTraceContext != 0 {
+		if len(p) < traceCtxSize {
+			return nil, nil, nil, fmt.Errorf("remote: truncated trace context (%d bytes)", len(p))
+		}
+		tc = &TraceContext{
+			TraceID: binary.BigEndian.Uint64(p[:8]),
+			SpanID:  binary.BigEndian.Uint64(p[8:16]),
+		}
+		p = p[traceCtxSize:]
 	}
-	return tc, body[traceCtxSize:], nil
+	if flags&flagStateTail == 0 {
+		return tc, p, nil, nil
+	}
+	if len(p) < bodyLenSize {
+		return nil, nil, nil, fmt.Errorf("remote: truncated body length (%d bytes)", len(p))
+	}
+	n := binary.BigEndian.Uint32(p)
+	p = p[bodyLenSize:]
+	if uint64(n) > uint64(len(p)) {
+		return nil, nil, nil, fmt.Errorf("remote: body length %d runs past the %d-byte payload", n, len(p))
+	}
+	return tc, p[:n:n], p[n:], nil
 }
