@@ -208,48 +208,6 @@ func benchAlloc(b *testing.B, track bool) {
 	}
 }
 
-// BenchmarkAblationEngineMiniPy ablates the bytecode VM: the watchpoint
-// resume workload on the default compiled engine versus the tree-walking
-// reference selected by WithASTInterpreter. Both see the identical trace
-// stream; the delta is what compile-time name resolution and the flat
-// dispatch loop buy over per-node tree walking.
-func BenchmarkAblationEngineMiniPy(b *testing.B) {
-	src := "total = 0\nk = 0\nwhile k < 200:\n    k = k + 1\ntotal = 1\n"
-	for _, eng := range []struct {
-		name string
-		opts []core.LoadOption
-	}{
-		{"bytecode", nil},
-		{"ast", []core.LoadOption{core.WithASTInterpreter()}},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			b.ReportAllocs()
-			opts := append([]core.LoadOption{core.WithSource(src)}, eng.opts...)
-			for i := 0; i < b.N; i++ {
-				tr := pytracker.New()
-				if err := tr.LoadProgram("w.py", opts...); err != nil {
-					b.Fatal(err)
-				}
-				if err := tr.Start(); err != nil {
-					b.Fatal(err)
-				}
-				if err := tr.Watch("::total"); err != nil {
-					b.Fatal(err)
-				}
-				for {
-					if err := tr.Resume(); err != nil {
-						b.Fatal(err)
-					}
-					if _, done := tr.ExitCode(); done {
-						break
-					}
-				}
-				tr.Terminate()
-			}
-		})
-	}
-}
-
 // BenchmarkAblationWatchCountMiniPy measures how the number of watched
 // variables scales the per-line cost of resume in the MiniPy tracker.
 func BenchmarkAblationWatchCountMiniPy(b *testing.B) {

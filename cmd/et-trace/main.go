@@ -282,7 +282,7 @@ func runQuery(args []string) {
 	var order []string
 	for i, s := range trace.Steps {
 		view := query.StateView{
-			EventName: queryEvent(s.Event),
+			EventName: ttd.QueryEvent(s.Event),
 			LineNo:    s.Line,
 			FileName:  trace.File,
 			FuncName:  s.Func,
@@ -346,19 +346,6 @@ func decodeAny(data []byte) (*pt.Trace, error) {
 		})
 	}
 	return tr, nil
-}
-
-// queryEvent maps a trace event name onto the query event vocabulary
-// (step_line and the bookkeeping events evaluate as "line").
-func queryEvent(ev string) string {
-	switch ev {
-	case "call":
-		return query.EventCall
-	case "return":
-		return query.EventReturn
-	default:
-		return query.EventLine
-	}
 }
 
 // fieldValue renders one typed field for `count by FIELD` bucketing.

@@ -151,9 +151,6 @@ var (
 	WithHeapTracking = core.WithHeapTracking
 	// WithSource supplies program text in memory.
 	WithSource = core.WithSource
-	// WithASTInterpreter runs a MiniPy inferior on the tree-walking
-	// reference engine instead of the default bytecode VM.
-	WithASTInterpreter = core.WithASTInterpreter
 	// WithMaxDepth restricts a breakpoint to frame depths below d.
 	WithMaxDepth = core.WithMaxDepth
 	// When makes a probe conditional: it fires only when the query

@@ -65,9 +65,6 @@ type LoadConfig struct {
 	Budgets Budgets
 	// Obs configures the tracker's instrumentation; see WithObservability.
 	Obs ObsConfig
-	// ASTInterpreter selects the tree-walking reference engine for
-	// interpreter-based trackers; see WithASTInterpreter.
-	ASTInterpreter bool
 	// Redial configures the remote client's reconnect loop; nil means the
 	// default policy. See WithRedialPolicy. Local trackers ignore it.
 	Redial *RedialPolicy
@@ -114,15 +111,6 @@ func WithHeapTracking() LoadOption {
 // used only as a display name.
 func WithSource(src string) LoadOption {
 	return func(c *LoadConfig) { c.Source = src }
-}
-
-// WithASTInterpreter makes an interpreter-based tracker execute the program
-// on its tree-walking engine instead of the default bytecode VM. The two
-// engines are observably equivalent (same output, trace events and state);
-// the tree-walker is kept as the differential-testing reference and as an
-// escape hatch. Ignored by trackers that drive external debuggers.
-func WithASTInterpreter() LoadOption {
-	return func(c *LoadConfig) { c.ASTInterpreter = true }
 }
 
 // WithRecording enables live omniscient recording on trackers that support

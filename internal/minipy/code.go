@@ -8,12 +8,11 @@ import (
 // This file defines the bytecode form MiniPy modules are lowered to: a flat
 // instruction stream per code object (module body, each function body), a
 // constant pool, and compile-time slot resolution for names. The compiler
-// lives in compile.go and the dispatch loop in vm.go; together they replace
-// tree-walking as the default execution engine while preserving the trace
-// hook contract (every fireLine call site in interp.go has a matching opLine
-// placement) and the mutation-epoch write barriers (every binding write goes
-// through Scope.setSlot / Scope.Set, every in-place mutation through the
-// same helpers the tree-walker uses).
+// lives in compile.go and the dispatch loop in vm.go; together they execute
+// MiniPy under the trace hook contract (an opLine before each statement,
+// fired through fireLine) and the mutation-epoch write barriers (every
+// binding write goes through Scope.setSlot / Scope.Set, every in-place
+// mutation through Interp.stamp).
 
 // Opcode enumerates the VM instructions.
 type Opcode uint8
@@ -25,7 +24,7 @@ const (
 	opInvalid Opcode = iota
 
 	// opLine fires the EventLine trace hook for Line (and charges the
-	// step budget), exactly where the tree-walker calls fireLine.
+	// step budget) before the statement at Line executes.
 	opLine
 
 	// Stack pushes.
@@ -98,9 +97,9 @@ const (
 	opIterNextLine // same, but re-fires the line event first (iterations >= 2)
 
 	// opRaise raises a precomputed runtime error (A=Program.msgs index).
-	// The compiler is total: constructs the tree-walker rejects at
-	// runtime (break outside a loop, bad assignment targets, ...) lower
-	// to the identical error at the identical line.
+	// The compiler is total: constructs that are errors only when
+	// executed (break outside a loop, bad assignment targets, ...) lower
+	// to that error at the statement's line.
 	opRaise
 )
 
@@ -196,15 +195,13 @@ type constant struct {
 }
 
 // funcProto is the compile-time description of a def statement; executing
-// the def instantiates a fresh Function from it (matching the tree-walker,
-// which builds a new Function object each time the def line runs).
+// the def instantiates a fresh Function from it, as Python builds a new
+// function object each time the def line runs.
 type funcProto struct {
 	name    string
 	params  []string
-	body    []Stmt
 	defLine int
 	endLine int
-	globals map[string]bool
 	code    *Code
 }
 

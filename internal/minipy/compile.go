@@ -7,16 +7,16 @@ import (
 
 // The compiler lowers a parsed Module to a Program (code.go) executed by the
 // dispatch loop in vm.go. It is total: every parser-accepted module compiles.
-// Constructs the tree-walker only rejects at runtime (break outside a loop,
+// Constructs that are errors only when executed (break outside a loop,
 // unsupported assignment targets, module-level return, ...) lower to an
-// opRaise carrying the identical error message at the identical line, so both
-// engines fail the same way at the same point in the trace stream.
+// opRaise carrying the error message at the statement's line, so the program
+// fails at the point of the trace stream where that statement runs.
 //
 // Name resolution happens here, once: the module scope and each function
 // scope get a symtab of their statically known names, and name ops address
 // slot indices instead of hashing strings at runtime. Names that cannot be
 // resolved statically (reads of never-assigned globals) go through the
-// map-path *_NAME ops, which preserve the tree-walker's dynamic behavior.
+// map-path *_NAME ops, which keep the dynamic lookup.
 
 // Compile lowers a module to bytecode. It always compiles fresh (the
 // interpreter itself uses the memoized Module.program).
@@ -189,8 +189,8 @@ func (c *compiler) compileFunc(s *FuncDef) int32 {
 		}
 	}
 	fp := &funcProto{
-		name: s.Name, params: s.Params, body: s.Body,
-		defLine: s.Pos(), endLine: s.EndLine, globals: globals,
+		name: s.Name, params: s.Params,
+		defLine: s.Pos(), endLine: s.EndLine,
 	}
 	idx := int32(len(c.prog.funcs))
 	c.prog.funcs = append(c.prog.funcs, fp)
@@ -259,9 +259,8 @@ type codeBuilder struct {
 	// globals lists `global`-declared names of the function (nil for the
 	// module body, where every name is global anyway).
 	globals map[string]bool
-	// topLine is the current top-level statement's line: stray
-	// break/continue signals surface there, matching how the tree-walker's
-	// execBody converts the signal at the enclosing statement.
+	// topLine is the current top-level statement's line: a stray
+	// break/continue raises its error there, at the enclosing statement.
 	topLine int
 	loops   []loopCtx
 	// iterDepth tracks live for-loop nesting for register assignment;
@@ -350,8 +349,7 @@ func (cb *codeBuilder) stmt(st Stmt) {
 		if s.Op == Plus {
 			// In-place list extension takes the skip edge past the
 			// store; every other type falls through to a plain
-			// store of l+r, re-evaluating the target's operands as
-			// the tree-walker does.
+			// store of l+r, re-evaluating the target's operands.
 			j := cb.emit(opAugAdd, 0, 0, s.Pos())
 			cb.pop(2)
 			cb.push(1)
@@ -503,8 +501,7 @@ func (cb *codeBuilder) stmt(st Stmt) {
 	case *ReturnStmt:
 		cb.line(s.Pos())
 		if cb.syms == nil {
-			// Module-level return: the tree-walker errors before
-			// evaluating the value.
+			// Module-level return errors before evaluating the value.
 			cb.raise("'return' outside function", s.Pos())
 			return
 		}
@@ -622,8 +619,8 @@ func (cb *codeBuilder) delName(name string, line int) {
 				return
 			}
 			// Neither a local binding nor a `global` declaration:
-			// the tree-walker's deleteTarget always raises here,
-			// even when the name is bound at module scope.
+			// the delete always raises, even when the name is bound
+			// at module scope.
 			cb.emit(opRaiseNameErr, 0, cb.c.name(name), line)
 			return
 		}
@@ -745,7 +742,7 @@ func (cb *codeBuilder) expr(e Expr) {
 		cb.expr(x.X)
 		// Sliceability is checked before the bounds are evaluated, and
 		// each bound is type-checked right after its own evaluation —
-		// the tree-walker's observable order when bounds have effects.
+		// the observable order when bounds have effects.
 		cb.emit(opSliceCheck, 0, 0, x.Pos())
 		var mask int32
 		if x.Lo != nil {

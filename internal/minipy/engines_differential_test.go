@@ -12,39 +12,62 @@ import (
 )
 
 // Cross-engine differential testing: every program must behave identically
-// under the bytecode VM (EngineVM, the default) and the tree-walking
-// reference interpreter (EngineAST). "Identically" means the same exit
-// code and error, byte-identical stdout, an identical trace-event stream
-// (event kind, line, function name — the SetTrace contract the trackers
-// build on), and equivalent final globals.
+// under the bytecode VM (Interp.Run) and the tree-walking reference
+// interpreter (walker_test.go). "Identically" means the same exit code and
+// error, byte-identical stdout, and the same trace-event stream, compared
+// event by event: the kind, line and function name (the SetTrace contract
+// the trackers build on), the frame chain and globals a tracker would
+// snapshot there (Equivalent values), and whether the mutation epoch moved
+// since the previous event (the watch fast path's dirty test).
+
+// stateDepth bounds the call depth at which an event's frame chain and
+// globals are snapshotted. Snapshots cost O(depth) each, so the runaway
+// recursion cases would make them quadratic; the bounded programs never
+// get this deep.
+const stateDepth = 64
+
+// engineEvent is one trace event as a tracker sees it.
+type engineEvent struct {
+	at      string // event:line:function
+	frame   *core.Frame
+	globals []*core.Variable
+	moved   bool // Epoch() advanced since the previous event
+}
 
 // engineRun is one engine's observable outcome for a program.
 type engineRun struct {
 	code    int
 	err     error
 	stdout  string
-	trace   []string
+	events  []engineEvent
 	globals []*core.Variable
 }
 
-func runEngine(t *testing.T, src string, eng Engine) *engineRun {
+func runEngine(t *testing.T, src string, eng engine) *engineRun {
 	t.Helper()
 	mod, err := Parse("diff.py", src)
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, src)
 	}
 	in := NewInterp(mod)
-	in.SetEngine(eng)
 	in.MaxSteps = 60_000
 	var out strings.Builder
 	in.SetStdout(&out)
 	in.SetStderr(&out)
 	r := &engineRun{}
+	var epoch uint64
 	in.SetTrace(func(fr *RTFrame, ev Event, retval *Object) error {
-		r.trace = append(r.trace, fmt.Sprintf("%s:%d:%s", ev, fr.Line, fr.Name))
+		e := engineEvent{at: fmt.Sprintf("%s:%d:%s", ev, fr.Line, fr.Name), moved: in.Epoch() != epoch}
+		epoch = in.Epoch()
+		if fr.Depth <= stateDepth {
+			c := NewConverter(in)
+			e.frame = SnapshotFrame(c, fr, "diff.py")
+			e.globals = SnapshotGlobals(c, in.Globals)
+		}
+		r.events = append(r.events, e)
 		return nil
 	})
-	r.code, r.err = in.Run()
+	r.code, r.err = eng.run(in)
 	r.stdout = out.String()
 	r.globals = SnapshotGlobals(NewConverter(in), in.Globals)
 	return r
@@ -54,8 +77,8 @@ func runEngine(t *testing.T, src string, eng Engine) *engineRun {
 // divergence.
 func diffEngines(t *testing.T, src string) {
 	t.Helper()
-	vm := runEngine(t, src, EngineVM)
-	ast := runEngine(t, src, EngineAST)
+	vm := runEngine(t, src, engineVM)
+	ast := runEngine(t, src, engineWalker)
 
 	if vm.code != ast.code {
 		t.Errorf("exit code: vm=%d ast=%d", vm.code, ast.code)
@@ -69,41 +92,75 @@ func diffEngines(t *testing.T, src string) {
 	if vm.stdout != ast.stdout {
 		t.Errorf("stdout diverged:\n--- vm ---\n%s\n--- ast ---\n%s", vm.stdout, ast.stdout)
 	}
-	if len(vm.trace) != len(ast.trace) {
-		t.Errorf("trace length: vm=%d ast=%d", len(vm.trace), len(ast.trace))
+	if len(vm.events) != len(ast.events) {
+		t.Errorf("trace length: vm=%d ast=%d", len(vm.events), len(ast.events))
 	}
-	for i := range vm.trace {
-		if i >= len(ast.trace) {
+	for i := range vm.events {
+		if i >= len(ast.events) {
 			break
 		}
-		if vm.trace[i] != ast.trace[i] {
-			t.Errorf("trace[%d]: vm=%s ast=%s", i, vm.trace[i], ast.trace[i])
+		v, a := vm.events[i], ast.events[i]
+		if v.at != a.at {
+			t.Errorf("trace[%d]: vm=%s ast=%s", i, v.at, a.at)
+			break
+		}
+		if v.moved != a.moved {
+			t.Errorf("trace[%d] %s: epoch moved vm=%v ast=%v", i, v.at, v.moved, a.moved)
+			break
+		}
+		if !compareFrames(t, v.frame, a.frame) || !compareVars(t, "global", v.globals, a.globals) {
+			t.Errorf("trace[%d] %s: state diverged", i, v.at)
 			break
 		}
 	}
-	compareGlobals(t, vm.globals, ast.globals)
+	compareVars(t, "global", vm.globals, ast.globals)
 }
 
-func compareGlobals(t *testing.T, vm, ast []*core.Variable) {
+// compareFrames reports whether two frame chains agree in name, depth,
+// line and Equivalent variables, innermost first.
+func compareFrames(t *testing.T, vm, ast *core.Frame) bool {
+	t.Helper()
+	for ; vm != nil && ast != nil; vm, ast = vm.Parent, ast.Parent {
+		if vm.Name != ast.Name || vm.Depth != ast.Depth || vm.Line != ast.Line {
+			t.Errorf("frame: vm=%s depth %d line %d, ast=%s depth %d line %d",
+				vm.Name, vm.Depth, vm.Line, ast.Name, ast.Depth, ast.Line)
+			return false
+		}
+		if !compareVars(t, "frame "+vm.Name, vm.Vars, ast.Vars) {
+			return false
+		}
+	}
+	if (vm == nil) != (ast == nil) {
+		t.Errorf("frame chain length differs")
+		return false
+	}
+	return true
+}
+
+func compareVars(t *testing.T, what string, vm, ast []*core.Variable) bool {
 	t.Helper()
 	if len(vm) != len(ast) {
-		t.Errorf("global count: vm=%d ast=%d", len(vm), len(ast))
-		return
+		t.Errorf("%s count: vm=%d ast=%d", what, len(vm), len(ast))
+		return false
 	}
+	ok := true
 	for i, v := range vm {
 		a := ast[i]
 		if v.Name != a.Name {
-			t.Errorf("global[%d] name: vm=%s ast=%s", i, v.Name, a.Name)
+			t.Errorf("%s[%d] name: vm=%s ast=%s", what, i, v.Name, a.Name)
+			ok = false
 			continue
 		}
 		if !v.Value.Equivalent(a.Value) {
-			t.Errorf("global %s: vm=%s ast=%s", v.Name, v.Value, a.Value)
+			t.Errorf("%s %s: vm=%s ast=%s", what, v.Name, v.Value, a.Value)
+			ok = false
 		}
 	}
+	return ok
 }
 
 // TestEnginesDifferentialTestdata runs every program in testdata/programs
-// through both engines.
+// and testdata/writebarriers.py through both engines.
 func TestEnginesDifferentialTestdata(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "programs", "*.py"))
 	if err != nil {
@@ -112,6 +169,7 @@ func TestEnginesDifferentialTestdata(t *testing.T) {
 	if len(files) < 10 {
 		t.Fatalf("expected at least 10 testdata programs, found %d", len(files))
 	}
+	files = append(files, filepath.Join("testdata", "writebarriers.py"))
 	for _, f := range files {
 		f := f
 		t.Run(filepath.Base(f), func(t *testing.T) {
@@ -187,6 +245,32 @@ func TestEnginesDifferentialErrors(t *testing.T) {
 		src := src
 		t.Run(fmt.Sprintf("case%d", i), func(t *testing.T) {
 			diffEngines(t, src)
+		})
+	}
+}
+
+// BenchmarkAblationEngine ablates the bytecode VM against the tree-walking
+// reference on one loop with a trace hook installed, so both engines pay
+// the same per-event hook call and the gap is what compile-time name
+// resolution and the flat dispatch loop buy over per-node tree walking.
+// The module is parsed, and compiled for the VM, once outside the timer.
+func BenchmarkAblationEngine(b *testing.B) {
+	mod, err := Parse("w.py", "total = 0\nk = 0\nwhile k < 200:\n    k = k + 1\ntotal = 1\n")
+	if err != nil {
+		b.Fatal(err)
+	}
+	mod.program()
+	hook := func(*RTFrame, Event, *Object) error { return nil }
+	for _, eng := range engines {
+		b.Run(eng.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in := NewInterp(mod)
+				in.SetTrace(hook)
+				if code, err := eng.run(in); code != 0 || err != nil {
+					b.Fatalf("exit %d: %v", code, err)
+				}
+			}
 		})
 	}
 }

@@ -11,9 +11,8 @@ import (
 // fuzzEngineRun executes src under one engine with tight budgets and
 // returns the observable outcome as a single comparable string. Parse
 // failures are reported by the caller (both engines share the front end).
-func fuzzEngineRun(mod *Module, eng Engine) string {
+func fuzzEngineRun(mod *Module, eng engine) string {
 	in := NewInterp(mod)
-	in.SetEngine(eng)
 	in.MaxSteps = 20_000
 	in.MaxSeqElems = 10_000
 	in.SetStdin(strings.NewReader(""))
@@ -27,7 +26,7 @@ func fuzzEngineRun(mod *Module, eng Engine) string {
 		}
 		return nil
 	})
-	code, err := in.Run()
+	code, err := eng.run(in)
 	errText := ""
 	if err != nil {
 		errText = err.Error()
@@ -81,8 +80,8 @@ func FuzzMiniPyDifferential(f *testing.F) {
 		if strings.Contains(src, "id(") {
 			return
 		}
-		vm := fuzzEngineRun(mod, EngineVM)
-		ast := fuzzEngineRun(mod, EngineAST)
+		vm := fuzzEngineRun(mod, engineVM)
+		ast := fuzzEngineRun(mod, engineWalker)
 		if vm != ast {
 			t.Errorf("engines diverged on:\n%s\nvm:  %s\nast: %s", src, vm, ast)
 		}

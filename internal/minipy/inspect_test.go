@@ -148,13 +148,12 @@ type sessionSnap struct {
 // still encode as it did when it was taken.
 func checkSessionOracle(t *testing.T, name, src string) {
 	t.Helper()
-	for _, eng := range []Engine{EngineVM, EngineAST} {
+	for _, eng := range engines {
 		mod, err := Parse(name, src)
 		if err != nil {
 			t.Fatalf("parse %s: %v", name, err)
 		}
 		in := NewInterp(mod)
-		in.SetEngine(eng)
 		every, third := NewConverter(in), NewConverter(in)
 		var kept []sessionSnap
 		event := 0
@@ -183,7 +182,7 @@ func checkSessionOracle(t *testing.T, name, src string) {
 			}
 			return nil
 		})
-		if _, err := in.Run(); err != nil {
+		if _, err := eng.run(in); err != nil {
 			t.Fatalf("%s engine %v: %v", name, eng, err)
 		}
 		for i, s := range kept {

@@ -40,7 +40,7 @@ func (e Event) String() string {
 type TraceFunc func(fr *RTFrame, ev Event, retval *Object) error
 
 // Scope is an insertion-ordered name -> object binding set. A scope may be
-// backed by a compile-time symtab (slot array, used by the bytecode engine)
+// backed by a compile-time symtab (slot array, used by the bytecode VM)
 // in addition to the dynamic map; slot i holds the binding of syms.names[i],
 // nil meaning unbound. Names outside the symtab live in the map, so
 // dynamically injected bindings keep working.
@@ -161,10 +161,10 @@ func (s *Scope) Names() []string { return append([]string(nil), s.names...) }
 func (s *Scope) Len() int { return len(s.names) }
 
 // Slot returns the symtab slot index of name, or -1 when the scope has no
-// attached symtab (the tree walker's scopes, or the globals before the
-// bytecode engine starts the module) or the name is outside it. A
-// non-negative index is stable for the scope's lifetime, so trackers may
-// cache it and read the binding with At instead of a map lookup.
+// attached symtab (the globals before Run starts the module) or the name
+// is outside it. A non-negative index is stable for the scope's lifetime,
+// so trackers may cache it and read the binding with At instead of a map
+// lookup.
 func (s *Scope) Slot(name string) int {
 	if s.syms != nil {
 		if i, ok := s.syms.index[name]; ok {
@@ -193,8 +193,6 @@ type RTFrame struct {
 	Line int
 	// Depth is the frame's call depth; the module frame has depth 0.
 	Depth int
-	// globalDecls lists names declared `global` in this frame.
-	globalDecls map[string]bool
 }
 
 // RuntimeError is a MiniPy execution failure (the analog of an uncaught
@@ -214,28 +212,6 @@ func (e *RuntimeError) Error() string {
 type exitSignal struct{ code int }
 
 func (e exitSignal) Error() string { return fmt.Sprintf("SystemExit(%d)", e.code) }
-
-// control-flow signals inside statement execution
-type ctrlSignal int
-
-const (
-	ctrlNone ctrlSignal = iota
-	ctrlReturn
-	ctrlBreak
-	ctrlContinue
-)
-
-// Engine selects the execution engine behind Run.
-type Engine int
-
-const (
-	// EngineVM (the default) compiles the module to bytecode and runs the
-	// dispatch loop in vm.go.
-	EngineVM Engine = iota
-	// EngineAST walks the tree directly — the original interpreter, kept
-	// as the differential-testing reference and escape hatch.
-	EngineAST
-)
 
 // Interp executes a MiniPy module with optional trace hooks.
 type Interp struct {
@@ -258,9 +234,6 @@ type Interp struct {
 	falseO *Object
 
 	cur    *RTFrame
-	retval *Object // value being returned, for EventReturn
-
-	engine Engine
 	prog   *Program
 	consts []*Object // prog.consts materialized for this interpreter
 
@@ -337,9 +310,6 @@ func NewInterp(m *Module) *Interp {
 // SetTrace registers the trace hook (nil disables tracing).
 func (in *Interp) SetTrace(f TraceFunc) { in.trace = f }
 
-// SetEngine selects the execution engine; must be called before Run.
-func (in *Interp) SetEngine(e Engine) { in.engine = e }
-
 // SetStdout routes program output.
 func (in *Interp) SetStdout(w io.Writer) {
 	if w == nil {
@@ -411,13 +381,6 @@ func (in *Interp) stamp(o *Object) {
 	in.epoch++
 	in.heapClock++
 	o.Epoch = in.epoch
-}
-
-// newScope returns a scope wired to the interpreter's mutation clock.
-func (in *Interp) newScope() *Scope {
-	s := NewScope()
-	s.clock = &in.epoch
-	return s
 }
 
 // Epoch returns the interpreter's current mutation epoch. It is advanced by
@@ -535,18 +498,24 @@ func (in *Interp) rtErr(line int, format string, args ...any) error {
 // normal completion, the exit() argument if called, 1 on a runtime error
 // (with a message on stderr). Trace-hook errors are propagated verbatim.
 func (in *Interp) Run() (int, error) {
-	mod := &RTFrame{Name: "<module>", Locals: in.Globals, Depth: 0, globalDecls: map[string]bool{}}
+	mod := in.startModule()
+	return in.exitStatus(mod, in.runModule(mod))
+}
+
+// startModule makes a fresh module frame current and resolves the step
+// budget for the run.
+func (in *Interp) startModule() *RTFrame {
+	mod := &RTFrame{Name: "<module>", Locals: in.Globals}
 	in.cur = mod
 	in.stepLimit = in.MaxSteps
 	if in.stepLimit == 0 {
 		in.stepLimit = 5_000_000
 	}
-	var err error
-	if in.engine == EngineAST {
-		err = in.execBody(mod, in.module.Body)
-	} else {
-		err = in.runModuleVM(mod)
-	}
+	return mod
+}
+
+// exitStatus maps the outcome of the module body to Run's result.
+func (in *Interp) exitStatus(mod *RTFrame, err error) (int, error) {
 	switch e := err.(type) {
 	case nil:
 		// CPython fires a final return event for the module frame;
@@ -581,255 +550,6 @@ func (in *Interp) fireLine(fr *RTFrame, line int) error {
 	return nil
 }
 
-func (in *Interp) execBody(fr *RTFrame, body []Stmt) error {
-	for _, st := range body {
-		sig, err := in.execStmt(fr, st)
-		if err != nil {
-			return err
-		}
-		switch sig {
-		case ctrlReturn:
-			return nil
-		case ctrlBreak:
-			return in.rtErr(st.Pos(), "'break' outside loop")
-		case ctrlContinue:
-			return in.rtErr(st.Pos(), "'continue' outside loop")
-		}
-	}
-	return nil
-}
-
-// execBlock runs a nested statement list, passing signals upward.
-func (in *Interp) execBlock(fr *RTFrame, body []Stmt) (ctrlSignal, error) {
-	for _, st := range body {
-		sig, err := in.execStmt(fr, st)
-		if err != nil || sig != ctrlNone {
-			return sig, err
-		}
-	}
-	return ctrlNone, nil
-}
-
-func (in *Interp) execStmt(fr *RTFrame, st Stmt) (ctrlSignal, error) {
-	switch s := st.(type) {
-	case *FuncDef:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		fn := &Function{
-			Name: s.Name, Params: s.Params, Body: s.Body,
-			DefLine: s.Pos(), EndLine: s.EndLine,
-			GlobalNames: collectGlobals(s.Body),
-		}
-		in.assignName(fr, s.Name, in.alloc(&Object{Kind: OFunc, Fn: fn}))
-		return ctrlNone, nil
-
-	case *ClassDef:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		cls := &Class{Name: s.Name, Methods: map[string]*Object{}, DefLine: s.Pos()}
-		for _, bs := range s.Body {
-			switch m := bs.(type) {
-			case *FuncDef:
-				fn := &Function{
-					Name: m.Name, Params: m.Params, Body: m.Body,
-					DefLine: m.Pos(), EndLine: m.EndLine,
-					GlobalNames: collectGlobals(m.Body),
-				}
-				cls.Methods[m.Name] = in.alloc(&Object{Kind: OFunc, Fn: fn})
-				cls.MethodOrder = append(cls.MethodOrder, m.Name)
-			case *PassStmt:
-				// allowed
-			case *AssignStmt:
-				if len(m.Targets) == 1 {
-					if n, ok := m.Targets[0].(*NameExpr); ok {
-						v, err := in.eval(fr, m.Value)
-						if err != nil {
-							return ctrlNone, err
-						}
-						cls.Methods[n.Name] = v
-						cls.MethodOrder = append(cls.MethodOrder, n.Name)
-						continue
-					}
-				}
-				return ctrlNone, in.rtErr(m.Pos(), "unsupported statement in class body")
-			default:
-				return ctrlNone, in.rtErr(bs.Pos(), "unsupported statement in class body")
-			}
-		}
-		in.assignName(fr, s.Name, in.alloc(&Object{Kind: OClass, Cls: cls}))
-		return ctrlNone, nil
-
-	case *ExprStmt:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		_, err := in.eval(fr, s.X)
-		return ctrlNone, err
-
-	case *AssignStmt:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		v, err := in.eval(fr, s.Value)
-		if err != nil {
-			return ctrlNone, err
-		}
-		for _, tgt := range s.Targets {
-			if err := in.assign(fr, tgt, v); err != nil {
-				return ctrlNone, err
-			}
-		}
-		return ctrlNone, nil
-
-	case *AugAssignStmt:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		old, err := in.eval(fr, s.Target)
-		if err != nil {
-			return ctrlNone, err
-		}
-		rhs, err := in.eval(fr, s.Value)
-		if err != nil {
-			return ctrlNone, err
-		}
-		// Python in-place semantics on lists: `xs += ys` extends in place.
-		if s.Op == Plus && old.Kind == OList && rhs.Kind == OList {
-			old.L = append(old.L, rhs.L...)
-			in.stamp(old)
-			return ctrlNone, nil
-		}
-		nv, err := in.binOp(s.Pos(), s.Op, old, rhs)
-		if err != nil {
-			return ctrlNone, err
-		}
-		return ctrlNone, in.assign(fr, s.Target, nv)
-
-	case *DelStmt:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		return ctrlNone, in.deleteTarget(fr, s.Target)
-
-	case *IfStmt:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		c, err := in.eval(fr, s.Cond)
-		if err != nil {
-			return ctrlNone, err
-		}
-		if c.Truthy() {
-			return in.execBlock(fr, s.Body)
-		}
-		return in.execBlock(fr, s.Else)
-
-	case *WhileStmt:
-		for {
-			if err := in.fireLine(fr, s.Pos()); err != nil {
-				return ctrlNone, err
-			}
-			c, err := in.eval(fr, s.Cond)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if !c.Truthy() {
-				return ctrlNone, nil
-			}
-			sig, err := in.execBlock(fr, s.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			switch sig {
-			case ctrlBreak:
-				return ctrlNone, nil
-			case ctrlReturn:
-				return ctrlReturn, nil
-			}
-		}
-
-	case *ForStmt:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		iter, err := in.eval(fr, s.Iter)
-		if err != nil {
-			return ctrlNone, err
-		}
-		items, err := in.iterate(s.Pos(), iter)
-		if err != nil {
-			return ctrlNone, err
-		}
-		for i, item := range items {
-			if i > 0 {
-				// Python re-traces the `for` line on each iteration.
-				if err := in.fireLine(fr, s.Pos()); err != nil {
-					return ctrlNone, err
-				}
-			}
-			if err := in.assign(fr, s.Target, item); err != nil {
-				return ctrlNone, err
-			}
-			sig, err := in.execBlock(fr, s.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			switch sig {
-			case ctrlBreak:
-				return ctrlNone, nil
-			case ctrlReturn:
-				return ctrlReturn, nil
-			}
-		}
-		return ctrlNone, nil
-
-	case *ReturnStmt:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		if fr.Fn == nil {
-			return ctrlNone, in.rtErr(s.Pos(), "'return' outside function")
-		}
-		val := in.noneO
-		if s.Value != nil {
-			v, err := in.eval(fr, s.Value)
-			if err != nil {
-				return ctrlNone, err
-			}
-			val = v
-		}
-		in.retval = val
-		return ctrlReturn, nil
-
-	case *BreakStmt:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		return ctrlBreak, nil
-
-	case *ContinueStmt:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		return ctrlContinue, nil
-
-	case *PassStmt:
-		return ctrlNone, in.fireLine(fr, s.Pos())
-
-	case *GlobalStmt:
-		if err := in.fireLine(fr, s.Pos()); err != nil {
-			return ctrlNone, err
-		}
-		for _, n := range s.Names {
-			fr.globalDecls[n] = true
-		}
-		return ctrlNone, nil
-	}
-	return ctrlNone, in.rtErr(st.Pos(), "unsupported statement %T", st)
-}
-
 func collectGlobals(body []Stmt) map[string]bool {
 	out := map[string]bool{}
 	var walk func([]Stmt)
@@ -854,72 +574,6 @@ func collectGlobals(body []Stmt) map[string]bool {
 	return out
 }
 
-// assignName writes a name respecting `global` declarations.
-func (in *Interp) assignName(fr *RTFrame, name string, v *Object) {
-	if fr.globalDecls[name] {
-		in.Globals.Set(name, v)
-		return
-	}
-	fr.Locals.Set(name, v)
-}
-
-func (in *Interp) assign(fr *RTFrame, target Expr, v *Object) error {
-	switch t := target.(type) {
-	case *NameExpr:
-		in.assignName(fr, t.Name, v)
-		return nil
-	case *IndexExpr:
-		obj, err := in.eval(fr, t.X)
-		if err != nil {
-			return err
-		}
-		idx, err := in.eval(fr, t.Index)
-		if err != nil {
-			return err
-		}
-		return in.setIndex(t.Pos(), obj, idx, v)
-	case *AttrExpr:
-		obj, err := in.eval(fr, t.X)
-		if err != nil {
-			return err
-		}
-		if obj.Kind != OInstance {
-			return in.rtErr(t.Pos(), "'%s' object has no settable attribute '%s'", obj.TypeName(), t.Name)
-		}
-		obj.Attrs.SetStr(t.Name, v)
-		in.stamp(obj)
-		return nil
-	case *TupleLitExpr:
-		return in.unpack(fr, t, v)
-	case *ListLitExpr:
-		return in.unpack(fr, &TupleLitExpr{pos: pos{t.Pos()}, Elems: t.Elems}, v)
-	}
-	return in.rtErr(target.Pos(), "cannot assign to %T", target)
-}
-
-func (in *Interp) unpack(fr *RTFrame, t *TupleLitExpr, v *Object) error {
-	var items []*Object
-	switch v.Kind {
-	case OList, OTuple:
-		items = v.L
-	case OStr:
-		for _, r := range v.S {
-			items = append(items, in.newStr(string(r)))
-		}
-	default:
-		return in.rtErr(t.Pos(), "cannot unpack non-sequence %s", v.TypeName())
-	}
-	if len(items) != len(t.Elems) {
-		return in.rtErr(t.Pos(), "cannot unpack %d values into %d targets", len(items), len(t.Elems))
-	}
-	for i, el := range t.Elems {
-		if err := in.assign(fr, el, items[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (in *Interp) setIndex(line int, obj, idx, v *Object) error {
 	switch obj.Kind {
 	case OList:
@@ -942,52 +596,6 @@ func (in *Interp) setIndex(line int, obj, idx, v *Object) error {
 		return in.rtErr(line, "'str' object does not support item assignment")
 	}
 	return in.rtErr(line, "'%s' object is not subscriptable", obj.TypeName())
-}
-
-func (in *Interp) deleteTarget(fr *RTFrame, target Expr) error {
-	switch t := target.(type) {
-	case *NameExpr:
-		if _, ok := fr.Locals.Get(t.Name); ok {
-			fr.Locals.Delete(t.Name)
-			return nil
-		}
-		if _, ok := in.Globals.Get(t.Name); ok && fr.globalDecls[t.Name] {
-			in.Globals.Delete(t.Name)
-			return nil
-		}
-		return in.rtErr(t.Pos(), "name '%s' is not defined", t.Name)
-	case *IndexExpr:
-		obj, err := in.eval(fr, t.X)
-		if err != nil {
-			return err
-		}
-		idx, err := in.eval(fr, t.Index)
-		if err != nil {
-			return err
-		}
-		switch obj.Kind {
-		case OList:
-			i, err := in.seqIndex(t.Pos(), obj, idx)
-			if err != nil {
-				return err
-			}
-			obj.L = append(obj.L[:i], obj.L[i+1:]...)
-			in.stamp(obj)
-			return nil
-		case ODict:
-			ok, err := obj.D.Delete(idx)
-			if err != nil {
-				return in.rtErr(t.Pos(), "%s", err)
-			}
-			if !ok {
-				return in.rtErr(t.Pos(), "KeyError: %s", idx.Repr())
-			}
-			in.stamp(obj)
-			return nil
-		}
-		return in.rtErr(t.Pos(), "cannot delete items of '%s'", obj.TypeName())
-	}
-	return in.rtErr(target.Pos(), "cannot delete %T", target)
 }
 
 // seqIndex resolves a (possibly negative) index object into a bounds-checked
@@ -1035,24 +643,6 @@ func (in *Interp) iterate(line int, o *Object) ([]*Object, error) {
 	return nil, in.rtErr(line, "'%s' object is not iterable", o.TypeName())
 }
 
-// lookupName resolves a name: locals, then globals, then error.
-func (in *Interp) lookupName(fr *RTFrame, line int, name string) (*Object, error) {
-	if fr.Fn != nil && !fr.globalDecls[name] {
-		if v, ok := fr.Locals.Get(name); ok {
-			return v, nil
-		}
-	}
-	if v, ok := in.Globals.Get(name); ok {
-		return v, nil
-	}
-	if fr.Fn == nil {
-		if v, ok := fr.Locals.Get(name); ok {
-			return v, nil
-		}
-	}
-	return nil, in.rtErr(line, "name '%s' is not defined", name)
-}
-
 // CallFunction invokes a callable object with arguments; exported for the
 // tracker's expression evaluation extensions.
 func (in *Interp) CallFunction(line int, fn *Object, args []*Object) (*Object, error) {
@@ -1085,211 +675,6 @@ func (in *Interp) CallFunction(line int, fn *Object, args []*Object) (*Object, e
 	return nil, in.rtErr(line, "'%s' object is not callable", fn.TypeName())
 }
 
-func (in *Interp) callUser(line int, fn *Function, args []*Object) (*Object, error) {
-	if fn.code != nil {
-		return in.callUserVM(line, fn, args)
-	}
-	if len(args) != len(fn.Params) {
-		return nil, in.rtErr(line, "%s() takes %d arguments but %d were given",
-			fn.Name, len(fn.Params), len(args))
-	}
-	fr := &RTFrame{
-		Name: fn.Name, Fn: fn, Locals: in.newScope(),
-		Parent: in.cur, Line: fn.DefLine,
-		Depth: in.cur.Depth + 1, globalDecls: map[string]bool{},
-	}
-	for n := range fn.GlobalNames {
-		fr.globalDecls[n] = true
-	}
-	for i, p := range fn.Params {
-		fr.Locals.Set(p, args[i])
-	}
-	in.cur = fr
-	defer func() { in.cur = fr.Parent }()
-	if in.trace != nil {
-		if err := in.trace(fr, EventCall, nil); err != nil {
-			return nil, err
-		}
-	}
-	in.retval = in.noneO
-	err := in.execBody(fr, fn.Body)
-	if err != nil {
-		return nil, err
-	}
-	ret := in.retval
-	in.retval = in.noneO
-	if in.trace != nil {
-		if err := in.trace(fr, EventReturn, ret); err != nil {
-			return nil, err
-		}
-	}
-	return ret, nil
-}
-
-func (in *Interp) eval(fr *RTFrame, e Expr) (*Object, error) {
-	switch x := e.(type) {
-	case *NameExpr:
-		return in.lookupName(fr, x.Pos(), x.Name)
-	case *IntLitExpr:
-		return in.newInt(x.Value), nil
-	case *FloatLitExpr:
-		return in.newFloat(x.Value), nil
-	case *StrLitExpr:
-		return in.newStr(x.Value), nil
-	case *BoolLitExpr:
-		return in.newBool(x.Value), nil
-	case *NoneLitExpr:
-		return in.noneO, nil
-	case *ListLitExpr:
-		elems := make([]*Object, len(x.Elems))
-		for i, el := range x.Elems {
-			v, err := in.eval(fr, el)
-			if err != nil {
-				return nil, err
-			}
-			elems[i] = v
-		}
-		return in.newList(elems), nil
-	case *TupleLitExpr:
-		elems := make([]*Object, len(x.Elems))
-		for i, el := range x.Elems {
-			v, err := in.eval(fr, el)
-			if err != nil {
-				return nil, err
-			}
-			elems[i] = v
-		}
-		return in.newTuple(elems), nil
-	case *DictLitExpr:
-		d := in.newDict()
-		for i := range x.Keys {
-			k, err := in.eval(fr, x.Keys[i])
-			if err != nil {
-				return nil, err
-			}
-			v, err := in.eval(fr, x.Vals[i])
-			if err != nil {
-				return nil, err
-			}
-			if err := d.D.Set(k, v); err != nil {
-				return nil, in.rtErr(x.Pos(), "%s", err)
-			}
-		}
-		return d, nil
-	case *BinOpExpr:
-		l, err := in.eval(fr, x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := in.eval(fr, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return in.binOp(x.Pos(), x.Op, l, r)
-	case *UnaryExpr:
-		v, err := in.eval(fr, x.X)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case Minus:
-			switch v.Kind {
-			case OInt:
-				return in.newInt(-v.I), nil
-			case OFloat:
-				return in.newFloat(-v.F), nil
-			case OBool:
-				if v.B {
-					return in.newInt(-1), nil
-				}
-				return in.newInt(0), nil
-			}
-			return nil, in.rtErr(x.Pos(), "bad operand type for unary -: '%s'", v.TypeName())
-		case Plus:
-			if n, ok := numVal(v); ok {
-				_ = n
-				return v, nil
-			}
-			return nil, in.rtErr(x.Pos(), "bad operand type for unary +: '%s'", v.TypeName())
-		case KwNot:
-			return in.newBool(!v.Truthy()), nil
-		}
-		return nil, in.rtErr(x.Pos(), "unsupported unary op %s", x.Op)
-	case *BoolOpExpr:
-		l, err := in.eval(fr, x.L)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == KwAnd {
-			if !l.Truthy() {
-				return l, nil
-			}
-			return in.eval(fr, x.R)
-		}
-		if l.Truthy() {
-			return l, nil
-		}
-		return in.eval(fr, x.R)
-	case *CompareExpr:
-		l, err := in.eval(fr, x.First)
-		if err != nil {
-			return nil, err
-		}
-		for i, op := range x.Ops {
-			r, err := in.eval(fr, x.Rest[i])
-			if err != nil {
-				return nil, err
-			}
-			ok, err := in.compare(x.Pos(), op, l, r)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return in.falseO, nil
-			}
-			l = r
-		}
-		return in.trueO, nil
-	case *CallExpr:
-		fn, err := in.eval(fr, x.Fn)
-		if err != nil {
-			return nil, err
-		}
-		args := make([]*Object, len(x.Args))
-		for i, a := range x.Args {
-			v, err := in.eval(fr, a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		return in.CallFunction(x.Pos(), fn, args)
-	case *IndexExpr:
-		obj, err := in.eval(fr, x.X)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := in.eval(fr, x.Index)
-		if err != nil {
-			return nil, err
-		}
-		return in.getIndex(x.Pos(), obj, idx)
-	case *SliceExpr:
-		obj, err := in.eval(fr, x.X)
-		if err != nil {
-			return nil, err
-		}
-		return in.getSlice(fr, x, obj)
-	case *AttrExpr:
-		obj, err := in.eval(fr, x.X)
-		if err != nil {
-			return nil, err
-		}
-		return in.getAttr(x.Pos(), obj, x.Name)
-	}
-	return nil, in.rtErr(e.Pos(), "unsupported expression %T", e)
-}
-
 func (in *Interp) getIndex(line int, obj, idx *Object) (*Object, error) {
 	switch obj.Kind {
 	case OList, OTuple:
@@ -1315,60 +700,6 @@ func (in *Interp) getIndex(line int, obj, idx *Object) (*Object, error) {
 		return v, nil
 	}
 	return nil, in.rtErr(line, "'%s' object is not subscriptable", obj.TypeName())
-}
-
-func (in *Interp) getSlice(fr *RTFrame, x *SliceExpr, obj *Object) (*Object, error) {
-	var n int
-	switch obj.Kind {
-	case OList, OTuple:
-		n = len(obj.L)
-	case OStr:
-		n = len([]rune(obj.S))
-	default:
-		return nil, in.rtErr(x.Pos(), "'%s' object is not sliceable", obj.TypeName())
-	}
-	bound := func(e Expr, def int) (int, error) {
-		if e == nil {
-			return def, nil
-		}
-		v, err := in.eval(fr, e)
-		if err != nil {
-			return 0, err
-		}
-		if v.Kind != OInt {
-			return 0, in.rtErr(x.Pos(), "slice indices must be integers")
-		}
-		i := int(v.I)
-		if i < 0 {
-			i += n
-		}
-		if i < 0 {
-			i = 0
-		}
-		if i > n {
-			i = n
-		}
-		return i, nil
-	}
-	lo, err := bound(x.Lo, 0)
-	if err != nil {
-		return nil, err
-	}
-	hi, err := bound(x.Hi, n)
-	if err != nil {
-		return nil, err
-	}
-	if hi < lo {
-		hi = lo
-	}
-	switch obj.Kind {
-	case OList:
-		return in.newList(append([]*Object(nil), obj.L[lo:hi]...)), nil
-	case OTuple:
-		return in.newTuple(append([]*Object(nil), obj.L[lo:hi]...)), nil
-	default:
-		return in.newStr(string([]rune(obj.S)[lo:hi])), nil
-	}
 }
 
 func (in *Interp) compare(line int, op TokKind, l, r *Object) (bool, error) {

@@ -87,13 +87,9 @@ type Object struct {
 type Function struct {
 	Name    string
 	Params  []string
-	Body    []Stmt
 	DefLine int
 	EndLine int
-	// Globals names declared `global` inside the body, precomputed.
-	GlobalNames map[string]bool
-	// code is the compiled body when the function was created by the
-	// bytecode engine; nil means the tree-walker executes Body directly.
+	// code is the compiled body.
 	code *Code
 }
 

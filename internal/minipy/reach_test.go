@@ -121,7 +121,7 @@ func TestReachableEpochMemoMatchesFreshWalk(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		progs = append(progs, prog{fmt.Sprintf("list%02d.py", i), genListProgram(r)})
 	}
-	for _, eng := range []Engine{EngineVM, EngineAST} {
+	for _, eng := range engines {
 		checked := 0
 		for _, p := range progs {
 			name := p.name
@@ -130,7 +130,6 @@ func TestReachableEpochMemoMatchesFreshWalk(t *testing.T) {
 				t.Fatalf("%s: parse: %v", name, err)
 			}
 			in := NewInterp(mod)
-			in.SetEngine(eng)
 			in.MaxSteps = 60_000
 			events := 0
 			in.SetTrace(func(fr *RTFrame, ev Event, _ *Object) error {
@@ -151,7 +150,7 @@ func TestReachableEpochMemoMatchesFreshWalk(t *testing.T) {
 				}
 				return nil
 			})
-			if _, err := in.Run(); err != nil {
+			if _, err := eng.run(in); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
@@ -182,13 +181,12 @@ spin()
 other.append(1)
 spin()
 `
-	for _, eng := range []Engine{EngineVM, EngineAST} {
+	for _, eng := range engines {
 		mod, err := Parse("spin.py", src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		in := NewInterp(mod)
-		in.SetEngine(eng)
 		var big *Object
 		var walks, lines [3]int
 		phase := 0
@@ -213,7 +211,7 @@ spin()
 			}
 			return nil
 		})
-		if _, err := in.Run(); err != nil {
+		if _, err := eng.run(in); err != nil {
 			t.Fatal(err)
 		}
 		if len(big.L) != 1000 {

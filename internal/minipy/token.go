@@ -1,6 +1,6 @@
 // Package minipy implements MiniPy, a small dynamically-typed language with
 // Python syntax and semantics, built as the interpreted-inferior substrate of
-// the EasyTracker reproduction. Its tree-walking interpreter exposes a
+// the EasyTracker reproduction. Its bytecode interpreter exposes a
 // settrace-style hook (call/line/return events) on which the MiniPy tracker
 // implements the EasyTracker control interface, exactly as the paper's Python
 // tracker builds on sys.settrace (Section II-C2).

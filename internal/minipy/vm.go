@@ -4,24 +4,24 @@ import "fmt"
 
 // The bytecode dispatch loop. One runCode activation executes one code
 // object (the module body or a function body) over a preallocated operand
-// stack. The loop preserves the tree-walker's full observable contract:
+// stack. The loop keeps MiniPy's observable contract, which the package
+// tests check against a tree-walking reference interpreter:
 //
-//   - trace hooks: opLine/opIterNextLine route through fireLine, the same
-//     entry point the tree-walker uses, so line events fire at the same
-//     source lines in the same order, charge the same step budget, and
-//     propagate hook errors (tracker aborts) identically;
+//   - trace hooks: opLine/opIterNextLine route through fireLine, so line
+//     events fire once per executed statement in source order, charge the
+//     step budget, and propagate hook errors (tracker aborts) verbatim;
 //   - write barriers: every binding write goes through Scope.setSlot /
 //     Scope.Set and every in-place mutation through Interp.stamp, so the
 //     mutation epoch and ReachableEpoch stay valid for the watch fast path;
-//   - errors: runtime failures use the same rtErr formats at the same lines,
+//   - errors: runtime failures use the rtErr formats at the source line,
 //     and panics escape to the tracker's containment barrier unchanged.
 type iterReg struct {
 	items []*Object
 	idx   int
 }
 
-// runModuleVM executes the module body under the bytecode engine.
-func (in *Interp) runModuleVM(mod *RTFrame) error {
+// runModule compiles the module (once per Module) and executes its body.
+func (in *Interp) runModule(mod *RTFrame) error {
 	prog := in.module.program()
 	in.prog = prog
 	in.consts = make([]*Object, len(prog.consts))
@@ -40,9 +40,9 @@ func (in *Interp) runModuleVM(mod *RTFrame) error {
 	return err
 }
 
-// callUserVM invokes a compiled function: the bytecode counterpart of
-// callUser, with parameters bound into slots before the call event fires.
-func (in *Interp) callUserVM(line int, fn *Function, args []*Object) (*Object, error) {
+// callUser invokes a compiled function, with parameters bound into slots
+// before the call event fires.
+func (in *Interp) callUser(line int, fn *Function, args []*Object) (*Object, error) {
 	if len(args) != len(fn.Params) {
 		return nil, in.rtErr(line, "%s() takes %d arguments but %d were given",
 			fn.Name, len(fn.Params), len(args))
@@ -56,7 +56,7 @@ func (in *Interp) callUserVM(line int, fn *Function, args []*Object) (*Object, e
 	fr := &RTFrame{
 		Name: fn.Name, Fn: fn, Locals: locals,
 		Parent: in.cur, Line: fn.DefLine,
-		Depth: in.cur.Depth + 1, globalDecls: fn.GlobalNames,
+		Depth: in.cur.Depth + 1,
 	}
 	for i := range args {
 		locals.setSlot(int(code.paramSlots[i]), args[i])
@@ -116,8 +116,7 @@ func (in *Interp) runCode(fr *RTFrame, code *Code) (*Object, error) {
 		case opLoadLocal:
 			v := fr.Locals.slots[ins.A]
 			if v == nil {
-				// Not locally bound (yet): fall back to globals,
-				// as the tree-walker's lookupName does.
+				// Not locally bound (yet): fall back to globals.
 				name := prog.names[ins.B]
 				gv, ok := g.Get(name)
 				if !ok {
@@ -490,9 +489,8 @@ func (in *Interp) runCode(fr *RTFrame, code *Code) (*Object, error) {
 		case opMakeFunc:
 			p := prog.funcs[ins.A]
 			fn := &Function{
-				Name: p.name, Params: p.params, Body: p.body,
-				DefLine: p.defLine, EndLine: p.endLine,
-				GlobalNames: p.globals, code: p.code,
+				Name: p.name, Params: p.params,
+				DefLine: p.defLine, EndLine: p.endLine, code: p.code,
 			}
 			stack[sp] = in.alloc(&Object{Kind: OFunc, Fn: fn})
 			sp++

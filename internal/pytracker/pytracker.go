@@ -260,9 +260,6 @@ func (t *Tracker) LoadProgram(path string, opts ...core.LoadOption) error {
 	if cfg.Args != nil {
 		in.SetArgs(cfg.Args)
 	}
-	if cfg.ASTInterpreter {
-		in.SetEngine(minipy.EngineAST)
-	}
 	in.SetTrace(t.traceFn)
 	t.file = path
 	t.conv = nil
@@ -658,8 +655,8 @@ func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 // identifier is pre-split, a "fn:name" or bare-name watch walks the frames
 // only when the event's frame changes (one pointer compare plus one slot
 // load otherwise), and global reads go through globalWatch's slot cache.
-// Names outside a symtab (the tree walker, dynamically injected bindings)
-// keep the map lookup.
+// Names outside a symtab (dynamically injected bindings) keep the map
+// lookup.
 func (t *Tracker) resolveWatch(fr *minipy.RTFrame, w *watchCache) (*minipy.Object, bool) {
 	if w.scope == "::" {
 		return t.globalWatch(w)
@@ -697,9 +694,9 @@ func (t *Tracker) resolveWatch(fr *minipy.RTFrame, w *watchCache) (*minipy.Objec
 
 // globalWatch reads a watch's name from the module globals. The watch
 // upgrades itself to a direct slot read (one array load per event) the first
-// time the interpreter's module symtab is attached — the bytecode engine
-// attaches it before the first trace event, so in practice every event after
-// the first skips the map lookup.
+// time the interpreter's module symtab is attached — Run attaches it before
+// the first trace event, so in practice every event after the first skips
+// the map lookup.
 func (t *Tracker) globalWatch(w *watchCache) (*minipy.Object, bool) {
 	g := t.interp.Globals
 	if w.gslot < 0 {
@@ -721,10 +718,10 @@ func (t *Tracker) resolveVar(fr *minipy.RTFrame, fn, name string) (*minipy.Objec
 		return o, ok
 	case "":
 		// A bare name follows MiniPy's two-level scoping rule, the same
-		// one the interpreter's own lookupName applies: the innermost
-		// frame's locals, then the module globals. MiniPy has no
-		// closures, so enclosing function frames never contribute
-		// bindings and are deliberately not walked.
+		// one the interpreter applies: the innermost frame's locals,
+		// then the module globals. MiniPy has no closures, so enclosing
+		// function frames never contribute bindings and are
+		// deliberately not walked.
 		if o, ok := fr.Locals.Get(name); ok {
 			return o, true
 		}

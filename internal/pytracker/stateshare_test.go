@@ -37,19 +37,15 @@ func digest(t *testing.T, st *core.State) [32]byte {
 	return sha256.Sum256(b)
 }
 
-// loadSharing loads a testdata program on the chosen engine.
-func loadSharing(t *testing.T, file string, ast bool) *Tracker {
+// loadSharing loads a testdata program.
+func loadSharing(t *testing.T, file string) *Tracker {
 	t.Helper()
 	src, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []core.LoadOption{core.WithSource(string(src))}
-	if ast {
-		opts = append(opts, core.WithASTInterpreter())
-	}
 	tr := New()
-	if err := tr.LoadProgram(filepath.Base(file), opts...); err != nil {
+	if err := tr.LoadProgram(filepath.Base(file), core.WithSource(string(src))); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -67,45 +63,43 @@ func TestReturnedStatesNeverChange(t *testing.T) {
 		sum [32]byte
 	}
 	for _, file := range sharingPrograms(t) {
-		for _, ast := range []bool{false, true} {
-			tr := loadSharing(t, file, ast)
-			if err := tr.Start(); err != nil {
-				t.Fatal(err)
+		tr := loadSharing(t, file)
+		if err := tr.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var kept []held
+		keep := func(st *core.State) { kept = append(kept, held{st, digest(t, st)}) }
+		for step := 0; ; step++ {
+			if _, done := tr.ExitCode(); done {
+				break
 			}
-			var kept []held
-			keep := func(st *core.State) { kept = append(kept, held{st, digest(t, st)}) }
-			for step := 0; ; step++ {
-				if _, done := tr.ExitCode(); done {
-					break
-				}
-				switch step % 3 {
-				case 1:
-					fr, err := tr.CurrentFrame()
-					if err != nil {
-						t.Fatal(err)
-					}
-					keep(&core.State{Frame: fr})
-				case 2:
-					g, err := tr.GlobalVariables()
-					if err != nil {
-						t.Fatal(err)
-					}
-					keep(&core.State{Globals: g})
-				}
-				st, err := tr.State()
+			switch step % 3 {
+			case 1:
+				fr, err := tr.CurrentFrame()
 				if err != nil {
 					t.Fatal(err)
 				}
-				keep(st)
-				if err := tr.Step(); err != nil {
-					t.Fatalf("%s: %v", file, err)
+				keep(&core.State{Frame: fr})
+			case 2:
+				g, err := tr.GlobalVariables()
+				if err != nil {
+					t.Fatal(err)
 				}
+				keep(&core.State{Globals: g})
 			}
-			tr.Terminate()
-			for i, h := range kept {
-				if digest(t, h.st) != h.sum {
-					t.Fatalf("%s (ast=%v): result %d changed after it was returned", file, ast, i)
-				}
+			st, err := tr.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep(st)
+			if err := tr.Step(); err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+		}
+		tr.Terminate()
+		for i, h := range kept {
+			if digest(t, h.st) != h.sum {
+				t.Fatalf("%s: result %d changed after it was returned", file, i)
 			}
 		}
 	}
@@ -131,31 +125,29 @@ func (d *digestingTracker) State() (*core.State, error) {
 // full trace, which keeps every State of the run.
 func TestRecordedTraceStatesNeverChange(t *testing.T) {
 	for _, file := range sharingPrograms(t) {
-		for _, ast := range []bool{false, true} {
-			d := &digestingTracker{Tracker: loadSharing(t, file, ast), t: t}
-			trace, err := pt.Record(d, nil, pt.Options{Mode: pt.ModeFullStep})
-			if err != nil {
-				t.Fatalf("%s: %v", file, err)
+		d := &digestingTracker{Tracker: loadSharing(t, file), t: t}
+		trace, err := pt.Record(d, nil, pt.Options{Mode: pt.ModeFullStep})
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		n := 0
+		for _, s := range trace.Steps {
+			if s.State == nil {
+				continue
 			}
-			n := 0
-			for _, s := range trace.Steps {
-				if s.State == nil {
-					continue
-				}
-				if digest(t, &core.State{Frame: s.State.Frame, Globals: s.State.Globals}) != d.sums[n] {
-					t.Fatalf("%s (ast=%v): step %d changed after it was recorded", file, ast, n)
-				}
-				n++
+			if digest(t, &core.State{Frame: s.State.Frame, Globals: s.State.Globals}) != d.sums[n] {
+				t.Fatalf("%s: step %d changed after it was recorded", file, n)
 			}
-			if n != len(d.sums) || n == 0 {
-				t.Fatalf("%s: %d recorded States for %d State calls", file, n, len(d.sums))
-			}
+			n++
+		}
+		if n != len(d.sums) || n == 0 {
+			t.Fatalf("%s: %d recorded States for %d State calls", file, n, len(d.sums))
 		}
 	}
 }
 
-// TestStateMatchesOneShotAtPauses runs a probe-shaped watch program on both
-// engines and, at every pause, requires the State the session converter
+// TestStateMatchesOneShotAtPauses runs a probe-shaped watch program and, at
+// every pause, requires the State the session converter
 // builds to encode exactly as a one-shot conversion of the same pause. The
 // watch reasons' Old/New values share each document with the frames and
 // globals, so any Value shared between them would show up as a backref.
@@ -171,44 +163,38 @@ while w < 30:
     if w % 7 == 0:
         node[0] = w
 `
-	for _, ast := range []bool{false, true} {
-		opts := []core.LoadOption{core.WithSource(src)}
-		if ast {
-			opts = append(opts, core.WithASTInterpreter())
-		}
-		tr := New()
-		if err := tr.LoadProgram("probe.py", opts...); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Start(); err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range []string{"::w", "::data", "::node"} {
-			if err := tr.Watch(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for pause := 0; ; pause++ {
-			if _, done := tr.ExitCode(); done {
-				break
-			}
-			st, err := tr.State()
-			if err != nil {
-				t.Fatal(err)
-			}
-			one := minipy.NewConverter(tr.interp)
-			want := &core.State{
-				Frame:   minipy.SnapshotFrame(one, tr.curFrame, tr.file),
-				Globals: minipy.SnapshotGlobals(one, tr.interp.Globals),
-				Reason:  st.Reason,
-			}
-			if digest(t, st) != digest(t, want) {
-				t.Fatalf("ast=%v pause %d (%s): session State differs from a one-shot conversion", ast, pause, st.Reason.Type)
-			}
-			if err := tr.Resume(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tr.Terminate()
+	tr := New()
+	if err := tr.LoadProgram("probe.py", core.WithSource(src)); err != nil {
+		t.Fatal(err)
 	}
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"::w", "::data", "::node"} {
+		if err := tr.Watch(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pause := 0; ; pause++ {
+		if _, done := tr.ExitCode(); done {
+			break
+		}
+		st, err := tr.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		one := minipy.NewConverter(tr.interp)
+		want := &core.State{
+			Frame:   minipy.SnapshotFrame(one, tr.curFrame, tr.file),
+			Globals: minipy.SnapshotGlobals(one, tr.interp.Globals),
+			Reason:  st.Reason,
+		}
+		if digest(t, st) != digest(t, want) {
+			t.Fatalf("pause %d (%s): session State differs from a one-shot conversion", pause, st.Reason.Type)
+		}
+		if err := tr.Resume(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Terminate()
 }

@@ -70,8 +70,8 @@ func valueJSON(t *testing.T, v *core.Value) string {
 	return string(b)
 }
 
-// oracleWatchRun runs src with the given watches on one engine and returns
-// the tracker's watch pauses next to an oracle's. The oracle wraps the
+// oracleWatchRun runs src with the given watches and load options and
+// returns the tracker's watch pauses next to an oracle's. The oracle wraps the
 // tracker's trace function: at every event, before the tracker's own check,
 // it resolves each watch through resolveVar (the cold path), converts it
 // with a fresh Converter and applies core.WatchChanged against its previous
@@ -126,9 +126,12 @@ func oracleWatchRun(t *testing.T, src string, ids []string, opts ...core.LoadOpt
 }
 
 // TestWatchFastPathMatchesOracle is the differential oracle for the watch
-// fast path, on both engines (the tree walker's scopes have no symtab slots,
-// so it exercises the map path): the tracker's watch pauses must equal the
-// oracle's hits — same event, same variable, same old and new JSON.
+// fast path: the tracker's watch pauses must equal the oracle's hits — same
+// event, same variable, same old and new JSON. It runs each program twice:
+// plain, and recording itself for time travel. A recording session runs a
+// Converter and reads the mutation epoch at every event ahead of the watch
+// check, so the second run pins that recording leaves the epoch test and
+// the snapshot memo the fast path keys on undisturbed.
 func TestWatchFastPathMatchesOracle(t *testing.T) {
 	type program struct {
 		name, src string
@@ -189,21 +192,21 @@ g = [1, 2, 3]
 g[0] = 9
 `},
 	)
-	engines := []struct {
+	sessions := []struct {
 		name string
 		opts []core.LoadOption
 	}{
 		{"vm", nil},
-		{"ast", []core.LoadOption{core.WithASTInterpreter()}},
+		{"recording", []core.LoadOption{core.WithRecording(0)}},
 	}
 	for _, p := range progs {
 		ids := p.ids
 		if ids == nil {
 			ids = watchVars(t, p.src)
 		}
-		for _, eng := range engines {
-			t.Run(p.name+"/"+eng.name, func(t *testing.T) {
-				got, want := oracleWatchRun(t, p.src, ids, eng.opts...)
+		for _, ses := range sessions {
+			t.Run(p.name+"/"+ses.name, func(t *testing.T) {
+				got, want := oracleWatchRun(t, p.src, ids, ses.opts...)
 				if len(want) == 0 {
 					t.Fatalf("oracle saw no watch hits for %v", ids)
 				}

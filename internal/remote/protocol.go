@@ -240,7 +240,7 @@ func (s *LoadSpec) loadOptions(caps tenantCaps, stdout, stderr *deltaBuffer, std
 	if s.CmdNs > 0 {
 		opts = append(opts, core.WithCommandTimeout(time.Duration(s.CmdNs)))
 	}
-	if d := tighterDuration(time.Duration(s.ExecNs), caps.ExecTimeout); d > 0 {
+	if d := tighter(time.Duration(s.ExecNs), caps.ExecTimeout); d > 0 {
 		opts = append(opts, core.WithExecutionTimeout(d))
 	}
 	if b := mergeBudgets(s.Budgets, caps.Budgets); b.Any() {
@@ -276,62 +276,24 @@ type tenantCaps struct {
 	NoRecording bool
 }
 
-// tighterDuration picks the smaller non-zero duration.
-func tighterDuration(a, b time.Duration) time.Duration {
-	switch {
-	case a <= 0:
-		return b
-	case b <= 0:
-		return a
-	case a < b:
-		return a
-	default:
-		return b
-	}
-}
-
 // mergeBudgets combines the client's requested budgets with the server's
 // tenant caps, taking the tighter non-zero bound per resource.
 func mergeBudgets(req, ceiling core.Budgets) core.Budgets {
 	return core.Budgets{
-		MaxSteps:        tighterI64(req.MaxSteps, ceiling.MaxSteps),
-		MaxDepth:        tighterInt(req.MaxDepth, ceiling.MaxDepth),
-		MaxHeapObjects:  tighterI64(req.MaxHeapObjects, ceiling.MaxHeapObjects),
-		MaxInstructions: tighterU64(req.MaxInstructions, ceiling.MaxInstructions),
+		MaxSteps:        tighter(req.MaxSteps, ceiling.MaxSteps),
+		MaxDepth:        tighter(req.MaxDepth, ceiling.MaxDepth),
+		MaxHeapObjects:  tighter(req.MaxHeapObjects, ceiling.MaxHeapObjects),
+		MaxInstructions: tighter(req.MaxInstructions, ceiling.MaxInstructions),
 	}
 }
 
-func tighterI64(a, b int64) int64 {
+// tighter picks the smaller positive bound; a zero or negative bound
+// imposes none.
+func tighter[T time.Duration | int | int64 | uint64](a, b T) T {
 	switch {
 	case a <= 0:
 		return b
 	case b <= 0:
-		return a
-	case a < b:
-		return a
-	default:
-		return b
-	}
-}
-
-func tighterInt(a, b int) int {
-	switch {
-	case a <= 0:
-		return b
-	case b <= 0:
-		return a
-	case a < b:
-		return a
-	default:
-		return b
-	}
-}
-
-func tighterU64(a, b uint64) uint64 {
-	switch {
-	case a == 0:
-		return b
-	case b == 0:
 		return a
 	case a < b:
 		return a

@@ -286,6 +286,65 @@ func TestServerTenantBudgets(t *testing.T) {
 	}
 }
 
+// TestLoadOptionsTighterBound folds a client's load request and the
+// server's tenant caps into the backend's load options: the execution
+// timeout and each resource budget is the smaller non-zero bound, and a
+// zero on either side leaves the other side's bound.
+func TestLoadOptionsTighterBound(t *testing.T) {
+	fields := []struct {
+		name   string
+		client func(*LoadSpec, int64)
+		server func(*tenantCaps, int64)
+		got    func(*core.LoadConfig) int64
+	}{
+		{"ExecTimeout",
+			func(s *LoadSpec, v int64) { s.ExecNs = v },
+			func(c *tenantCaps, v int64) { c.ExecTimeout = time.Duration(v) },
+			func(c *core.LoadConfig) int64 { return int64(c.ExecTimeout) }},
+		{"MaxSteps",
+			func(s *LoadSpec, v int64) { s.Budgets.MaxSteps = v },
+			func(c *tenantCaps, v int64) { c.Budgets.MaxSteps = v },
+			func(c *core.LoadConfig) int64 { return c.Budgets.MaxSteps }},
+		{"MaxDepth",
+			func(s *LoadSpec, v int64) { s.Budgets.MaxDepth = int(v) },
+			func(c *tenantCaps, v int64) { c.Budgets.MaxDepth = int(v) },
+			func(c *core.LoadConfig) int64 { return int64(c.Budgets.MaxDepth) }},
+		{"MaxHeapObjects",
+			func(s *LoadSpec, v int64) { s.Budgets.MaxHeapObjects = v },
+			func(c *tenantCaps, v int64) { c.Budgets.MaxHeapObjects = v },
+			func(c *core.LoadConfig) int64 { return c.Budgets.MaxHeapObjects }},
+		{"MaxInstructions",
+			func(s *LoadSpec, v int64) { s.Budgets.MaxInstructions = uint64(v) },
+			func(c *tenantCaps, v int64) { c.Budgets.MaxInstructions = uint64(v) },
+			func(c *core.LoadConfig) int64 { return int64(c.Budgets.MaxInstructions) }},
+	}
+	cases := []struct {
+		name                 string
+		client, server, want int64
+	}{
+		{"client tighter", 5, 9, 5},
+		{"server tighter", 9, 5, 5},
+		{"client zero", 0, 7, 7},
+		{"server zero", 7, 0, 7},
+		{"both zero", 0, 0, 0},
+	}
+	for _, f := range fields {
+		for _, c := range cases {
+			var spec LoadSpec
+			var caps tenantCaps
+			f.client(&spec, c.client)
+			f.server(&caps, c.server)
+			var cfg core.LoadConfig
+			for _, o := range spec.loadOptions(caps, nil, nil, "") {
+				o(&cfg)
+			}
+			if got := f.got(&cfg); got != c.want {
+				t.Errorf("%s, %s: got %d, want %d", f.name, c.name, got, c.want)
+			}
+		}
+	}
+}
+
 // TestServerStdoutDelta: inferior output crosses the wire and lands in the
 // client's writer.
 func TestServerStdoutDelta(t *testing.T) {

@@ -97,7 +97,7 @@ func (ps *Probes[C]) Arm(p core.Probe, g query.Gate) (*Watch[C], error) {
 func (ps *Probes[C]) PauseAt(tl Timeline, file string, pos, from int) (core.PauseReason, bool) {
 	ev, line, fn, depth := tl.EventAt(pos), tl.LineAt(pos), tl.FuncAt(pos), tl.DepthAt(pos)
 	ps.view = query.StateView{
-		EventName: queryEvent(ev), LineNo: line, FileName: file, FuncName: fn,
+		EventName: QueryEvent(ev), LineNo: line, FileName: file, FuncName: fn,
 		Source: tl, Step: pos, DepthNo: depth,
 	}
 	v := &ps.view
@@ -148,9 +148,9 @@ func (ps *Probes[C]) PauseAt(tl Timeline, file string, pos, from int) (core.Paus
 	return core.PauseReason{}, false
 }
 
-// queryEvent maps a recorded event onto the query language's event
+// QueryEvent maps a recorded event onto the query language's event
 // vocabulary: everything but a call or a return reads as a line event.
-func queryEvent(ev string) string {
+func QueryEvent(ev string) string {
 	switch ev {
 	case pt.EventCall:
 		return query.EventCall
