@@ -548,29 +548,11 @@ func BenchmarkSteppingOverheadMiniPy(b *testing.B) {
 }
 
 // BenchmarkResumeWithWatchpointMiniPy measures resume when a watchpoint
-// forces internal line-by-line comparison.
-func BenchmarkResumeWithWatchpointMiniPy(b *testing.B) {
-	b.ReportAllocs()
-	src := "total = 0\nk = 0\nwhile k < 200:\n    k = k + 1\ntotal = 1\n"
-	for i := 0; i < b.N; i++ {
-		tr := mustTracker(b, "minipy", "w.py", src)
-		if err := tr.Start(); err != nil {
-			b.Fatal(err)
-		}
-		if err := tr.Watch("::total"); err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, done := tr.ExitCode(); done {
-				break
-			}
-			if err := tr.Resume(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		tr.Terminate()
-	}
-}
+// forces internal line-by-line comparison. It runs the default
+// configuration, so it is also the off path of observability, span tracing
+// and recording: et-benchdiff's allocs/op gate on it holds each of them to
+// one pointer test and zero allocations until a session opts in.
+func BenchmarkResumeWithWatchpointMiniPy(b *testing.B) { benchWatchResume(b) }
 
 // BenchmarkStateAcrossPausesMiniPy prices State conversion across pauses
 // (DESIGN.md §19). One op is a 100-pause session: a watch on a scalar, a
@@ -654,33 +636,13 @@ func BenchmarkConditionalBreakMiniPy(b *testing.B) {
 // scales with the ~200 executed lines. et-benchdiff gates both benchmarks
 // against the committed baseline.
 func BenchmarkBudgetCheckOverhead(b *testing.B) {
-	b.ReportAllocs()
-	src := "total = 0\nk = 0\nwhile k < 200:\n    k = k + 1\ntotal = 1\n"
-	budgets := easytracker.Budgets{
-		MaxSteps:       1 << 40,
-		MaxDepth:       1 << 20,
-		MaxHeapObjects: 1 << 40,
-	}
-	for i := 0; i < b.N; i++ {
-		tr := mustTracker(b, "minipy", "w.py", src,
-			easytracker.WithBudgets(budgets),
-			easytracker.WithExecutionTimeout(time.Hour))
-		if err := tr.Start(); err != nil {
-			b.Fatal(err)
-		}
-		if err := tr.Watch("::total"); err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, done := tr.ExitCode(); done {
-				break
-			}
-			if err := tr.Resume(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		tr.Terminate()
-	}
+	benchWatchResume(b,
+		easytracker.WithBudgets(easytracker.Budgets{
+			MaxSteps:       1 << 40,
+			MaxDepth:       1 << 20,
+			MaxHeapObjects: 1 << 40,
+		}),
+		easytracker.WithExecutionTimeout(time.Hour))
 }
 
 // BenchmarkRemoteRoundTrip is BenchmarkResumeWithWatchpointMiniPy's workload
@@ -807,10 +769,12 @@ func benchRemoteSession(b *testing.B, opts ...easytracker.LoadOption) {
 	}
 }
 
-// benchObsOverhead is BenchmarkResumeWithWatchpointMiniPy's workload with
-// caller-chosen load options, so the Off/On pair below isolates what the
-// instrumentation itself costs on the hottest path (per-line watch sweeps).
-func benchObsOverhead(b *testing.B, opts ...easytracker.LoadOption) {
+// benchWatchResume is one session per op: a watch on a global of a
+// 200-iteration loop, resumed to the exit, under caller-chosen load
+// options. With none it is BenchmarkResumeWithWatchpointMiniPy; each On
+// benchmark passes the option that turns one instrument on, pricing it on
+// the hottest path (per-line watch sweeps).
+func benchWatchResume(b *testing.B, opts ...easytracker.LoadOption) {
 	b.ReportAllocs()
 	src := "total = 0\nk = 0\nwhile k < 200:\n    k = k + 1\ntotal = 1\n"
 	for i := 0; i < b.N; i++ {
@@ -833,27 +797,16 @@ func benchObsOverhead(b *testing.B, opts ...easytracker.LoadOption) {
 	}
 }
 
-// BenchmarkObsOverheadOff is the disabled-by-default cost: it must stay
-// within tolerance of BenchmarkResumeWithWatchpointMiniPy (et-benchdiff
-// gates it against the committed baseline).
-func BenchmarkObsOverheadOff(b *testing.B) { benchObsOverhead(b) }
-
 // BenchmarkObsOverheadOn prices full instrumentation: op timers, per-line
 // watch-check latencies, counters and the flight recorder.
 func BenchmarkObsOverheadOn(b *testing.B) {
-	benchObsOverhead(b, easytracker.WithObservability())
+	benchWatchResume(b, easytracker.WithObservability())
 }
-
-// BenchmarkSpanOverheadOff is the span-tracing-disabled cost: the nil-tracer
-// path is one pointer test per operation, so allocs/op must stay identical
-// to BenchmarkObsOverheadOff (et-benchdiff gates it against the committed
-// baseline).
-func BenchmarkSpanOverheadOff(b *testing.B) { benchObsOverhead(b) }
 
 // BenchmarkSpanOverheadOn prices span tracing: one record allocation and a
 // lock-free ring publish per completed tracker operation.
 func BenchmarkSpanOverheadOn(b *testing.B) {
-	benchObsOverhead(b, easytracker.WithObservability(easytracker.WithSpanTracing(256)))
+	benchWatchResume(b, easytracker.WithObservability(easytracker.WithSpanTracing(256)))
 }
 
 // BenchmarkNativeMiniC is the raw machine baseline.

@@ -2,10 +2,11 @@
 // State conversion and remote benchmarks, compares them against the
 // committed baseline, and writes a JSON report. It exits non-zero when any
 // gated benchmark's allocs/op or ns/op regresses beyond its tolerance, so
-// it can serve as a CI guard for the watchpoint fast path, for the obs-off
-// overhead budget, against a return to per-value allocations in the State
-// codec, against converting unchanged MiniPy values again at every pause
-// and against an inspected remote pause costing more than one round trip.
+// it can serve as a CI guard for the watchpoint fast path (which is also
+// the off path of observability, span tracing and recording), against a
+// return to per-value allocations in the State codec, against converting
+// unchanged MiniPy values again at every pause and against an inspected
+// remote pause costing more than one round trip.
 //
 // Usage:
 //
@@ -13,10 +14,9 @@
 //	             [-count N] [-gate NAME[,NAME...]] [-tolerance PCT]
 //	             [-ns-tolerance PCT] [-dir DIR]
 //
-// The baseline (cmd/et-benchdiff/baseline.json) holds the numbers
-// measured before the dirty-tracking write barriers landed, plus the
-// watchpoint-resume numbers BenchmarkObsOverheadOff must not regress
-// from; the report quotes both sides plus the improvement factors.
+// The baseline (cmd/et-benchdiff/baseline.json) holds the committed
+// reference numbers, with their history in its note; the report quotes
+// both sides plus the improvement factors.
 package main
 
 import (
@@ -116,7 +116,7 @@ func main() {
 	baselinePath := flag.String("baseline", filepath.Join("cmd", "et-benchdiff", "baseline.json"), "committed baseline JSON")
 	outPath := flag.String("o", "BENCH_1.json", "report output path")
 	count := flag.Int("count", 1, "benchmark repetitions (best of N is kept)")
-	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkObsOverheadOff,BenchmarkSpanOverheadOff,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,allocs:BenchmarkRemoteInspectMiniPy,BenchmarkRecordingOverheadOff,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateAcrossPausesMiniPy", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency)")
+	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,allocs:BenchmarkRemoteInspectMiniPy,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateAcrossPausesMiniPy", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency)")
 	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op regression in percent")
 	nsTolerance := flag.Float64("ns-tolerance", 15, "allowed ns/op regression in percent (ns/op is noisier than allocs/op)")
 	dir := flag.String("dir", ".", "module directory to benchmark")

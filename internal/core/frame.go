@@ -64,6 +64,35 @@ func (f *Frame) Lookup(name string) *Variable {
 	return nil
 }
 
+// Lookup resolves a variable reference parsed by ParseVarRef: scope ""
+// reads the innermost frame, then the globals; "::" reads the globals; a
+// function name reads that function's innermost activation. owner is the
+// function of the frame that holds the variable, "" for a global.
+func (s *State) Lookup(scope, name string) (v *Value, owner string, ok bool) {
+	if scope != "" && scope != "::" {
+		for fr := s.Frame; fr != nil; fr = fr.Parent {
+			if fr.Name == scope {
+				if va := fr.Lookup(name); va != nil {
+					return va.Value, fr.Name, true
+				}
+				return nil, "", false
+			}
+		}
+		return nil, "", false
+	}
+	if scope == "" && s.Frame != nil {
+		if va := s.Frame.Lookup(name); va != nil {
+			return va.Value, s.Frame.Name, true
+		}
+	}
+	for _, g := range s.Globals {
+		if g.Name == name {
+			return g.Value, "", true
+		}
+	}
+	return nil, "", false
+}
+
 // Stack returns the frames from this frame outward to the entry frame,
 // innermost first.
 func (f *Frame) Stack() []*Frame {

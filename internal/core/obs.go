@@ -26,6 +26,19 @@ type ObsConfig struct {
 	SpanSink *obs.SpanRing
 }
 
+// Tracer builds the span tracer this configuration asks for, with spans
+// attributed to process proc: a shared SpanSink wins, else an own ring of
+// Spans records, else nil, which is tracing off.
+func (c ObsConfig) Tracer(proc string) *obs.Tracer {
+	switch {
+	case c.SpanSink != nil:
+		return obs.NewTracerOn(proc, c.SpanSink)
+	case c.Spans > 0:
+		return obs.NewTracer(proc, c.Spans)
+	}
+	return nil
+}
+
 // ObsOption customizes WithObservability.
 type ObsOption func(*ObsConfig)
 

@@ -333,15 +333,3 @@ func TrackerKinds() []string {
 	sort.Strings(kinds)
 	return kinds
 }
-
-// SplitVarID splits a variable identifier into its function and variable
-// parts. "fib:n" -> ("fib", "n"), "::g" -> ("::", "g"), "x" -> ("", "x").
-func SplitVarID(id string) (fn, name string) {
-	if strings.HasPrefix(id, "::") {
-		return "::", id[2:]
-	}
-	if i := strings.Index(id, ":"); i >= 0 {
-		return id[:i], id[i+1:]
-	}
-	return "", id
-}

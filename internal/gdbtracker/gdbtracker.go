@@ -205,11 +205,7 @@ func (t *Tracker) initObs() {
 		events = obs.DefaultEvents
 	}
 	t.obs = obs.New(obs.Config{Enabled: t.cfg.Obs.Enabled, Events: events})
-	if sink := t.cfg.Obs.SpanSink; sink != nil {
-		t.tracer = obs.NewTracerOn(Kind, sink)
-	} else if t.cfg.Obs.Spans > 0 {
-		t.tracer = obs.NewTracer(Kind, t.cfg.Obs.Spans)
-	}
+	t.tracer = t.cfg.Obs.Tracer(Kind)
 }
 
 // Stats implements core.StatsProvider.
@@ -753,16 +749,19 @@ func (t *Tracker) armTrack(name string, bc core.BreakConfig) error {
 	return nil
 }
 
-// armWatch performs the watchpoint insertion. Global variables ("name" or
-// "::name") can be watched any time; locals ("func:name") require a live
-// activation of the function, as with GDB. The MI -break-watch command has
-// no temporary (-t) form, so a one-shot watch is rejected up front rather
-// than silently armed as persistent.
+// armWatch performs the watchpoint insertion. Global variables ("name",
+// "::name" or "globals.name") can be watched any time; locals
+// ("func:name") require a live activation of the function, as with GDB.
+// The MI -break-watch command has no temporary (-t) form, so a one-shot
+// watch is rejected up front rather than silently armed as persistent.
 func (t *Tracker) armWatch(varID string, bc core.BreakConfig) error {
 	if bc.OneShot {
 		return fmt.Errorf("one-shot watchpoints: %w", core.ErrUnsupported)
 	}
-	fn, name := core.SplitVarID(varID)
+	fn, name, err := core.ParseVarRef(varID)
+	if err != nil {
+		return err
+	}
 	expr := name
 	if fn != "" && fn != "::" {
 		expr = fn + ":" + name
@@ -850,6 +849,12 @@ func (t *Tracker) fetchState() (*core.State, error) {
 	if err := st.UnmarshalJSON([]byte(resp.Result.GetString("state"))); err != nil {
 		sp.EndErr(err)
 		return nil, fmt.Errorf("gdbtracker: bad state payload: %w", err)
+	}
+	if !t.replaying() {
+		// The MI server's reason knows breakpoints, not what the tracker
+		// armed them for (a tracked entry or exit, a watch's ID); a live
+		// pause reports the tracker's own, as PauseReason does.
+		st.Reason = t.reason
 	}
 	t.state = &st
 	t.stateVersion, _ = strconv.ParseUint(resp.Result.GetString("version"), 10, 64)

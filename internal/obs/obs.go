@@ -10,7 +10,7 @@
 //     Enabled false. Every method tolerates a nil receiver and the timing
 //     helpers return zero values without reading the clock, so the
 //     instrumented code paths pay one pointer/bool test and nothing else
-//     (BenchmarkObsOverheadOff guards this).
+//     (BenchmarkResumeWithWatchpointMiniPy guards this).
 //   - Enabled (core.WithObservability): op latencies are measured with two
 //     clock reads and recorded lock-free into fixed histogram buckets; the
 //     flight recorder claims its slot with one atomic add.

@@ -14,8 +14,8 @@ import (
 // flight recorder: completed spans are published lock-free into a fixed
 // ring (one atomic add to claim a slot, one atomic pointer store to
 // publish), and every method tolerates a nil receiver so the disabled path
-// costs one pointer test and zero allocations (BenchmarkSpanOverheadOff
-// guards this).
+// costs one pointer test and zero allocations
+// (BenchmarkResumeWithWatchpointMiniPy guards this).
 //
 // Id model (the usual distributed-tracing shape, cut down to what a tracker
 // fleet needs):

@@ -77,11 +77,6 @@ const (
 // watchCache is the live state a watch keeps next to its entry in the
 // probe table: the caches that make the per-line check constant-time.
 type watchCache struct {
-	// scope/name are the two halves of core.SplitVarID(id), split once at
-	// Watch registration so the per-line comparison never re-parses the
-	// identifier string.
-	scope string
-	name  string
 	// gslot caches the module-scope slot index of a global ("::") watch,
 	// and of a bare-name watch's fallback to the globals, once the
 	// interpreter has attached its compile-time symtab; -1 means not (yet)
@@ -209,7 +204,7 @@ type Tracker struct {
 
 	// rec is the live omniscient recorder, nil unless WithRecording was
 	// given: the off cost in the trace hook is one pointer test
-	// (BenchmarkRecordingOverheadOff gates it). recFr/recEpoch key the
+	// (BenchmarkResumeWithWatchpointMiniPy gates it). recFr/recEpoch key the
 	// snapshot-free fast path; recOut tees the inferior's stdout so steps
 	// carry output deltas; recErr latches the first recording failure.
 	// cur is the time-travel cursor into the recording, on the head while
@@ -283,11 +278,7 @@ func (t *Tracker) LoadProgram(path string, opts ...core.LoadOption) error {
 // The span tracer is independent of the metric panel: spans answer "what
 // happened inside this op", metrics "how often and how long on average".
 func (t *Tracker) initObs() {
-	if sink := t.cfg.Obs.SpanSink; sink != nil {
-		t.tracer = obs.NewTracerOn(Kind, sink)
-	} else if t.cfg.Obs.Spans > 0 {
-		t.tracer = obs.NewTracer(Kind, t.cfg.Obs.Spans)
-	}
+	t.tracer = t.cfg.Obs.Tracer(Kind)
 	if !t.cfg.Obs.Enabled {
 		return
 	}
@@ -614,7 +605,7 @@ func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 		// takes the baseline branch.
 		if !w.Open(&t.view) {
 			if c.snap == nil {
-				if obj, ok := t.resolveWatch(fr, c); ok {
+				if obj, ok := t.resolveWatch(fr, w); ok {
 					conv := minipy.NewConverter(t.interp)
 					c.snap = conv.VarValue(obj)
 					c.lastObj, c.epoch = obj, t.interp.Epoch()
@@ -622,7 +613,7 @@ func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 			}
 			continue
 		}
-		obj, ok := t.resolveWatch(fr, c)
+		obj, ok := t.resolveWatch(fr, w)
 		if !ok {
 			// Still undefined, or the frame holding it is gone.
 			c.snap, c.lastObj = nil, nil
@@ -652,42 +643,43 @@ func (t *Tracker) compareWatches(fr *minipy.RTFrame, ev minipy.Event) bool {
 
 // resolveWatch resolves a registered watch against the paused state. This is
 // the hot half of resolveVar, constant-time in the depth of the stack: the
-// identifier is pre-split, a "fn:name" or bare-name watch walks the frames
-// only when the event's frame changes (one pointer compare plus one slot
-// load otherwise), and global reads go through globalWatch's slot cache.
-// Names outside a symtab (dynamically injected bindings) keep the map
-// lookup.
-func (t *Tracker) resolveWatch(fr *minipy.RTFrame, w *watchCache) (*minipy.Object, bool) {
-	if w.scope == "::" {
-		return t.globalWatch(w)
+// identifier was parsed at arm time, a "fn:name" or bare-name watch walks
+// the frames only when the event's frame changes (one pointer compare plus
+// one slot load otherwise), and global reads go through globalWatch's slot
+// cache. Names outside a symtab (dynamically injected bindings) keep the
+// map lookup.
+func (t *Tracker) resolveWatch(fr *minipy.RTFrame, w *ttd.Watch[watchCache]) (*minipy.Object, bool) {
+	c := &w.Live
+	if w.Scope == "::" {
+		return t.globalWatch(c, w.Name)
 	}
-	if fr != w.evFr {
-		w.evFr, w.holder = fr, nil
-		if w.scope == "" {
-			w.holder = fr.Locals
+	if fr != c.evFr {
+		c.evFr, c.holder = fr, nil
+		if w.Scope == "" {
+			c.holder = fr.Locals
 		} else {
 			for f := fr; f != nil; f = f.Parent {
-				if f.Name == w.scope {
-					w.holder = f.Locals
+				if f.Name == w.Scope {
+					c.holder = f.Locals
 					break
 				}
 			}
 		}
-		if w.holder != nil {
-			w.slot = w.holder.Slot(w.name)
+		if c.holder != nil {
+			c.slot = c.holder.Slot(w.Name)
 		}
 	}
-	if w.holder == nil {
+	if c.holder == nil {
 		return nil, false
 	}
 	var o *minipy.Object
-	if w.slot >= 0 {
-		o = w.holder.At(w.slot)
+	if c.slot >= 0 {
+		o = c.holder.At(c.slot)
 	} else {
-		o, _ = w.holder.Get(w.name)
+		o, _ = c.holder.Get(w.Name)
 	}
-	if o == nil && w.scope == "" {
-		return t.globalWatch(w) // resolveVar's bare-name fallback
+	if o == nil && w.Scope == "" {
+		return t.globalWatch(c, w.Name) // resolveVar's bare-name fallback
 	}
 	return o, o != nil
 }
@@ -697,19 +689,19 @@ func (t *Tracker) resolveWatch(fr *minipy.RTFrame, w *watchCache) (*minipy.Objec
 // time the interpreter's module symtab is attached — Run attaches it before
 // the first trace event, so in practice every event after the first skips
 // the map lookup.
-func (t *Tracker) globalWatch(w *watchCache) (*minipy.Object, bool) {
+func (t *Tracker) globalWatch(c *watchCache, name string) (*minipy.Object, bool) {
 	g := t.interp.Globals
-	if w.gslot < 0 {
-		w.gslot = g.Slot(w.name)
-		if w.gslot < 0 {
-			return g.Get(w.name)
+	if c.gslot < 0 {
+		c.gslot = g.Slot(name)
+		if c.gslot < 0 {
+			return g.Get(name)
 		}
 	}
-	o := g.At(w.gslot)
+	o := g.At(c.gslot)
 	return o, o != nil
 }
 
-// resolveVar resolves a pre-split variable identifier against the paused
+// resolveVar resolves a parsed variable reference against the paused
 // state. fr is the frame the inferior is currently in.
 func (t *Tracker) resolveVar(fr *minipy.RTFrame, fn, name string) (*minipy.Object, bool) {
 	switch fn {
@@ -881,8 +873,7 @@ func (t *Tracker) arm(p core.Probe) error {
 		return t.werr(op, err)
 	}
 	if w != nil {
-		fn, name := core.SplitVarID(p.VarID)
-		w.Live = watchCache{scope: fn, name: name, gslot: -1}
+		w.Live = watchCache{gslot: -1}
 		t.obs.Gauge(core.GaugeWatches).Set(int64(len(t.probes.Watches)))
 	}
 	return nil

@@ -91,7 +91,7 @@ func oracleWatchRun(t *testing.T, src string, ids []string, opts ...core.LoadOpt
 	tr.interp.SetTrace(func(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.Object) error {
 		event++
 		for i, id := range ids {
-			scope, name := core.SplitVarID(id)
+			scope, name, _ := core.ParseVarRef(id)
 			var now *core.Value
 			if obj, ok := tr.resolveVar(fr, scope, name); ok {
 				now = minipy.NewConverter(tr.interp).VarValue(obj)

@@ -43,9 +43,9 @@ type fieldNode struct {
 
 func (n *fieldNode) pos() int { return n.at }
 
-// varNode is an inferior-variable reference. Scope follows core.SplitVarID:
-// "" = current scope chain, "::" = global, anything else = innermost live
-// activation of that function.
+// varNode is an inferior-variable reference. Scope is a core.ParseVarRef
+// scope: "" = current scope chain, "::" = global, anything else = innermost
+// live activation of that function.
 type varNode struct {
 	at    int
 	scope string

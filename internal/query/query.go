@@ -118,10 +118,11 @@ func (s Scalar) Len() (int64, bool) {
 // replayed inferior. Implementations resolve only what the expression asks
 // for — an expression that never names a variable never touches frames.
 //
-// Var's scope follows core.SplitVarID: "" resolves name through the current
-// scope chain (innermost locals, then globals), "::" resolves a global, any
-// other scope resolves a local of the innermost live activation of that
-// function. FrameVar resolves a local of the idx-th frame, innermost = 0.
+// Var's scope is a core.ParseVarRef scope, resolved by core.State.Lookup's
+// rule: "" resolves name through the current scope chain (innermost
+// locals, then globals), "::" resolves a global, any other scope resolves
+// a local of the innermost live activation of that function. FrameVar
+// resolves a local of the idx-th frame, innermost = 0.
 type EventView interface {
 	// Line is the current source line.
 	Line() int

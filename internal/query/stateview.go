@@ -72,43 +72,14 @@ func (v *StateView) Function() string {
 // File implements EventView.
 func (v *StateView) File() string { return v.FileName }
 
-// Var implements EventView over the snapshot: "" walks the innermost
-// frame's variables then globals, "::" reads globals only, any other scope
-// finds the innermost activation of that function.
+// Var implements EventView over the snapshot by core.State.Lookup.
 func (v *StateView) Var(scope, name string) Scalar {
-	if v.state() == nil {
+	st := v.state()
+	if st == nil {
 		return Missing
 	}
-	switch scope {
-	case "::":
-		return v.global(name)
-	case "":
-		if v.State.Frame != nil {
-			if va := v.State.Frame.Lookup(name); va != nil {
-				return ScalarFromValue(va.Value)
-			}
-		}
-		return v.global(name)
-	default:
-		for fr := v.State.Frame; fr != nil; fr = fr.Parent {
-			if fr.Name == scope {
-				if va := fr.Lookup(name); va != nil {
-					return ScalarFromValue(va.Value)
-				}
-				return Missing
-			}
-		}
-		return Missing
-	}
-}
-
-func (v *StateView) global(name string) Scalar {
-	for _, g := range v.State.Globals {
-		if g.Name == name {
-			return ScalarFromValue(g.Value)
-		}
-	}
-	return Missing
+	val, _, _ := st.Lookup(scope, name)
+	return ScalarFromValue(val)
 }
 
 // FrameVar implements EventView: frame idx counted from the innermost

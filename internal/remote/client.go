@@ -294,7 +294,8 @@ type Tracker struct {
 	spec       *LoadSpec
 	stdout     io.Writer
 	stderr     io.Writer
-	arms       []armRecord
+	probes     []core.Probe
+	sub        string // the journaled Subscribe expression; "" is none
 	loaded     bool
 	started    bool
 	recoveries int                // outages survived so far
@@ -327,71 +328,6 @@ type Tracker struct {
 	stateCache *core.State
 	stateRaw   []byte
 	srcCache   []string
-}
-
-// armRecord is one journaled arming operation.
-type armRecord struct {
-	op      string
-	file    string
-	line    int
-	fn      string
-	varID   string
-	cond    string
-	ignore  int
-	oneShot bool
-
-	maxDepth int
-}
-
-func (a armRecord) String() string {
-	s := a.op
-	switch a.op {
-	case OpBreakLine:
-		if a.file != "" {
-			s = "breakpoint " + a.file + ":" + strconv.Itoa(a.line)
-		} else {
-			s = "breakpoint line " + strconv.Itoa(a.line)
-		}
-	case OpBreakFunc:
-		s = "breakpoint func " + a.fn
-	case OpTrack:
-		s = "track " + a.fn
-	case OpWatch:
-		s = "watch " + a.varID
-	case OpSubscribe:
-		return "subscription " + a.cond
-	}
-	if a.cond != "" {
-		s += " when " + a.cond
-	}
-	return s
-}
-
-func (a armRecord) request() *Request {
-	return &Request{Op: a.op, File: a.file, Line: a.line, Func: a.fn, Var: a.varID,
-		MaxDepth: a.maxDepth, Cond: a.cond, Ignore: a.ignore, OneShot: a.oneShot}
-}
-
-// probeRecord projects a core.Probe onto the wire journal.
-func probeRecord(p core.Probe) (armRecord, error) {
-	a := armRecord{
-		file: p.File, line: p.Line, varID: p.VarID,
-		cond: p.Condition, ignore: p.IgnoreHits, oneShot: p.OneShot,
-		maxDepth: p.MaxDepth,
-	}
-	switch p.Kind {
-	case core.ProbeLine:
-		a.op = OpBreakLine
-	case core.ProbeFunc:
-		a.op, a.fn = OpBreakFunc, p.Function
-	case core.ProbeTrack:
-		a.op, a.fn = OpTrack, p.Function
-	case core.ProbeWatch:
-		a.op = OpWatch
-	default:
-		return a, core.ErrUnsupported
-	}
-	return a, nil
 }
 
 // ConnectOption customizes Connect.
@@ -699,11 +635,12 @@ func (t *Tracker) recover(op string, cause error) error {
 }
 
 // replay rebuilds the session on a fresh connection from the journal:
-// load, start (if the old session had started) and every arming op. Arms
-// the server rejects are reported as lost, not fatal — the paper's
-// lost-item model. permanent distinguishes a server that answered and
-// rejected the journal (no point redialing) from a transport failure
-// mid-replay (the next attempt may succeed).
+// load, start (if the old session had started), every armed probe in
+// order, then the subscription. Items the server rejects are reported as
+// lost, in core.Probe's wording, not fatal — the paper's lost-item model.
+// permanent distinguishes a server that answered and rejected the journal
+// (no point redialing) from a transport failure mid-replay (the next
+// attempt may succeed).
 func (t *Tracker) replay(conn *wireConn) (lost []string, err error, permanent bool) {
 	if !t.loaded {
 		return nil, nil, false
@@ -733,13 +670,23 @@ func (t *Tracker) replay(conn *wireConn) (lost []string, err error, permanent bo
 			t.applyStatus(resp.Status)
 		}
 	}
-	for _, a := range t.arms {
-		resp, err := conn.call(a.request())
+	for _, p := range t.probes {
+		req, _ := probeRequest(p) // p was armed, so its kind maps
+		resp, err := conn.call(req)
 		if err != nil {
 			return nil, err, false
 		}
 		if resp.Err != nil {
-			lost = append(lost, a.String())
+			lost = append(lost, p.String())
+		}
+	}
+	if t.sub != "" {
+		resp, err := conn.call(&Request{Op: OpSubscribe, Cond: t.sub})
+		if err != nil {
+			return nil, err, false
+		}
+		if resp.Err != nil {
+			lost = append(lost, "subscription "+t.sub)
 		}
 	}
 	// The session was inspecting a recorded step: seek the rebuilt session
@@ -814,11 +761,7 @@ func (t *Tracker) LoadProgram(path string, opts ...core.LoadOption) error {
 			errors.New("remote: program already loaded"))
 	}
 	cfg := core.ApplyLoadOptions(opts)
-	if sink := cfg.Obs.SpanSink; sink != nil {
-		t.tracer = obs.NewTracerOn("remote["+t.kind+"]", sink)
-	} else if cfg.Obs.Spans > 0 {
-		t.tracer = obs.NewTracer("remote["+t.kind+"]", cfg.Obs.Spans)
-	}
+	t.tracer = cfg.Obs.Tracer("remote[" + t.kind + "]")
 	if cfg.Obs.Enabled {
 		// Client-side panel: redial counters live here (the server cannot
 		// count attempts that never reach it).
@@ -902,33 +845,26 @@ func (t *Tracker) Terminate() error {
 	return err
 }
 
-// arm runs one journaled arming op.
-func (t *Tracker) arm(op string, a armRecord) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, err := t.do(op, a.request())
-	if err == nil {
-		t.arms = append(t.arms, a)
-	}
-	return err
-}
-
 // Arm implements core.Tracker: one journaled round trip per probe. A
 // condition is validated client-side first so a bad expression fails with a
 // typed ErrBadQuery before anything crosses the socket; the backend
 // compiles its own copy at arm time.
 func (t *Tracker) Arm(p core.Probe) error {
 	op := p.Op()
-	if p.Condition != "" {
-		if _, err := query.Compile(p.Condition); err != nil {
-			return core.WrapErr("remote["+t.kind+"]", op, "", 0, err)
-		}
+	req, err := probeRequest(p)
+	if err == nil && p.Condition != "" {
+		_, err = query.Compile(p.Condition)
 	}
-	a, err := probeRecord(p)
 	if err != nil {
 		return core.WrapErr("remote["+t.kind+"]", op, "", 0, err)
 	}
-	return t.arm(op, a)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, err := t.do(op, req); err != nil {
+		return err
+	}
+	t.probes = append(t.probes, p)
+	return nil
 }
 
 // ConditionalProbes implements core.ConditionalBreaker, true exactly when
@@ -956,16 +892,7 @@ func (t *Tracker) Subscribe(expr string) error {
 	if err == nil {
 		// A new expression replaces any journaled predecessor; clearing
 		// drops it.
-		kept := t.arms[:0]
-		for _, a := range t.arms {
-			if a.op != OpSubscribe {
-				kept = append(kept, a)
-			}
-		}
-		t.arms = kept
-		if expr != "" {
-			t.arms = append(t.arms, armRecord{op: OpSubscribe, cond: expr})
-		}
+		t.sub = expr
 	}
 	return err
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"encoding/json"
 	"errors"
 	"net"
 	"testing"
@@ -8,6 +9,18 @@ import (
 
 	"easytracker/internal/core"
 )
+
+const fibC = `int fib(int n) {
+    if (n < 2) {
+        return n;
+    }
+    return fib(n - 1) + fib(n - 2);
+}
+int main() {
+    int r = fib(4);
+    printf("%d\n", r);
+    return 0;
+}`
 
 // TestClientReconnectReplay: an evicted session reconnects once, replaying
 // its journal — load, start, arming ops — so the armed surface survives
@@ -56,6 +69,97 @@ func TestClientReconnectReplay(t *testing.T) {
 	}
 	if r := tr.PauseReason(); r.Type != core.PauseWatch || r.Variable != "::total" {
 		t.Fatalf("pause = %v, want WATCH ::total", r)
+	}
+}
+
+// TestClientLostWatchpointWording is the loopback twin of the MiniGDB
+// session layer's TestLostWatchpointRecordedInTrail: a watch on a local
+// re-arms only while its function has a live activation, so a reconnect
+// that restarts the inferior at its entry loses it, and Lost names it in
+// core.Probe's wording, as a local session does.
+func TestClientLostWatchpointWording(t *testing.T) {
+	_, addr := startServer(t, WithIdleTimeout(80*time.Millisecond))
+	tr, err := Connect(addr, "minigdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if err := tr.LoadProgram("fib.c", core.WithSource(fibC)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.BreakBeforeFunc("fib"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if r := tr.PauseReason(); r.Type != core.PauseBreakpoint || r.Function != "fib" {
+		t.Fatalf("not paused in fib: %v", r)
+	}
+	if err := tr.Watch("fib:n"); err != nil {
+		t.Fatal(err)
+	}
+
+	time.Sleep(300 * time.Millisecond) // let the server evict the session
+
+	err = tr.Step()
+	var te *core.TrackerError
+	if !errors.As(err, &te) || te.Recovery != core.RecoveryRestarted {
+		t.Fatalf("post-eviction Step: %v, want RecoveryRestarted", err)
+	}
+	if want := "watchpoint on fib:n"; len(te.Lost) != 1 || te.Lost[0] != want {
+		t.Fatalf("Lost = %q, want [%q]", te.Lost, want)
+	}
+	// The breakpoint survived; only the local watchpoint is gone.
+	if err := tr.Resume(); err != nil {
+		t.Fatalf("resume after recovery: %v", err)
+	}
+	if r := tr.PauseReason(); r.Type != core.PauseBreakpoint || r.Function != "fib" {
+		t.Fatalf("pause after recovery = %v, want replayed breakpoint", r)
+	}
+}
+
+// TestProbeRequestWireBytes pins the arming request of every probe kind, with
+// and without every option, to the bytes the client sent before it
+// journaled core.Probe values, and checks that the server reads each
+// request back as the probe it carries.
+func TestProbeRequestWireBytes(t *testing.T) {
+	all := []core.BreakOption{core.WithMaxDepth(3), core.WithCondition("k > 1"),
+		core.WithIgnoreHits(2), core.WithOneShot()}
+	cases := []struct {
+		p    core.Probe
+		want string
+	}{
+		{core.LineProbe("prog.py", 4, all...), `{"id":0,"op":"break-line","file":"prog.py","line":4,"max_depth":3,"cond":"k \u003e 1","ignore":2,"one_shot":true}`},
+		{core.LineProbe("", 7), `{"id":0,"op":"break-line","line":7}`},
+		{core.FuncProbe("fib", all...), `{"id":0,"op":"break-func","func":"fib","max_depth":3,"cond":"k \u003e 1","ignore":2,"one_shot":true}`},
+		{core.FuncProbe("fib"), `{"id":0,"op":"break-func","func":"fib"}`},
+		{core.TrackProbe("square", all...), `{"id":0,"op":"track","func":"square","max_depth":3,"cond":"k \u003e 1","ignore":2,"one_shot":true}`},
+		{core.TrackProbe("square"), `{"id":0,"op":"track","func":"square"}`},
+		{core.WatchProbe("fib:n", all...), `{"id":0,"op":"watch","var":"fib:n","max_depth":3,"cond":"k \u003e 1","ignore":2,"one_shot":true}`},
+		{core.WatchProbe("::total"), `{"id":0,"op":"watch","var":"::total"}`},
+	}
+	for _, c := range cases {
+		req, err := probeRequest(c.p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.p, err)
+		}
+		got, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%s:\ngot  %s\nwant %s", c.p, got, c.want)
+		}
+		if back := req.probe(); back != c.p {
+			t.Errorf("%s: server reads back %+v", c.p, back)
+		}
+	}
+	if _, err := probeRequest(core.Probe{Kind: core.ProbeTrack + 1}); !errors.Is(err, core.ErrUnsupported) {
+		t.Errorf("unknown probe kind: %v, want ErrUnsupported", err)
 	}
 }
 

@@ -200,6 +200,37 @@ type Response struct {
 	Heap   map[string]uint64 `json:"heap,omitempty"`
 }
 
+// probeOps is the arming op of each probe kind, read forwards by the
+// client (probeRequest) and backwards by the server (Request.probe).
+var probeOps = [...]string{
+	core.ProbeLine:  OpBreakLine,
+	core.ProbeFunc:  OpBreakFunc,
+	core.ProbeWatch: OpWatch,
+	core.ProbeTrack: OpTrack,
+}
+
+// probeRequest is the arming request that carries p.
+func probeRequest(p core.Probe) (*Request, error) {
+	if p.Kind < 0 || int(p.Kind) >= len(probeOps) {
+		return nil, core.ErrUnsupported
+	}
+	return &Request{Op: probeOps[p.Kind], File: p.File, Line: p.Line, Func: p.Function,
+		Var: p.VarID, MaxDepth: p.MaxDepth, Cond: p.Condition, Ignore: p.IgnoreHits,
+		OneShot: p.OneShot}, nil
+}
+
+// probe is the probe an arming request carries. Any other op reads as a
+// kind past the table, which every tracker's Arm rejects.
+func (r *Request) probe() core.Probe {
+	k := 0
+	for k < len(probeOps) && probeOps[k] != r.Op {
+		k++
+	}
+	return core.Probe{Kind: core.ProbeKind(k), File: r.File, Line: r.Line, Function: r.Func,
+		VarID: r.Var, BreakConfig: core.BreakConfig{MaxDepth: r.MaxDepth, Condition: r.Cond,
+			IgnoreHits: r.Ignore, OneShot: r.OneShot}}
+}
+
 // specFromConfig projects a LoadConfig onto the wire, dropping the stream
 // fields (the caller records which streams were requested).
 func specFromConfig(c core.LoadConfig) *LoadSpec {

@@ -761,14 +761,8 @@ func (c *serverConn) exec(sess *session, req *Request) *Response {
 		err = sess.tr.Next()
 	case OpTerminate:
 		err = sess.tr.Terminate()
-	case OpBreakLine:
-		err = sess.tr.BreakBeforeLine(req.File, req.Line, breakOpts(req)...)
-	case OpBreakFunc:
-		err = sess.tr.BreakBeforeFunc(req.Func, breakOpts(req)...)
-	case OpTrack:
-		err = sess.tr.TrackFunction(req.Func, breakOpts(req)...)
-	case OpWatch:
-		err = sess.tr.Watch(req.Var, breakOpts(req)...)
+	case OpBreakLine, OpBreakFunc, OpTrack, OpWatch:
+		err = sess.tr.Arm(req.probe())
 	case OpSubscribe:
 		err = c.subscribe(sess, req)
 	case OpStepBack:
@@ -935,23 +929,6 @@ func (c *serverConn) status(sess *session) *Status {
 	c.info.Loaded, c.info.Exited, c.pause = true, st.Exited, r
 	c.infoMu.Unlock()
 	return st
-}
-
-func breakOpts(req *Request) []core.BreakOption {
-	var opts []core.BreakOption
-	if req.MaxDepth > 0 {
-		opts = append(opts, core.WithMaxDepth(req.MaxDepth))
-	}
-	if req.Cond != "" {
-		opts = append(opts, core.WithCondition(req.Cond))
-	}
-	if req.Ignore > 0 {
-		opts = append(opts, core.WithIgnoreHits(req.Ignore))
-	}
-	if req.OneShot {
-		opts = append(opts, core.WithOneShot())
-	}
-	return opts
 }
 
 // subscribe installs (or, with an empty expression, clears) the session's

@@ -5,7 +5,6 @@ import (
 
 	"easytracker/internal/core"
 	"easytracker/internal/pt"
-	"easytracker/internal/query"
 )
 
 // v1source adapts a v0/v1 full-state-per-step trace to ttd.Timeline, the
@@ -37,7 +36,7 @@ func (s *v1source) ReasonAt(i int) (core.PauseReason, error) {
 	return core.PauseReason{}, nil
 }
 
-func (s *v1source) VarAt(i int, id string) *core.Value {
+func (s *v1source) VarAt(i int, scope, name string) *core.Value {
 	if i < 0 || i >= len(s.tr.Steps) {
 		return nil
 	}
@@ -45,8 +44,7 @@ func (s *v1source) VarAt(i int, id string) *core.Value {
 	if st == nil {
 		return nil
 	}
-	scope, name := core.SplitVarID(id)
-	v, _, _ := lookupVarOwner(st, scope, name)
+	v, _, _ := st.Lookup(scope, name)
 	return v
 }
 
@@ -57,7 +55,7 @@ func (s *v1source) StdoutAt(i int) string { return s.tr.Steps[i].Stdout }
 // between consecutive steps. Correct, but O(steps): the delta format
 // exists so this query does not have to do this.
 func (s *v1source) LastChange(expr string, before int) (*core.VarChange, error) {
-	scope, name, err := query.ParseVarRef(expr)
+	scope, name, err := core.ParseVarRef(expr)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +70,7 @@ func (s *v1source) LastChange(expr string, before int) (*core.VarChange, error) 
 		if st == nil {
 			return nil, "", false
 		}
-		return lookupVarOwner(st, scope, name)
+		return st.Lookup(scope, name)
 	}
 	for k := before; k >= 0; k-- {
 		vk, fnk, okk := valAt(k)
@@ -92,33 +90,6 @@ func (s *v1source) LastChange(expr string, before int) (*core.VarChange, error) 
 		return ch, nil
 	}
 	return nil, fmt.Errorf("%w: no recorded change of %q", core.ErrUnknownVariable, expr)
-}
-
-// lookupVarOwner resolves (scope, name) in a recorded state and reports the
-// owning function name ("" for a global) alongside the value.
-func lookupVarOwner(st *core.State, scope, name string) (*core.Value, string, bool) {
-	if scope != "" && scope != "::" {
-		for fr := st.Frame; fr != nil; fr = fr.Parent {
-			if fr.Name == scope {
-				if v := fr.Lookup(name); v != nil {
-					return v.Value, fr.Name, true
-				}
-				return nil, "", false
-			}
-		}
-		return nil, "", false
-	}
-	if scope == "" && st.Frame != nil {
-		if v := st.Frame.Lookup(name); v != nil {
-			return v.Value, st.Frame.Name, true
-		}
-	}
-	for _, g := range st.Globals {
-		if g.Name == name {
-			return g.Value, "", true
-		}
-	}
-	return nil, "", false
 }
 
 func valueEq(a, b *core.Value) bool {

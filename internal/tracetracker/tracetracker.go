@@ -137,11 +137,7 @@ func (t *Tracker) LoadProgram(path string, opts ...core.LoadOption) error {
 		t.ctrSteps = t.obs.Counter(core.CtrStepsReplayed)
 		t.ctrPauses = t.obs.Counter(core.CtrPauses)
 	}
-	if sink := cfg.Obs.SpanSink; sink != nil {
-		t.tracer = obs.NewTracerOn(Kind, sink)
-	} else if cfg.Obs.Spans > 0 {
-		t.tracer = obs.NewTracer(Kind, cfg.Obs.Spans)
-	}
+	t.tracer = cfg.Obs.Tracer(Kind)
 	return nil
 }
 

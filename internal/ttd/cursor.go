@@ -23,9 +23,9 @@ type Timeline interface {
 	StateAt(i int) (*core.State, error)
 	// ReasonAt is step i's recorded pause reason (zero when it has none).
 	ReasonAt(i int) (core.PauseReason, error)
-	// VarAt resolves a variable identifier (core.SplitVarID conventions)
-	// at step i; nil when it is undefined there.
-	VarAt(i int, id string) *core.Value
+	// VarAt resolves a variable reference parsed by core.ParseVarRef at
+	// step i; nil when it is undefined there.
+	VarAt(i int, scope, name string) *core.Value
 	// StdoutAt is the cumulative program output through step i.
 	StdoutAt(i int) string
 	// LastChange is the reverse watchpoint: the most recent recorded write

@@ -48,9 +48,11 @@ func (b *FuncBreak) At(fn string, depth int) bool {
 	return b.Name == fn && depthOK(b.MaxDepth, depth)
 }
 
-// Watch is an armed watchpoint; Live is the live tracker's state for it.
+// Watch is an armed watchpoint: ID as armed, and the Scope and Name
+// core.ParseVarRef read from it. Live is the live tracker's state for it.
 type Watch[C any] struct {
-	ID string
+	ID          string
+	Scope, Name string
 	query.Gate
 	Live C
 }
@@ -63,7 +65,8 @@ func depthOK(maxDepth, depth int) bool {
 
 // Arm adds p to the table with its gate, compiled from p.BreakConfig by
 // query.NewGate. It returns the new watch of a ProbeWatch, nil for other
-// kinds. Tracking a function again replaces its gate.
+// kinds; a watch ID core.ParseVarRef rejects arms nothing. Tracking a
+// function again replaces its gate.
 func (ps *Probes[C]) Arm(p core.Probe, g query.Gate) (*Watch[C], error) {
 	switch p.Kind {
 	case core.ProbeLine:
@@ -77,7 +80,11 @@ func (ps *Probes[C]) Arm(p core.Probe, g query.Gate) (*Watch[C], error) {
 		tg := g // only a tracked entry moves its gate to the heap
 		ps.Tracked[p.Function] = &tg
 	case core.ProbeWatch:
-		w := &Watch[C]{ID: p.VarID, Gate: g}
+		scope, name, err := core.ParseVarRef(p.VarID)
+		if err != nil {
+			return nil, err
+		}
+		w := &Watch[C]{ID: p.VarID, Scope: scope, Name: name, Gate: g}
 		ps.Watches = append(ps.Watches, w)
 		return w, nil
 	default:
@@ -108,7 +115,7 @@ func (ps *Probes[C]) PauseAt(tl Timeline, file string, pos, from int) (core.Paus
 		if !w.Open(v) {
 			continue
 		}
-		old, now := tl.VarAt(from, w.ID), tl.VarAt(pos, w.ID)
+		old, now := tl.VarAt(from, w.Scope, w.Name), tl.VarAt(pos, w.Scope, w.Name)
 		before, after := old, now
 		if !forward {
 			before, after = now, old

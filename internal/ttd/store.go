@@ -21,7 +21,6 @@ import (
 
 	"easytracker/internal/core"
 	"easytracker/internal/pt"
-	"easytracker/internal/query"
 )
 
 // frameNode is one frame activation in the persistent stack the load walk
@@ -276,17 +275,15 @@ func (s *Store) reasonAt(i int) (core.PauseReason, error) {
 	return core.DecodePauseReasonJSON(raw)
 }
 
-// VarAt resolves a variable identifier (core.SplitVarID conventions: "x",
-// "::g", "fib:n") at step i straight from the write log, without
-// reconstructing the state: the scope chain maps to the innermost
-// activation at i then the globals, "::" to the globals, and a function
-// name to its innermost live activation at i. Returns nil when the
-// variable does not exist at that step.
-func (s *Store) VarAt(i int, id string) *core.Value {
+// VarAt resolves a variable reference parsed by core.ParseVarRef at step i
+// straight from the write log, without reconstructing the state: the scope
+// chain maps to the innermost activation at i then the globals, "::" to the
+// globals, and a function name to its innermost live activation at i.
+// Returns nil when the variable does not exist at that step.
+func (s *Store) VarAt(i int, scope, name string) *core.Value {
 	if i < 0 || i >= len(s.nodes) {
 		return nil
 	}
-	scope, name := core.SplitVarID(id)
 	entries := s.index[name]
 	switch scope {
 	case "::":
@@ -320,15 +317,15 @@ func (s *Store) VarAt(i int, id string) *core.Value {
 
 // LastChange answers a reverse watchpoint: the most recent write (or
 // deletion) of expr at or before step `before`, located by binary search
-// over the variable's write log. The expression follows the query
-// language's variable references ("x", "::g", "fib:n", "globals.g"); a
-// plain name resolves against the innermost activation at `before`, then
-// the globals. When no live activation of a scoped reference exists at
-// `before`, the most recent write in any past activation of that function
-// answers. core.ErrUnknownVariable reports that the recording holds no
-// matching write.
+// over the variable's write log. The expression is a core.ParseVarRef
+// reference ("x", "::g", "fib:n", "globals.g"); a plain name resolves
+// against the innermost activation at `before`, then the globals. When no
+// live activation of a scoped reference exists at `before`, the most
+// recent write in any past activation of that function answers.
+// core.ErrUnknownVariable reports that the recording holds no matching
+// write.
 func (s *Store) LastChange(expr string, before int) (*core.VarChange, error) {
-	scope, name, err := query.ParseVarRef(expr)
+	scope, name, err := core.ParseVarRef(expr)
 	if err != nil {
 		return nil, err
 	}

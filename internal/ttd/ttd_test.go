@@ -259,7 +259,8 @@ func TestVarAtMatchesStates(t *testing.T) {
 		}
 		for _, id := range []string{"n", "k", "::x", "fib:pad"} {
 			want := lookupV1(step.State, id)
-			got := s.VarAt(i, id)
+			scope, name, _ := core.ParseVarRef(id)
+			got := s.VarAt(i, scope, name)
 			if (want == nil) != (got == nil) {
 				t.Fatalf("step %d %s: presence %v vs %v", i, id, want != nil, got != nil)
 			}
@@ -284,7 +285,7 @@ func deref(v *core.Value) string {
 
 // lookupV1 mirrors the replayer's variable resolution on a full state.
 func lookupV1(st *core.State, id string) *core.Value {
-	fn, name := core.SplitVarID(id)
+	fn, name, _ := core.ParseVarRef(id)
 	if fn != "" && fn != "::" {
 		for fr := st.Frame; fr != nil; fr = fr.Parent {
 			if fr.Name == fn {

@@ -77,16 +77,10 @@ func BenchmarkSeekColdVsCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordingOverheadOff is BenchmarkResumeWithWatchpointMiniPy's
-// workload with time-travel recording left off: the recorder hook is a nil
-// check per step, so allocs/op must stay identical to the watchpoint
-// baseline (et-benchdiff gates it against the committed baseline) —
-// omniscience must cost nothing until a session opts in.
-func BenchmarkRecordingOverheadOff(b *testing.B) { benchObsOverhead(b) }
-
-// BenchmarkRecordingOverheadOn prices live recording on the same workload:
-// per-step delta diffing, the write-log append, and the adaptive
-// checkpoint policy's periodic full-state snapshots.
+// BenchmarkRecordingOverheadOn prices live recording on
+// BenchmarkResumeWithWatchpointMiniPy's workload: per-step delta diffing,
+// the write-log append, and the adaptive checkpoint policy's periodic
+// full-state snapshots.
 func BenchmarkRecordingOverheadOn(b *testing.B) {
-	benchObsOverhead(b, easytracker.WithRecording(0))
+	benchWatchResume(b, easytracker.WithRecording(0))
 }
