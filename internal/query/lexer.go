@@ -3,8 +3,9 @@ package query
 import (
 	"strconv"
 	"strings"
-	"unicode"
 	"unicode/utf8"
+
+	"easytracker/internal/core"
 )
 
 // token kinds
@@ -82,14 +83,6 @@ var opTokens = map[string]tokKind{
 type lexer struct {
 	src string
 	pos int
-}
-
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
-
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 // next scans one token.
@@ -177,11 +170,11 @@ func (l *lexer) next() (token, error) {
 	}
 
 	// Identifiers.
-	if r, _ := utf8.DecodeRuneInString(l.src[l.pos:]); isIdentStart(r) {
+	if r, _ := utf8.DecodeRuneInString(l.src[l.pos:]); core.IsIdentStart(r) {
 		end := l.pos
 		for end < len(l.src) {
 			r, sz := utf8.DecodeRuneInString(l.src[end:])
-			if !isIdentPart(r) {
+			if !core.IsIdentPart(r) {
 				break
 			}
 			end += sz

@@ -445,12 +445,18 @@ func TestRemoteConformanceTrace(t *testing.T) {
 // either must agree.
 func recordAgreeTraces(t *testing.T) (v1Path, v2Path string) {
 	t.Helper()
+	return recordTraces(t, agreePy)
+}
+
+// recordTraces records the MiniPy program src as recordAgreeTraces does.
+func recordTraces(t *testing.T, src string) (v1Path, v2Path string) {
+	t.Helper()
 	rec, err := easytracker.New("minipy")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := rec.LoadProgram("agree.py", easytracker.WithSource(agreePy),
+	if err := rec.LoadProgram("agree.py", easytracker.WithSource(src),
 		easytracker.WithStdout(&out)); err != nil {
 		t.Fatal(err)
 	}
