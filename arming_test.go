@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // program it loads, and whether it runs through a loopback server.
 type armSurface struct {
 	name, kind, path, src string
-	remote                bool
+	remote, recording     bool
 	global                string // the program's watched global; "" is total
 }
 
@@ -32,6 +33,9 @@ func (s armSurface) open(t *testing.T, addr string) easytracker.Tracker {
 	var opts []easytracker.LoadOption
 	if s.src != "" {
 		opts = append(opts, easytracker.WithSource(s.src))
+	}
+	if s.recording {
+		opts = append(opts, easytracker.WithRecording(0))
 	}
 	if err := tk.LoadProgram(s.path, opts...); err != nil {
 		t.Fatal(err)
@@ -118,29 +122,54 @@ func TestWatchIDGrammarOnEverySurface(t *testing.T) {
 	}
 }
 
+// armAgreeProbes arms a line breakpoint, a watch, a tracked function and a
+// function breakpoint on an agree.py or agree.c session. Line 11 is
+// "total = total + square(i)" in both languages.
+func armAgreeProbes(t *testing.T, tk easytracker.Tracker) {
+	t.Helper()
+	for _, err := range []error{
+		tk.BreakBeforeLine("", 11),
+		tk.Watch("::total"),
+		tk.TrackFunction("square"),
+		tk.BreakBeforeFunc("run"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sameReason fails unless State().Reason encodes exactly like
+// PauseReason() at the session's current pause.
+func sameReason(t *testing.T, tk easytracker.Tracker, at string) {
+	t.Helper()
+	sp, ok := easytracker.As[easytracker.StateProvider](tk)
+	if !ok {
+		t.Fatal("no StateProvider")
+	}
+	st, err := sp.State()
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	want, _ := core.EncodePauseReasonJSON(tk.PauseReason())
+	got, _ := core.EncodePauseReasonJSON(st.Reason)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: State().Reason = %s, PauseReason() = %s", at, got, want)
+	}
+}
+
 // TestStateReasonIsPauseReason: at every live pause, whichever probe or
 // step caused it, State().Reason encodes exactly like PauseReason(), on a
-// local tracker and through a loopback server.
+// local tracker and through a loopback server. The seek rows run a
+// recording session (MiniPy and MiniGDB, local and loopback) or a trace
+// replay (v1 and v2) to its exit and then seek to every recorded step,
+// where both report the landing.
 func TestStateReasonIsPauseReason(t *testing.T) {
 	addr := startConformanceServer(t)
 	for _, s := range liveSurfaces {
 		t.Run(s.name, func(t *testing.T) {
 			tk := s.open(t, addr)
-			// Line 11 is "total = total + square(i)" in both languages.
-			for _, err := range []error{
-				tk.BreakBeforeLine("", 11),
-				tk.Watch("::total"),
-				tk.TrackFunction("square"),
-				tk.BreakBeforeFunc("run"),
-			} {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			sp, ok := easytracker.As[easytracker.StateProvider](tk)
-			if !ok {
-				t.Fatal("no StateProvider")
-			}
+			armAgreeProbes(t, tk)
 			for i := 0; ; i++ {
 				if i == 200 {
 					t.Fatal("runaway control loop")
@@ -148,15 +177,8 @@ func TestStateReasonIsPauseReason(t *testing.T) {
 				if _, done := tk.ExitCode(); done {
 					return
 				}
-				st, err := sp.State()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _ := core.EncodePauseReasonJSON(tk.PauseReason())
-				got, _ := core.EncodePauseReasonJSON(st.Reason)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("pause %d: State().Reason = %s, PauseReason() = %s", i, got, want)
-				}
+				sameReason(t, tk, fmt.Sprintf("pause %d", i))
+				var err error
 				if i%3 == 0 {
 					err = tk.Step()
 				} else {
@@ -165,6 +187,85 @@ func TestStateReasonIsPauseReason(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+			}
+		})
+	}
+	// Tracking square records its calls and returns as CALL and RETURN
+	// steps, reasons a landing there does not report.
+	v1, v2 := recordTraces(t, agreePy, "square")
+	var seekSurfaces []armSurface
+	for _, s := range liveSurfaces {
+		s.recording = true
+		seekSurfaces = append(seekSurfaces, s)
+	}
+	seekSurfaces = append(seekSurfaces,
+		armSurface{name: "trace-v1", kind: "trace", path: v1},
+		armSurface{name: "trace-v2", kind: "trace", path: v2})
+	for _, s := range seekSurfaces {
+		t.Run(s.name+"/seek", func(t *testing.T) {
+			tk := s.open(t, addr)
+			armAgreeProbes(t, tk)
+			pausesToExit(t, tk)
+			tt, ok := easytracker.As[easytracker.TimeTraveler](tk)
+			if !ok {
+				t.Fatal("no TimeTraveler")
+			}
+			n := tt.Len()
+			if n < 10 {
+				t.Fatalf("recording has %d steps", n)
+			}
+			for i := 0; i < n; i++ {
+				if err := tt.SeekTo(i); err != nil {
+					t.Fatalf("SeekTo(%d): %v", i, err)
+				}
+				sameReason(t, tk, fmt.Sprintf("step %d", i))
+			}
+		})
+	}
+}
+
+// TestWatchArmedWhereDefined: a watch armed while its variable is already
+// defined takes its snapshot there, so its first pause is the first change
+// of the value, reported against the value it was armed on, on every
+// surface. The session stops at the loop's first "total = total +
+// square(i)", with total at 0, and arms ::total there.
+func TestWatchArmedWhereDefined(t *testing.T) {
+	addr := startConformanceServer(t)
+	v1, v2 := recordAgreeTraces(t)
+	surfaces := append(slices.Clone(liveSurfaces),
+		armSurface{name: "trace-v1", kind: "trace", path: v1},
+		armSurface{name: "trace-v2", kind: "trace", path: v2},
+		armSurface{name: "remote-trace", kind: "trace", path: v2, remote: true})
+	scalar := func(v *easytracker.Value) string {
+		if v == nil {
+			return "<nil>"
+		}
+		if d := v.Deref(); d != nil {
+			v = d
+		}
+		return v.String()
+	}
+	for _, s := range surfaces {
+		t.Run(s.name, func(t *testing.T) {
+			tk := s.open(t, addr)
+			if err := tk.BreakBeforeLine("", 11); err != nil {
+				t.Fatal(err)
+			}
+			if err := tk.Resume(); err != nil {
+				t.Fatal(err)
+			}
+			if r := tk.PauseReason(); r.Type != easytracker.PauseBreakpoint || r.Line != 11 {
+				t.Fatalf("first pause %v, want the breakpoint at line 11", r)
+			}
+			if err := tk.Watch("::total"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tk.Resume(); err != nil {
+				t.Fatal(err)
+			}
+			r := tk.PauseReason()
+			if got := fmt.Sprintf("%v %s -> %s", r.Type, scalar(r.Old), scalar(r.New)); got != "WATCH 0 -> 1" {
+				t.Errorf("first pause after arming: %s (%v), want WATCH 0 -> 1", got, r)
 			}
 		})
 	}

@@ -131,7 +131,7 @@ const (
 	OpResume     = "op.resume"
 	OpStep       = "op.step"
 	OpNext       = "op.next"
-	OpWatchCheck = "op.watch_check" // per-line watchpoint sweep (MiniPy)
+	OpWatchCheck = "op.watch_check" // per-event probe check with watches armed (MiniPy)
 	OpMIRound    = "mi.round_trip"  // one MI command round trip (MiniGDB)
 	OpStateFetch = "op.state_fetch" // full snapshot fetch/convert
 

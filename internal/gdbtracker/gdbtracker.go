@@ -850,12 +850,11 @@ func (t *Tracker) fetchState() (*core.State, error) {
 		sp.EndErr(err)
 		return nil, fmt.Errorf("gdbtracker: bad state payload: %w", err)
 	}
-	if !t.replaying() {
-		// The MI server's reason knows breakpoints, not what the tracker
-		// armed them for (a tracked entry or exit, a watch's ID); a live
-		// pause reports the tracker's own, as PauseReason does.
-		st.Reason = t.reason
-	}
+	// The MI server's reason knows breakpoints, not what the tracker armed
+	// them for (a tracked entry or exit, a watch's ID), and a rewound one is
+	// the recorded stop's; every State reports the tracker's own, as
+	// PauseReason does. The decoded State is this call's own to stamp.
+	st.Reason = t.reason
 	t.state = &st
 	t.stateVersion, _ = strconv.ParseUint(resp.Result.GetString("version"), 10, 64)
 	t.obs.Observe(core.OpStateFetch, t0)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"easytracker/internal/core"
 )
 
 // Lexer turns MiniPy source into a token stream with Python-style
@@ -197,7 +199,7 @@ func (l *Lexer) scanToken() (Token, error) {
 	line, col := l.line, l.col
 	r := l.peekRune()
 	switch {
-	case isNameStart(r):
+	case core.IsIdentStart(r):
 		return l.scanName(line, col), nil
 	case r >= '0' && r <= '9':
 		return l.scanNumber(line, col)
@@ -209,17 +211,11 @@ func (l *Lexer) scanToken() (Token, error) {
 	return l.scanOperator(line, col)
 }
 
-func isNameStart(r rune) bool {
-	return r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r > 127
-}
-
-func isNameChar(r rune) bool { return isNameStart(r) || isDigit(r) }
-
 func isDigit(r rune) bool { return r >= '0' && r <= '9' }
 
 func (l *Lexer) scanName(line, col int) Token {
 	var b strings.Builder
-	for isNameChar(l.peekRune()) {
+	for core.IsIdentPart(l.peekRune()) {
 		b.WriteRune(l.advance())
 	}
 	text := b.String()

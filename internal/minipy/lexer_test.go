@@ -227,3 +227,26 @@ func TestTokenStrings(t *testing.T) {
 		t.Errorf("token string = %q", s)
 	}
 }
+
+// TestNamesAreIdentifiers: a MiniPy name is an underscore or a Unicode
+// letter, then letters, digits and underscores (core.IsIdentStart and
+// IsIdentPart, the rule watch IDs and conditions read names with), so a
+// name any probe can refer to is exactly a name a program can bind. As in
+// Python 3, a superscript or a math symbol is no name character.
+func TestNamesAreIdentifiers(t *testing.T) {
+	for _, name := range []string{"π", "année", "x٣", "_x1", "函数"} {
+		toks, err := Tokenize("t.py", name+" = 0\n")
+		if err != nil {
+			t.Errorf("%q: %v", name, err)
+			continue
+		}
+		if toks[0].Kind != Name || toks[0].Text != name {
+			t.Errorf("%q lexed as %v %q", name, toks[0].Kind, toks[0].Text)
+		}
+	}
+	for _, src := range []string{"x² = 0\n", "∑ = 0\n", "٣x = 0\n"} {
+		if _, err := Parse("t.py", src); err == nil {
+			t.Errorf("%q parsed; want a syntax error", src)
+		}
+	}
+}

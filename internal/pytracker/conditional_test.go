@@ -212,20 +212,15 @@ func TestConditionalCapability(t *testing.T) {
 }
 
 // TestConditionalCrossEngine is the differential assertion across the two
-// engines that evaluate probes: the same conditional probes fire on the
+// surfaces that evaluate probes: the same conditional probes fire on the
 // identical pause sequence whether the program runs live on the VM or its
-// recording is replayed by the trace-replay engine (tracetracker, which
-// classifies recorded steps with ttd.Probes.PauseAt). The conditions read
-// a local, the event and the depth, so both condition views — the live
-// frame and the recorded timeline — are compared, and ignore counts and
-// one-shot latches are spent alike.
-//
-// Conditional watches are not compared: the engines disagree on them. The
-// live tracker freezes a gated watch's snapshot and reports a change made
-// outside the window at the first event back inside it
-// (TestConditionalWatch), while the replay classifier compares each step
-// with the one before it, so a change made while the gate was closed is
-// never reported on replay.
+// recording is replayed by the trace tracker. Both call one classifier,
+// ttd.Probes.Classify, over different views: the live frame and the
+// recorded timeline. The conditions read a local, the event and the depth,
+// so both views are compared; ignore counts and one-shot latches are spent
+// alike; and a conditioned watch holds its snapshot while the condition is
+// false on both, so a change made outside the window is reported at the
+// first event back inside it (TestConditionalWatch).
 func TestConditionalCrossEngine(t *testing.T) {
 	type arm func(tr core.Tracker) error
 	cases := []struct {
@@ -242,6 +237,9 @@ func TestConditionalCrossEngine(t *testing.T) {
 		{"ignore+oneshot", fibProg, func(tr core.Tracker) error {
 			return tr.BreakBeforeLine("prog.py", 2, core.WithIgnoreHits(2), core.WithOneShot())
 		}},
+		{"cond watch", bumpProg, func(tr core.Tracker) error {
+			return tr.Watch("::g", core.WithCondition("i % 2 == 0"))
+		}},
 	}
 	trail := func(tr core.Tracker, a arm) []string {
 		if err := a(tr); err != nil {
@@ -257,7 +255,11 @@ func TestConditionalCrossEngine(t *testing.T) {
 			}
 			r := tr.PauseReason()
 			_, line := tr.Position()
-			out = append(out, fmt.Sprintf("%s@%d:%s", r.Type, line, r.Function))
+			pause := fmt.Sprintf("%s@%d:%s", r.Type, line, r.Function)
+			if r.Type == core.PauseWatch {
+				pause += fmt.Sprintf(" %v->%v", r.Old, r.New)
+			}
+			out = append(out, pause)
 		}
 		t.Fatal("program did not terminate")
 		return nil

@@ -223,10 +223,10 @@ func (t *Tracker) SeekTo(step int) error {
 }
 
 // ResumeBack implements core.TimeTraveler: rewind to the previous recorded
-// step where an armed probe would pause (ttd.Probes.PauseAt over the
+// step where an armed probe would pause (ttd.Probes.PauseBack over the
 // session's own probe table), or to entry. Reverse traversal does not
-// consume ignore counts or one-shot arming: the probes' forward
-// bookkeeping stays untouched.
+// consume ignore counts or one-shot arming, and leaves the watch
+// snapshots alone: forward execution resumes from the present.
 func (t *Tracker) ResumeBack() error {
 	if err := t.ttOK(); err != nil {
 		return t.werr("ResumeBack", err)
@@ -234,7 +234,7 @@ func (t *Tracker) ResumeBack() error {
 	s := t.rec.Store()
 	t.leaveLive()
 	r, ok := t.cur.ResumeBack(s, t.exited, func(pos int) (core.PauseReason, bool) {
-		return t.probes.PauseAt(s, t.file, pos, pos+1)
+		return t.probes.PauseBack(s, t.file, pos)
 	})
 	t.land()
 	if ok {
@@ -287,15 +287,15 @@ func (t *Tracker) LastChange(expr string) (*core.VarChange, error) {
 }
 
 // replayState serves State() while rewound: the reconstructed snapshot at
-// the replay cursor. Each call returns a fresh shallow copy; the frame and
-// value graphs are shared with the store's memo and must be treated as
-// read-only, like the live snapshot cache.
+// the replay cursor as a replay serves it (ttd.Served: a fresh shallow copy
+// carrying the rewound pause's reason). The frame and value graphs are
+// shared with the store's memo and must be treated as read-only, like the
+// live snapshot cache.
 func (t *Tracker) replayState() (*core.State, error) {
 	s := t.rec.Store()
 	st, err := s.StateAt(t.cur.Pos(s))
 	if err != nil {
 		return nil, err
 	}
-	cp := *st
-	return &cp, nil
+	return ttd.Served(st, t.reason), nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"easytracker/internal/core"
+	"easytracker/internal/ttd"
 )
 
 const recSessionProg = `def bump(v):
@@ -43,7 +44,8 @@ func startRecorded(t *testing.T, opts ...core.LoadOption) (*Tracker, *strings.Bu
 
 // TestLiveRecordingSeekByteIdentity is the tentpole acceptance check on the
 // live tracker: after a recorded run, seeking to any step yields State()
-// JSON byte-identical to replaying the recording forward to the same step.
+// JSON byte-identical to replaying the recording forward to the same step,
+// with the seek's own pause reason (ttd.Landing), as PauseReason reports it.
 func TestLiveRecordingSeekByteIdentity(t *testing.T) {
 	tr, out := startRecorded(t)
 	if err := tr.Resume(); err != nil {
@@ -64,7 +66,9 @@ func TestLiveRecordingSeekByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		forward[i], err = json.Marshal(st)
+		landed := *st
+		landed.Reason, _ = ttd.Landing(s, "rec.py", i)
+		forward[i], err = json.Marshal(&landed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,21 +1,28 @@
 package pytracker
 
 import (
+	"easytracker/internal/core"
 	"easytracker/internal/minipy"
 	"easytracker/internal/query"
 )
 
-// pyView adapts the live interpreter state at one trace event into a
-// query.EventView. The tracker holds a single pyView by value and reuses it
-// for every condition evaluation, so the non-matching path of a conditional
-// probe allocates nothing: variable reads resolve straight off the RTFrame
-// scope chain, and objScalar reduces a MiniPy object to a by-value Scalar
-// (containers reduce to their length) without converting to core.Value.
+// pyView is the live interpreter state at one trace event as the probe
+// classifier sees it: its condition view and its resolver. The tracker
+// holds a single pyView by value and reuses it for every event, so the
+// non-matching path of a probe allocates nothing: variable reads resolve
+// straight off the RTFrame scope chain, objScalar reduces a MiniPy object
+// to a by-value Scalar (containers reduce to their length) without
+// converting to core.Value, and a watched variable is converted only when
+// its epoch test cannot vouch for it.
 type pyView struct {
-	t  *Tracker
-	fr *minipy.RTFrame
-	ev minipy.Event
+	t   *Tracker
+	fr  *minipy.RTFrame
+	ev  minipy.Event
+	ret *minipy.Object
 }
+
+// Returned implements ttd.Resolver.
+func (v *pyView) Returned() *core.Value { return minipy.NewConverter(v.t.interp).Convert(v.ret) }
 
 // Line implements query.EventView.
 func (v *pyView) Line() int { return v.fr.Line }

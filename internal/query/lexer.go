@@ -197,7 +197,8 @@ func (l *lexer) next() (token, error) {
 		l.pos++
 		return token{kind: k, pos: start}, nil
 	}
-	return token{}, errf(l.pos, "unexpected character %q", rune(c))
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return token{}, errf(l.pos, "unexpected character %q", r)
 }
 
 // lexAll tokenizes the whole source.

@@ -199,6 +199,21 @@ func TestErrorPositions(t *testing.T) {
 	}
 }
 
+// TestUnexpectedRuneNamed: a character outside the grammar is named whole,
+// not by its first UTF-8 byte, and at its byte offset.
+func TestUnexpectedRuneNamed(t *testing.T) {
+	for src, want := range map[string]string{
+		"x² >= 0": `unexpected character '²' (at offset 1)`,
+		"∑ > 1":   `unexpected character '∑' (at offset 0)`,
+		"line @":  `unexpected character '@' (at offset 5)`,
+	} {
+		_, err := Compile(src)
+		if err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("Compile(%q) = %v, want an error ending %q", src, err, want)
+		}
+	}
+}
+
 func TestParseQuery(t *testing.T) {
 	v := testView()
 	t.Run("filter only", func(t *testing.T) {

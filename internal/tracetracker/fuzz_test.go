@@ -8,11 +8,14 @@ import (
 )
 
 // FuzzTraceReplay feeds arbitrary bytes through LoadProgram, which sniffs
-// v1 and v2 traces, arms a line, tracked, function and watch probe, then
-// runs a fuzzed sequence of the control, navigation and inspection calls.
-// Contract: every call returns a result or a *core.TrackerError, never a
-// panic. The committed corpus (testdata/fuzz/FuzzTraceReplay) holds a
-// small recorded trace in both formats and a budget-cut partial trace.
+// v1 and v2 traces, arms a line, tracked and function probe and two
+// watches that share events (a global and a local), then runs a fuzzed
+// sequence of the control, navigation and inspection calls. Contract:
+// every call returns a result or a *core.TrackerError, never a panic. The
+// committed corpus (testdata/fuzz/FuzzTraceReplay) holds a small recorded
+// trace in both formats, a budget-cut partial trace, and the v2 recording
+// of a live WithRecording session, whose call and return steps pt.Record's
+// traces lack.
 func FuzzTraceReplay(f *testing.F) {
 	every := make([]byte, 0, 32)
 	for op := byte(0); op < 16; op++ {
@@ -37,6 +40,7 @@ func FuzzTraceReplay(f *testing.F) {
 		check(tr.TrackFunction("f"))
 		check(tr.BreakBeforeFunc("f"))
 		check(tr.Watch("::x"))
+		check(tr.Watch("f:n"))
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}

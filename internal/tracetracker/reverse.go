@@ -25,11 +25,14 @@ func (t *Tracker) navOK(op string) error {
 	return nil
 }
 
-// land reports a navigation landing: the replay is running again, paused
-// at the cursor with the ENTRY/STEP reason and the line before it.
+// land reports a landing on Start or a navigation move: the replay is
+// running again, paused at the cursor with the ENTRY/STEP reason and the
+// line before it, and every watch snapshot is re-baselined there.
 func (t *Tracker) land() {
 	t.exited = false
-	t.reason, t.lastLine = ttd.Landing(t.tl, t.file, t.cur.Pos(t.tl))
+	pos := t.cur.Pos(t.tl)
+	t.reason, t.lastLine = ttd.Landing(t.tl, t.file, pos)
+	t.probes.Baseline(t.tl, pos)
 }
 
 // StepBack moves one recorded step backwards. At the first step it reports
@@ -44,14 +47,14 @@ func (t *Tracker) StepBack() error {
 }
 
 // ResumeBack runs backwards to the previous step where an armed probe would
-// pause (ttd.Probes.PauseAt, which spends no ignore count or one-shot
+// pause (ttd.Probes.PauseBack, which spends no ignore count or one-shot
 // latch), or to the entry point.
 func (t *Tracker) ResumeBack() error {
 	if err := t.navOK("ResumeBack"); err != nil {
 		return err
 	}
 	r, ok := t.cur.ResumeBack(t.tl, t.exited, func(pos int) (core.PauseReason, bool) {
-		return t.probes.PauseAt(t.tl, t.file, pos, pos+1)
+		return t.probes.PauseBack(t.tl, t.file, pos)
 	})
 	t.land()
 	if ok {

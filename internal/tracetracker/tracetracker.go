@@ -10,6 +10,7 @@ package tracetracker
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -48,6 +49,8 @@ type Tracker struct {
 	reason   core.PauseReason
 	lastLine int
 
+	// probes is the armed-probe table and its classifier; a replay owns its
+	// timeline, so every landing re-baselines the watches (land).
 	probes ttd.Probes[struct{}]
 
 	// obs is the tracker's instrument panel, nil unless WithObservability
@@ -168,7 +171,7 @@ func (t *Tracker) Start() error {
 	sp := t.tracer.StartOp(core.OpStart)
 	t.started = true
 	t.cur.Seek(t.tl, 0, false) // cannot fail: load rejects an empty trace
-	t.reason, t.lastLine = ttd.Landing(t.tl, t.file, 0)
+	t.land()
 	t.notePause()
 	sp.End()
 	return nil
@@ -186,18 +189,6 @@ func (t *Tracker) notePause() {
 	t.obs.Event("pause", t.reason.String())
 }
 
-// advance moves to the next step, handling the end of the trace.
-func (t *Tracker) advance() bool {
-	t.lastLine = t.tl.LineAt(t.cur.Pos(t.tl))
-	t.ctrSteps.Inc()
-	if !t.cur.Advance(t.tl) {
-		t.exited = true
-		t.reason = core.PauseReason{Type: core.PauseExited, ExitCode: t.exitCode}
-		return false
-	}
-	return true
-}
-
 // werr wraps err in the tracker's typed error (core.TrackerError), keeping
 // errors.Is/errors.As against the sentinels working.
 func (t *Tracker) werr(op string, err error) error {
@@ -206,61 +197,46 @@ func (t *Tracker) werr(op string, err error) error {
 }
 
 // Resume advances to the next recorded step where an armed probe pauses.
-func (t *Tracker) Resume() error {
-	if err := t.controlOK(); err != nil {
-		return t.werr("Resume", err)
+func (t *Tracker) Resume() error { return t.run("Resume", core.OpResume, -1) }
+
+// Step advances one recorded step, or to the probe that pauses there.
+func (t *Tracker) Step() error { return t.run("Step", core.OpStep, math.MaxInt) }
+
+// Next advances to the next step at the same or a shallower depth, or to
+// an earlier step where an armed probe pauses.
+func (t *Tracker) Next() error {
+	depth := 0
+	if t.started {
+		depth = t.tl.DepthAt(t.cur.Pos(t.tl))
 	}
-	sp := t.tracer.StartOp(core.OpResume)
+	return t.run("Next", core.OpNext, depth)
+}
+
+// run is the one forward replay loop: it advances step by step, each
+// classified by the probe table (ttd.Probes.Replay), until a probe pauses,
+// a step no deeper than stopDepth stops a Step or Next, or the recording
+// ends. Every recorded step is a step here, a live recording's call and
+// return steps included.
+func (t *Tracker) run(name, op string, stopDepth int) error {
+	if err := t.controlOK(); err != nil {
+		return t.werr(name, err)
+	}
+	sp := t.tracer.StartOp(op)
 	t0 := t.obs.Now()
 	for {
-		from := t.cur.Pos(t.tl)
-		if !t.advance() {
+		t.lastLine = t.tl.LineAt(t.cur.Pos(t.tl))
+		t.ctrSteps.Inc()
+		if !t.cur.Advance(t.tl) {
+			t.exited = true
+			t.reason = core.PauseReason{Type: core.PauseExited, ExitCode: t.exitCode}
 			break
 		}
-		if r, ok := t.probes.PauseAt(t.tl, t.file, t.cur.Pos(t.tl), from); ok {
-			t.reason = r
-			break
-		}
-	}
-	t.obs.Observe(core.OpResume, t0)
-	t.notePause()
-	sp.End()
-	return nil
-}
-
-// Step advances one recorded step.
-func (t *Tracker) Step() error {
-	if err := t.controlOK(); err != nil {
-		return t.werr("Step", err)
-	}
-	sp := t.tracer.StartOp(core.OpStep)
-	t0 := t.obs.Now()
-	if t.advance() {
-		t.reason = core.PauseReason{
-			Type: core.PauseStep, File: t.file, Line: t.tl.LineAt(t.cur.Pos(t.tl)),
-		}
-	}
-	t.obs.Observe(core.OpStep, t0)
-	t.notePause()
-	sp.End()
-	return nil
-}
-
-// Next advances to the next step at the same or shallower depth.
-func (t *Tracker) Next() error {
-	if err := t.controlOK(); err != nil {
-		return t.werr("Next", err)
-	}
-	sp := t.tracer.StartOp(core.OpNext)
-	t0 := t.obs.Now()
-	startDepth := t.tl.DepthAt(t.cur.Pos(t.tl))
-	for t.advance() {
-		if pos := t.cur.Pos(t.tl); t.tl.DepthAt(pos) <= startDepth {
-			t.reason = core.PauseReason{Type: core.PauseStep, File: t.file, Line: t.tl.LineAt(pos)}
+		pos := t.cur.Pos(t.tl)
+		if t.probes.Replay(t.tl, t.file, pos, t.tl.DepthAt(pos) <= stopDepth, &t.reason) {
 			break
 		}
 	}
-	t.obs.Observe(core.OpNext, t0)
+	t.obs.Observe(op, t0)
 	t.notePause()
 	sp.End()
 	return nil
@@ -300,13 +276,17 @@ func (t *Tracker) arm(p core.Probe) error {
 		return t.werr(p.Op(), core.ErrNoProgram)
 	}
 	g, err := query.NewGate(p.BreakConfig)
+	var w *ttd.Watch[struct{}]
 	if err == nil {
-		_, err = t.probes.Arm(p, g)
+		w, err = t.probes.Arm(p, g)
 	}
 	if err != nil {
 		return t.werr(p.Op(), err)
 	}
-	if p.Kind == core.ProbeWatch {
+	if w != nil {
+		if t.started {
+			w.Snap = t.tl.VarAt(t.cur.Pos(t.tl), w.Scope, w.Name)
+		}
 		t.obs.Gauge(core.GaugeWatches).Set(int64(len(t.probes.Watches)))
 	}
 	return nil
@@ -326,7 +306,9 @@ func (t *Tracker) ExitCode() (int, bool) {
 	return t.exitCode, true
 }
 
-// state reconstructs (or fetches) the current step's snapshot; every
+// state reconstructs (or fetches) the current step's snapshot as the
+// replay serves it (ttd.Served: carrying the replay's own pause reason);
+// the frame and value graphs are the recording's and are read-only. Every
 // failure is a TrackerError for op.
 func (t *Tracker) state(op string) (*core.State, error) {
 	if err := t.controlOK(); err != nil {
@@ -340,7 +322,7 @@ func (t *Tracker) state(op string) (*core.State, error) {
 	if err != nil {
 		return nil, t.werr(op, err)
 	}
-	return st, nil
+	return ttd.Served(st, t.reason), nil
 }
 
 // CurrentFrame returns the recorded frame at the current step.

@@ -114,6 +114,7 @@ func backwardPauses(t *testing.T, tr surfaceTracker) []string {
 // decoded once from its bytes.
 type surfaces struct {
 	src   string
+	fns   []string
 	v1    *pt.Trace
 	store *ttd.Store
 }
@@ -159,7 +160,7 @@ func newSurfaces(t *testing.T, src string) surfaces {
 	if store, err = ttd.FromV2(v2); err != nil {
 		t.Fatal(err)
 	}
-	return surfaces{src: src, v1: v1, store: store}
+	return surfaces{src: src, fns: fns, v1: v1, store: store}
 }
 
 // open returns a started tracker on the named surface.
@@ -209,6 +210,55 @@ func (s surfaces) transcripts(t *testing.T, p core.Probe) (fwd, back map[string]
 		back[name] = backwardPauses(t, tr)
 	}
 	return fwd, back
+}
+
+// stepPauses steps a started tracker to exit with step (Step or Next),
+// rendering every pause.
+func stepPauses(t *testing.T, tr surfaceTracker, step func() error) []string {
+	t.Helper()
+	var got []string
+	for i := 0; i < 10000; i++ {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		if _, done := tr.ExitCode(); done {
+			return got
+		}
+		got = append(got, renderPause(tr.PauseReason()))
+	}
+	t.Fatal("stepped run did not finish")
+	return nil
+}
+
+// stepTranscripts arms p on every surface with every function also
+// tracked, as the v1 trace was recorded, so a live Step pauses at exactly
+// the recorded steps, and takes two forward transcripts each: stepping
+// from entry to exit, and taking Next from entry to exit. Tracking is
+// armed first, so a track probe p replaces its function's plain gate.
+func (s surfaces) stepTranscripts(t *testing.T, p core.Probe) (step, next map[string][]string) {
+	t.Helper()
+	step, next = map[string][]string{}, map[string][]string{}
+	for _, name := range []string{"live", "v1", "v2"} {
+		for _, m := range []struct {
+			into map[string][]string
+			move func(surfaceTracker) func() error
+		}{
+			{step, func(tr surfaceTracker) func() error { return tr.Step }},
+			{next, func(tr surfaceTracker) func() error { return tr.Next }},
+		} {
+			tr := s.open(t, name)
+			for _, fn := range s.fns {
+				if err := tr.TrackFunction(fn); err != nil {
+					t.Fatalf("%s: track %s: %v", name, fn, err)
+				}
+			}
+			if err := tr.Arm(p); err != nil {
+				t.Fatalf("%s: arm %v: %v", name, p, err)
+			}
+			m.into[name] = stepPauses(t, tr, m.move(tr))
+		}
+	}
+	return step, next
 }
 
 // agree reports every replay transcript that differs from the live one.
@@ -361,7 +411,11 @@ func oraclePrograms(t *testing.T) map[string]string {
 // and a v2 replay pause at the same events resuming forward, and the
 // rewound live session, v1 and v2 pause at the same events resuming
 // backward. Reverse runs test ignore counts and one-shot probes but never
-// spend them, and line probes fire on line events only.
+// spend them, and line probes fire on line events only. With every
+// function also tracked, stepping and taking Next from entry to exit pause
+// at the same events on all three, each pause reporting the probe that
+// fired: replay Step and Next classify each step they reach, and Next
+// stops at a probe inside a call it steps over.
 func TestProbeTranscriptsAgreeAcrossSurfaces(t *testing.T) {
 	progs := oraclePrograms(t)
 	names := make([]string, 0, len(progs))
@@ -379,11 +433,87 @@ func TestProbeTranscriptsAgreeAcrossSurfaces(t *testing.T) {
 					fwd, back := s.transcripts(t, p)
 					pauses += len(fwd["live"]) + len(back["live"])
 					agree(t, fwd, back)
+					if p.Kind == core.ProbeTrack && p.Condition != "" {
+						// Where the condition is false, live Step does not
+						// stop at the call event, while a replay steps every
+						// recorded step, that call included (DESIGN §17).
+						return
+					}
+					step, next := s.stepTranscripts(t, p)
+					for _, r := range []string{"v1", "v2"} {
+						if got, want := strings.Join(step[r], "\n"), strings.Join(step["live"], "\n"); got != want {
+							t.Errorf("Step %s vs live:\n got %q\nwant %q", r, step[r], step["live"])
+						}
+						if got, want := strings.Join(next[r], "\n"), strings.Join(next["live"], "\n"); got != want {
+							t.Errorf("Next %s vs live:\n got %q\nwant %q", r, next[r], next["live"])
+						}
+					}
 				})
 			}
 		})
 	}
 	if pauses < 100 {
 		t.Fatalf("oracle saw only %d live pauses", pauses)
+	}
+}
+
+// TestReplayNextStopsInsideCall: Next steps over a call, but a breakpoint
+// inside the callee still pauses it, on a replay as live. The traces are
+// recorded with nothing tracked, so their steps are the line events a live
+// Next steps through.
+func TestReplayNextStopsInsideCall(t *testing.T) {
+	const src = `def square(n):
+    s = n * n
+    return s
+
+total = 0
+i = 1
+while i <= 3:
+    total = total + square(i)
+    i = i + 1
+print(total)
+`
+	rec := pytracker.New()
+	var out strings.Builder
+	if err := rec.LoadProgram("p.py", core.WithSource(src), core.WithStdout(&out)); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := pt.Record(rec, &out, pt.Options{Mode: pt.ModeFullStep, Lang: "minipy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := ttd.FromTrace(trace, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := pytracker.New()
+	if err := live.LoadProgram("p.py", core.WithSource(src), core.WithStdout(&strings.Builder{})); err != nil {
+		t.Fatal(err)
+	}
+	v1, v2 := New(), New()
+	if err := v1.LoadTrace(trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := v2.LoadStore(store); err != nil {
+		t.Fatal(err)
+	}
+	transcripts := map[string][]string{}
+	for name, tr := range map[string]surfaceTracker{"live": live, "v1": v1, "v2": v2} {
+		if err := tr.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.BreakBeforeLine("", 2); err != nil {
+			t.Fatal(err)
+		}
+		transcripts[name] = stepPauses(t, tr, tr.Next)
+	}
+	want := transcripts["live"]
+	if hits := strings.Count(strings.Join(want, "\n"), "BREAKPOINT @2"); hits != 3 {
+		t.Fatalf("live Next paused at the breakpoint %d times, want 3: %q", hits, want)
+	}
+	for _, name := range []string{"v1", "v2"} {
+		if got := transcripts[name]; strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("Next %s vs live:\n got %q\nwant %q", name, got, want)
+		}
 	}
 }

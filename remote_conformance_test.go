@@ -448,8 +448,9 @@ func recordAgreeTraces(t *testing.T) (v1Path, v2Path string) {
 	return recordTraces(t, agreePy)
 }
 
-// recordTraces records the MiniPy program src as recordAgreeTraces does.
-func recordTraces(t *testing.T, src string) (v1Path, v2Path string) {
+// recordTraces records the MiniPy program src as recordAgreeTraces does,
+// with the functions fns tracked.
+func recordTraces(t *testing.T, src string, fns ...string) (v1Path, v2Path string) {
 	t.Helper()
 	rec, err := easytracker.New("minipy")
 	if err != nil {
@@ -460,7 +461,7 @@ func recordTraces(t *testing.T, src string) (v1Path, v2Path string) {
 		easytracker.WithStdout(&out)); err != nil {
 		t.Fatal(err)
 	}
-	trace, err := pt.Record(rec, &out, pt.Options{Mode: pt.ModeFullStep, Lang: "minipy"})
+	trace, err := pt.Record(rec, &out, pt.Options{Mode: pt.ModeFullStep, TrackFunctions: fns, Lang: "minipy"})
 	if err != nil {
 		t.Fatal(err)
 	}
