@@ -24,6 +24,16 @@ type armSurface struct {
 // open loads and starts a fresh session on the surface.
 func (s armSurface) open(t *testing.T, addr string) easytracker.Tracker {
 	t.Helper()
+	tk := s.load(t, addr)
+	if err := tk.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return tk
+}
+
+// load loads a fresh session on the surface without starting it.
+func (s armSurface) load(t *testing.T, addr string) easytracker.Tracker {
+	t.Helper()
 	remoteAddr := ""
 	if s.remote {
 		remoteAddr = addr
@@ -38,9 +48,6 @@ func (s armSurface) open(t *testing.T, addr string) easytracker.Tracker {
 		opts = append(opts, easytracker.WithRecording(0))
 	}
 	if err := tk.LoadProgram(s.path, opts...); err != nil {
-		t.Fatal(err)
-	}
-	if err := tk.Start(); err != nil {
 		t.Fatal(err)
 	}
 	return tk
@@ -163,7 +170,8 @@ func sameReason(t *testing.T, tk easytracker.Tracker, at string) {
 // local tracker and through a loopback server. The seek rows run a
 // recording session (MiniPy and MiniGDB, local and loopback) or a trace
 // replay (v1 and v2) to its exit and then seek to every recorded step,
-// where both report the landing.
+// where both report the landing. MiniGDB records one step per pause, so
+// there a landing also reports the live pause recorded at its step.
 func TestStateReasonIsPauseReason(t *testing.T) {
 	addr := startConformanceServer(t)
 	for _, s := range liveSurfaces {
@@ -205,10 +213,32 @@ func TestStateReasonIsPauseReason(t *testing.T) {
 		t.Run(s.name+"/seek", func(t *testing.T) {
 			tk := s.open(t, addr)
 			armAgreeProbes(t, tk)
-			pausesToExit(t, tk)
 			tt, ok := easytracker.As[easytracker.TimeTraveler](tk)
 			if !ok {
 				t.Fatal("no TimeTraveler")
+			}
+			// live[i] is the live pause at recorded step i of a MiniGDB
+			// session, which records one step per pause.
+			var live [][]byte
+			if s.kind == "minigdb" {
+				for i := 0; ; i++ {
+					if i == 200 {
+						t.Fatal("runaway resume loop")
+					}
+					if _, done := tk.ExitCode(); done {
+						break
+					}
+					if p := tt.Pos(); p != len(live) {
+						t.Fatalf("pause %d recorded at step %d", len(live), p)
+					}
+					r, _ := core.EncodePauseReasonJSON(tk.PauseReason())
+					live = append(live, r)
+					if err := tk.Resume(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				pausesToExit(t, tk)
 			}
 			n := tt.Len()
 			if n < 10 {
@@ -219,6 +249,13 @@ func TestStateReasonIsPauseReason(t *testing.T) {
 					t.Fatalf("SeekTo(%d): %v", i, err)
 				}
 				sameReason(t, tk, fmt.Sprintf("step %d", i))
+				if live == nil {
+					continue
+				}
+				got, _ := core.EncodePauseReasonJSON(tk.PauseReason())
+				if want := live[tt.Pos()]; !bytes.Equal(got, want) {
+					t.Errorf("landing on step %d reports %s, the live pause there was %s", tt.Pos(), got, want)
+				}
 			}
 		})
 	}

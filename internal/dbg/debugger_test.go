@@ -613,7 +613,7 @@ func TestStateSnapshot(t *testing.T) {
 	if _, err := d.Continue(nil); err != nil {
 		t.Fatal(err)
 	}
-	st := d.State(core.PauseReason{Type: core.PauseBreakpoint, Line: 3})
+	st := d.State()
 	if st.Frame == nil || st.Frame.Name != "fib" {
 		t.Fatalf("state frame = %v", st.Frame)
 	}

@@ -258,12 +258,12 @@ func (in *Inspector) Globals(includeInternal bool) []*core.Variable {
 	return out
 }
 
-// State assembles a full snapshot with the given pause reason.
-func (d *Debugger) State(reason core.PauseReason) *core.State {
+// State assembles a full snapshot of frames and globals. It carries no
+// pause reason: what a stop means is the tracker's to say.
+func (d *Debugger) State() *core.State {
 	in := d.NewInspector()
 	return &core.State{
 		Frame:   in.Frame(),
 		Globals: in.Globals(false),
-		Reason:  reason,
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"easytracker/internal/core"
 	"easytracker/internal/mi"
+	"easytracker/internal/ttd"
 )
 
 // This file is the hardened session layer between the tracker and the
@@ -172,6 +173,7 @@ func (t *Tracker) recoverSession(op string, cause error) error {
 	t.bps = map[int]bpInfo{}
 	t.watches = map[int]string{}
 	t.state, t.stale = nil, nil
+	t.rec, t.cur = nil, ttd.Cursor{}
 	t.exited = false
 	t.exitCode = 0
 	t.started = false

@@ -188,3 +188,36 @@ int main() {
 		}
 	}
 }
+
+// TestRevalidatedFrameCarriesPC: a revalidated snapshot's innermost frame
+// takes the new pause's program counter as well as its line, so the State
+// served (and recorded) at a pause reached without a store is the one a
+// full transfer would give.
+func TestRevalidatedFrameCarriesPC(t *testing.T) {
+	src := `int g = 5;
+int main() {
+    int x = 1;
+    x = 2;
+    return 0;
+}`
+	tr := start(t, src)
+	for i := 0; i < 3; i++ {
+		if _, err := tr.State(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := tr.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs, err := tr.Registers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Frame.PC != regs["pc"] {
+			t.Fatalf("step %d: frame PC %#x, machine PC %#x", i+1, st.Frame.PC, regs["pc"])
+		}
+	}
+}

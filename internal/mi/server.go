@@ -12,11 +12,9 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"easytracker/internal/core"
 	"easytracker/internal/dbg"
 	"easytracker/internal/isa"
 	"easytracker/internal/query"
-	"easytracker/internal/ttd"
 	"easytracker/internal/vm"
 )
 
@@ -52,16 +50,6 @@ type Server struct {
 	dbgP     atomic.Pointer[dbg.Debugger]
 	pendIntr atomic.Bool
 	budget   uint64
-
-	// Time-travel state (record.go): recArmed/recInterval hold the
-	// -et-record arming until -exec-run starts the recorder; rec records
-	// one delta step per stop; replay is the rewind cursor, on the head
-	// while inspection is live; recErr latches the first recording failure.
-	recArmed    bool
-	recInterval int
-	rec         *ttd.Recorder
-	recErr      error
-	replay      ttd.Cursor
 }
 
 // NewServer builds a server; prog may be nil when the client will load a
@@ -230,9 +218,6 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		s.d = d
 		s.heapMap = map[uint64]uint64{}
 		d.SetHeapMap(s.heapMap)
-		if s.recArmed {
-			s.startRecording()
-		}
 		if s.budget > 0 {
 			d.Machine().SetStepLimit(s.budget)
 		}
@@ -354,28 +339,11 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		}
 		return []Record{doneRec(token, Result{Var: "stack", Val: frames})}, nil
 
-	case "-et-record":
-		return s.etRecord(token, args)
-
-	case "-exec-step-back":
-		return s.execStepBack(token)
-
-	case "-exec-seek":
-		return s.execSeek(token, args)
-
-	case "-et-replay-pos":
-		return s.etReplayPos(token)
-
 	case "-et-inspect":
 		if err := s.need(); err != nil {
 			return nil, err
 		}
-		if s.rec != nil && !s.replay.AtHead() {
-			return s.replayInspect(token)
-		}
-		reason := s.reasonFromStop(s.d.LastStop())
-		st := s.d.State(reason)
-		data, err := st.MarshalJSON()
+		data, err := s.d.State().MarshalJSON()
 		if err != nil {
 			return nil, err
 		}
@@ -404,6 +372,7 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		return []Record{doneRec(token,
 			Result{Var: "version", Val: StringVal(strconv.FormatUint(s.d.DataVersion(), 10))},
 			Result{Var: "watch-versions", Val: watches},
+			Result{Var: "addr", Val: StringVal(fmt.Sprintf("%#x", s.d.Machine().PC()))},
 		)}, nil
 
 	case "-et-heap-blocks":
@@ -516,8 +485,6 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 			StringVal("et-data-watch-version"),
 			StringVal("et-exec-interrupt"), StringVal("et-budget"),
 			StringVal("et-break-condition"),
-			StringVal("et-record"), StringVal("exec-step-back"),
-			StringVal("exec-seek"),
 		}})}, nil
 	}
 	return nil, fmt.Errorf("undefined MI command: %s", op)
@@ -784,11 +751,6 @@ func leBytes(b []byte) uint64 {
 // output first, then ^running + *stopped (the synchronous condensation of
 // GDB's async protocol).
 func (s *Server) stopRecords(token string, stop dbg.Stop) []Record {
-	// A live stop moves the present: record it (before the output drain, so
-	// the buffered output is this step's delta) and snap any rewound replay
-	// cursor back to live.
-	s.recordStop(stop)
-	s.replay = ttd.Cursor{}
 	recs := s.drainOutput()
 	recs = append(recs, Record{Kind: ResultRecord, Token: token, Class: "running"})
 	st := Record{Kind: AsyncRecord, Class: "stopped"}
@@ -849,35 +811,4 @@ func renderRaw(b []byte, ty *isa.TypeInfo) string {
 	default:
 		return strconv.FormatInt(int64(v), 10)
 	}
-}
-
-// reasonFromStop translates the debugger stop into the core pause taxonomy
-// for the serialized state.
-func (s *Server) reasonFromStop(stop dbg.Stop) core.PauseReason {
-	r := core.PauseReason{
-		File: s.prog.SourceFile,
-		Line: stop.Line,
-	}
-	switch stop.Reason {
-	case dbg.StopEntry:
-		r.Type = core.PauseEntry
-	case dbg.StopStep:
-		r.Type = core.PauseStep
-	case dbg.StopBreakpoint:
-		r.Type = core.PauseBreakpoint
-		r.Function = stop.Function
-	case dbg.StopWatch:
-		r.Type = core.PauseWatch
-		if stop.Watch != nil {
-			r.Variable = stop.Watch.Name
-		}
-	case dbg.StopInterrupted:
-		r.Type = core.PauseInterrupted
-		r.Detail = stop.Detail
-		r.Function = stop.Function
-	case dbg.StopExited, dbg.StopFault:
-		r.Type = core.PauseExited
-		r.ExitCode = stop.ExitCode
-	}
-	return r
 }

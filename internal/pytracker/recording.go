@@ -255,10 +255,11 @@ func (t *Tracker) NextBack() error {
 	return nil
 }
 
-// Pos implements core.TimeTraveler: the current step index in the recording.
+// Pos implements core.TimeTraveler: the current step index in the
+// recording, -1 before Start.
 func (t *Tracker) Pos() int {
 	if t.rec == nil || t.rec.Len() == 0 {
-		return 0
+		return -1
 	}
 	return t.cur.Pos(t.rec.Store())
 }

@@ -313,7 +313,7 @@ type Tracker struct {
 	lastLine int
 
 	// ttPos/ttLen mirror the backend's time-travel cursor from the last
-	// Status (-1 until a recording is observed). ttPos is part of the
+	// Status that carried one (ttPos -1 before Start). ttPos is part of the
 	// journal: after a reconnect, replay re-seeks it so the session comes
 	// back inspecting the same recorded step. Cached reads are sound —
 	// the cursor only moves under this tracker's own single driver.
@@ -534,7 +534,7 @@ func (t *Tracker) applyStatus(st *Status) {
 	t.exited, t.exitCode = st.Exited, st.ExitCode
 	t.file, t.line = st.File, st.Line
 	t.lastLine = st.LastLine
-	if st.TTPos > 0 {
+	if st.TTLen > 0 {
 		t.ttPos, t.ttLen = st.TTPos-1, st.TTLen
 	}
 	if st.Stdout != "" && t.stdout != nil {
@@ -914,14 +914,12 @@ func (t *Tracker) SeekTo(step int) error {
 }
 
 // Pos implements core.TimeTraveler from the status cache: every response on
-// a recording session reports the cursor, and it cannot move between
-// responses (single driver), so no round trip is needed.
+// a recording session reports the cursor, and only this client's own calls
+// move it, so no round trip is needed. It is -1 until a status reports a
+// position, as before Start.
 func (t *Tracker) Pos() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.ttPos < 0 {
-		return 0
-	}
 	return t.ttPos
 }
 

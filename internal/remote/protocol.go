@@ -157,10 +157,11 @@ type Status struct {
 	Stdout   string          `json:"stdout,omitempty"`
 	Stderr   string          `json:"stderr,omitempty"`
 	// TTPos/TTLen mirror the backend's time-travel cursor when it
-	// advertises TimeTraveler. TTPos carries Pos()+1 so JSON's zero-drop
-	// leaves position 0 distinguishable from "no recording"; TTLen is
-	// Len() verbatim. The client journals TTPos for seek replay after a
-	// reconnect.
+	// advertises TimeTraveler and has recorded steps. TTPos carries
+	// Pos()+1, so a recording not yet started (Pos -1) sends 0, which
+	// JSON's zero-drop omits; TTLen is Len() verbatim and tells the
+	// client both are present. The client journals TTPos for seek replay
+	// after a reconnect.
 	TTPos int `json:"tt_pos,omitempty"`
 	TTLen int `json:"tt_len,omitempty"`
 }

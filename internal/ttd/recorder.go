@@ -10,11 +10,14 @@ import (
 )
 
 // Recorder builds a v2 trace and its Store incrementally, one state
-// snapshot per executed step. Live trackers drive it from their trace hook;
-// FromTrace drives it from a decoded v1 trace. The recorder owns the
-// snapshots handed to Add — they become the diff base for the next step and
-// the fast path mutates them — so callers must pass freshly converted
-// states, never ones also handed to users.
+// snapshot per recorded step. The MiniPy tracker drives it from its trace
+// hook, the MiniGDB tracker at every pause, and FromTrace from a decoded v1
+// trace. Add never mutates the snapshot it is handed; it keeps it as the
+// next step's diff base, so a caller that only calls Add may also serve
+// that State to users, as the MiniGDB tracker does. AddLineOnly rewrites
+// the previous snapshot's line and reason in place, so a caller that uses
+// it, as the MiniPy tracker does, must hand Add freshly converted states
+// that nobody else holds.
 type Recorder struct {
 	s        *Store
 	interval int

@@ -516,6 +516,8 @@ func TestRemoteConformanceTimeTravel(t *testing.T) {
 		_, tt := easytracker.As[easytracker.TimeTraveler](tk)
 		_, rw := easytracker.As[easytracker.ReverseWatcher](tk)
 		tr.note("caps tt=%v rw=%v", tt, rw)
+		pos, length, ok := easytracker.ReplayPos(tk)
+		tr.note("replay-pos %d/%d %v", pos, length, ok)
 		tr.note("start %s", errClass(tk.Start()))
 		tr.observePause(t, tk)
 		tr.note("watch %s", errClass(tk.Watch("::total")))
@@ -523,7 +525,7 @@ func TestRemoteConformanceTimeTravel(t *testing.T) {
 			tr.note("step %s", errClass(tk.Step()))
 			tr.observePause(t, tk)
 		}
-		pos, length, ok := easytracker.ReplayPos(tk)
+		pos, length, ok = easytracker.ReplayPos(tk)
 		tr.note("replay-pos %d/%d %v", pos, length, ok)
 		for i := 0; i < 3; i++ {
 			tr.note("step-back %s", errClass(easytracker.StepBack(tk)))
