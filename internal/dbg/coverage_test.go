@@ -14,9 +14,6 @@ func TestAccessors(t *testing.T) {
 	if d.Prog() == nil {
 		t.Error("Prog nil")
 	}
-	if d.LastStop().Reason != StopEntry {
-		t.Errorf("LastStop = %v", d.LastStop())
-	}
 	if _, err := d.StepLine(nil); err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,6 @@ type Debugger struct {
 	started  bool
 	exited   bool
 	exitCode int
-	lastStop Stop
 	lastLine int
 
 	nextBPID int
@@ -205,9 +204,6 @@ func (d *Debugger) WatchVersions() map[int]uint64 {
 // Prog returns the program image.
 func (d *Debugger) Prog() *isa.Program { return d.prog }
 
-// LastStop returns the most recent stop.
-func (d *Debugger) LastStop() Stop { return d.lastStop }
-
 // LastLine returns the line that most recently finished executing.
 func (d *Debugger) LastLine() int { return d.lastLine }
 
@@ -238,8 +234,7 @@ func (d *Debugger) Start() (Stop, error) {
 	// legitimately fire before main's first line in our programs).
 	for i := uint64(0); i < d.StepBudget; i++ {
 		if d.m.PC() == target {
-			d.lastStop = d.locate(Stop{Reason: StopEntry})
-			return d.lastStop, nil
+			return d.locate(Stop{Reason: StopEntry}), nil
 		}
 		stop := d.m.StepOne()
 		switch stop.Kind {
@@ -267,23 +262,20 @@ func (d *Debugger) locate(s Stop) Stop {
 func (d *Debugger) finish(stop vm.Stop) Stop {
 	d.exited = true
 	d.exitCode = stop.ExitCode
-	d.lastStop = Stop{Reason: StopExited, ExitCode: stop.ExitCode}
-	return d.lastStop
+	return Stop{Reason: StopExited, ExitCode: stop.ExitCode}
 }
 
 func (d *Debugger) fault(stop vm.Stop) Stop {
 	d.exited = true
 	d.exitCode = 139
-	d.lastStop = d.locate(Stop{Reason: StopFault, Fault: stop.Err.Error(), ExitCode: 139})
-	return d.lastStop
+	return d.locate(Stop{Reason: StopFault, Fault: stop.Err.Error(), ExitCode: 139})
 }
 
 // interrupted reports a supervision stop (cooperative interrupt or tripped
 // instruction budget) as a normal, located pause: the inferior stays alive
 // and resumable, with registers, memory and frames inspectable.
 func (d *Debugger) interrupted(detail string) Stop {
-	d.lastStop = d.locate(Stop{Reason: StopInterrupted, Detail: detail})
-	return d.lastStop
+	return d.locate(Stop{Reason: StopInterrupted, Detail: detail})
 }
 
 // Depth returns the current frame depth: main's frame is 0.
@@ -514,11 +506,11 @@ func (d *Debugger) Continue(onInternal func(*Watchpoint, *vm.WatchHit)) (Stop, e
 				d.RemoveBreakpoint(hit.ID)
 			}
 			d.lastLine = d.prog.LineAt(d.m.PC()) // breakpoint is *before* the line
-			d.lastStop = d.locate(Stop{Reason: StopBreakpoint, Breakpoint: hit.ID})
+			st := d.locate(Stop{Reason: StopBreakpoint, Breakpoint: hit.ID})
 			if hit.Function != "" {
-				d.lastStop.Function = hit.Function
+				st.Function = hit.Function
 			}
-			return d.lastStop, nil
+			return st, nil
 		case vm.StopWatch:
 			w := d.watchByVMID(stop.Watch.ID)
 			if w == nil {
@@ -533,14 +525,12 @@ func (d *Debugger) Continue(onInternal func(*Watchpoint, *vm.WatchHit)) (Stop, e
 			if !d.reportableWatch(w) {
 				continue
 			}
-			d.lastStop = d.locate(Stop{Reason: StopWatch, Watch: &WatchStop{
+			return d.locate(Stop{Reason: StopWatch, Watch: &WatchStop{
 				ID: w.ID, Name: w.Name, Addr: w.Addr, Size: w.Size,
 				Old: stop.Watch.Old, New: stop.Watch.New,
-			}})
-			return d.lastStop, nil
+			}}), nil
 		case vm.StopEBreak:
-			d.lastStop = d.locate(Stop{Reason: StopBreakpoint})
-			return d.lastStop, nil
+			return d.locate(Stop{Reason: StopBreakpoint}), nil
 		default:
 			return Stop{}, fmt.Errorf("dbg: unexpected machine stop %v", stop.Kind)
 		}
@@ -675,14 +665,12 @@ func (d *Debugger) stepCore(over bool, onInternal func(*Watchpoint, *vm.WatchHit
 			if w == nil || !d.reportableWatch(w) {
 				continue
 			}
-			d.lastStop = d.locate(Stop{Reason: StopWatch, Watch: &WatchStop{
+			return d.locate(Stop{Reason: StopWatch, Watch: &WatchStop{
 				ID: w.ID, Name: w.Name, Addr: w.Addr, Size: w.Size,
 				Old: stop.Watch.Old, New: stop.Watch.New,
-			}})
-			return d.lastStop, nil
+			}}), nil
 		case vm.StopEBreak:
-			d.lastStop = d.locate(Stop{Reason: StopBreakpoint})
-			return d.lastStop, nil
+			return d.locate(Stop{Reason: StopBreakpoint}), nil
 		}
 
 		pc := d.m.PC()
@@ -693,8 +681,7 @@ func (d *Debugger) stepCore(over bool, onInternal func(*Watchpoint, *vm.WatchHit
 					d.RemoveBreakpoint(hit.ID)
 				}
 				d.lastLine = startLine
-				d.lastStop = d.locate(Stop{Reason: StopBreakpoint, Breakpoint: hit.ID})
-				return d.lastStop, nil
+				return d.locate(Stop{Reason: StopBreakpoint, Breakpoint: hit.ID}), nil
 			}
 		}
 
@@ -715,8 +702,7 @@ func (d *Debugger) stepCore(over bool, onInternal func(*Watchpoint, *vm.WatchHit
 		}
 		if line != startLine || depth != 0 {
 			d.lastLine = startLine
-			d.lastStop = d.locate(Stop{Reason: StopStep})
-			return d.lastStop, nil
+			return d.locate(Stop{Reason: StopStep}), nil
 		}
 	}
 	return d.interrupted("step-budget"), nil
