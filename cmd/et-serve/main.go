@@ -17,10 +17,10 @@
 //	         [-max-instr N] [-no-recording] [-heartbeat DUR] [-hb-misses N]
 //	         [-retry-after DUR] [-stats] [-stats-interval DUR] [-v]
 //
-// With -heartbeat the server negotiates liveness pings with every client
-// that speaks the heartbeat protocol: peers silent past -hb-misses
-// consecutive intervals are evicted even mid-command, and clients detect a
-// dead server instead of blocking on a dropped response. -retry-after
+// With -heartbeat every session's hello reply tells its client to ping at
+// that interval: peers silent past -hb-misses consecutive intervals are
+// evicted even mid-command, and clients detect a dead server instead of
+// blocking on a dropped response. -retry-after
 // stamps admission refusals (session limit, draining) with a hint that
 // redialing clients honor as their backoff.
 //
@@ -58,7 +58,7 @@ func main() {
 	maxHeap := flag.Int64("max-heap", 0, "cap every session's heap-object budget (0: no cap)")
 	maxInstr := flag.Uint64("max-instr", 0, "cap every session's instruction budget (0: no cap)")
 	noRecording := flag.Bool("no-recording", false, "refuse clients' time-travel recording requests (recordings grow server memory per step)")
-	heartbeat := flag.Duration("heartbeat", 0, "heartbeat interval negotiated with clients; silent peers are evicted (0 disables)")
+	heartbeat := flag.Duration("heartbeat", 0, "heartbeat interval granted to every client; silent peers are evicted (0 disables)")
 	hbMisses := flag.Int("hb-misses", 0, "missed heartbeats before a silent peer is evicted (0: protocol default)")
 	retryAfter := flag.Duration("retry-after", 0, "retry-after hint attached to busy/draining refusals (0: server default)")
 	drainWait := flag.Duration("drain", 30*time.Second, "graceful-drain deadline on SIGTERM/SIGINT")

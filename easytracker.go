@@ -572,9 +572,10 @@ var (
 	WithRecordingDisabled = remote.WithRecordingDisabled
 	// WithServerLog routes the server's diagnostic log lines.
 	WithServerLog = remote.WithLogf
-	// WithHeartbeat arms liveness heartbeats: clients ping every interval,
-	// and a connection totally silent for misses intervals is evicted even
-	// mid-command (silence from a beating client means the wire is dead).
+	// WithHeartbeat arms liveness heartbeats for every session: its client
+	// pings every interval, and a connection totally silent for misses
+	// intervals is evicted even mid-command (silence from a beating client
+	// means the wire is dead).
 	WithHeartbeat = remote.WithHeartbeat
 	// WithRetryAfterHint attaches a retry-after hint to admission refusals
 	// so policy-driven clients back off by the operator's chosen amount.

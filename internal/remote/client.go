@@ -26,11 +26,6 @@ type wireConn struct {
 	wmu    sync.Mutex
 	nextID atomic.Uint64
 
-	// tracev is the negotiated framing version; atomic because
-	// dial stores it after the hello exchange while the read loop is already
-	// parsing frames.
-	tracev atomic.Int32
-
 	// lastRecv is the unix-nano time of the last frame received — any frame,
 	// including ping acks. The heartbeat watchdog reads it to notice a server
 	// that went silent while a Resume response is outstanding.
@@ -70,7 +65,7 @@ func (c *wireConn) readLoop() {
 		// The response's trace context (the server's executor span) is not
 		// needed client-side — the client's own call span already brackets
 		// the round trip — but the framing must still be consumed.
-		_, body, tail, perr := splitPayload(payload, int(c.tracev.Load()))
+		_, body, tail, perr := splitPayload(payload)
 		if perr != nil {
 			err = perr
 			break
@@ -128,7 +123,7 @@ func (c *wireConn) fail(cause error) {
 	c.nc.Close()
 }
 
-// startHeartbeat runs the negotiated client half of the heartbeat contract:
+// startHeartbeat runs the client half of the heartbeat contract:
 // ping every interval, and declare the server dead — closing the connection
 // so a blocked Resume unblocks with a session-lost error — after misses
 // consecutive intervals with no frame of any kind from the server.
@@ -160,8 +155,7 @@ func (c *wireConn) startHeartbeat(interval time.Duration, misses int) {
 }
 
 // send writes one request frame and registers its response slot. tc is the
-// caller's in-flight span, stamped into the frame header when the
-// connection negotiated trace-context framing.
+// caller's in-flight span, stamped into the frame header.
 func (c *wireConn) send(req *Request, tc *TraceContext) (chan *Response, error) {
 	req.ID = c.nextID.Add(1)
 	ch := make(chan *Response, 1)
@@ -175,7 +169,7 @@ func (c *wireConn) send(req *Request, tc *TraceContext) (chan *Response, error) 
 	c.pmu.Unlock()
 
 	c.wmu.Lock()
-	err := WriteFrameV(c.nc, req, int(c.tracev.Load()), tc)
+	err := WriteFrame(c.nc, req, tc)
 	c.wmu.Unlock()
 	if err != nil {
 		c.pmu.Lock()
@@ -406,7 +400,7 @@ func (t *Tracker) dial() (*wireConn, core.CapabilitySet, error) {
 	if err != nil {
 		return nil, core.CapabilitySet{}, fmt.Errorf("remote: connect %s: %w", t.addr, err)
 	}
-	resp, err := conn.callTimeout(&Request{Op: OpHello, Kind: t.kind, TraceV: FrameVersion, HB: true}, t.effDialTimeout())
+	resp, err := conn.callTimeout(&Request{Op: OpHello, Kind: t.kind}, t.effDialTimeout())
 	if err != nil {
 		conn.close()
 		return nil, core.CapabilitySet{}, err
@@ -415,11 +409,6 @@ func (t *Tracker) dial() (*wireConn, core.CapabilitySet, error) {
 		conn.close()
 		return nil, core.CapabilitySet{}, resp.Err.DecodeError()
 	}
-	// Adopt the negotiated framing version, clamped to what this build
-	// speaks in case the server mis-advertises. Stored after the hello round
-	// trip completed, so no earlier frame used it.
-	tracev := min(resp.TraceV, FrameVersion)
-	conn.tracev.Store(int32(tracev))
 	// A server configured for heartbeats told us to beat; hold up our half.
 	conn.startHeartbeat(time.Duration(resp.HBNs), resp.HBMiss)
 	var caps core.CapabilitySet

@@ -8,15 +8,19 @@ import (
 	"testing"
 )
 
-// FuzzWireDecode drives the frame reader and the request decoder with
-// arbitrary bytes — the exact stream a hostile or corrupted client could
-// feed the server. Properties: the decoder never panics and never allocates
-// beyond MaxFrame no matter the length prefix, and every frame it does
-// accept survives a re-encode/re-decode round trip.
+// FuzzWireDecode drives the server's request decode — ReadFrame, then
+// ParsePayload, then the JSON — with arbitrary bytes: the exact stream a
+// hostile or corrupted client could feed the server. A hostile peer can
+// compute a CRC-32C too, so each payload is also decoded as the JSON body
+// of a frame with a valid checksum; that is how corpus entries written as
+// bare JSON still reach the JSON decoder. Properties: the decoder never
+// panics and never allocates beyond MaxFrame no matter the length prefix,
+// the reader consumes exactly one frame, and every request it accepts
+// survives a re-encode/re-decode round trip with its trace context.
 func FuzzWireDecode(f *testing.F) {
 	frame := func(v any) []byte {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, v); err != nil {
+		if err := WriteFrame(&buf, v, nil); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -41,37 +45,59 @@ func FuzzWireDecode(f *testing.F) {
 		if err != nil {
 			return // rejecting garbage is fine; not panicking is the test
 		}
-		var req Request
-		if json.Unmarshal(payload, &req) != nil {
-			return
+		if rest := len(data) - 4 - len(payload); r.Len() != rest {
+			t.Fatalf("reader left %d bytes of the stream, want %d", r.Len(), rest)
 		}
-		// Accepted frames must re-encode to something the reader accepts
-		// and that decodes to the same request.
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &req); err != nil {
-			t.Fatalf("re-encoding accepted request: %v", err)
-		}
-		payload2, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("re-reading re-encoded frame: %v", err)
-		}
-		var req2 Request
-		if err := json.Unmarshal(payload2, &req2); err != nil {
-			t.Fatalf("re-decoding: %v", err)
-		}
-		if req.ID != req2.ID || req.Op != req2.Op || req.Path != req2.Path ||
-			req.File != req2.File || req.Line != req2.Line || req.Func != req2.Func ||
-			req.Var != req2.Var || req.Kind != req2.Kind {
-			t.Fatalf("round trip drifted: %+v -> %+v", req, req2)
-		}
-		// The reader must leave the remainder of the stream untouched.
-		if rest, err := io.ReadAll(r); err == nil && len(rest) > 0 {
-			if _, err := ReadFrame(bytes.NewReader(rest)); err == nil {
-				// fine — subsequent frames remain readable
-				_ = rest
-			}
-		}
+		decodeRequest(t, payload)
+		decodeRequest(t, appendPayload(nil, nil, payload, nil))
 	})
+}
+
+// decodeRequest decodes payload as the server does and, when it holds a
+// request, checks that the request and its trace context survive a
+// re-encode/re-decode round trip.
+func decodeRequest(t *testing.T, payload []byte) {
+	t.Helper()
+	tc, body, err := ParsePayload(payload)
+	if err != nil {
+		return
+	}
+	var req Request
+	if json.Unmarshal(body, &req) != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, &req, tc); err != nil {
+		t.Fatalf("re-encoding accepted request: %v", err)
+	}
+	payload2, err := ReadFrame(&buf)
+	if err != nil {
+		t.Fatalf("re-reading re-encoded frame: %v", err)
+	}
+	tc2, body2, err := ParsePayload(payload2)
+	if err != nil {
+		t.Fatalf("re-parsing re-encoded frame: %v", err)
+	}
+	var req2 Request
+	if err := json.Unmarshal(body2, &req2); err != nil {
+		t.Fatalf("re-decoding: %v", err)
+	}
+	if req.ID != req2.ID || req.Op != req2.Op || req.Path != req2.Path ||
+		req.File != req2.File || req.Line != req2.Line || req.Func != req2.Func ||
+		req.Var != req2.Var || req.Kind != req2.Kind {
+		t.Fatalf("round trip drifted: %+v -> %+v", req, req2)
+	}
+	// A zero context is no context: WriteFrame drops it.
+	var ctx, ctx2 TraceContext
+	if tc != nil {
+		ctx = *tc
+	}
+	if tc2 != nil {
+		ctx2 = *tc2
+	}
+	if ctx != ctx2 {
+		t.Fatalf("trace context drifted: %+v -> %+v", ctx, ctx2)
+	}
 }
 
 // FuzzWireDecodeTorn cuts well-formed frames at an arbitrary byte boundary —
@@ -82,7 +108,7 @@ func FuzzWireDecode(f *testing.F) {
 func FuzzWireDecodeTorn(f *testing.F) {
 	frame := func(v any) []byte {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, v); err != nil {
+		if err := WriteFrame(&buf, v, nil); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()

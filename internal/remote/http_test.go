@@ -90,6 +90,13 @@ func TestTelemetryEndpoints(t *testing.T) {
 		if in.FramesIn == 0 || in.FramesOut == 0 {
 			t.Fatalf("frame counters not moving: %+v", in)
 		}
+		// The one session's row counts every frame the server did, the
+		// hello and its reply included.
+		ctr := srv.Stats().Counters
+		if in.FramesIn != ctr[core.CtrRemoteFramesIn] || in.FramesOut != ctr[core.CtrRemoteFramesOut] {
+			t.Fatalf("session frames in/out = %d/%d, server-wide %d/%d",
+				in.FramesIn, in.FramesOut, ctr[core.CtrRemoteFramesIn], ctr[core.CtrRemoteFramesOut])
+		}
 		if want := tr.PauseReason().String(); in.Pause != want || want == "" {
 			t.Fatalf("session pause = %q, want the client's %q", in.Pause, want)
 		}

@@ -90,14 +90,6 @@ type LoadSpec struct {
 	RecordInterval int  `json:"record_interval,omitempty"`
 }
 
-// FrameVersion is the highest framing version this build speaks (see
-// wire.go): 1 adds trace contexts, 2 the State tail and the checksum.
-// Hellos advertise it under the tracev key; both sides then use
-// min(client, server), so an old peer that never sends the field (JSON
-// drops zero values and ignores unknown ones) pins the connection to the
-// bare-JSON v0 framing.
-const FrameVersion = 2
-
 // Request is one client frame.
 type Request struct {
 	ID uint64 `json:"id"`
@@ -105,13 +97,6 @@ type Request struct {
 
 	// OpHello.
 	Kind string `json:"kind,omitempty"`
-	// TraceV advertises the client's framing version.
-	TraceV int `json:"tracev,omitempty"`
-	// HB advertises that the client can answer and emit heartbeats
-	// (OpPing). The server only arms heartbeat eviction — and only tells
-	// the client to beat — when both sides opted in, so old peers in
-	// either direction keep the pre-heartbeat behavior.
-	HB bool `json:"hb,omitempty"`
 
 	// OpLoad.
 	Path string    `json:"path,omitempty"`
@@ -137,8 +122,9 @@ type Request struct {
 
 	// WantState (control ops) asks for the State of the pause the op
 	// reaches in the response, sparing an OpState round trip. The client
-	// sets it when it read the State at the pause it is leaving; servers
-	// that predate it ignore it, and the client then asks with OpState.
+	// sets it when it read the State at the pause it is leaving; a response
+	// that brings no State (a failed op, or a backend that could not
+	// produce one) leaves the client to ask with OpState.
 	WantState bool `json:"want_state,omitempty"`
 }
 
@@ -174,25 +160,22 @@ type Response struct {
 	Status *Status `json:"status,omitempty"`
 
 	// OpHello.
-	Session  uint64              `json:"session,omitempty"`
-	Kind     string              `json:"kind,omitempty"`
-	Caps     *core.CapabilitySet `json:"caps,omitempty"`
-	MaxFrame int                 `json:"max_frame,omitempty"`
-	// TraceV is the negotiated framing version — the min of what both
-	// peers advertised. All frames after the hello exchange use it.
-	TraceV int `json:"tracev,omitempty"`
-	// HBNs/HBMiss are the negotiated heartbeat contract (hello responses
-	// only): the client must send OpPing every HBNs nanoseconds, and each
-	// side may declare the other dead after HBMiss consecutive silent
-	// intervals. Zero HBNs means heartbeats are off for this session.
+	Session uint64              `json:"session,omitempty"`
+	Kind    string              `json:"kind,omitempty"`
+	Caps    *core.CapabilitySet `json:"caps,omitempty"`
+	// HBNs/HBMiss are the heartbeat contract a server built WithHeartbeat
+	// grants every session (hello responses only): the client must send
+	// OpPing every HBNs nanoseconds, and each side may declare the other
+	// dead after HBMiss consecutive silent intervals. Zero HBNs means
+	// heartbeats are off for this session.
 	HBNs   int64 `json:"hb_ns,omitempty"`
 	HBMiss int   `json:"hb_miss,omitempty"`
 
 	// Inspection payloads. State answers OpState and a control op's
-	// WantState; at framing v2 it crosses in the frame's tail, outside
+	// WantState; it crosses in the frame's tail (wire.go), never inside
 	// the JSON.
 	Change *core.VarChange   `json:"change,omitempty"`
-	State  json.RawMessage   `json:"state,omitempty"`
+	State  json.RawMessage   `json:"-"`
 	Lines  []string          `json:"lines,omitempty"`
 	Stats  json.RawMessage   `json:"stats,omitempty"`
 	Regs   map[string]uint64 `json:"regs,omitempty"`

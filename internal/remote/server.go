@@ -84,8 +84,8 @@ func WithSpanCapacity(n int) ServerOption {
 	return func(s *Server) { s.spanCap = n }
 }
 
-// WithHeartbeat arms liveness heartbeats: clients that advertise support
-// are told to ping every interval, and a connection that goes completely
+// WithHeartbeat arms liveness heartbeats: every session's hello reply tells
+// its client to ping every interval, and a connection that goes completely
 // silent for misses consecutive intervals is evicted — even mid-command,
 // because total silence from a beating client means the wire is dead, not
 // that the session is busy (the idle-eviction inflight guard deliberately
@@ -402,15 +402,6 @@ type serverConn struct {
 	srv *Server
 	nc  net.Conn
 
-	// tracev is the negotiated framing version: written once during the
-	// handshake (before the executor goroutine exists), read-only
-	// afterwards.
-	tracev int
-
-	// hb records that heartbeats were negotiated for this connection: set
-	// once during the handshake, read-only afterwards.
-	hb bool
-
 	wmu sync.Mutex // serializes response frames (reader + executor both write)
 
 	imu  sync.Mutex // guards intr across reader/teardown
@@ -487,18 +478,18 @@ func (c *serverConn) writeResp(r *Response) error {
 	return c.writeRespCtx(r, nil)
 }
 
-// writeRespCtx writes one response frame under the negotiated framing,
-// stamping tc (the responding executor span) from v1 on. The frame is
-// counted before it is written, so a client that has read a response finds
-// it in the counters; a frame whose write fails still counts, on a
-// connection that is dead from then on.
+// writeRespCtx writes one response frame, stamping tc (the responding
+// executor span) into its header. The frame is counted before it is
+// written, so a client that has read a response finds it in the counters;
+// a frame whose write fails still counts, on a connection that is dead
+// from then on.
 func (c *serverConn) writeRespCtx(r *Response, tc *TraceContext) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.srv.met.Counter(core.CtrRemoteFramesOut).Inc()
 	c.framesOut.Add(1)
 	c.nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	return WriteFrameV(c.nc, r, c.tracev, tc)
+	return WriteFrame(c.nc, r, tc)
 }
 
 // interrupt pokes the session's tracker so a command running in the
@@ -532,7 +523,7 @@ func (c *serverConn) serve() {
 	// requests prove the session is used — a client that merely pings is
 	// keeping the socket warm, not working).
 	var hbWindow time.Duration
-	if c.hb {
+	if c.srv.hbInterval > 0 {
 		hbWindow = c.srv.hbInterval * time.Duration(c.srv.hbMisses)
 	}
 	lastFrame := time.Now()
@@ -591,7 +582,7 @@ func (c *serverConn) serve() {
 		lastFrame = time.Now()
 		c.srv.met.Counter(core.CtrRemoteFramesIn).Inc()
 		c.framesIn.Add(1)
-		tc, body, err := ParsePayload(payload, c.tracev)
+		tc, body, err := ParsePayload(payload)
 		if err != nil {
 			c.writeResp(&Response{Err: core.EncodeError(err)})
 			c.interrupt()
@@ -641,8 +632,10 @@ func (c *serverConn) handshake() (*session, bool) {
 	}
 	c.nc.SetReadDeadline(time.Time{})
 	c.srv.met.Counter(core.CtrRemoteFramesIn).Inc()
+	c.framesIn.Add(1)
+	_, body, err := ParsePayload(payload)
 	var req Request
-	if err := json.Unmarshal(payload, &req); err != nil || req.Op != OpHello {
+	if err != nil || json.Unmarshal(body, &req) != nil || req.Op != OpHello {
 		c.writeResp(&Response{ID: req.ID, Err: core.EncodeError(errors.New("remote: expected hello"))})
 		return nil, false
 	}
@@ -666,26 +659,16 @@ func (c *serverConn) handshake() (*session, bool) {
 		c.imu.Unlock()
 	}
 	caps := core.CapabilitiesOf(tr)
-	tracev := min(req.TraceV, FrameVersion)
-	// Heartbeats arm only when both sides opted in: the server was
-	// configured with WithHeartbeat and the client advertised HB. Old
-	// peers on either end leave hb off and keep pre-heartbeat behavior.
-	hb := req.HB && c.srv.hbInterval > 0
-	resp := &Response{ID: req.ID, Session: id, Kind: req.Kind, Caps: &caps, MaxFrame: MaxFrame, TraceV: tracev}
-	if hb {
+	resp := &Response{ID: req.ID, Session: id, Kind: req.Kind, Caps: &caps}
+	if c.srv.hbInterval > 0 {
 		resp.HBNs = int64(c.srv.hbInterval)
 		resp.HBMiss = c.srv.hbMisses
 	}
-	c.srv.logf("session %d: admitted kind=%s tracev=%d hb=%v", id, req.Kind, tracev, hb)
-	// The hello reply itself still crosses as v0 (c.tracev is set only
-	// after it's written); everything after the hello exchange uses the
-	// negotiated framing.
+	c.srv.logf("session %d: admitted kind=%s", id, req.Kind)
 	if err := c.writeResp(resp); err != nil {
 		c.srv.release(c)
 		return nil, false
 	}
-	c.tracev = tracev
-	c.hb = hb
 	c.infoMu.Lock()
 	c.info = SessionInfo{ID: id, Kind: req.Kind, Tenant: c.nc.RemoteAddr().String()}
 	c.infoMu.Unlock()

@@ -30,15 +30,14 @@ func (c *tapConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// responses splits the recorded stream into response frames: the hello
-// reply at v0, the rest at tracev. It returns each frame's JSON body and
-// State tail (nil when the frame had none).
-func (c *tapConn) responses(t *testing.T, tracev int) (bodies, tails [][]byte) {
+// responses splits the recorded stream into response frames. It returns
+// each frame's JSON body and State tail (nil when the frame had none).
+func (c *tapConn) responses(t *testing.T) (bodies, tails [][]byte) {
 	t.Helper()
 	c.mu.Lock()
 	r := bytes.NewReader(c.rx.Bytes())
 	c.mu.Unlock()
-	for v := 0; ; v = tracev {
+	for {
 		payload, err := ReadFrame(r)
 		if err == io.EOF {
 			return bodies, tails
@@ -46,7 +45,7 @@ func (c *tapConn) responses(t *testing.T, tracev int) (bodies, tails [][]byte) {
 		if err != nil {
 			t.Fatalf("recorded stream: %v", err)
 		}
-		_, body, tail, err := splitPayload(payload, v)
+		_, body, tail, err := splitPayload(payload)
 		if err != nil {
 			t.Fatalf("recorded frame: %v", err)
 		}
@@ -110,7 +109,7 @@ func TestStateRidesControlResponse(t *testing.T) {
 	if steps < 10 {
 		t.Fatalf("only %d interactions; the program should pause at every line", steps)
 	}
-	bodies, tails := tap.responses(t, FrameVersion)
+	bodies, tails := tap.responses(t)
 	pushed := 0
 	for i, tail := range tails {
 		if bytes.Contains(bodies[i], []byte(`"state"`)) {
@@ -142,7 +141,7 @@ func TestStateRidesControlResponse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bodies, tails = tap.responses(t, FrameVersion)
+	bodies, tails = tap.responses(t)
 	for i := range bodies {
 		if tails[i] != nil || bytes.Contains(bodies[i], []byte(`"state"`)) {
 			t.Fatalf("a session that never inspects received State bytes in frame %d", i)
@@ -150,71 +149,15 @@ func TestStateRidesControlResponse(t *testing.T) {
 	}
 }
 
-// TestStateV1ClientNewServer speaks framing v1 by hand at the current
-// server: a control op that sets want_state gets its State inside the JSON,
-// with no tail flag and no checksum.
-func TestStateV1ClientNewServer(t *testing.T) {
-	_, addr := startServer(t)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	tracev := 0
-	call := func(req *Request) (*Response, []byte) {
-		t.Helper()
-		if err := WriteFrameV(nc, req, tracev, nil); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := ReadFrame(nc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, body, err := ParsePayload(payload, tracev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatalf("v%d response is not flags plus JSON: %v", tracev, err)
-		}
-		if resp.Err != nil {
-			t.Fatalf("%s: %v", req.Op, resp.Err.DecodeError())
-		}
-		return &resp, payload
-	}
-
-	hello, _ := call(&Request{ID: 1, Op: OpHello, Kind: "minipy", TraceV: 1})
-	if hello.TraceV != 1 {
-		t.Fatalf("negotiated tracev = %d against a v1 client, want 1", hello.TraceV)
-	}
-	tracev = 1
-	call(&Request{ID: 2, Op: OpLoad, Path: "count.py", Load: &LoadSpec{Source: countPy}})
-	call(&Request{ID: 3, Op: OpStart})
-	step, payload := call(&Request{ID: 4, Op: OpStep, WantState: true})
-	if payload[0]&flagStateTail != 0 || payload[len(payload)-1] != '}' {
-		t.Fatalf("v1 response has a tail flag or a trailer: flags %#x, last byte %q",
-			payload[0], payload[len(payload)-1])
-	}
-	var pushed core.State
-	if err := pushed.UnmarshalJSON(step.State); err != nil {
-		t.Fatalf("want_state at v1: State inside the JSON does not decode: %v", err)
-	}
-	got, _ := call(&Request{ID: 5, Op: OpState})
-	if string(got.State) != string(step.State) {
-		t.Fatalf("pushed State differs from OpState's:\n got: %s\nwant: %s", step.State, got.State)
-	}
-}
-
 // stubDoc is the State a stub server serves.
 const stubDoc = `{"frames":[{"name":"<module>","line":2}]}`
 
-// serveStub accepts one client connection for a stub server that
-// negotiates framing tracev and pauses every session at line 2. answer fills
-// in each response after the hello; mangle, when set, may alter a
-// response's frame bytes before they are written. The channel yields the
-// stub's first error, or nil once the client hangs up.
-func serveStub(t *testing.T, tracev int, answer func(req *Request, resp *Response),
+// serveStub accepts one client connection for a stub server that pauses
+// every session at line 2. answer fills in each response after the hello;
+// mangle, when set, may alter a response's frame bytes, the hello reply's
+// included, before they are written. The channel yields the stub's first
+// error, or nil once the client hangs up.
+func serveStub(t *testing.T, answer func(req *Request, resp *Response),
 	mangle func(req *Request, frame []byte)) (string, <-chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -230,14 +173,13 @@ func serveStub(t *testing.T, tracev int, answer func(req *Request, resp *Respons
 			return
 		}
 		defer nc.Close()
-		v := 0 // the hello crosses at v0
 		for {
 			payload, err := ReadFrame(nc)
 			if err != nil {
 				errc <- nil // the client hung up
 				return
 			}
-			_, body, err := ParsePayload(payload, v)
+			_, body, err := ParsePayload(payload)
 			var req Request
 			if err == nil {
 				err = json.Unmarshal(body, &req)
@@ -248,14 +190,14 @@ func serveStub(t *testing.T, tracev int, answer func(req *Request, resp *Respons
 			}
 			resp := &Response{ID: req.ID}
 			if req.Op == OpHello {
-				resp.Session, resp.Kind, resp.TraceV = 1, req.Kind, tracev
+				resp.Session, resp.Kind = 1, req.Kind
 				resp.Caps = &core.CapabilitySet{State: true}
 			} else {
 				resp.Status = &Status{Line: 2}
 				answer(&req, resp)
 			}
 			var buf bytes.Buffer
-			if err := WriteFrameV(&buf, resp, v, nil); err != nil {
+			if err := WriteFrame(&buf, resp, nil); err != nil {
 				errc <- err
 				return
 			}
@@ -266,61 +208,9 @@ func serveStub(t *testing.T, tracev int, answer func(req *Request, resp *Respons
 				errc <- err
 				return
 			}
-			if req.Op == OpHello {
-				v = tracev
-			}
 		}
 	}()
 	return ln.Addr().String(), errc
-}
-
-// TestStateNewClientOldServer runs the current client against stub servers
-// that speak framing v0 and v1 and have never heard of want_state: every
-// State still arrives, each over its own OpState round trip.
-func TestStateNewClientOldServer(t *testing.T) {
-	for _, tracev := range []int{0, 1} {
-		var stateOps, wantStates int
-		addr, done := serveStub(t, tracev, func(req *Request, resp *Response) {
-			if req.Op == OpState {
-				stateOps++
-				resp.State = json.RawMessage(stubDoc)
-			}
-			if req.WantState {
-				wantStates++
-			}
-		}, nil)
-		tr, err := Connect(addr, "minipy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.LoadProgram("count.py", core.WithSource(countPy)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Start(); err != nil {
-			t.Fatal(err)
-		}
-		const reads = 4
-		for i := 0; i < reads; i++ {
-			st, err := tr.State()
-			if err != nil {
-				t.Fatalf("v%d server: State %d: %v", tracev, i, err)
-			}
-			if st.Frame == nil || st.Frame.Line != 2 {
-				t.Fatalf("v%d server: State %d decoded wrong: %+v", tracev, i, st)
-			}
-			if err := tr.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tr.Close()
-		if err := <-done; err != nil {
-			t.Fatalf("v%d server failed to decode client frames: %v", tracev, err)
-		}
-		if stateOps != reads || wantStates != reads {
-			t.Fatalf("v%d server: %d OpState requests and %d want_state steps, want %d each",
-				tracev, stateOps, wantStates, reads)
-		}
-	}
 }
 
 // TestChecksumDropsFlippedRequest flips one bit inside the op string of a
@@ -333,15 +223,15 @@ func TestChecksumDropsFlippedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := WriteFrame(nc, &Request{ID: 1, Op: OpHello, Kind: "minipy", TraceV: FrameVersion}); err != nil {
+	if err := WriteFrame(nc, &Request{ID: 1, Op: OpHello, Kind: "minipy"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFrame(nc); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrameV(&buf, &Request{ID: 2, Op: OpLoad, Path: "count.py",
-		Load: &LoadSpec{Source: countPy}}, FrameVersion, nil); err != nil {
+	if err := WriteFrame(&buf, &Request{ID: 2, Op: OpLoad, Path: "count.py",
+		Load: &LoadSpec{Source: countPy}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -380,7 +270,7 @@ func TestChecksumDropsFlippedRequest(t *testing.T) {
 // bit flipped. The client must drop the connection — the caller sees the
 // session lost with ErrChecksum as its cause, never a State decode error.
 func TestChecksumDropsFlippedStateTail(t *testing.T) {
-	addr, done := serveStub(t, FrameVersion, func(req *Request, resp *Response) {
+	addr, done := serveStub(t, func(req *Request, resp *Response) {
 		if req.Op == OpState {
 			resp.State = json.RawMessage(stubDoc)
 		}

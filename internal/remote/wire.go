@@ -40,7 +40,7 @@ var ErrFrameTooLarge = errors.New("remote: frame exceeds size limit")
 // the stream went bad and what the length prefix promised. It wraps the
 // underlying cause (ErrFrameTooLarge for a hostile prefix,
 // io.ErrUnexpectedEOF for a stream cut mid-frame — the torn-frame
-// signature — and ErrChecksum for a v2 payload corrupted in transit), so
+// signature — and ErrChecksum for a payload corrupted in transit), so
 // errors.Is keeps working; the client surfaces it inside
 // TrackerError.Err, where errors.As(&DecodeError{}) tells a corrupt frame
 // apart from an ordinary hangup.
@@ -65,22 +65,6 @@ func (e *DecodeError) Error() string {
 
 // Unwrap exposes the cause to errors.Is / errors.As.
 func (e *DecodeError) Unwrap() error { return e.Err }
-
-// WriteFrame marshals v and writes it as one length-prefixed frame.
-func WriteFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("remote: encoding frame: %w", err)
-	}
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err = w.Write(buf)
-	return err
-}
 
 // ReadFrame reads one length-prefixed frame payload. The length is bounds-
 // checked before any payload allocation, so a corrupt prefix cannot balloon
@@ -113,23 +97,14 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// Framing versions 1 and 2.
+// Every payload, the hello and its reply included, is
 //
-// The v0 frame payload is bare JSON. Hellos negotiate a framing version
-// (the TraceV field; hello frames themselves are always v0, which is what
-// makes the negotiation backward compatible: old peers omit the field, JSON
-// ignores it, the negotiated version stays 0 and nothing changes on the
-// wire). At v1 every later payload is
-//
-//	[1 flags byte][16-byte trace context when flags&flagTraceContext][JSON]
+//	[flags][16-byte trace context when flags&flagTraceContext]
+//	[4-byte body length when flags&flagStateTail]
+//	[JSON][State bytes when flags&flagStateTail][4-byte CRC-32C]
 //
 // so a request can carry the client span that caused it without touching
 // the JSON schema, and a peer that has nothing to propagate pays one byte.
-// v2 adds a State tail and a checksum:
-//
-//	[flags][trace context?][4-byte body length when flags&flagStateTail]
-//	[JSON][State bytes when flags&flagStateTail][4-byte CRC-32C]
-//
 // A response's State crosses as the codec's own bytes after the JSON body,
 // where encoding/json neither compacts it on the way out nor scans it twice
 // on the way in. The checksum covers everything before it, so a flipped
@@ -140,21 +115,21 @@ const (
 	// (big-endian trace id, then span id) between the flags byte and the
 	// JSON body.
 	flagTraceContext = 0x01
-	// flagStateTail (v2, responses only) marks a payload whose State rides
+	// flagStateTail (responses only) marks a payload whose State rides
 	// after the JSON body, which is prefixed by its 4-byte length.
 	flagStateTail = 0x02
 
 	// traceCtxSize is the encoded size of one TraceContext.
 	traceCtxSize = 16
-	// bodyLenSize and crcSize are the v2 body-length and checksum fields.
+	// bodyLenSize and crcSize are the body-length and checksum fields.
 	bodyLenSize = 4
 	crcSize     = 4
 )
 
-// castagnoli is the CRC-32C table of the v2 checksum.
+// castagnoli is the CRC-32C table of the payload checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrChecksum reports a v2 payload whose CRC-32C does not match: the bytes
+// ErrChecksum reports a payload whose CRC-32C does not match: the bytes
 // were corrupted in transit and the connection is unusable afterwards. It
 // arrives wrapped in a *DecodeError.
 var ErrChecksum = errors.New("remote: frame checksum mismatch")
@@ -167,53 +142,41 @@ type TraceContext struct {
 	SpanID  uint64
 }
 
-// WriteFrameV writes one frame under the negotiated framing version: v0 is
-// WriteFrame; v1 and v2 prefix the flags byte and the optional trace
-// context (tc nil or zero means "none"). At v2 a *Response's State moves
-// out of the JSON into the tail, and the payload ends in its checksum.
-func WriteFrameV(w io.Writer, v any, tracev int, tc *TraceContext) error {
-	if tracev < 1 {
-		return WriteFrame(w, v)
-	}
+// WriteFrame marshals v and writes it as one length-prefixed frame, with
+// the trace context tc (nil or zero means "none"). A *Response's State
+// rides in the tail, outside the JSON.
+func WriteFrame(w io.Writer, v any, tc *TraceContext) error {
 	var tail []byte
-	resp, _ := v.(*Response)
-	if resp != nil && tracev >= 2 && len(resp.State) > 0 {
-		tail, resp.State = resp.State, nil
+	if resp, ok := v.(*Response); ok && len(resp.State) > 0 {
+		tail = resp.State
 	}
 	body, err := json.Marshal(v)
-	if tail != nil {
-		resp.State = tail
-	}
 	if err != nil {
 		return fmt.Errorf("remote: encoding frame: %w", err)
 	}
 	if tc != nil && tc.TraceID == 0 && tc.SpanID == 0 {
 		tc = nil
 	}
-	n := 1 + len(body)
+	n := 1 + len(body) + len(tail) + crcSize
 	if tc != nil {
 		n += traceCtxSize
 	}
-	if tracev >= 2 {
-		n += len(tail) + crcSize
-		if tail != nil {
-			n += bodyLenSize
-		}
+	if tail != nil {
+		n += bodyLenSize
 	}
 	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
 	buf := make([]byte, 4, 4+n)
 	binary.BigEndian.PutUint32(buf, uint32(n))
-	_, err = w.Write(appendPayload(buf, tracev, tc, body, tail))
+	_, err = w.Write(appendPayload(buf, tc, body, tail))
 	return err
 }
 
-// appendPayload appends one v1 or v2 payload to dst: the flags byte, the
-// trace context when tc is non-nil and the body; at v2 also the body length
-// and tail when tail is non-nil, then the checksum. Callers pass no tail
-// below v2.
-func appendPayload(dst []byte, tracev int, tc *TraceContext, body, tail []byte) []byte {
+// appendPayload appends one payload to dst: the flags byte, the trace
+// context when tc is non-nil, the body length when tail is non-nil, the
+// body, the tail and the checksum.
+func appendPayload(dst []byte, tc *TraceContext, body, tail []byte) []byte {
 	start := len(dst)
 	var flags byte
 	if tc != nil {
@@ -231,20 +194,16 @@ func appendPayload(dst []byte, tracev int, tc *TraceContext, body, tail []byte) 
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
 	}
 	dst = append(dst, body...)
-	if tracev < 2 {
-		return dst
-	}
 	dst = append(dst, tail...)
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // ParsePayload splits one request payload read by ReadFrame into its
-// optional trace context and the JSON body, under the negotiated framing
-// version: v0 payloads are bare JSON (nil context). Only responses carry a
-// State tail, so a request with one is rejected. The returned body aliases
+// optional trace context and the JSON body. Only responses carry a State
+// tail, so a request with one is rejected. The returned body aliases
 // payload.
-func ParsePayload(payload []byte, tracev int) (*TraceContext, []byte, error) {
-	tc, body, tail, err := splitPayload(payload, tracev)
+func ParsePayload(payload []byte) (*TraceContext, []byte, error) {
+	tc, body, tail, err := splitPayload(payload)
 	if err == nil && tail != nil {
 		err = errors.New("remote: request frame carries a State tail")
 	}
@@ -253,34 +212,21 @@ func ParsePayload(payload []byte, tracev int) (*TraceContext, []byte, error) {
 
 // splitPayload splits one payload into its trace context, JSON body and
 // State tail. tail is non-nil exactly when the payload set flagStateTail;
-// body and tail alias payload. A v2 payload whose checksum does not match
+// body and tail alias payload. A payload whose checksum does not match
 // fails with a *DecodeError wrapping ErrChecksum.
-func splitPayload(payload []byte, tracev int) (tc *TraceContext, body, tail []byte, err error) {
-	if tracev < 1 {
-		return nil, payload, nil, nil
+func splitPayload(payload []byte) (tc *TraceContext, body, tail []byte, err error) {
+	if len(payload) < 1+crcSize {
+		return nil, nil, nil, fmt.Errorf("remote: short frame payload (%d bytes)", len(payload))
 	}
-	p := payload
-	if tracev >= 2 {
-		if len(p) < 1+crcSize {
-			return nil, nil, nil, fmt.Errorf("remote: short v2 frame payload (%d bytes)", len(p))
-		}
-		n := len(p) - crcSize
-		if crc32.Checksum(p[:n], castagnoli) != binary.BigEndian.Uint32(p[n:]) {
-			return nil, nil, nil, &DecodeError{Offset: 4 + len(p), Len: len(p), Err: ErrChecksum}
-		}
-		p = p[:n]
+	n := len(payload) - crcSize
+	if crc32.Checksum(payload[:n], castagnoli) != binary.BigEndian.Uint32(payload[n:]) {
+		return nil, nil, nil, &DecodeError{Offset: 4 + len(payload), Len: len(payload), Err: ErrChecksum}
 	}
-	if len(p) < 1 {
-		return nil, nil, nil, fmt.Errorf("remote: empty v1 frame payload")
-	}
-	// Bits a version has not assigned must be zero: rejecting them is what
-	// let v2 assign flagStateTail without old peers misparsing it.
+	p := payload[:n]
+	// Unassigned flag bits must be zero: a payload that sets one has a
+	// layout this reader cannot split.
 	flags := p[0]
-	known := byte(flagTraceContext)
-	if tracev >= 2 {
-		known |= flagStateTail
-	}
-	if flags&^known != 0 {
+	if flags&^(flagTraceContext|flagStateTail) != 0 {
 		return nil, nil, nil, fmt.Errorf("remote: unknown frame flags %#x", flags)
 	}
 	p = p[1:]
@@ -300,10 +246,10 @@ func splitPayload(payload []byte, tracev int) (tc *TraceContext, body, tail []by
 	if len(p) < bodyLenSize {
 		return nil, nil, nil, fmt.Errorf("remote: truncated body length (%d bytes)", len(p))
 	}
-	n := binary.BigEndian.Uint32(p)
+	bn := binary.BigEndian.Uint32(p)
 	p = p[bodyLenSize:]
-	if uint64(n) > uint64(len(p)) {
-		return nil, nil, nil, fmt.Errorf("remote: body length %d runs past the %d-byte payload", n, len(p))
+	if uint64(bn) > uint64(len(p)) {
+		return nil, nil, nil, fmt.Errorf("remote: body length %d runs past the %d-byte payload", bn, len(p))
 	}
-	return tc, p[:n:n], p[n:], nil
+	return tc, p[:bn:bn], p[bn:], nil
 }

@@ -17,7 +17,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{ID: 3, Op: OpBreakLine, File: "prog.py", Line: 7, MaxDepth: 2},
 	}
 	for _, req := range reqs {
-		if err := WriteFrame(&buf, req); err != nil {
+		if err := WriteFrame(&buf, req, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -26,8 +26,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, body, err := ParsePayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got Request
-		if err := json.Unmarshal(payload, &got); err != nil {
+		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
 		if got.ID != want.ID || got.Op != want.Op || got.Path != want.Path || got.Line != want.Line {
@@ -58,7 +62,7 @@ func TestFrameTooLarge(t *testing.T) {
 
 func TestFrameCutMidPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Request{ID: 1, Op: OpResume}); err != nil {
+	if err := WriteFrame(&buf, &Request{ID: 1, Op: OpResume}, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := buf.Len() - 4 // payload the prefix promises
