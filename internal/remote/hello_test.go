@@ -135,3 +135,114 @@ func TestChecksumDropsFlippedHelloReply(t *testing.T) {
 		t.Fatalf("stub server: %v", err)
 	}
 }
+
+// TestHelloBareJSONReplyRefused answers the client's hello as a server of
+// the retired bare-JSON framing did: no flags byte and no checksum.
+// Connect must fail with the session lost to ErrChecksum rather than read
+// the reply as a hello.
+func TestHelloBareJSONReplyRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	errc := make(chan error, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			errc <- err
+			return
+		}
+		defer nc.Close()
+		payload, err := ReadFrame(nc)
+		if err != nil {
+			errc <- err
+			return
+		}
+		_, body, err := ParsePayload(payload)
+		var req Request
+		if err == nil {
+			err = json.Unmarshal(body, &req)
+		}
+		if err != nil {
+			errc <- err
+			return
+		}
+		reply, err := json.Marshal(&Response{ID: req.ID, Session: 1, Kind: req.Kind,
+			Caps: &core.CapabilitySet{State: true}})
+		if err == nil {
+			_, err = nc.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(reply))), reply...))
+		}
+		errc <- err
+	}()
+	tr, err := Connect(ln.Addr().String(), "minipy", WithDialTimeout(5*time.Second))
+	if err == nil {
+		tr.Close()
+		t.Fatal("a bare-JSON hello reply was accepted")
+	}
+	if !errors.Is(err, core.ErrSessionLost) || !errors.Is(err, ErrChecksum) {
+		t.Fatalf("bare-JSON hello reply: err = %v, want the session lost to ErrChecksum", err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("stub server: %v", err)
+	}
+}
+
+// TestHelloReplyGrantsHeartbeat sends a hello by hand and reads the
+// checksummed reply: the session, its kind, its capabilities and the
+// heartbeat contract. A hello has no way to opt out of heartbeats, so a
+// server built WithHeartbeat grants them to every session; one built
+// without grants none.
+func TestHelloReplyGrantsHeartbeat(t *testing.T) {
+	cases := []struct {
+		name     string
+		interval time.Duration
+		misses   int
+	}{
+		{"heartbeats off", 0, 0},
+		{"WithHeartbeat", 20 * time.Millisecond, 4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var opts []ServerOption
+			if c.interval > 0 {
+				opts = append(opts, WithHeartbeat(c.interval, c.misses))
+			}
+			_, addr := startServer(t, opts...)
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			if err := WriteFrame(nc, &Request{ID: 1, Op: OpHello, Kind: "minipy"}, nil); err != nil {
+				t.Fatal(err)
+			}
+			nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			payload, err := ReadFrame(nc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, body, err := ParsePayload(payload)
+			if err != nil {
+				t.Fatalf("hello reply: %v", err)
+			}
+			var resp Response
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Err != nil {
+				t.Fatalf("hello: %v", resp.Err.DecodeError())
+			}
+			if resp.ID != 1 || resp.Session == 0 || resp.Kind != "minipy" || resp.Caps == nil {
+				t.Fatalf("hello reply lacks its session, kind or capabilities: %s", body)
+			}
+			if resp.HBNs != int64(c.interval) || resp.HBMiss != c.misses {
+				t.Fatalf("heartbeat grant = %v x %d, want %v x %d",
+					time.Duration(resp.HBNs), resp.HBMiss, c.interval, c.misses)
+			}
+			if bytes.Contains(body, []byte(`"max_frame"`)) {
+				t.Fatalf("hello reply carries max_frame: %s", body)
+			}
+		})
+	}
+}

@@ -14,59 +14,108 @@ import (
 )
 
 // TestFramePayloadRoundTrip writes frames with and without a trace context
-// and a State tail and splits them back into the same parts.
+// and a State tail and splits them back into the same parts. A payload
+// without a tail has no body length, and a zero trace context is none.
 func TestFramePayloadRoundTrip(t *testing.T) {
 	state := json.RawMessage(`{"frames":[{"name":"<module>","line":3}]}`)
-	resp := &Response{ID: 9, Status: &Status{Line: 3}, State: state}
-	want := &TraceContext{TraceID: 5, SpanID: 6}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, resp, want); err != nil {
-		t.Fatal(err)
+	ctx := &TraceContext{TraceID: 5, SpanID: 6}
+	cases := []struct {
+		name  string
+		tc    *TraceContext
+		tail  bool // write a *Response carrying state; else a *Request
+		flags byte
+	}{
+		{"context and State tail", ctx, true, flagTraceContext | flagStateTail},
+		{"State tail without context", nil, true, flagStateTail},
+		{"context without State tail", ctx, false, flagTraceContext},
+		{"no context", nil, false, 0},
+		{"zero context", &TraceContext{}, false, 0},
 	}
-	if string(resp.State) != string(state) {
-		t.Fatalf("writing moved the caller's State: %q", resp.State)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var v any = &Request{ID: 7, Op: OpResume}
+			if c.tail {
+				v = &Response{ID: 9, Status: &Status{Line: 3}, State: state}
+			}
+			var buf bytes.Buffer
+			if err := WriteFrame(&buf, v, c.tc); err != nil {
+				t.Fatal(err)
+			}
+			if resp, ok := v.(*Response); ok && string(resp.State) != string(state) {
+				t.Fatalf("writing moved the caller's State: %q", resp.State)
+			}
+			payload, err := ReadFrame(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if payload[0] != c.flags {
+				t.Fatalf("flags byte = %#x, want %#x", payload[0], c.flags)
+			}
+			tc, body, tail, err := splitPayload(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := 1 + len(body) + len(tail) + crcSize
+			if c.flags&flagTraceContext != 0 {
+				if tc == nil || *tc != *ctx {
+					t.Fatalf("context drifted: %+v", tc)
+				}
+				size += traceCtxSize
+			} else if tc != nil {
+				t.Fatalf("context %+v from a frame written without one", tc)
+			}
+			if c.tail {
+				if string(tail) != string(state) {
+					t.Fatalf("tail = %q, want the State bytes", tail)
+				}
+				size += bodyLenSize
+			} else if tail != nil {
+				t.Fatalf("tail %q from a frame written without one", tail)
+			}
+			if len(payload) != size {
+				t.Fatalf("payload is %d bytes, want %d: %q", len(payload), size, payload)
+			}
+			if bytes.Contains(body, []byte(`"state"`)) {
+				t.Fatalf("State inside the JSON body: %s", body)
+			}
+			want, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, want) {
+				t.Fatalf("body = %s, want %s", body, want)
+			}
+			// The server's reader agrees, and refuses what only a
+			// response may carry.
+			ptc, pbody, err := ParsePayload(payload)
+			if c.tail {
+				if err == nil {
+					t.Fatal("ParsePayload accepted a payload with a State tail")
+				}
+			} else if err != nil || (ptc == nil) != (tc == nil) || !bytes.Equal(pbody, body) {
+				t.Fatalf("request parse: tc=%v err=%v body=%q", ptc, err, pbody)
+			}
+		})
 	}
-	payload, err := ReadFrame(&buf)
+}
+
+// TestResponseStateHasNoJSONForm pins the State tail as the only way a
+// State crosses: encoding a Response leaves it out of the JSON, and a
+// "state" key inside a JSON body is not read as one.
+func TestResponseStateHasNoJSONForm(t *testing.T) {
+	body, err := json.Marshal(&Response{ID: 1, State: json.RawMessage(stubDoc)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payload[0] != flagTraceContext|flagStateTail {
-		t.Fatalf("flags byte = %#x, want trace context and State tail", payload[0])
+	if bytes.Contains(body, []byte(`"state"`)) || bytes.Contains(body, []byte(`"frames"`)) {
+		t.Fatalf("encoded Response carries its State in the JSON: %s", body)
 	}
-	tc, body, tail, err := splitPayload(payload)
-	if err != nil {
+	var resp Response
+	if err := json.Unmarshal([]byte(`{"id":1,"state":`+stubDoc+`}`), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if tc == nil || *tc != *want {
-		t.Fatalf("context drifted: %+v", tc)
-	}
-	if string(tail) != string(state) {
-		t.Fatalf("tail = %q, want the State bytes", tail)
-	}
-	if bytes.Contains(body, []byte(`"state"`)) {
-		t.Fatalf("State still inside the JSON body: %s", body)
-	}
-	var got Response
-	if err := json.Unmarshal(body, &got); err != nil || got.ID != 9 || got.Status.Line != 3 {
-		t.Fatalf("body: %v %+v", err, got)
-	}
-	// A request never carries a tail, and a payload without one has no
-	// body length: flags, JSON, checksum. A zero trace context is none.
-	for _, tc := range []*TraceContext{nil, {}} {
-		buf.Reset()
-		if err := WriteFrame(&buf, &Request{ID: 7, Op: OpResume}, tc); err != nil {
-			t.Fatal(err)
-		}
-		if payload, err = ReadFrame(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if payload[0] != 0 || payload[len(payload)-crcSize-1] != '}' {
-			t.Fatalf("request payload = %q, want [0][JSON][CRC]", payload)
-		}
-		got, body, err := ParsePayload(payload)
-		if err != nil || got != nil || !json.Valid(body) {
-			t.Fatalf("request parse: tc=%v err=%v body=%q", got, err, body)
-		}
+	if resp.ID != 1 || resp.State != nil {
+		t.Fatalf("decoded Response = id %d, State %q; want id 1 and no State", resp.ID, resp.State)
 	}
 }
 
@@ -194,6 +243,10 @@ func FuzzTraceContextDecode(f *testing.F) {
 	f.Add(appendPayload(nil, nil, []byte(`{"id":6}`), []byte{}))
 	f.Add([]byte{flagStateTail, 0, 0, 0, 9, '{', '}', 0, 0, 0, 0})
 	f.Add([]byte{0, '{', '}', 1, 2, 3, 4})
+	// A payload as the retired v1 framing wrote it: flags, a trace context
+	// and the JSON, with no checksum.
+	v1 := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{flagTraceContext}, 1), 2)
+	f.Add(append(v1, `{"id":4}`...))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		tc, body, tail, err := splitPayload(payload)
