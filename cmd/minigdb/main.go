@@ -9,6 +9,12 @@
 // Commands are GDB/MI-style lines (-exec-run, -break-insert 12,
 // -exec-continue, -et-inspect, ...); responses end with "(gdb)".
 //
+// Every value in a response is a quoted c-string except -et-inspect's
+// state: the State JSON as the codec wrote it, unquoted, behind its length
+// in bytes (abridged here):
+//
+//	^done,state=#371:{"frames":[{"name":"main",...}],...,"reason":{"type":"NONE"}},version="4"
+//
 // -die-after N makes the process exit abruptly (status 3) when command
 // N+1 arrives, before any response is written — a deterministic debugger
 // crash used by the session-recovery fault tests.

@@ -56,9 +56,11 @@ func TestStateJSONGolden(t *testing.T) {
 		if err := refUnmarshalState(doc, &ref); err != nil {
 			t.Fatalf("%s: reference decode: %v", names[i], err)
 		}
-		if got, _ := ref.MarshalJSON(); !bytes.Equal(got, doc) {
+		got, _ := ref.MarshalJSON()
+		if !bytes.Equal(got, doc) {
 			t.Errorf("%s: encoder bytes differ from the reference's\n got %s\nwant %s", names[i], got, doc)
 		}
+		assertOneLine(t, names[i], got)
 		var back State
 		if err := back.UnmarshalJSON(doc); err != nil {
 			t.Fatalf("%s: decode: %v", names[i], err)
@@ -248,6 +250,7 @@ func checkRoot(t *testing.T, r jsonRoot, doc []byte, dup bool) {
 	t.Helper()
 	got, gotErr := r.decode(doc)
 	if gotErr == nil {
+		assertOneLine(t, r.name, got)
 		again, err := r.decode(got)
 		if err != nil {
 			t.Fatalf("%s: re-decoding %q: %v", r.name, got, err)
@@ -271,6 +274,16 @@ func checkRoot(t *testing.T, r jsonRoot, doc []byte, dup bool) {
 	}
 	if !bytes.Equal(want, ref) {
 		t.Fatalf("%s: encoder bytes differ from the reference encoder's\n got %s\nwant %s", r.name, want, ref)
+	}
+}
+
+// assertOneLine fails the test if the encoder wrote a raw line end. The
+// MI server sends a State's bytes as they stand inside one MI line, so a
+// '\n' or '\r' in them would cut the line.
+func assertOneLine(t *testing.T, name string, doc []byte) {
+	t.Helper()
+	if i := bytes.IndexAny(doc, "\n\r"); i >= 0 {
+		t.Fatalf("%s: the encoder wrote a raw line end at byte %d of %q", name, i, doc)
 	}
 }
 

@@ -537,6 +537,54 @@ func TestHeapMapExpandsArrays(t *testing.T) {
 	}
 }
 
+// TestInspectorIdentity pins both halves of the inspector's memo key, an
+// address and a type: two pointers to one tracked heap block share one List
+// Value, while a struct and its first field share an address but not a type
+// and stay two Values.
+func TestInspectorIdentity(t *testing.T) {
+	src := `struct pt { int x; int y; };
+int main() {
+    int* a = (int*)malloc(3 * sizeof(int));
+    int* b = a;
+    struct pt s;
+    int* px = &s.x;
+    struct pt* ps = &s;
+    s.x = 1;
+    return 0;
+}`
+	d := started(t, src, vm.Config{})
+	if _, err := d.BreakAtLine(9, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Continue(nil); err != nil {
+		t.Fatal(err)
+	}
+	fr := d.NewInspector().Frame()
+	d.SetHeapMap(map[uint64]uint64{fr.Lookup("a").Value.Deref().Address: 24})
+	fr = d.NewInspector().Frame()
+	arr := fr.Lookup("a").Value.Deref()
+	if arr.Kind != core.List || arr.LanguageType != "int[3]" {
+		t.Fatalf("a -> %s (%s)", arr, arr.LanguageType)
+	}
+	if b := fr.Lookup("b").Value.Deref(); b != arr {
+		t.Error("a and b point at one block but reach two Values")
+	}
+	s := fr.Lookup("s").Value
+	x := s.FieldByName("x")
+	if s.Address != x.Address {
+		t.Fatalf("s at %#x, s.x at %#x", s.Address, x.Address)
+	}
+	if x == s {
+		t.Error("s and s.x share an address and became one Value")
+	}
+	if px := fr.Lookup("px").Value.Deref(); px != x {
+		t.Errorf("px -> %s (%s), want the Value of s.x", px, px.LanguageType)
+	}
+	if ps := fr.Lookup("ps").Value.Deref(); ps != s {
+		t.Errorf("ps -> %s (%s), want the Value of s", ps, ps.LanguageType)
+	}
+}
+
 func TestLinkedListCycleSafe(t *testing.T) {
 	src := `struct node { int v; struct node* next; };
 int main() {

@@ -1,8 +1,8 @@
 package dbg
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"easytracker/internal/core"
@@ -19,12 +19,19 @@ import (
 // variables, using the heap-block map for dynamic array sizes.
 type Inspector struct {
 	d    *Debugger
-	memo map[string]*core.Value
+	memo map[memoKey]*core.Value
+}
+
+// memoKey names one Value of a snapshot: an address read as a type, the
+// type spelled as the Value's LanguageType.
+type memoKey struct {
+	addr uint64
+	ty   string
 }
 
 // NewInspector starts a fresh inspection snapshot.
 func (d *Debugger) NewInspector() *Inspector {
-	return &Inspector{d: d, memo: map[string]*core.Value{}}
+	return &Inspector{d: d, memo: map[memoKey]*core.Value{}}
 }
 
 // locationOf classifies an address into the conceptual memory regions.
@@ -48,14 +55,14 @@ func (in *Inspector) locationOf(addr uint64) core.Location {
 
 // ValueAt reads a value of the given type at addr.
 func (in *Inspector) ValueAt(addr uint64, ty *isa.TypeInfo) *core.Value {
-	key := fmt.Sprintf("%d:%s", addr, ty)
+	key := memoKey{addr, ty.String()}
 	if v, ok := in.memo[key]; ok {
 		return v
 	}
 	v := &core.Value{
 		Address:      addr,
 		Location:     in.locationOf(addr),
-		LanguageType: ty.String(),
+		LanguageType: key.ty,
 	}
 	in.memo[key] = v
 	in.fill(v, addr, ty)
@@ -179,16 +186,16 @@ func (in *Inspector) fillPointer(v *core.Value, ptr uint64, elem *isa.TypeInfo) 
 	if size, ok := in.d.heapMap[ptr]; ok && size > esz {
 		n := int(size / esz)
 		v.Kind = core.Ref
-		arr := &core.Value{
-			Address:      ptr,
-			Location:     core.LocHeap,
-			LanguageType: fmt.Sprintf("%s[%d]", elem, n),
-			Kind:         core.List,
-		}
-		akey := fmt.Sprintf("%d:%s[%d]", ptr, elem, n)
+		akey := memoKey{ptr, elem.String() + "[" + strconv.Itoa(n) + "]"}
 		if prev, ok := in.memo[akey]; ok {
 			v.Content = prev
 			return
+		}
+		arr := &core.Value{
+			Address:      ptr,
+			Location:     core.LocHeap,
+			LanguageType: akey.ty,
+			Kind:         core.List,
 		}
 		in.memo[akey] = arr
 		elems := make([]*core.Value, n)

@@ -4,14 +4,14 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unicode/utf8"
 )
 
 // FuzzParseRecord checks that the MI record parser never panics and that
 // parsing is stable under re-printing: for any line the parser accepts,
 // Print produces a line that parses back to the same record (and printing
-// that is a fixed point). Inputs with invalid UTF-8 only assert printability,
-// since quoteC normalizes bad bytes to U+FFFD inside c-strings.
+// that is a fixed point). C-strings are quoted and unquoted byte by byte, so
+// this holds for bytes that are not UTF-8 too. A raw value parses as a
+// string and prints back as a c-string.
 func FuzzParseRecord(f *testing.F) {
 	seeds := []string{
 		"(gdb)",
@@ -29,6 +29,14 @@ func FuzzParseRecord(f *testing.F) {
 		"^done,a=\"1\",b=[\"x\",{c=\"2\"}]",
 		"123^running",
 		"^done,weird\ttab=\"v\"",
+		"^done,bad=\"\xff\xfe\"",
+		"2^done,state=#7:{\"a\":1},version=\"3\"",
+		"^done,l=[#0:,#2:\"]],t={r=#3:a,b}",
+		"^done,state=#9:{\"a\":1}",
+		"^done,state=#99:{}",
+		"^done,state=#x1:{}",
+		"^done,state=#:{}",
+		"^done,state=#99999999999999999999:{}",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -46,7 +54,7 @@ func FuzzParseRecord(f *testing.F) {
 		if p2 := rec2.Print(); p2 != p1 {
 			t.Fatalf("print not a fixed point: %q -> %q -> %q", line, p1, p2)
 		}
-		if utf8.ValidString(line) && !reflect.DeepEqual(rec, rec2) {
+		if !reflect.DeepEqual(rec, rec2) {
 			t.Fatalf("round trip changed record: %q: %#v != %#v", line, rec, rec2)
 		}
 	})
@@ -64,6 +72,7 @@ func FuzzSplitCommand(f *testing.F) {
 		"-et-inspect",
 		"-break-insert -f \"fn\" 3",
 		"-x \"\" trailing",
+		"-x \"\xff \\\"\" \xfe",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -82,10 +91,9 @@ func FuzzSplitCommand(f *testing.F) {
 			}
 		}
 		// Rebuild the line with canonical quoting and re-split. Only
-		// meaningful when the op itself needs no quoting (an op with
-		// spaces cannot be round-tripped through MI's grammar) and the
-		// input was valid UTF-8 (QuoteArg normalizes bad bytes).
-		if QuoteArg(op) != op || !utf8.ValidString(line) {
+		// meaningful when the op itself needs no quoting: an op with
+		// spaces cannot be round-tripped through MI's grammar.
+		if QuoteArg(op) != op {
 			return
 		}
 		parts := []string{token + op}

@@ -32,11 +32,19 @@ const (
 	PromptRecord
 )
 
-// Value is an MI value: a string (c-string on the wire), a Tuple, or a List.
+// Value is an MI value: a string (c-string on the wire), a raw value, a
+// Tuple, or a List.
 type Value interface{ miValue() }
 
 // StringVal is a c-string value.
 type StringVal string
+
+// RawVal is a value written as it stands behind a length prefix,
+// "#<len>:<bytes>", instead of being quoted as a c-string. It carries
+// -et-inspect's State exactly as the codec wrote it. Its bytes must hold no
+// '\n' or '\r', which end an MI line. ParseRecord returns a raw value as a
+// StringVal, so readers get it with GetString either way.
+type RawVal []byte
 
 // Tuple is "{var=value,...}".
 type Tuple []Result
@@ -46,6 +54,7 @@ type Tuple []Result
 type List []Value
 
 func (StringVal) miValue() {}
+func (RawVal) miValue()    {}
 func (Tuple) miValue()     {}
 func (List) miValue()      {}
 
@@ -115,11 +124,11 @@ func (r Record) Print() string {
 		b.WriteString(r.Class)
 	case StreamRecord:
 		b.WriteString("~")
-		b.WriteString(quoteC(r.Stream))
+		writeQuoted(&b, r.Stream)
 		return b.String()
 	case TargetStreamRecord:
 		b.WriteString("@")
-		b.WriteString(quoteC(r.Stream))
+		writeQuoted(&b, r.Stream)
 		return b.String()
 	case PromptRecord:
 		return "(gdb)"
@@ -140,7 +149,12 @@ func printResult(b *strings.Builder, r Result) {
 func printValue(b *strings.Builder, v Value) {
 	switch val := v.(type) {
 	case StringVal:
-		b.WriteString(quoteC(string(val)))
+		writeQuoted(b, string(val))
+	case RawVal:
+		b.WriteByte('#')
+		b.WriteString(strconv.Itoa(len(val)))
+		b.WriteByte(':')
+		b.Write(val)
 	case Tuple:
 		b.WriteString("{")
 		for i, r := range val {
@@ -162,32 +176,38 @@ func printValue(b *strings.Builder, v Value) {
 	case nil:
 		b.WriteString(`""`)
 	default:
-		b.WriteString(quoteC(fmt.Sprint(val)))
+		writeQuoted(b, fmt.Sprint(val))
 	}
 }
 
-// quoteC renders a c-string with the escapes MI uses.
-func quoteC(s string) string {
-	var b strings.Builder
+// writeQuoted writes s as a c-string with the escapes MI uses. It works
+// byte by byte and copies each run without escapes in one write, so bytes
+// that are not UTF-8 cross unchanged.
+func writeQuoted(b *strings.Builder, s string) {
 	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
 		case '"':
-			b.WriteString(`\"`)
+			esc = `\"`
 		case '\\':
-			b.WriteString(`\\`)
+			esc = `\\`
 		case '\n':
-			b.WriteString(`\n`)
+			esc = `\n`
 		case '\t':
-			b.WriteString(`\t`)
+			esc = `\t`
 		case '\r':
-			b.WriteString(`\r`)
+			esc = `\r`
 		default:
-			b.WriteRune(r)
+			continue
 		}
+		b.WriteString(s[start:i])
+		b.WriteString(esc)
+		start = i + 1
 	}
+	b.WriteString(s[start:])
 	b.WriteByte('"')
-	return b.String()
 }
 
 // ParseRecord parses one MI output line.
@@ -276,10 +296,13 @@ func (p *recParser) classAndResults() (Record, error) {
 
 func (p *recParser) result() (Result, error) {
 	start := p.pos
-	for p.pos < len(p.s) && p.s[p.pos] != '=' {
+	for p.pos < len(p.s) && isNameByte(p.s[p.pos]) {
 		p.pos++
 	}
-	if p.pos >= len(p.s) {
+	if p.pos == start {
+		return Result{}, p.errf("missing result name")
+	}
+	if p.peek() != '=' {
 		return Result{}, p.errf("missing '='")
 	}
 	name := p.s[start:p.pos]
@@ -288,10 +311,19 @@ func (p *recParser) result() (Result, error) {
 	return Result{Var: name, Val: v}, err
 }
 
+// isNameByte reports whether c belongs to MI's variable grammar, the
+// names a result may have: [A-Za-z0-9_-].
+func isNameByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_' || c == '-'
+}
+
 func (p *recParser) value() (Value, error) {
 	switch p.peek() {
 	case '"':
 		s, err := p.cstring()
+		return StringVal(s), err
+	case '#':
+		s, err := p.raw()
 		return StringVal(s), err
 	case '{':
 		p.pos++
@@ -326,7 +358,7 @@ func (p *recParser) value() (Value, error) {
 		}
 		for {
 			// List items may be values or var=value results.
-			if p.peek() == '"' || p.peek() == '{' || p.peek() == '[' {
+			if c := p.peek(); c == '"' || c == '#' || c == '{' || c == '[' {
 				v, err := p.value()
 				if err != nil {
 					return nil, err
@@ -354,53 +386,95 @@ func (p *recParser) value() (Value, error) {
 	return nil, p.errf("bad value start %q", string(p.peek()))
 }
 
+// cstring reads a c-string. It works byte by byte and copies each run
+// without escapes in one write, so bytes that are not UTF-8 come back
+// unchanged.
 func (p *recParser) cstring() (string, error) {
 	if p.peek() != '"' {
 		return "", p.errf("missing '\"'")
 	}
 	p.pos++
 	var b strings.Builder
+	start := p.pos
 	for p.pos < len(p.s) {
-		c := p.s[p.pos]
-		p.pos++
-		switch c {
+		switch p.s[p.pos] {
 		case '"':
+			b.WriteString(p.s[start:p.pos])
+			p.pos++
 			return b.String(), nil
 		case '\\':
-			if p.pos >= len(p.s) {
+			if p.pos+1 >= len(p.s) {
 				return "", p.errf("dangling escape")
 			}
-			e := p.s[p.pos]
-			p.pos++
-			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"', '\\':
-				b.WriteByte(e)
-			default:
-				return "", p.errf("unknown escape \\%c", e)
+			c, ok := unescape(p.s[p.pos+1])
+			if !ok {
+				return "", p.errf("unknown escape \\%c", p.s[p.pos+1])
 			}
-		default:
+			b.WriteString(p.s[start:p.pos])
 			b.WriteByte(c)
+			p.pos += 2
+			start = p.pos
+		default:
+			p.pos++
 		}
 	}
 	return "", p.errf("unterminated string")
 }
 
+// unescape returns the byte a c-string's backslash escape stands for, the
+// inverse of writeQuoted.
+func unescape(e byte) (byte, bool) {
+	switch e {
+	case 'n':
+		return '\n', true
+	case 't':
+		return '\t', true
+	case 'r':
+		return '\r', true
+	case '"', '\\':
+		return e, true
+	}
+	return 0, false
+}
+
+// raw reads a length-prefixed raw value, "#<len>:<bytes>": exactly len
+// bytes after the colon, sliced out of the line as they stand. A length
+// that is missing, not decimal, overflows or runs past the end of the line
+// is an error, so a cut or merged line never yields a shorter value.
+func (p *recParser) raw() (string, error) {
+	p.pos++ // #
+	start := p.pos
+	for p.pos < len(p.s) && '0' <= p.s[p.pos] && p.s[p.pos] <= '9' {
+		p.pos++
+	}
+	n, err := strconv.Atoi(p.s[start:p.pos])
+	if err != nil || p.peek() != ':' {
+		return "", p.errf("bad raw value length")
+	}
+	p.pos++ // :
+	if n > len(p.s)-p.pos {
+		return "", p.errf("raw value of %d bytes runs past the end of the line", n)
+	}
+	v := p.s[p.pos : p.pos+n]
+	p.pos += n
+	return v, nil
+}
+
+// cmdSpace holds the bytes SplitCommand trims from a command line: the
+// field separators and the line end. QuoteArg quotes an argument holding
+// any of them, so an argument it leaves alone reads back whole.
+const cmdSpace = " \t\r\n"
+
 // SplitCommand tokenizes an MI input command line into (token, operation,
 // args); quoted arguments may contain spaces.
 func SplitCommand(line string) (token, op string, args []string, err error) {
-	line = strings.TrimSpace(line)
+	line = strings.Trim(line, cmdSpace)
 	i := 0
 	for i < len(line) && line[i] >= '0' && line[i] <= '9' {
 		i++
 	}
 	token = line[:i]
-	rest := strings.TrimSpace(line[i:])
+	rest := strings.Trim(line[i:], cmdSpace)
 	if rest == "" || rest[0] != '-' {
 		return "", "", nil, fmt.Errorf("mi: command must start with '-': %q", line)
 	}
@@ -426,16 +500,9 @@ func splitQuoted(s string) ([]string, error) {
 		switch {
 		case inQ && c == '\\' && i+1 < len(s):
 			i++
-			switch s[i] {
-			case 'n':
-				cur.WriteByte('\n')
-			case 't':
-				cur.WriteByte('\t')
-			case 'r':
-				cur.WriteByte('\r')
-			case '"', '\\':
-				cur.WriteByte(s[i])
-			default:
+			if e, ok := unescape(s[i]); ok {
+				cur.WriteByte(e)
+			} else {
 				cur.WriteByte('\\')
 				cur.WriteByte(s[i])
 			}
@@ -463,8 +530,10 @@ func splitQuoted(s string) ([]string, error) {
 
 // QuoteArg quotes an argument for an MI command line if needed.
 func QuoteArg(s string) string {
-	if s != "" && !strings.ContainsAny(s, " \t\"\\\n\r") {
+	if s != "" && !strings.ContainsAny(s, cmdSpace+`"\`) {
 		return s
 	}
-	return quoteC(s)
+	var b strings.Builder
+	writeQuoted(&b, s)
+	return b.String()
 }

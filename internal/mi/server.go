@@ -347,8 +347,10 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The codec's bytes cross as they stand, behind a length prefix:
+		// the codec escapes every control byte, so they hold no line end.
 		return []Record{doneRec(token,
-			Result{Var: "state", Val: StringVal(string(data))},
+			Result{Var: "state", Val: RawVal(data)},
 			Result{Var: "version", Val: StringVal(strconv.FormatUint(s.d.DataVersion(), 10))},
 		)}, nil
 

@@ -83,6 +83,13 @@ func (c *wireConn) readLoop() {
 		delete(c.pending, resp.ID)
 		c.pmu.Unlock()
 		if ch == nil {
+			if resp.ID == 0 && resp.Err != nil {
+				// The server could not read a request, so it had no ID to
+				// answer with: this is its last word before it closes,
+				// and its diagnosis is the connection's.
+				err = fmt.Errorf("remote: server ended the connection: %w", resp.Err.DecodeError())
+				break
+			}
 			// The server answers each request exactly once, so an ID nobody
 			// is waiting for means the stream is corrupted (a flipped ID bit
 			// leaves the real caller waiting forever while heartbeat acks

@@ -7,26 +7,29 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"easytracker/internal/core"
 )
 
-// flipConn flips one bit of payload byte at in the first frame written
-// through it, and stores that frame's payload length in n.
+// flipConn flips one bit of payload byte at in the frame-th frame written
+// through it, counting the hello as 0, and stores that frame's payload
+// length in n.
 type flipConn struct {
 	net.Conn
+	frame int
 	at    int
 	n     *int
-	wrote bool
+	wrote int
 }
 
 func (c *flipConn) Write(p []byte) (int, error) {
-	if c.wrote {
+	c.wrote++
+	if c.wrote-1 != c.frame {
 		return c.Conn.Write(p)
 	}
-	c.wrote = true
 	*c.n = len(p) - 4
 	q := append([]byte(nil), p...)
 	if 4+c.at < len(q) {
@@ -61,9 +64,10 @@ func assertNoSession(t *testing.T, srv *Server) {
 
 // TestHelloBitFlipsRefused flips one bit in each byte of the client's hello
 // payload in turn. The checksum must catch every flip: the dial fails with
-// the session lost, the server admits no session, and nothing it sends
-// answers the hello. A hello without a checksum let a flip that still
-// parses open a session on other terms, or come back as an ordinary error.
+// the session lost and the server's diagnosis, the server admits no
+// session, and nothing it sends answers the hello. A hello without a
+// checksum let a flip that still parses open a session on other terms, or
+// come back as an ordinary error.
 func TestHelloBitFlipsRefused(t *testing.T) {
 	srv, addr := startServer(t)
 	n := -1 // the hello's payload length, learned on the first dial
@@ -78,12 +82,40 @@ func TestHelloBitFlipsRefused(t *testing.T) {
 				tap = &tapConn{Conn: &flipConn{Conn: nc, at: i, n: &n}}
 				return tap, nil
 			}))
-		if !errors.Is(err, core.ErrSessionLost) {
-			t.Fatalf("hello with byte %d flipped: err = %v, want the session lost", i, err)
+		if !errors.Is(err, core.ErrSessionLost) || !strings.Contains(err.Error(), "expected hello") {
+			t.Fatalf("hello with byte %d flipped: err = %v, want the session lost to the server's \"expected hello\"", i, err)
 		}
 		assertNoHelloAnswer(t, tap)
 	}
 	assertNoSession(t, srv)
+}
+
+// TestRequestBitFlipReportsChecksum flips one bit in the LoadProgram
+// request, the frame after the hello. The server cannot read the request,
+// so it answers with ID 0 and closes. The caller must get the session lost
+// with the server's checksum diagnosis, not an unsolicited response.
+func TestRequestBitFlipReportsChecksum(t *testing.T) {
+	_, addr := startServer(t)
+	var n int
+	tr, err := Connect(addr, "minipy", WithDialTimeout(5*time.Second),
+		WithDialer(func(addr string) (net.Conn, error) {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return &flipConn{Conn: nc, frame: 1, at: 10, n: &n}, nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	err = tr.LoadProgram("count.py", core.WithSource(countPy))
+	if !errors.Is(err, core.ErrSessionLost) || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("LoadProgram with a flipped bit: err = %v, want the session lost to the server's checksum mismatch", err)
+	}
+	if n == 0 {
+		t.Fatal("no request frame was flipped")
+	}
 }
 
 // TestHelloBareJSONRefused sends the hello as a bare JSON payload with no
