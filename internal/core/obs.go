@@ -138,7 +138,7 @@ const (
 	// Counters.
 	CtrPauses         = "pauses"
 	CtrWatchHits      = "watch_hits"
-	CtrLinesTraced    = "lines_traced"    // trace-hook line events (MiniPy)
+	CtrLinesTraced    = "lines_traced"    // executed MiniPy lines, as of the last pause
 	CtrStepsReplayed  = "steps_replayed"  // trace replay advances
 	CtrMICommands     = "mi.commands"     // MI commands issued
 	CtrMIErrors       = "mi.errors"       // MI transport/record failures

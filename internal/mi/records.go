@@ -227,7 +227,7 @@ func ParseRecord(line string) (Record, error) {
 	token := line[:i]
 	rest := line[i:]
 	if rest == "" {
-		return Record{}, fmt.Errorf("mi: bare token %q", line)
+		return Record{}, fmt.Errorf("mi: bare token %s", quoteLine(line))
 	}
 	p := &recParser{s: rest, pos: 1}
 	switch rest[0] {
@@ -255,7 +255,21 @@ func ParseRecord(line string) (Record, error) {
 		}
 		return Record{Kind: kind, Stream: s}, nil
 	}
-	return Record{}, fmt.Errorf("mi: unrecognized record %q", line)
+	return Record{}, fmt.Errorf("mi: unrecognized record %s", quoteLine(line))
+}
+
+// maxErrQuote bounds how much of a malformed line an error quotes: a reply
+// cut inside an -et-inspect State would otherwise carry the whole State
+// into its error, and a recovering session keeps that error as its cause.
+const maxErrQuote = 128
+
+// quoteLine quotes s for an error: whole when short, else its first
+// maxErrQuote bytes and its length.
+func quoteLine(s string) string {
+	if len(s) <= maxErrQuote {
+		return fmt.Sprintf("%q", s)
+	}
+	return fmt.Sprintf("%q... (%d bytes)", s[:maxErrQuote], len(s))
 }
 
 type recParser struct {
@@ -264,7 +278,7 @@ type recParser struct {
 }
 
 func (p *recParser) errf(format string, args ...any) error {
-	return fmt.Errorf("mi: %s at %d in %q", fmt.Sprintf(format, args...), p.pos, p.s)
+	return fmt.Errorf("mi: %s at byte %d in %s", fmt.Sprintf(format, args...), p.pos, quoteLine(p.s))
 }
 
 func (p *recParser) peek() byte {

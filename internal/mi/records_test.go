@@ -1,6 +1,7 @@
 package mi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -82,10 +83,10 @@ func TestResultNames(t *testing.T) {
 	}
 }
 
-// TestInspectReplyCutInsideState cuts a real -et-inspect reply at every byte
-// up to the end of its raw value. No cut line may parse, so a truncated
-// State never reaches the decoder.
-func TestInspectReplyCutInsideState(t *testing.T) {
+// cutInspectReplies returns a real -et-inspect reply cut at every byte from
+// its state result up to the end of its raw value.
+func cutInspectReplies(t *testing.T) []string {
+	t.Helper()
 	prog, err := minic.Compile("prog.c", miFibC)
 	if err != nil {
 		t.Fatal(err)
@@ -105,9 +106,44 @@ func TestInspectReplyCutInsideState(t *testing.T) {
 	}
 	start := strings.Index(line, "state=")
 	end := strings.Index(line, state) + len(state)
+	var cuts []string
 	for i := start; i < end; i++ {
-		if rec, err := ParseRecord(line[:i]); err == nil {
-			t.Fatalf("reply cut at byte %d of %d parsed: state %.40q", i, len(line), rec.GetString("state"))
+		cuts = append(cuts, line[:i])
+	}
+	return cuts
+}
+
+// TestInspectReplyCutInsideState cuts a real -et-inspect reply at every byte
+// up to the end of its raw value. No cut line may parse, so a truncated
+// State never reaches the decoder.
+func TestInspectReplyCutInsideState(t *testing.T) {
+	for _, cut := range cutInspectReplies(t) {
+		if rec, err := ParseRecord(cut); err == nil {
+			t.Fatalf("reply cut at byte %d parsed: state %.40q", len(cut), rec.GetString("state"))
+		}
+	}
+}
+
+// TestParseErrorQuotesBoundedPrefix: the error of a cut -et-inspect reply
+// quotes at most maxErrQuote bytes of the line, with the line's length,
+// however much of the State the line carried.
+func TestParseErrorQuotesBoundedPrefix(t *testing.T) {
+	cuts := cutInspectReplies(t)
+	if n := len(cuts[len(cuts)-1]); n < 4*maxErrQuote {
+		t.Fatalf("longest cut reply is %d bytes: too short to test the bound", n)
+	}
+	bound := len(fmt.Sprintf("%q", strings.Repeat(`"`, maxErrQuote))) + 100
+	for _, cut := range cuts {
+		_, err := ParseRecord(cut)
+		if err == nil {
+			t.Fatalf("reply cut at byte %d parsed", len(cut))
+		}
+		msg := err.Error()
+		if len(msg) > bound {
+			t.Fatalf("error for a %d-byte cut is %d bytes, over %d: %.200s", len(cut), len(msg), bound, msg)
+		}
+		if rest := len(cut) - 1; rest > maxErrQuote && !strings.Contains(msg, fmt.Sprintf("(%d bytes)", rest)) {
+			t.Fatalf("error for a %d-byte cut does not give the line's length: %s", len(cut), msg)
 		}
 	}
 }

@@ -171,7 +171,10 @@ func (st *symtab) add(name string) int {
 type Code struct {
 	name string
 	prog *Program
-	ops  []Instr
+	// idx is a function body's position in Program.funcs (0 for the
+	// module body, which has no entry there).
+	idx int
+	ops []Instr
 	// syms is the local symtab; nil for the module code object, whose
 	// name operations go through the module scope directly.
 	syms *symtab

@@ -195,6 +195,7 @@ func (c *compiler) compileFunc(s *FuncDef) int32 {
 	idx := int32(len(c.prog.funcs))
 	c.prog.funcs = append(c.prog.funcs, fp)
 	fcb := c.newBuilder(s.Name, st, globals)
+	fcb.code.idx = int(idx)
 	fcb.code.paramSlots = make([]int32, len(s.Params))
 	for i, p := range s.Params {
 		fcb.code.paramSlots[i] = int32(st.index[p])

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 )
 
 // Event is the kind of a trace-hook notification, mirroring the events of
@@ -47,11 +48,16 @@ type TraceFunc func(fr *RTFrame, ev Event, retval *Object) error
 type Scope struct {
 	names []string
 	vals  map[string]*Object
-	// clock, when non-nil, points at the owning interpreter's mutation
-	// epoch; every binding write advances it (the scope write barrier).
-	clock *uint64
+	// in, when non-nil, is the owning interpreter. Every binding write
+	// advances its mutation epoch (the scope write barrier) and raises its
+	// attention flag when the write can change a watched value: a slot
+	// set in mark, or, while a watch is armed, any map-path write.
+	in    *Interp
 	syms  *symtab
 	slots []*Object
+	// mark flags the slots a watch names in this interpreter (bit i for
+	// slot i; bit 63 stands for every slot from 63 up).
+	mark uint64
 }
 
 // NewScope returns an empty scope.
@@ -79,9 +85,7 @@ func (s *Scope) Set(name string, v *Object) {
 			return
 		}
 	}
-	if s.clock != nil {
-		*s.clock++
-	}
+	s.barrier()
 	if s.vals == nil {
 		s.vals = map[string]*Object{}
 	}
@@ -91,11 +95,27 @@ func (s *Scope) Set(name string, v *Object) {
 	s.vals[name] = v
 }
 
+// barrier is the write barrier of a map-path write and of every delete:
+// it advances the mutation epoch and, while a watch is armed, raises
+// attention, since the name written may be one a watch reads.
+func (s *Scope) barrier() {
+	if s.in != nil {
+		s.in.epoch++
+		if s.in.watching {
+			s.in.RaiseAttention()
+		}
+	}
+}
+
 // setSlot writes slot i, advancing the mutation clock — the slot-path write
-// barrier, equivalent to Set for a symtab-resolved name.
+// barrier, equivalent to Set for a symtab-resolved name. Only a write to a
+// marked slot raises attention.
 func (s *Scope) setSlot(i int, v *Object) {
-	if s.clock != nil {
-		*s.clock++
+	if s.in != nil {
+		s.in.epoch++
+		if s.mark>>min(uint(i), 63)&1 != 0 {
+			s.in.RaiseAttention()
+		}
 	}
 	if s.slots[i] == nil {
 		s.names = append(s.names, s.syms.names[i])
@@ -126,9 +146,7 @@ func (s *Scope) Delete(name string) {
 			if s.slots[i] == nil {
 				return
 			}
-			if s.clock != nil {
-				*s.clock++
-			}
+			s.barrier()
 			s.slots[i] = nil
 			for j, n := range s.names {
 				if n == name {
@@ -142,9 +160,7 @@ func (s *Scope) Delete(name string) {
 	if _, ok := s.vals[name]; !ok {
 		return
 	}
-	if s.clock != nil {
-		*s.clock++
-	}
+	s.barrier()
 	delete(s.vals, name)
 	for i, n := range s.names {
 		if n == name {
@@ -219,7 +235,24 @@ type Interp struct {
 	// Globals is the module scope; exported for inspection by trackers.
 	Globals *Scope
 
-	trace  TraceFunc
+	trace TraceFunc
+	// attn is the attention flag that gates line events (SetTrace). It
+	// starts up and only a hook lowers it; write barriers (see watching)
+	// and the VM after each call and return event raise it, and so do
+	// other goroutines (an interrupt), hence atomic.
+	attn atomic.Uint32
+	// lines is the bitmap of armed lines, bit L%64 of word L/64. It
+	// starts on lineBuf, so arming a line below 128 allocates nothing.
+	lines   []uint64
+	lineBuf [2]uint64
+	// watching is set once a watch is armed (Watch): from then on every
+	// stamp, map-path binding write and delete raises attn, and so does a
+	// binding write to a marked slot. codeMarks[i] is the slot mark word
+	// of Program.funcs[i]'s code, copied into each of its frames' scopes;
+	// nil until a function's local is watched.
+	watching  bool
+	codeMarks []uint64
+
 	stdout io.Writer
 	stderr io.Writer
 	// stdinRaw is the configured input source; stdin is the buffered
@@ -253,6 +286,12 @@ type Interp struct {
 	// programs; zero means the default of 5 million.
 	MaxSteps int64
 	steps    int64
+	// frameEvents counts call and return events; with steps it numbers
+	// every trace event (Events). line and lastLine are the lines of the
+	// latest line event and of the one before it. All three are kept
+	// whether or not the hook saw the events.
+	frameEvents    int64
+	line, lastLine int
 	// stepLimit is MaxSteps with the default applied, resolved once per
 	// Run so the per-line budget check is a single compare.
 	stepLimit int64
@@ -299,7 +338,8 @@ func NewInterp(m *Module) *Interp {
 		MaxSteps:  5_000_000,
 		stepLimit: 5_000_000,
 	}
-	in.Globals.clock = &in.epoch
+	in.Globals.in = in
+	in.attn.Store(1)
 	in.noneO = in.alloc(&Object{Kind: ONone})
 	in.trueO = in.alloc(&Object{Kind: OBool, B: true})
 	in.falseO = in.alloc(&Object{Kind: OBool, B: false})
@@ -307,8 +347,80 @@ func NewInterp(m *Module) *Interp {
 	return in
 }
 
-// SetTrace registers the trace hook (nil disables tracing).
+// SetTrace registers the trace hook (nil disables tracing). Call and
+// return events always reach it; a line event reaches it while the
+// attention flag is up, which it is until the hook lowers it, so a bare
+// hook sees every event, or when its line is armed (ArmLine).
 func (in *Interp) SetTrace(f TraceFunc) { in.trace = f }
+
+// RaiseAttention makes the next line event, and every one after it until
+// the hook lowers the flag again, reach the trace hook. Safe to call from
+// any goroutine.
+func (in *Interp) RaiseAttention() {
+	if in.attn.Load() == 0 {
+		in.attn.Store(1)
+	}
+}
+
+// LowerAttention lets the VM skip the hook at line events that are not
+// armed and that follow no write a watch could see, until something raises
+// the flag again. Only the trace hook calls it: lowered before the hook
+// reads an interrupt flag, it cannot lose an interrupt raised after.
+func (in *Interp) LowerAttention() { in.attn.Store(0) }
+
+// ArmLine makes every line event at line reach the trace hook.
+func (in *Interp) ArmLine(line int) {
+	if in.lines == nil {
+		in.lines = in.lineBuf[:]
+	}
+	for line/64 >= len(in.lines) {
+		in.lines = append(in.lines, 0)
+	}
+	in.lines[line/64] |= 1 << (line % 64)
+}
+
+// armedLine reports whether line's bit is set.
+func (in *Interp) armedLine(line int) bool {
+	w := line / 64
+	return w < len(in.lines) && in.lines[w]>>(line%64)&1 != 0
+}
+
+// Watch marks the bindings a watch on scope:name reads (core.ParseVarRef's
+// scope: "::" for a global, "" for a bare name, else a function name), so
+// that a write to one raises attention, and makes every stamp, map-path
+// write and delete raise it from now on. A "::" watch marks the global
+// slot; a function's watch marks that name's slot in every function so
+// named, in their live frames too; a bare name marks both kinds.
+func (in *Interp) Watch(scope, name string) {
+	in.watching = true
+	prog := in.module.program()
+	if scope == "::" || scope == "" {
+		if i, ok := prog.modSyms.index[name]; ok {
+			in.Globals.mark |= markBit(i)
+		}
+		if scope == "::" {
+			return
+		}
+	}
+	for i, fp := range prog.funcs {
+		j, ok := fp.code.syms.index[name]
+		if !ok || scope != "" && fp.name != scope {
+			continue
+		}
+		if in.codeMarks == nil {
+			in.codeMarks = make([]uint64, len(prog.funcs))
+		}
+		in.codeMarks[i] |= markBit(j)
+		for f := in.cur; f != nil; f = f.Parent {
+			if f.Fn != nil && f.Fn.code == fp.code {
+				f.Locals.mark = in.codeMarks[i]
+			}
+		}
+	}
+}
+
+// markBit is slot i's bit in a Scope mark word.
+func markBit(i int) uint64 { return 1 << min(uint(i), 63) }
 
 // SetStdout routes program output.
 func (in *Interp) SetStdout(w io.Writer) {
@@ -353,12 +465,23 @@ func (in *Interp) SetArgs(args []string) {
 	in.Globals.Set("argv", in.newList(elems))
 }
 
-// CurrentFrame returns the interpreter's innermost live frame.
+// CurrentFrame returns the interpreter's innermost live frame. A panic
+// does not pop frames on its way out, so after one it is still the frame
+// that panicked.
 func (in *Interp) CurrentFrame() *RTFrame { return in.cur }
 
-// Steps returns the number of line events fired so far — the supervision
-// layer's step-budget clock.
+// Steps returns the number of line events fired so far, whether or not
+// the hook saw them — the supervision layer's step-budget clock.
 func (in *Interp) Steps() int64 { return in.steps }
+
+// Events returns the number of trace events fired so far, line, call and
+// return events alike, whether or not the hook saw them: at an event the
+// hook sees, its number counted from 1.
+func (in *Interp) Events() int64 { return in.steps + in.frameEvents }
+
+// LastLine returns the line of the line event before the latest one: at a
+// line event, the line executed just before.
+func (in *Interp) LastLine() int { return in.lastLine }
 
 // AllocCount returns the number of heap objects allocated so far. MiniPy
 // never frees, so this is also the live-object count the heap budget
@@ -381,6 +504,9 @@ func (in *Interp) stamp(o *Object) {
 	in.epoch++
 	in.heapClock++
 	o.Epoch = in.epoch
+	if in.watching {
+		in.RaiseAttention()
+	}
 }
 
 // Epoch returns the interpreter's current mutation epoch. It is advanced by
@@ -522,6 +648,7 @@ func (in *Interp) exitStatus(mod *RTFrame, err error) (int, error) {
 		// trackers rely on it to observe mutations made by the last
 		// statement (e.g. a watched variable written on the program's
 		// final line).
+		in.frameEvents++
 		if in.trace != nil {
 			if terr := in.trace(mod, EventReturn, in.noneO); terr != nil {
 				return 1, terr
@@ -544,7 +671,8 @@ func (in *Interp) fireLine(fr *RTFrame, line int) error {
 	if in.steps > in.stepLimit {
 		return in.rtErr(line, "step budget exceeded (%d line events)", in.stepLimit)
 	}
-	if in.trace != nil {
+	in.lastLine, in.line = in.line, line
+	if in.trace != nil && (in.attn.Load() != 0 || in.armedLine(line)) {
 		return in.trace(fr, EventLine, nil)
 	}
 	return nil

@@ -9,7 +9,8 @@ import "fmt"
 //
 //   - trace hooks: opLine/opIterNextLine route through fireLine, so line
 //     events fire once per executed statement in source order, charge the
-//     step budget, and propagate hook errors (tracker aborts) verbatim;
+//     step budget, and propagate hook errors (tracker aborts) verbatim; a
+//     line reaches the hook while attention is up or its line is armed;
 //   - write barriers: every binding write goes through Scope.setSlot /
 //     Scope.Set and every in-place mutation through Interp.stamp, so the
 //     mutation epoch and ReachableEpoch stay valid for the watch fast path;
@@ -49,9 +50,12 @@ func (in *Interp) callUser(line int, fn *Function, args []*Object) (*Object, err
 	}
 	code := fn.code
 	locals := &Scope{
+		in:    in,
 		syms:  code.syms,
 		slots: make([]*Object, len(code.syms.names)),
-		clock: &in.epoch,
+	}
+	if in.codeMarks != nil {
+		locals.mark = in.codeMarks[code.idx]
 	}
 	fr := &RTFrame{
 		Name: fn.Name, Fn: fn, Locals: locals,
@@ -61,21 +65,35 @@ func (in *Interp) callUser(line int, fn *Function, args []*Object) (*Object, err
 	for i := range args {
 		locals.setSlot(int(code.paramSlots[i]), args[i])
 	}
+	// in.cur is restored on every return but not by a deferred call, so
+	// a panic leaves it at the frame that panicked (CurrentFrame).
 	in.cur = fr
-	defer func() { in.cur = fr.Parent }()
+	ret, err := in.runFrame(fr, code)
+	in.cur = fr.Parent
+	return ret, err
+}
+
+// runFrame runs a called frame between its call and return events. Each
+// event reaches the hook, and raises attention for the line after it,
+// where the innermost frame has changed.
+func (in *Interp) runFrame(fr *RTFrame, code *Code) (*Object, error) {
+	in.frameEvents++
 	if in.trace != nil {
 		if err := in.trace(fr, EventCall, nil); err != nil {
 			return nil, err
 		}
+		in.RaiseAttention()
 	}
 	ret, err := in.runCode(fr, code)
 	if err != nil {
 		return nil, err
 	}
+	in.frameEvents++
 	if in.trace != nil {
 		if err := in.trace(fr, EventReturn, ret); err != nil {
 			return nil, err
 		}
+		in.RaiseAttention()
 	}
 	return ret, nil
 }

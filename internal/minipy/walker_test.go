@@ -443,7 +443,7 @@ func (w *walker) callUser(line int, fn *Function, args []*Object) (*Object, erro
 			fn.Name, len(fn.Params), len(args))
 	}
 	fr := &RTFrame{
-		Name: fn.Name, Fn: fn, Locals: &Scope{vals: map[string]*Object{}, clock: &w.epoch},
+		Name: fn.Name, Fn: fn, Locals: &Scope{vals: map[string]*Object{}, in: w.Interp},
 		Parent: w.cur, Line: fn.DefLine, Depth: w.cur.Depth + 1,
 	}
 	for i, p := range fn.Params {
@@ -451,6 +451,7 @@ func (w *walker) callUser(line int, fn *Function, args []*Object) (*Object, erro
 	}
 	w.cur = fr
 	defer func() { w.cur = fr.Parent }()
+	w.frameEvents++
 	if w.trace != nil {
 		if err := w.trace(fr, EventCall, nil); err != nil {
 			return nil, err
@@ -463,6 +464,7 @@ func (w *walker) callUser(line int, fn *Function, args []*Object) (*Object, erro
 	}
 	ret := w.retval
 	w.retval = w.noneO
+	w.frameEvents++
 	if w.trace != nil {
 		if err := w.trace(fr, EventReturn, ret); err != nil {
 			return nil, err

@@ -2,9 +2,12 @@
 // inferiors, reproducing the paper's Python tracker (Section II-C2): the
 // inferior runs in its own goroutine (the paper's thread), the interpreter's
 // trace hook is the control point, and control functions performed by the
-// tool goroutine block until the inferior pauses again. Watchpoints are
-// implemented by comparing watched values before every executed line, so
-// resume degrades to internal single-stepping exactly as in the paper.
+// tool goroutine block until the inferior pauses again. The paper resumes
+// by single-stepping, comparing watched values before every line; here
+// Resume calls the hook only where a probe can fire: at every call and
+// return, at armed lines, and at the line after a write a watch can see, a
+// frame change or an interrupt. Step, Next, recording, budgets and
+// conditioned watches keep the hook on every line (DESIGN.md §8).
 package pytracker
 
 import (
@@ -56,9 +59,8 @@ func (e *crashError) Error() string {
 func (e *crashError) Unwrap() error { return core.ErrInferiorCrash }
 
 // minipyBacktrace renders the frame chain rooted at fr, innermost first.
-// The caller passes the last frame the trace hook saw rather than the
-// interpreter's current frame: panic unwinding pops frames on its way out,
-// so by recover time the interpreter is already back at the module body.
+// The caller passes the interpreter's current frame, which a panic leaves
+// at the frame that panicked.
 func minipyBacktrace(fr *minipy.RTFrame) []string {
 	var bt []string
 	for ; fr != nil; fr = fr.Parent {
@@ -124,22 +126,23 @@ type Tracker struct {
 
 	reason    core.PauseReason
 	curFrame  *minipy.RTFrame
-	prevLine  int
 	lastLine  int
 	entrySeen bool
-
-	// crashFr is the frame of the most recent trace event, recorded so
-	// the crash-containment barrier can render a backtrace rooted at the
-	// panic site (unwinding pops the interpreter's own frame chain before
-	// recover runs). Written and read only on the inferior goroutine.
-	crashFr *minipy.RTFrame
 
 	// stopDepth is the deepest frame a line event stops in: -1 for
 	// Resume, math.MaxInt for Step, the frame depth Next started in.
 	stopDepth int
+	// skip lets the interpreter skip the hook at lines where no probe can
+	// fire, for the current resuming call: only a Resume after the entry
+	// pause, with no recording, budget or conditioned watch (condWatch).
+	// A conditioned watch can fire at a line no write reaches, where its
+	// condition turns true, so it needs every line.
+	skip      bool
+	condWatch bool
 	// probes is the armed-probe table and its classifier, which the trace
-	// hook calls at every event; reverse moves over the session's
-	// recording classify against the same table.
+	// hook calls at every event it sees; reverse moves over the session's
+	// recording classify against the same table. Arming a line or a watch
+	// also arms the interpreter's line bitmap or slot marks.
 	probes ttd.Probes[watchCache]
 
 	// view and event are the reusable event the classifier reads (event's
@@ -149,13 +152,15 @@ type Tracker struct {
 	event ttd.Event[watchCache]
 
 	// intr is the cooperative interrupt flag (intrNone/intrUser/
-	// intrDeadline). It is the only tracker field touched from outside the
-	// tool goroutine: Interrupt() and the deadline timer raise it, the
-	// trace hook consumes it. budgets/supervised configure the per-event
-	// resource checks; the *Tripped latches make each budget one-shot, so
-	// an inspected-and-resumed inferior is not re-paused on every
-	// subsequent line by the budget it already tripped.
+	// intrDeadline). It and attnInterp, the loaded interpreter whose
+	// attention an interrupt raises, are the only tracker fields touched
+	// from outside the tool goroutine: Interrupt() and the deadline timer
+	// raise it, the trace hook consumes it. budgets/supervised configure
+	// the per-event resource checks; the *Tripped latches make each budget
+	// one-shot, so an inspected-and-resumed inferior is not re-paused on
+	// every subsequent line by the budget it already tripped.
 	intr         atomic.Int32
+	attnInterp   atomic.Pointer[minipy.Interp]
 	budgets      core.Budgets
 	supervised   bool
 	stepsTripped bool
@@ -181,11 +186,14 @@ type Tracker struct {
 
 	// obs is the tracker's instrument panel, nil unless WithObservability
 	// was given: unlike gdbtracker there is no session layer needing a
-	// black box, and the trace hook runs on every executed line, so even
+	// black box, and the trace hook can run on every executed line, so even
 	// the always-on flight recorder would tax the default path. All obs
 	// methods are nil-safe, so the off cost is one pointer test. The
-	// counters touched per line are cached to skip the registry lookup.
+	// counters touched per pause are cached to skip the registry lookup;
+	// ctrLines catches up with the interpreter's Steps at each pause
+	// (linesSeen is the count it last reported).
 	obs          *obs.Metrics
+	linesSeen    int64
 	ctrLines     *obs.Counter
 	ctrPauses    *obs.Counter
 	ctrWatchHits *obs.Counter
@@ -252,6 +260,14 @@ func (t *Tracker) LoadProgram(path string, opts ...core.LoadOption) error {
 		in.SetArgs(cfg.Args)
 	}
 	in.SetTrace(t.traceFn)
+	// Probes armed before a reload reach the new interpreter too.
+	for _, b := range t.probes.Lines {
+		in.ArmLine(b.Line)
+	}
+	for _, w := range t.probes.Watches {
+		in.Watch(w.Scope, w.Name)
+	}
+	t.attnInterp.Store(in)
 	t.file = path
 	t.conv = nil
 	if cfg.Recording {
@@ -327,13 +343,9 @@ func (t *Tracker) Start() error {
 		// the frame chain is still rooted at the panic site.
 		defer func() {
 			if r := recover(); r != nil {
-				fr := t.crashFr
-				if fr == nil {
-					fr = t.interp.CurrentFrame()
-				}
 				t.doneCh <- exitInfo{code: 2, err: &crashError{
 					val:       r,
-					backtrace: minipyBacktrace(fr),
+					backtrace: minipyBacktrace(t.interp.CurrentFrame()),
 				}}
 			}
 		}()
@@ -355,6 +367,9 @@ func (t *Tracker) Start() error {
 // to call from any goroutine.
 func (t *Tracker) Interrupt() {
 	t.intr.Store(intrUser)
+	if in := t.attnInterp.Load(); in != nil {
+		in.RaiseAttention()
+	}
 }
 
 // armDeadline starts the WithExecutionTimeout clock for one resuming call
@@ -367,22 +382,35 @@ func (t *Tracker) armDeadline() func() {
 	if d <= 0 {
 		return func() {}
 	}
-	timer := time.AfterFunc(d, func() { t.intr.CompareAndSwap(intrNone, intrDeadline) })
+	in := t.interp
+	timer := time.AfterFunc(d, func() {
+		t.intr.CompareAndSwap(intrNone, intrDeadline)
+		in.RaiseAttention()
+	})
 	return func() {
 		timer.Stop()
 		t.intr.CompareAndSwap(intrDeadline, intrNone)
 	}
 }
 
-// traceFn runs in the inferior goroutine between every event. It is the
-// hottest code in the tracker — every executed line funnels through it — so
-// the pause checks below return a bare bool and build the PauseReason (by
-// storing it into t.reason) only on the rare event that actually pauses.
+// traceFn runs in the inferior goroutine at every event the interpreter
+// delivers. It is the hottest code in the tracker, so the pause checks
+// below return a bare bool and build the PauseReason (by storing it into
+// t.reason) only on the rare event that actually pauses.
+//
+// While t.skip, each call lowers the interpreter's attention flag and only
+// a pause raises it again, so between pauses a line reaches the hook only
+// if its line is armed or a watched write, a frame change or an interrupt
+// raised the flag since the last event the hook saw.
 func (t *Tracker) traceFn(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.Object) error {
 	if t.terminated {
 		return errTerminated
 	}
-	t.crashFr = fr
+	// Lowered before the interrupt flag is read, so an interrupt raised
+	// after that read raises attention again and pauses the next line.
+	if t.skip {
+		t.interp.LowerAttention()
+	}
 	// Recording first, so every event lands in the recording exactly once
 	// regardless of what the pause logic below decides. Off costs one
 	// pointer test.
@@ -398,15 +426,13 @@ func (t *Tracker) traceFn(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.Objec
 	if !pause {
 		pause = t.checkPause(fr, ev, ret)
 	}
-	if ev == minipy.EventLine {
-		t.lastLine = t.prevLine
-		t.prevLine = fr.Line
-		if t.ctrLines != nil {
-			t.ctrLines.Inc()
-		}
-	}
 	if !pause {
 		return nil
+	}
+	if t.skip {
+		// Classify stops at the first watch that pauses: another one
+		// changed at this event reports at the next event.
+		t.interp.RaiseAttention()
 	}
 	t.curFrame = fr
 	t.stopDepth = -1
@@ -609,9 +635,11 @@ func (t *Tracker) waitPause() error {
 	t.pauseSeq++
 	select {
 	case <-t.pauseCh:
+		t.lastLine = t.interp.LastLine()
 		t.notePause()
 		return nil
 	case d := <-t.doneCh:
+		t.lastLine = t.interp.LastLine()
 		t.exited = true
 		t.exitCode = d.code
 		t.curFrame = nil
@@ -635,6 +663,9 @@ func (t *Tracker) notePause() {
 	if t.obs == nil {
 		return
 	}
+	steps := t.interp.Steps()
+	t.ctrLines.Add(uint64(steps - t.linesSeen))
+	t.linesSeen = steps
 	t.ctrPauses.Inc()
 	if t.reason.Type == core.PauseWatch {
 		t.ctrWatchHits.Inc()
@@ -656,6 +687,7 @@ func (t *Tracker) resumeWith(stopDepth int, opName string) error {
 	// never moved).
 	t.returnToLive()
 	t.stopDepth = stopDepth
+	t.skip = stopDepth < 0 && t.entrySeen && t.rec == nil && !t.supervised && !t.condWatch
 	sp := t.tracer.StartOp(opName)
 	t0 := t.obs.Now()
 	stop := t.armDeadline()
@@ -751,7 +783,12 @@ func (t *Tracker) arm(p core.Probe) error {
 	if err != nil {
 		return t.werr(op, err)
 	}
+	if p.Kind == core.ProbeLine {
+		t.interp.ArmLine(p.Line)
+	}
 	if w != nil {
+		t.interp.Watch(w.Scope, w.Name)
+		t.condWatch = t.condWatch || p.Condition != ""
 		w.Live = watchCache{gslot: -1}
 		if t.curFrame != nil {
 			// Paused at an event: the snapshot is the value there, in the

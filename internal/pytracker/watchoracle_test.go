@@ -15,16 +15,19 @@ import (
 	"easytracker/internal/ttd"
 )
 
-// watchVars runs src once under a bare trace hook and names every variable it
-// binds: each program global as "::g" and each function local as "fn:x",
-// sorted. Names bound before the first event (the builtins) are left out.
-func watchVars(t *testing.T, src string) []string {
+// watchVars runs src once under a bare trace hook, stopping it after
+// maxSteps line events (0: the interpreter's default) and capping its
+// sequences at fuzzSeqElems, and names every variable it binds: each
+// program global as "::g" and each function local as "fn:x", sorted. Names
+// bound before the first event (the builtins) are left out.
+func watchVars(t *testing.T, src string, maxSteps int64) []string {
 	t.Helper()
 	mod, err := minipy.Parse("prog.py", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := minipy.NewInterp(mod)
+	in.MaxSteps, in.MaxSeqElems = maxSteps, fuzzSeqElems
 	var builtins map[string]bool
 	ids := map[string]bool{}
 	in.SetTrace(func(fr *minipy.RTFrame, _ minipy.Event, _ *minipy.Object) error {
@@ -73,41 +76,25 @@ func valueJSON(t *testing.T, v *core.Value) string {
 }
 
 // oracleWatchRun runs src with the given watches and load options and
-// returns the finished tracker and its watch pauses next to an oracle's.
-// The oracle wraps the tracker's trace function: at every event, before the
-// tracker's own check, it resolves each watch through resolveVar (the cold
-// path), converts it with a fresh Converter and applies core.WatchChanged
-// against its previous conversion, in watch order with the first hit
-// winning — the meaning that pyView.Watched's epoch test and per-frame
-// resolution cache, under ttd.Probes.Classify's snapshot rule, must
-// preserve.
+// returns the finished tracker and its watch pauses, each at the event the
+// interpreter counts there (Interp.Events), next to an oracle's hits.
+// The oracle runs the same program again on an interpreter of its own
+// under a bare hook, which sees every event whatever the tracker's
+// interpreter skips: at every event it resolves each watch through
+// resolveVar (the cold path), converts it with a fresh Converter and
+// applies core.WatchChanged against its previous conversion, in watch
+// order with the first hit winning — the meaning that pyView.Watched's
+// epoch test and per-frame resolution cache, ttd.Probes.Classify's
+// snapshot rule and the lines Resume skips must preserve.
 func oracleWatchRun(t *testing.T, src string, ids []string, opts ...core.LoadOption) (tr *Tracker, got, want []watchHit) {
 	t.Helper()
+	want = oracleWatchHits(t, src, ids)
 	tr = load(t, src, opts...)
 	for _, id := range ids {
 		if err := tr.Watch(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	prev := make([]*core.Value, len(ids))
-	event := 0
-	tr.interp.SetTrace(func(fr *minipy.RTFrame, ev minipy.Event, ret *minipy.Object) error {
-		event++
-		for i, id := range ids {
-			scope, name, _ := core.ParseVarRef(id)
-			var now *core.Value
-			if obj, ok := tr.resolveVar(fr, scope, name); ok {
-				now = minipy.NewConverter(tr.interp).VarValue(obj)
-			}
-			old := prev[i]
-			prev[i] = now
-			if core.WatchChanged(old, now) {
-				want = append(want, watchHit{event, id, valueJSON(t, old), valueJSON(t, now)})
-				break
-			}
-		}
-		return tr.traceFn(fr, ev, ret)
-	})
 	if err := tr.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +102,7 @@ func oracleWatchRun(t *testing.T, src string, ids []string, opts ...core.LoadOpt
 	for {
 		r := tr.PauseReason()
 		if r.Type == core.PauseWatch {
-			got = append(got, watchHit{event, r.Variable, valueJSON(t, r.Old), valueJSON(t, r.New)})
+			got = append(got, watchHit{int(tr.interp.Events()), r.Variable, valueJSON(t, r.Old), valueJSON(t, r.New)})
 		} else if r.Type != core.PauseEntry {
 			t.Fatalf("unexpected pause %v", r)
 		}
@@ -126,6 +113,37 @@ func oracleWatchRun(t *testing.T, src string, ids []string, opts ...core.LoadOpt
 			return tr, got, want
 		}
 	}
+}
+
+// oracleWatchHits runs src under a bare hook on a loaded tracker's
+// interpreter, never started, and returns the oracle's watch hits for ids.
+func oracleWatchHits(t *testing.T, src string, ids []string) []watchHit {
+	t.Helper()
+	ref := load(t, src)
+	var hits []watchHit
+	prev := make([]*core.Value, len(ids))
+	event := 0
+	ref.interp.SetTrace(func(fr *minipy.RTFrame, _ minipy.Event, _ *minipy.Object) error {
+		event++
+		for i, id := range ids {
+			scope, name, _ := core.ParseVarRef(id)
+			var now *core.Value
+			if obj, ok := ref.resolveVar(fr, scope, name); ok {
+				now = minipy.NewConverter(ref.interp).VarValue(obj)
+			}
+			old := prev[i]
+			prev[i] = now
+			if core.WatchChanged(old, now) {
+				hits = append(hits, watchHit{event, id, valueJSON(t, old), valueJSON(t, now)})
+				break
+			}
+		}
+		return nil
+	})
+	if _, err := ref.interp.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return hits
 }
 
 // replayWatchHits replays a session's own recording on the trace tracker
@@ -164,11 +182,12 @@ func replayWatchHits(t *testing.T, s *ttd.Store, ids []string) []watchHit {
 // TestWatchFastPathMatchesOracle is the differential oracle for the watch
 // fast path: the tracker's watch pauses must equal the oracle's hits — same
 // event, same variable, same old and new JSON. It runs each program three
-// times: plain, recording itself for time travel, and replayed from that
-// recording. A recording session runs a Converter and reads the mutation
-// epoch at every event ahead of the watch check, so the second run pins
-// that recording leaves the epoch test and the snapshot memo the fast path
-// keys on undisturbed. The replay row runs the trace tracker over the
+// times: plain, where Resume skips the lines no probe can fire at,
+// recording itself for time travel, where the hook sees every line, and
+// replayed from that recording. A recording session runs a Converter and
+// reads the mutation epoch at every event ahead of the watch check, so the
+// second run pins that recording leaves the epoch test and the snapshot
+// memo the fast path keys on undisturbed. The replay row runs the trace tracker over the
 // session's own Recording(): the one classifier reading Timeline.VarAt
 // must pause where the live tracker does, a second watch changed at the
 // same event one event later included.
@@ -244,7 +263,7 @@ g[0] = 9
 	for _, p := range progs {
 		ids := p.ids
 		if ids == nil {
-			ids = watchVars(t, p.src)
+			ids = watchVars(t, p.src, 0)
 		}
 		for _, ses := range sessions {
 			t.Run(p.name+"/"+ses.name, func(t *testing.T) {
@@ -252,21 +271,39 @@ g[0] = 9
 				if ses.replay {
 					got = replayWatchHits(t, tr.Recording(), ids)
 				}
-				if len(want) == 0 {
-					t.Fatalf("oracle saw no watch hits for %v", ids)
-				}
 				t.Logf("%d watches, %d hits", len(ids), len(want))
-				render := func(hs []watchHit) string {
-					var b strings.Builder
-					for _, h := range hs {
-						fmt.Fprintf(&b, "event %d %s: %s -> %s\n", h.event, h.id, h.old, h.value)
-					}
-					return b.String()
+				sameWatchHits(t, ids, got, want)
+				if ses.opts != nil {
+					return
 				}
-				if g, w := render(got), render(want); g != w {
-					t.Errorf("watch pauses differ from the oracle (%d watches)\n--- tracker ---\n%s--- oracle ---\n%s", len(ids), g, w)
+				// Each watch alone too: with every variable watched, a
+				// pause at nearly every line keeps the next line on the
+				// hook, which would hide a write barrier that fails to
+				// raise attention.
+				for _, id := range ids {
+					_, got, want := oracleWatchRun(t, p.src, []string{id})
+					sameWatchHits(t, []string{id}, got, want)
 				}
 			})
 		}
+	}
+}
+
+// sameWatchHits fails t unless the tracker's watch pauses are the oracle's
+// hits, of which there must be some.
+func sameWatchHits(t *testing.T, ids []string, got, want []watchHit) {
+	t.Helper()
+	if len(want) == 0 {
+		t.Fatalf("oracle saw no watch hits for %v", ids)
+	}
+	render := func(hs []watchHit) string {
+		var b strings.Builder
+		for _, h := range hs {
+			fmt.Fprintf(&b, "event %d %s: %s -> %s\n", h.event, h.id, h.old, h.value)
+		}
+		return b.String()
+	}
+	if g, w := render(got), render(want); g != w {
+		t.Errorf("watch pauses differ from the oracle (%v)\n--- tracker ---\n%s--- oracle ---\n%s", ids, g, w)
 	}
 }

@@ -108,10 +108,12 @@ func backwardPauses(t *testing.T, tr surfaceTracker) []string {
 	return nil
 }
 
-// surfaces runs one program on the three trackers a transcript is taken
-// on: a live MiniPy session that records itself (so it can rewind), and
-// replays of the v1 and v2 encodings of its full-step recording, each
-// decoded once from its bytes.
+// surfaces runs one program on the four trackers a transcript is taken
+// on: a live MiniPy session that records itself (so it can rewind), a
+// plain live session, whose Resume skips the lines where no probe can
+// fire, and replays of the v1 and v2 encodings of its full-step recording,
+// each decoded once from its bytes. Recording keeps every line on the
+// trace hook, so only the plain session runs the skipping path.
 type surfaces struct {
 	src   string
 	fns   []string
@@ -169,9 +171,13 @@ func (s surfaces) open(t *testing.T, name string) surfaceTracker {
 	var tr surfaceTracker
 	var err error
 	switch name {
-	case "live":
+	case "live", "plain":
+		opts := []core.LoadOption{core.WithSource(s.src), core.WithStdout(&strings.Builder{})}
+		if name == "live" {
+			opts = append(opts, core.WithRecording(0))
+		}
 		tr = pytracker.New()
-		err = tr.LoadProgram("p.py", core.WithSource(s.src), core.WithRecording(0), core.WithStdout(&strings.Builder{}))
+		err = tr.LoadProgram("p.py", opts...)
 	case "v1":
 		rt := New()
 		tr, err = rt, rt.LoadTrace(s.v1)
@@ -191,16 +197,20 @@ func (s surfaces) open(t *testing.T, name string) surfaceTracker {
 // transcripts arms p on every surface and takes two transcripts each:
 // forward, resuming from entry to exit; and reverse, running to exit with
 // nothing armed, arming, then resuming backwards to entry. The live
-// session's reverse transcript is the rewound live session's.
+// session's reverse transcript is the rewound live session's; the plain
+// session, which keeps no recording, has only the forward one.
 func (s surfaces) transcripts(t *testing.T, p core.Probe) (fwd, back map[string][]string) {
 	t.Helper()
 	fwd, back = map[string][]string{}, map[string][]string{}
-	for _, name := range []string{"live", "v1", "v2"} {
+	for _, name := range []string{"live", "plain", "v1", "v2"} {
 		tr := s.open(t, name)
 		if err := tr.Arm(p); err != nil {
 			t.Fatalf("%s: arm %v: %v", name, p, err)
 		}
 		fwd[name] = forwardPauses(t, tr)
+		if name == "plain" {
+			continue
+		}
 
 		tr = s.open(t, name)
 		forwardPauses(t, tr)
@@ -238,7 +248,7 @@ func stepPauses(t *testing.T, tr surfaceTracker, step func() error) []string {
 func (s surfaces) stepTranscripts(t *testing.T, p core.Probe) (step, next map[string][]string) {
 	t.Helper()
 	step, next = map[string][]string{}, map[string][]string{}
-	for _, name := range []string{"live", "v1", "v2"} {
+	for _, name := range []string{"live", "plain", "v1", "v2"} {
 		for _, m := range []struct {
 			into map[string][]string
 			move func(surfaceTracker) func() error
@@ -272,6 +282,8 @@ func agree(t *testing.T, fwd, back map[string][]string) {
 	}
 	same("forward v1 vs live", fwd["v1"], fwd["live"])
 	same("forward v2 vs live", fwd["v2"], fwd["live"])
+	same("forward v1 vs plain", fwd["v1"], fwd["plain"])
+	same("forward v2 vs plain", fwd["v2"], fwd["plain"])
 	same("ResumeBack v1 vs rewound live", back["v1"], back["live"])
 	same("ResumeBack v2 vs rewound live", back["v2"], back["live"])
 }
@@ -407,15 +419,15 @@ func oraclePrograms(t *testing.T) map[string]string {
 }
 
 // TestProbeTranscriptsAgreeAcrossSurfaces is the probe-transcript oracle:
-// for every probe kind and BreakConfig option, a live session, a v1 replay
-// and a v2 replay pause at the same events resuming forward, and the
-// rewound live session, v1 and v2 pause at the same events resuming
-// backward. Reverse runs test ignore counts and one-shot probes but never
-// spend them, and line probes fire on line events only. With every
-// function also tracked, stepping and taking Next from entry to exit pause
-// at the same events on all three, each pause reporting the probe that
-// fired: replay Step and Next classify each step they reach, and Next
-// stops at a probe inside a call it steps over.
+// for every probe kind and BreakConfig option, a live recording session, a
+// plain live session, a v1 replay and a v2 replay pause at the same events
+// resuming forward, and the rewound live session, v1 and v2 pause at the
+// same events resuming backward. Reverse runs test ignore counts and
+// one-shot probes but never spend them, and line probes fire on line
+// events only. With every function also tracked, stepping and taking Next
+// from entry to exit pause at the same events on all four, each pause
+// reporting the probe that fired: replay Step and Next classify each step
+// they reach, and Next stops at a probe inside a call it steps over.
 func TestProbeTranscriptsAgreeAcrossSurfaces(t *testing.T) {
 	progs := oraclePrograms(t)
 	names := make([]string, 0, len(progs))
@@ -441,11 +453,13 @@ func TestProbeTranscriptsAgreeAcrossSurfaces(t *testing.T) {
 					}
 					step, next := s.stepTranscripts(t, p)
 					for _, r := range []string{"v1", "v2"} {
-						if got, want := strings.Join(step[r], "\n"), strings.Join(step["live"], "\n"); got != want {
-							t.Errorf("Step %s vs live:\n got %q\nwant %q", r, step[r], step["live"])
-						}
-						if got, want := strings.Join(next[r], "\n"), strings.Join(next["live"], "\n"); got != want {
-							t.Errorf("Next %s vs live:\n got %q\nwant %q", r, next[r], next["live"])
+						for _, l := range []string{"live", "plain"} {
+							if got, want := strings.Join(step[r], "\n"), strings.Join(step[l], "\n"); got != want {
+								t.Errorf("Step %s vs %s:\n got %q\nwant %q", r, l, step[r], step[l])
+							}
+							if got, want := strings.Join(next[r], "\n"), strings.Join(next[l], "\n"); got != want {
+								t.Errorf("Next %s vs %s:\n got %q\nwant %q", r, l, next[r], next[l])
+							}
 						}
 					}
 				})
