@@ -12,6 +12,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -202,6 +204,37 @@ func BenchmarkFig3StateSerialize(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(data)))
+	}
+}
+
+// BenchmarkStateDecodeGolden decodes each of internal/core's golden State
+// documents once per op with State.UnmarshalJSON: the codec's decode alone,
+// with no pipe, wire or re-scan around it.
+func BenchmarkStateDecodeGolden(b *testing.B) {
+	files, err := filepath.Glob(filepath.Join("internal", "core", "testdata", "golden", "*.json"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("no golden documents: %v", err)
+	}
+	var docs [][]byte
+	size := 0
+	for _, f := range files {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		docs = append(docs, doc)
+		size += len(doc)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, doc := range docs {
+			var st core.State
+			if err := st.UnmarshalJSON(doc); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

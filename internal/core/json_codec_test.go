@@ -292,14 +292,19 @@ func nest(n int) []byte {
 	return []byte(`{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}`)
 }
 
-// refChain is a State whose one global holds n nested Ref values.
-func refChain(n int) []byte {
+// refChain is a State whose one global holds n nested Ref values around
+// leaf; the outermost has id 1.
+func refChain(n int, leaf string) []byte {
 	var b strings.Builder
 	b.WriteString(`{"globals":[{"name":"g","value":`)
 	for i := 0; i < n; i++ {
-		b.WriteString(`{"kind":"REF","ref":`)
+		if i == 0 {
+			b.WriteString(`{"id":1,"kind":"REF","ref":`)
+		} else {
+			b.WriteString(`{"kind":"REF","ref":`)
+		}
 	}
-	b.WriteString(`{"kind":"NONE"}`)
+	b.WriteString(leaf)
 	b.WriteString(strings.Repeat("}", n))
 	b.WriteString(`}]}`)
 	return []byte(b.String())
@@ -316,7 +321,8 @@ func parityDocs(t *testing.T) [][]byte {
 		indented.Bytes(),
 		golden[1][:len(golden[1])/2],
 		nest(9999), nest(10000), // a State object plus 9999 or 10000 arrays
-		refChain(9996), refChain(9997),
+		refChain(9996, `{"kind":"NONE"}`), refChain(9997, `{"kind":"NONE"}`),
+		refChain(9996, `{"backref":1}`), refChain(9997, `{"backref":1}`),
 		[]byte("\xff"), []byte("\"a\x01b\""),
 		[]byte(`{"globals":[{"name":"a` + "\x01" + `","value":null}]}`),
 		[]byte(`{"globals":[{"name":"` + "\xff\xed\xa0\x80 \xe2\x80\xa8" + `","value":null}]}`),
@@ -396,6 +402,87 @@ func parityDocs(t *testing.T) [][]byte {
 	return docs
 }
 
+// hardDocs are the documents where tree order and document order part:
+// each must decode as the reference decodes it.
+var hardDocs = []string{
+	// Keys outside the encoder's order: the id comes after the content
+	// that refers to it, and the list still contains itself.
+	`{"list":[{"backref":1}],"id":1,"kind":"LIST"}`,
+	`{"globals":[{"name":"l","value":{"list":[{"backref":1}],"kind":"LIST","id":1}}]}`,
+	`[{"id":1,"kind":"NONE"},{"kind":"LIST","list":[{"backref":1}],"id":1}]`,
+	// Content under a kind that does not have it is never walked, so its
+	// dangling backref and its ids do not count.
+	`{"id":1,"kind":"PRIMITIVE","prim":{"t":"int","v":"1"},"list":[{"backref":9}]}`,
+	`[{"id":1,"kind":"NONE","ref":{"id":2,"kind":"NONE"}},{"backref":2}]`,
+	// A backref with extra keys is the value it names; its content and
+	// its own id are never walked.
+	`[{"id":1,"kind":"NONE"},{"backref":1,"kind":"LIST","list":[{"backref":7}],"id":5}]`,
+	`[{"id":1,"kind":"NONE"},{"id":5,"kind":"LIST","backref":1},{"backref":5}]`,
+	`[{"id":1,"kind":"NONE"},{"kind":"LIST","list":[{"id":7,"kind":"NONE"}],"backref":1},{"backref":7}]`,
+	`[{"id":1,"kind":"NONE"},{"backref":1,"kind":"WHAT","location":"NOWHERE"}]`,
+	// A backref before its id in tree order dangles, whatever the
+	// document order: globals are walked before the reason.
+	`[{"backref":1},{"id":1,"kind":"NONE"}]`,
+	`{"reason":{"type":"WATCH","old":{"id":1,"kind":"NONE"}},"globals":[{"name":"g","value":{"backref":1}}]}`,
+	`{"reason":{"type":"WATCH","old":{"backref":1}},"globals":[{"name":"g","value":{"id":1,"kind":"NONE"}}]}`,
+	`{"type":"WATCH","new":{"backref":1},"old":{"id":1,"kind":"NONE"}}`,
+	`{"type":"WATCH","new":{"id":1,"kind":"NONE"},"old":{"backref":1}}`,
+	`[{"id":1,"kind":"DICT","dict":[{"v":{"backref":2},"k":{"id":2,"kind":"NONE"}}]}]`,
+	`[{"id":1,"kind":"DICT","dict":[{"v":{"id":2,"kind":"NONE"},"k":{"backref":2}}]}]`,
+	// Duplicate ids: a backref names the last value registered under its
+	// id before it.
+	`[{"id":1,"kind":"NONE"},{"id":1,"kind":"LIST"},{"backref":1}]`,
+	`[{"id":1,"kind":"LIST","list":[{"id":1,"kind":"NONE"},{"backref":1}]},{"backref":1}]`,
+	// Unknown keys after the encoder's last key of a variable, a field, a
+	// dict entry, a payload and a value.
+	`{"globals":[{"name":"g","value":{"id":1,"kind":"DICT","dict":[{"k":{"id":2,"kind":"NONE"},"v":{"backref":2},"x":0}]},"x":0},` +
+		`{"name":"s","value":{"id":3,"kind":"STRUCT","struct":[{"name":"f","value":{"id":4,"kind":"PRIMITIVE","prim":{"t":"int","v":"7","x":0},"x":0},"x":0}]}}]}`,
+	// Upper-case and Kelvin-sign keys match their members.
+	`{"ID":1,"KIND":"LIST","LIST":[{"BACKREF":1}]}`,
+	`{"Globals":[{"Name":"g","Value":{"Id":1,"%u212aind":"REF","Ref":{"backref":1}}}]}`,
+	`[{"id":2,"%u212aind":"NONE"},{"%u212aind":"LIST","id":1,"list":[{"backref":2}]}]`,
+}
+
+func TestStateJSONHardCases(t *testing.T) {
+	for _, doc := range hardDocs {
+		checkDoc(t, esc(doc))
+	}
+	var v Value
+	if err := v.UnmarshalJSON([]byte(hardDocs[0])); err != nil {
+		t.Fatal(err)
+	}
+	if elems := v.Elems(); len(elems) != 1 || elems[0] != &v {
+		t.Errorf("%s: decoded %v, want a list that contains itself", hardDocs[0], elems)
+	}
+	var l ValueList
+	if err := l.UnmarshalJSON([]byte(`[{"id":1,"kind":"NONE"},{"id":1,"kind":"LIST"},{"backref":1}]`)); err != nil {
+		t.Fatal(err)
+	}
+	if l[2] != l[1] {
+		t.Error("a backref to a duplicate id did not name the last value registered under it")
+	}
+}
+
+// TestStateJSONIndented decodes a golden document indented as a v1 trace
+// holds it, inside an array of steps.
+func TestStateJSONIndented(t *testing.T) {
+	_, golden := goldenDocs(t)
+	for _, doc := range golden {
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, doc, "    ", "  "); err != nil {
+			t.Fatal(err)
+		}
+		checkDoc(t, indented.Bytes())
+		var s State
+		if err := s.UnmarshalJSON(indented.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := s.MarshalJSON(); !bytes.Equal(got, doc) {
+			t.Errorf("indented document decoded to\n%s\nwant\n%s", got, doc)
+		}
+	}
+}
+
 func TestStateJSONParserMatchesReference(t *testing.T) {
 	for _, doc := range parityDocs(t) {
 		checkDoc(t, doc)
@@ -414,10 +501,22 @@ func TestStateJSONDepthLimit(t *testing.T) {
 
 func TestStateJSONTruncatedIsUnexpectedEOF(t *testing.T) {
 	_, docs := goldenDocs(t)
-	var s State
-	err := s.UnmarshalJSON(docs[0][:len(docs[0])-1])
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated document: err = %v, want io.ErrUnexpectedEOF", err)
+	cut := [][]byte{
+		docs[0][:len(docs[0])-1],
+		// Keys out of order, and a dangling backref before the cut: the
+		// cut still answers first.
+		[]byte(`{"globals":[{"name":"g","value":{"backref":9}}],"frames":[`),
+		[]byte(`{"list":[{"backref":1}],"id":1,"kind":"LI`),
+	}
+	for _, doc := range cut {
+		var s State
+		if err := s.UnmarshalJSON(doc); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("truncated document %q: err = %v, want io.ErrUnexpectedEOF", doc, err)
+		}
+	}
+	var v Value
+	if err := v.UnmarshalJSON(cut[2]); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated value %q: err = %v, want io.ErrUnexpectedEOF", cut[2], err)
 	}
 }
 
@@ -490,5 +589,8 @@ func FuzzStateJSON(f *testing.F) {
 	f.Add(golden[len(golden)-1][:len(golden[len(golden)-1])*2/3])
 	f.Add(esc(`[{"id":1,"kind":"LIST","list":[{"backref":1}]},{"backref":1},null]`))
 	f.Add(esc(`{"type":"WATCH","variable":"x","old":{"id":1,"kind":"NONE"},"new":{"backref":1}}`))
+	for _, doc := range hardDocs {
+		f.Add(esc(doc))
+	}
 	f.Fuzz(checkDoc)
 }

@@ -94,15 +94,20 @@ type Tracker struct {
 	state    *core.State // cached snapshot for the current pause
 	// stateVersion is the machine data version at which state was
 	// fetched. After a resume, the snapshot is demoted to stale rather
-	// than dropped: if a cheap -data-watch-version round trip shows the
-	// version (and innermost function and frame depth) unchanged, the
-	// stale snapshot is revalidated instead of re-serializing the full
-	// state.
+	// than dropped: if the *stopped record shows the version (and
+	// innermost function and frame depth) unchanged, the stale snapshot
+	// is revalidated instead of re-serializing the full state.
 	stateVersion uint64
 	stale        *core.State
 	staleVersion uint64
 	staleFunc    string
 	staleDepth   int
+	// stopVersion and stopPC are the data version and program counter the
+	// current pause's *stopped record reported; stopKnown is false when it
+	// reported none.
+	stopVersion uint64
+	stopPC      uint64
+	stopKnown   bool
 
 	bps     map[int]bpInfo // breakpoint id -> classification
 	watches map[int]string // watchpoint id -> variable identifier
@@ -357,7 +362,8 @@ func (t *Tracker) Start() error {
 // classifyStop turns the *stopped record into the pause reason taxonomy.
 func (t *Tracker) classifyStop(resp *mi.Response) error {
 	// Demote the snapshot of the previous pause to a stale candidate:
-	// fetchState revalidates it with a version check before reuse.
+	// fetchState revalidates it against this stop's data version before
+	// reuse.
 	if t.state != nil {
 		t.stale, t.staleVersion = t.state, t.stateVersion
 		t.staleFunc, t.staleDepth = t.curFunc, t.curDepth
@@ -370,9 +376,16 @@ func (t *Tracker) classifyStop(resp *mi.Response) error {
 	line, _ := stopped.Results.GetInt("line")
 	t.lastLine = t.curLine
 	t.curLine = int(line)
-	t.curFunc = stopped.GetString("func")
+	// The record's strings are slices of its line: copy the function's
+	// name when it changes rather than keep the line alive with it.
+	if fn := stopped.GetString("func"); fn != t.curFunc {
+		t.curFunc = strings.Clone(fn)
+	}
 	depth, _ := stopped.Results.GetInt("depth")
 	t.curDepth = int(depth)
+	ver, verr := strconv.ParseUint(stopped.GetString("version"), 10, 64)
+	pc, perr := strconv.ParseUint(stopped.GetString("addr"), 0, 64)
+	t.stopVersion, t.stopPC, t.stopKnown = ver, pc, verr == nil && perr == nil
 	switch reason := stopped.GetString("reason"); reason {
 	case "entry":
 		t.reason = core.PauseReason{Type: core.PauseEntry, File: t.file, Line: int(line)}
@@ -838,8 +851,8 @@ func (t *Tracker) fetchState() (*core.State, error) {
 		t.obs.Counter(core.CtrSnapshotHits).Inc()
 		return t.state, nil
 	}
-	if st, err := t.revalidateStale(); st != nil || err != nil {
-		return st, err
+	if st := t.revalidateStale(); st != nil {
+		return st, nil
 	}
 	sp := t.tracer.StartOp(core.OpStateFetch)
 	t0 := t.obs.Now()
@@ -849,7 +862,7 @@ func (t *Tracker) fetchState() (*core.State, error) {
 		return nil, err
 	}
 	var st core.State
-	if err := st.UnmarshalJSON([]byte(resp.Result.GetString("state"))); err != nil {
+	if err := st.UnmarshalJSONString(resp.Result.GetString("state")); err != nil {
 		sp.EndErr(err)
 		return nil, fmt.Errorf("gdbtracker: bad state payload: %w", err)
 	}
@@ -866,43 +879,33 @@ func (t *Tracker) fetchState() (*core.State, error) {
 	return &st, nil
 }
 
-// revalidateStale reuses the previous pause's snapshot when a single
-// -data-watch-version round trip proves no store (or debugger write, or
-// heap move) happened since it was serialized and the innermost frame is
-// still the same invocation (same function name at the same frame depth).
-// Only the position and pause reason can differ: the line and reason are
-// known locally from the *stopped record and the round trip also reports
-// the PC, so the stale snapshot is revalidated as a shallow clone with a
-// fresh innermost Frame — the full state transfer and JSON decode are
-// skipped. Cloning matters: consumers
-// (pt.Record, the session's own recording) retain each pause's State, so
-// patching the previous pause's snapshot in place would retroactively
-// rewrite recorded history. A failed round trip is the caller's error: a
-// session recovery behind it means the pause is gone.
-func (t *Tracker) revalidateStale() (*core.State, error) {
-	if t.stale == nil || t.stale.Frame == nil {
-		return nil, nil
-	}
-	resp, err := t.send("-data-watch-version")
-	if err != nil {
-		return nil, err
-	}
-	ver, err := strconv.ParseUint(resp.Result.GetString("version"), 10, 64)
-	pc, perr := strconv.ParseUint(resp.Result.GetString("addr"), 0, 64)
-	if err != nil || perr != nil || ver != t.staleVersion ||
-		t.staleFunc != t.curFunc || t.stale.Frame.Name != t.curFunc ||
-		t.staleDepth != t.curDepth {
-		return nil, nil
+// revalidateStale reuses the previous pause's snapshot when the *stopped
+// record proves no store (or debugger write, or heap move) happened since
+// it was serialized and the innermost frame is still the same invocation
+// (same function name at the same frame depth). The record carries the
+// data version and the PC, and neither can move before the next execution
+// command: only execution and debugger memory writes bump the version, and
+// the tracker sends no write. Only the position and pause reason can
+// differ, so the stale snapshot is revalidated as a shallow clone with a
+// fresh innermost Frame, and the pause costs no MI command at all.
+// Cloning matters: consumers (pt.Record, the session's own recording)
+// retain each pause's State, so patching the previous pause's snapshot in
+// place would retroactively rewrite recorded history.
+func (t *Tracker) revalidateStale() *core.State {
+	if t.stale == nil || t.stale.Frame == nil || !t.stopKnown ||
+		t.stopVersion != t.staleVersion || t.staleFunc != t.curFunc ||
+		t.stale.Frame.Name != t.curFunc || t.staleDepth != t.curDepth {
+		return nil
 	}
 	cp := *t.stale
 	fr := *t.stale.Frame
-	fr.Line, fr.PC = t.curLine, pc
+	fr.Line, fr.PC = t.curLine, t.stopPC
 	cp.Frame = &fr
 	cp.Reason = t.reason
-	t.state, t.stateVersion = &cp, ver
+	t.state, t.stateVersion = &cp, t.stopVersion
 	t.stale = nil
 	t.obs.Counter(core.CtrSnapshotHits).Inc()
-	return &cp, nil
+	return &cp
 }
 
 // WatchVersions returns the per-watchpoint store counters (number of

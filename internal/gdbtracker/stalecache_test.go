@@ -1,9 +1,11 @@
 package gdbtracker
 
 import (
+	"strconv"
 	"testing"
 
 	"easytracker/internal/core"
+	"easytracker/internal/mi"
 )
 
 // globalInt pulls the named global's int content out of a snapshot.
@@ -29,8 +31,8 @@ func globalInt(t *testing.T, st *core.State, name string) int64 {
 func TestStateRevalidatedAcrossNonStoringStep(t *testing.T) {
 	// Stepping over a line that performs no memory store must not pay
 	// for a second full state transfer: the previous snapshot is
-	// revalidated by a -data-watch-version round trip and patched with
-	// the new position.
+	// revalidated by the data version the *stopped record carries and
+	// patched with the new position.
 	src := `int g = 5;
 int main() {
     g = 6;
@@ -219,5 +221,109 @@ int main() {
 		if st.Frame.PC != regs["pc"] {
 			t.Fatalf("step %d: frame PC %#x, machine PC %#x", i+1, st.Frame.PC, regs["pc"])
 		}
+	}
+}
+
+// opLog records the operation of every MI command sent through it.
+type opLog struct {
+	mi.Conn
+	ops []string
+}
+
+func (c *opLog) Send(line string) error {
+	if _, op, _, err := mi.SplitCommand(line); err == nil {
+		c.ops = append(c.ops, op)
+	}
+	return c.Conn.Send(line)
+}
+
+// TestStateCostsOneCommand steps through a program with storing lines,
+// lines that store nothing, and a call, reading the State at every pause.
+// A State sends at most one MI command, -et-inspect; at a pause that
+// stored nothing since the previous one, in the same frame, it sends none,
+// and the reused snapshot's innermost PC is the one -data-watch-version
+// reports there.
+func TestStateCostsOneCommand(t *testing.T) {
+	const src = `int g = 1;
+int twice(int x) {
+    return x + x;
+}
+int main() {
+    int a = 2;
+    if (a > 1) {
+        g = twice(a);
+    }
+    if (g > 3) {
+        a = 3;
+    }
+    return 0;
+}`
+	log := &opLog{}
+	tr := New()
+	tr.SetConnWrapper(func(c mi.Conn) mi.Conn { log.Conn = c; return log })
+	if err := tr.LoadProgram("prog.c", core.WithSource(src)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tr.Terminate() })
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// versionAt reads the data version and PC with a round trip of its
+	// own, outside the State being counted.
+	versionAt := func() (uint64, uint64) {
+		resp, err := tr.send("-data-watch-version")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ver, err := strconv.ParseUint(resp.Result.GetString("version"), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc, err := strconv.ParseUint(resp.Result.GetString("addr"), 0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ver, pc
+	}
+	if _, err := tr.State(); err != nil {
+		t.Fatal(err)
+	}
+	prevVer, _ := versionAt()
+	prev := tr.state.Frame
+	var reused, fetched int
+	called := false
+	for step := 1; ; step++ {
+		if err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if _, done := tr.ExitCode(); done {
+			break
+		}
+		before := len(log.ops)
+		st, err := tr.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := log.ops[before:]
+		ver, pc := versionAt()
+		called = called || st.Frame.Name == "twice"
+		same := ver == prevVer && st.Frame.Name == prev.Name && st.Frame.Depth == prev.Depth
+		switch {
+		case same && len(sent) != 0:
+			t.Errorf("step %d (line %d): nothing stored since the last pause, but State sent %v", step, st.Frame.Line, sent)
+		case same:
+			reused++
+			if st.Frame.PC != pc {
+				t.Errorf("step %d: reused snapshot's PC %#x, -data-watch-version reports %#x", step, st.Frame.PC, pc)
+			}
+		case len(sent) != 1 || sent[0] != "-et-inspect":
+			t.Errorf("step %d (line %d): State sent %v, want one -et-inspect", step, st.Frame.Line, sent)
+		default:
+			fetched++
+		}
+		prevVer, prev = ver, st.Frame
+	}
+	if reused == 0 || fetched == 0 || !called {
+		t.Errorf("reused %d snapshots and fetched %d, entered the call: %v; want some of each", reused, fetched, called)
 	}
 }

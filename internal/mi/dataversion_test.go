@@ -1,8 +1,15 @@
 package mi
 
 import (
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
+
+	"easytracker/internal/minic"
 )
 
 func getVersion(t *testing.T, cl *Client) uint64 {
@@ -104,4 +111,128 @@ func TestListFeaturesAdvertisesDataWatchVersion(t *testing.T) {
 		}
 	}
 	t.Errorf("features %v missing et-data-watch-version", feats)
+}
+
+// stopsC stops at entry, after steps into and out of a call, at a
+// breakpoint, at a watch trigger, after a finish and at exit.
+const stopsC = `int g = 0;
+int bump(int x) {
+    g = g + x;
+    return g;
+}
+int main() {
+    int s = 0;
+    for (int i = 0; i < 3; i++) {
+        s = s + bump(i);
+    }
+    return s;
+}`
+
+var stopsCmds = []string{
+	"-exec-run", "-exec-step", "-exec-next", "-exec-step", "-exec-step",
+	"-exec-finish", "-break-insert 3", "-exec-continue", "-break-watch g",
+}
+
+// checkStopsCarryVersion sends stopsCmds over cl, then continues to the
+// exit. Every *stopped record but the exit must carry a version and an
+// addr equal to own()'s, read right after the stop; the exit must carry
+// neither.
+func checkStopsCarryVersion(t *testing.T, cl *Client, own func() (version, addr string)) {
+	t.Helper()
+	stops := map[string]int{}
+	send := func(line string) {
+		t.Helper()
+		f := strings.Fields(line)
+		resp, err := cl.Send(f[0], f[1:]...)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		st, ok := resp.Stopped()
+		if !ok {
+			return
+		}
+		reason := st.GetString("reason")
+		stops[reason]++
+		ver, addr := st.GetString("version"), st.GetString("addr")
+		if reason == "exited" {
+			if ver != "" || addr != "" {
+				t.Errorf("%s: exit record carries version %q, addr %q", line, ver, addr)
+			}
+			return
+		}
+		if wantVer, wantAddr := own(); ver != wantVer || addr != wantAddr {
+			t.Errorf("%s (%s): *stopped version %q addr %q, the debugger's are %q and %q",
+				line, reason, ver, addr, wantVer, wantAddr)
+		}
+	}
+	for _, line := range stopsCmds {
+		send(line)
+	}
+	for i := 0; i < 40 && stops["exited"] == 0; i++ {
+		send("-exec-continue")
+	}
+	for _, r := range []string{"entry", "end-stepping-range", "breakpoint-hit", "watchpoint-trigger", "exited"} {
+		if stops[r] == 0 {
+			t.Errorf("no %s stop among %v", r, stops)
+		}
+	}
+}
+
+// TestStoppedCarriesVersionAndAddr checks the in-process server against
+// its debugger's own counters, and a minigdb child against its
+// -data-watch-version replies.
+func TestStoppedCarriesVersionAndAddr(t *testing.T) {
+	t.Run("pipe", func(t *testing.T) {
+		prog, err := minic.Compile("stops.c", stopsC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(prog)
+		cConn, sConn := Pipe()
+		go func() { _ = srv.Serve(sConn) }()
+		cl := NewClient(cConn)
+		defer cl.Close()
+		checkStopsCarryVersion(t, cl, func() (string, string) {
+			return strconv.FormatUint(srv.d.DataVersion(), 10), fmt.Sprintf("%#x", srv.d.Machine().PC())
+		})
+	})
+	t.Run("minigdb", func(t *testing.T) {
+		dir := t.TempDir()
+		bin := filepath.Join(dir, "minigdb")
+		if out, err := exec.Command("go", "build", "-o", bin, "easytracker/cmd/minigdb").CombinedOutput(); err != nil {
+			t.Skipf("cannot build minigdb: %v\n%s", err, out)
+		}
+		src := filepath.Join(dir, "stops.c")
+		if err := os.WriteFile(src, []byte(stopsC), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(bin, src)
+		stdin, err := cmd.StdinPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			stdin.Close()
+			_ = cmd.Wait()
+		}()
+		conn := NewStdioConn(stdout, stdin, stdin)
+		if line, err := conn.Recv(); err != nil || line != "(gdb)" {
+			t.Fatalf("minigdb greeted with %q, %v", line, err)
+		}
+		cl := NewClient(conn)
+		checkStopsCarryVersion(t, cl, func() (string, string) {
+			resp, err := cl.Send("-data-watch-version")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp.Result.GetString("version"), resp.Result.GetString("addr")
+		})
+	})
 }

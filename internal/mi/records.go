@@ -111,6 +111,13 @@ func (r Record) GetString(name string) string { return r.Results.GetString(name)
 // Print renders the record as one MI line (without trailing newline).
 func (r Record) Print() string {
 	var b strings.Builder
+	// A raw value is most of its line: size the line for it up front, so
+	// its bytes are copied once.
+	for _, res := range r.Results {
+		if raw, ok := res.Val.(RawVal); ok {
+			b.Grow(len(raw) + 64*len(r.Results))
+		}
+	}
 	switch r.Kind {
 	case ResultRecord:
 		b.WriteString(r.Token)
@@ -402,7 +409,7 @@ func (p *recParser) value() (Value, error) {
 
 // cstring reads a c-string. It works byte by byte and copies each run
 // without escapes in one write, so bytes that are not UTF-8 come back
-// unchanged.
+// unchanged; a string without escapes is sliced out of the line.
 func (p *recParser) cstring() (string, error) {
 	if p.peek() != '"' {
 		return "", p.errf("missing '\"'")
@@ -413,9 +420,13 @@ func (p *recParser) cstring() (string, error) {
 	for p.pos < len(p.s) {
 		switch p.s[p.pos] {
 		case '"':
-			b.WriteString(p.s[start:p.pos])
+			s := p.s[start:p.pos]
+			if b.Len() > 0 { // the string held escapes
+				b.WriteString(s)
+				s = b.String()
+			}
 			p.pos++
-			return b.String(), nil
+			return s, nil
 		case '\\':
 			if p.pos+1 >= len(p.s) {
 				return "", p.errf("dangling escape")

@@ -374,7 +374,7 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		return []Record{doneRec(token,
 			Result{Var: "version", Val: StringVal(strconv.FormatUint(s.d.DataVersion(), 10))},
 			Result{Var: "watch-versions", Val: watches},
-			Result{Var: "addr", Val: StringVal(fmt.Sprintf("%#x", s.d.Machine().PC()))},
+			Result{Var: "addr", Val: StringVal(hexAddr(s.d.Machine().PC()))},
 		)}, nil
 
 	case "-et-heap-blocks":
@@ -751,11 +751,15 @@ func leBytes(b []byte) uint64 {
 
 // stopRecords renders a debugger stop as MI records: buffered inferior
 // output first, then ^running + *stopped (the synchronous condensation of
-// GDB's async protocol).
+// GDB's async protocol). A stop that leaves the inferior paused carries the
+// machine's data version and program counter, as -data-watch-version
+// reports them, so a client can tell from the stop alone whether memory
+// changed since an earlier pause: neither moves until the next execution
+// command.
 func (s *Server) stopRecords(token string, stop dbg.Stop) []Record {
 	recs := s.drainOutput()
 	recs = append(recs, Record{Kind: ResultRecord, Token: token, Class: "running"})
-	st := Record{Kind: AsyncRecord, Class: "stopped"}
+	st := Record{Kind: AsyncRecord, Class: "stopped", Results: make(Tuple, 0, 10)}
 	st.Results = append(st.Results, Result{Var: "reason", Val: StringVal(stop.Reason.String())})
 	switch stop.Reason {
 	case dbg.StopExited:
@@ -769,7 +773,9 @@ func (s *Server) stopRecords(token string, stop dbg.Stop) []Record {
 		st.Results = append(st.Results,
 			Result{Var: "line", Val: StringVal(strconv.Itoa(stop.Line))},
 			Result{Var: "func", Val: StringVal(stop.Function)},
-			Result{Var: "depth", Val: StringVal(strconv.Itoa(s.d.Depth()))})
+			Result{Var: "depth", Val: StringVal(strconv.Itoa(s.d.Depth()))},
+			Result{Var: "version", Val: StringVal(strconv.FormatUint(s.d.DataVersion(), 10))},
+			Result{Var: "addr", Val: StringVal(hexAddr(s.d.Machine().PC()))})
 		if stop.Detail != "" {
 			st.Results = append(st.Results,
 				Result{Var: "detail", Val: StringVal(stop.Detail)})
@@ -792,6 +798,12 @@ func (s *Server) stopRecords(token string, stop dbg.Stop) []Record {
 		}
 	}
 	return append(recs, st)
+}
+
+// hexAddr writes an address as %#x does.
+func hexAddr(a uint64) string {
+	var b [18]byte
+	return string(strconv.AppendUint(append(b[:0], "0x"...), a, 16))
 }
 
 // renderRaw renders watched raw bytes according to the declared type.

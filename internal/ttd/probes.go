@@ -8,8 +8,8 @@ import (
 
 // Probes is a tracker's table of armed probes, each with its query.Gate,
 // and the one pause classifier over it (Classify). The live MiniPy tracker
-// calls it at every trace event; every replay calls it at every recorded
-// step it moves onto (Replay forward, PauseBack in reverse). C is the state
+// calls it at the events the hook is delivered; every replay calls it at
+// every recorded step it moves onto (Replay forward, PauseBack in reverse). C is the state
 // a live tracker keeps next to each watch (its hot-path caches);
 // replay-only trackers use struct{}.
 type Probes[C any] struct {
