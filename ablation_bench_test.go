@@ -67,7 +67,10 @@ func BenchmarkAblationDirectDbgStep(b *testing.B) {
 
 // BenchmarkAblationMIPipeStep is the same workload through the full MI
 // protocol; the difference against DirectDbgStep is the pipe cost the
-// paper accepts for process separation.
+// paper accepts for process separation. In process the pipe is
+// mi.Connect: every command and reply is still split, printed and parsed
+// as MI text, but runs on the stepping goroutine, so the difference holds
+// the protocol and the tracker and no goroutine handoff.
 func BenchmarkAblationMIPipeStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

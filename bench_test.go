@@ -245,10 +245,7 @@ func BenchmarkFig4MIRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := mi.NewServer(prog)
-	cConn, sConn := mi.Pipe()
-	go func() { _ = srv.Serve(sConn) }()
-	cl := mi.NewClient(cConn)
+	cl := mi.NewClient(mi.Connect(mi.NewServer(prog)))
 	defer cl.Close()
 	if _, err := cl.Send("-exec-run"); err != nil {
 		b.Fatal(err)

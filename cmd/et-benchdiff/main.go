@@ -6,8 +6,10 @@
 // the off path of observability, span tracing and recording), against a
 // return to per-value allocations in the State codec or to decoding a
 // State through an intermediate tree, against converting
-// unchanged MiniPy values again at every pause and against an inspected
-// remote pause costing more than one round trip.
+// unchanged MiniPy values again at every pause, against an inspected
+// remote pause costing more than one round trip, and against allocations
+// coming back to a MiniGDB control round trip (BenchmarkSteppingOverheadMiniC)
+// or to the MiniC machine's loads (BenchmarkNativeMiniC).
 //
 // Usage:
 //
@@ -113,11 +115,11 @@ func loadBaseline(path string) (*Baseline, error) {
 }
 
 func main() {
-	bench := flag.String("bench", "BenchmarkResumeWithWatchpointMiniPy|BenchmarkAblationWatchCountMiniPy|BenchmarkCompileMiniPy|BenchmarkObsOverhead|BenchmarkSpanOverhead|BenchmarkBudgetCheckOverhead|BenchmarkConditionalBreakMiniPy|BenchmarkRemoteRoundTrip|BenchmarkRedialOverheadOff|BenchmarkRemoteInspectMiniPy|BenchmarkSeekColdVsCheckpoint|BenchmarkRecordingOverhead|BenchmarkFig3StateSerialize|BenchmarkMIInspectState|BenchmarkStateDecodeGolden|BenchmarkStateAcrossPausesMiniPy", "benchmark regex passed to go test -bench")
+	bench := flag.String("bench", "BenchmarkResumeWithWatchpointMiniPy|BenchmarkAblationWatchCountMiniPy|BenchmarkCompileMiniPy|BenchmarkObsOverhead|BenchmarkSpanOverhead|BenchmarkBudgetCheckOverhead|BenchmarkConditionalBreakMiniPy|BenchmarkRemoteRoundTrip|BenchmarkRedialOverheadOff|BenchmarkRemoteInspectMiniPy|BenchmarkSeekColdVsCheckpoint|BenchmarkRecordingOverhead|BenchmarkFig3StateSerialize|BenchmarkMIInspectState|BenchmarkStateDecodeGolden|BenchmarkStateAcrossPausesMiniPy|BenchmarkSteppingOverheadMiniC|BenchmarkNativeMiniC", "benchmark regex passed to go test -bench")
 	baselinePath := flag.String("baseline", filepath.Join("cmd", "et-benchdiff", "baseline.json"), "committed baseline JSON")
 	outPath := flag.String("o", "BENCH_1.json", "report output path")
 	count := flag.Int("count", 1, "benchmark repetitions (best of N is kept)")
-	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,allocs:BenchmarkRemoteInspectMiniPy,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateDecodeGolden,allocs:BenchmarkStateAcrossPausesMiniPy", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency)")
+	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,allocs:BenchmarkRemoteInspectMiniPy,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateDecodeGolden,allocs:BenchmarkStateAcrossPausesMiniPy,allocs:BenchmarkSteppingOverheadMiniC,allocs:BenchmarkNativeMiniC", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency)")
 	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op regression in percent")
 	nsTolerance := flag.Float64("ns-tolerance", 15, "allowed ns/op regression in percent (ns/op is noisier than allocs/op)")
 	dir := flag.String("dir", ".", "module directory to benchmark")

@@ -278,9 +278,12 @@ func (d *Debugger) interrupted(detail string) Stop {
 	return d.locate(Stop{Reason: StopInterrupted, Detail: detail})
 }
 
-// Depth returns the current frame depth: main's frame is 0.
+// Depth returns the current frame depth: main's frame is 0. It counts the
+// frames Unwind would list without building the list.
 func (d *Debugger) Depth() int {
-	return len(d.Unwind()) - 1
+	n := 0
+	d.walk(func(FrameRec) { n++ })
+	return n - 1
 }
 
 // FrameRec is one unwound stack frame.
@@ -294,6 +297,12 @@ type FrameRec struct {
 // _start. The innermost frame is first.
 func (d *Debugger) Unwind() []FrameRec {
 	var out []FrameRec
+	d.walk(func(fr FrameRec) { out = append(out, fr) })
+	return out
+}
+
+// walk visits the frames of the fp chain, innermost first.
+func (d *Debugger) walk(visit func(FrameRec)) {
 	pc := d.m.PC()
 	fp := d.m.Reg(isa.FP)
 	for i := 0; i < 10000; i++ {
@@ -301,7 +310,7 @@ func (d *Debugger) Unwind() []FrameRec {
 		if fn == nil || fn.Name == "_start" {
 			break
 		}
-		out = append(out, FrameRec{Fn: fn, PC: pc, FP: fp})
+		visit(FrameRec{Fn: fn, PC: pc, FP: fp})
 		retPC, err1 := d.m.ReadU64(fp - 8)
 		callerFP, err2 := d.m.ReadU64(fp - 16)
 		if err1 != nil || err2 != nil {
@@ -309,7 +318,6 @@ func (d *Debugger) Unwind() []FrameRec {
 		}
 		pc, fp = retPC, callerFP
 	}
-	return out
 }
 
 // BreakAtLine arms a breakpoint before the given source line.

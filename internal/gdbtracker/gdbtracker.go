@@ -249,13 +249,13 @@ func (t *Tracker) miTap(op string, args []string, resp *mi.Response, err error, 
 		cmd += " " + strings.Join(args, " ")
 	}
 	rec.Record("mi>", cmd)
-	switch {
-	case err != nil && resp == nil:
-		rec.Recordf("mi!", "%s: transport failed after %s: %v", op, d.Round(time.Microsecond), err)
-	case err != nil:
-		rec.Recordf("mi<", "%s (%s) %v", mi.SummarizeResponse(resp), d.Round(time.Microsecond), err)
-	default:
-		rec.Recordf("mi<", "%s (%s)", mi.SummarizeResponse(resp), d.Round(time.Microsecond))
+	if rec != nil {
+		r := miReply{op: op, d: d, err: err}
+		kind := "mi!"
+		if r.lost = err != nil && resp == nil; !r.lost {
+			kind, r.sum = "mi<", mi.Summarize(resp)
+		}
+		obs.RecordLazy(rec, kind, r)
 	}
 	if t.obs.Enabled() {
 		t.obs.Hist(core.OpMIRound).Observe(d)
@@ -264,6 +264,27 @@ func (t *Tracker) miTap(op string, args []string, resp *mi.Response, err error, 
 			t.obs.Counter(core.CtrMIErrors).Inc()
 		}
 	}
+}
+
+// miReply is an "mi<" or "mi!" flight-recorder event, formatted when the
+// recorder is read.
+type miReply struct {
+	op   string
+	sum  mi.Summary
+	d    time.Duration
+	err  error
+	lost bool // the transport failed: no response
+}
+
+func (r miReply) String() string {
+	d := r.d.Round(time.Microsecond)
+	switch {
+	case r.lost:
+		return fmt.Sprintf("%s: transport failed after %s: %v", r.op, d, r.err)
+	case r.err != nil:
+		return fmt.Sprintf("%s (%s) %v", r.sum, d, r.err)
+	}
+	return fmt.Sprintf("%s (%s)", r.sum, d)
 }
 
 // send issues an MI command and pumps inferior output to the tool's stdout.
@@ -297,6 +318,10 @@ func (t *Tracker) sendRaw(op string, args ...string) (*mi.Response, error) {
 // session errors. Session errors record the raw MI command that failed;
 // replace it with the public operation name the tool actually called.
 func (t *Tracker) werr(op string, err error) error {
+	if err == nil {
+		// Before errors.As, which would move te to the heap on success too.
+		return nil
+	}
 	var te *core.TrackerError
 	if errors.As(err, &te) && strings.HasPrefix(te.Op, "-") {
 		te.Op = op
@@ -455,7 +480,14 @@ func (t *Tracker) classifyStop(resp *mi.Response) error {
 	default:
 		return fmt.Errorf("gdbtracker: unknown stop reason %q", reason)
 	}
-	t.obs.Event("pause", t.reason.String())
+	switch t.reason.Type {
+	case core.PauseWatch, core.PauseReturn, core.PauseInterrupted:
+		// These hold Values or a detail sliced from the stop record's
+		// line, which the recorder must not keep: format them now.
+		t.obs.Event("pause", t.reason.String())
+	default:
+		obs.RecordLazy(t.obs.Recorder(), "pause", t.reason)
+	}
 	if t.obs.Enabled() {
 		t.obs.Counter(core.CtrPauses).Inc()
 		if t.reason.Type == core.PauseWatch {

@@ -38,14 +38,13 @@ func (t *Tracker) setTransport(c *mi.Client) {
 	t.trans = trans
 }
 
-// bootInProcess starts a fresh in-process MI server for the loaded program
-// and connects the transport to it.
+// bootInProcess builds a fresh in-process MI server for the loaded program
+// and connects the transport to it. The server runs each command on the
+// goroutine that sends it, so the session starts no goroutine.
 func (t *Tracker) bootInProcess() error {
 	srv := mi.NewServer(t.prog)
 	srv.SetStdin(t.cfg.Stdin)
-	cConn, sConn := mi.Pipe()
-	go func() { _ = srv.Serve(sConn) }()
-	var conn mi.Conn = cConn
+	conn := mi.Connect(srv)
 	if t.wrapConn != nil {
 		conn = t.wrapConn(conn)
 	}

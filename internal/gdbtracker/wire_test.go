@@ -7,9 +7,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"easytracker/internal/core"
 	"easytracker/internal/dbg"
@@ -110,8 +112,7 @@ func TestInspectStateIsCodecBytes(t *testing.T) {
 		dial func(t *testing.T) mi.Conn
 	}{
 		{"pipe", func(t *testing.T) mi.Conn {
-			cl, srv := mi.Pipe()
-			go func() { _ = mi.NewServer(prog).Serve(srv) }()
+			cl := mi.Connect(mi.NewServer(prog))
 			t.Cleanup(func() { cl.Close() })
 			return cl
 		}},
@@ -209,4 +210,93 @@ func TestOutputBytesCrossUnchanged(t *testing.T) {
 			}
 		})
 	}
+}
+
+// spinC loops forever: only an interrupt ends a Resume of it.
+const spinC = `int main() {
+    int n = 0;
+    while (1) {
+        n = n + 1;
+    }
+    return 0;
+}`
+
+// TestInterruptPausesResume interrupts a Resume of an endless loop from
+// another goroutine, in process and through a minigdb child. The Resume
+// returns an ordinary INTERRUPTED pause, and the session steps on from it.
+func TestInterruptPausesResume(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   func(t *testing.T) *Tracker
+	}{
+		{"in-process", func(*testing.T) *Tracker { return New() }},
+		{"minigdb", func(t *testing.T) *Tracker { return NewSubprocess(buildMinigdb(t)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.tr(t)
+			if err := tr.LoadProgram("spin.c", core.WithSource(spinC)); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = tr.Terminate() })
+			if err := tr.Start(); err != nil {
+				t.Fatal(err)
+			}
+			// An interrupt that lands before the Resume is latched and
+			// stops it all the same.
+			timer := time.AfterFunc(20*time.Millisecond, tr.Interrupt)
+			defer timer.Stop()
+			if err := tr.Resume(); err != nil {
+				t.Fatal(err)
+			}
+			if r := tr.PauseReason(); r.Type != core.PauseInterrupted || r.Detail != "interrupt" {
+				t.Fatalf("pause = %v, want INTERRUPTED (interrupt)", r)
+			}
+			if err := tr.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if r := tr.PauseReason(); r.Type != core.PauseStep {
+				t.Fatalf("step after the interrupt paused with %v", r)
+			}
+		})
+	}
+}
+
+// TestInProcessSessionStartsNoGoroutine pins the in-process transport:
+// MiniGDB runs each command on the goroutine that sends it, so a live
+// session holds no goroutine in internal/mi. Not parallel, since it counts
+// the process's goroutines.
+func TestInProcessSessionStartsNoGoroutine(t *testing.T) {
+	before := miGoroutines()
+	tr := start(t, fibC)
+	if err := tr.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.State(); err != nil {
+		t.Fatal(err)
+	}
+	if after := miGoroutines(); len(after) > len(before) {
+		t.Fatalf("the session holds %d goroutines in internal/mi:\n%s",
+			len(after)-len(before), strings.Join(after, "\n\n"))
+	}
+}
+
+// miGoroutines returns the stacks of the goroutines other than the
+// caller's that have a frame in internal/mi.
+func miGoroutines() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var out []string
+	for i, g := range strings.Split(string(buf), "\n\n") {
+		if i > 0 && strings.Contains(g, "easytracker/internal/mi.") {
+			out = append(out, g)
+		}
+	}
+	return out
 }

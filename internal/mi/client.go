@@ -110,8 +110,9 @@ func (c *Client) RoundTrip(op string, args ...string) (*Response, error) {
 // no response records of its own, so the token stream stays aligned. The
 // server consumes it out of band and the running command returns a normal
 // *stopped reason="interrupted" response. Conn.Send implementations are
-// safe for concurrent single-line writes (StdioConn holds a mutex, chanConn
-// is a channel send), so no extra locking is needed here.
+// safe for concurrent single-line writes (StdioConn holds a mutex, and
+// Connect's conn hands the line to Server.Interrupt without taking the
+// lock a running command holds), so no extra locking is needed here.
 func (c *Client) Interrupt() error {
 	return c.conn.Send("-exec-interrupt")
 }

@@ -188,9 +188,7 @@ func TestStoppedCarriesVersionAndAddr(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := NewServer(prog)
-		cConn, sConn := Pipe()
-		go func() { _ = srv.Serve(sConn) }()
-		cl := NewClient(cConn)
+		cl := NewClient(Connect(srv))
 		defer cl.Close()
 		checkStopsCarryVersion(t, cl, func() (string, string) {
 			return strconv.FormatUint(srv.d.DataVersion(), 10), fmt.Sprintf("%#x", srv.d.Machine().PC())

@@ -186,17 +186,15 @@ int main() {
     return 0;
 }`
 
-// startServer compiles src, serves it in a goroutine and returns a client.
+// startServer compiles src, connects a client to a server for it and
+// returns the client.
 func startServer(t *testing.T, src string) *Client {
 	t.Helper()
 	prog, err := minic.Compile("prog.c", src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	srv := NewServer(prog)
-	cConn, sConn := Pipe()
-	go func() { _ = srv.Serve(sConn) }()
-	cl := NewClient(cConn)
+	cl := NewClient(Connect(NewServer(prog)))
 	t.Cleanup(func() {
 		_, _ = cl.Send("-gdb-exit")
 		cl.Close()

@@ -41,12 +41,12 @@ type Server struct {
 	running bool
 	closed  bool
 
-	// dbgP mirrors d for goroutines other than the dispatch loop:
-	// Interrupt (called from Serve's reader goroutine or a signal
-	// handler) reaches the running machine through it. pendIntr latches
-	// an interrupt that arrived before any machine existed; exec
-	// commands consume it. budget is the armed -et-budget instruction
-	// limit, applied to the machine at -exec-run.
+	// dbgP mirrors d for goroutines other than the one running a
+	// command: Interrupt (called from Serve's reader goroutine, another
+	// client goroutine or a signal handler) reaches the running machine
+	// through it. pendIntr latches an interrupt that arrived before any
+	// machine existed; exec commands consume it. budget is the armed
+	// -et-budget instruction limit, applied to the machine at -exec-run.
 	dbgP     atomic.Pointer[dbg.Debugger]
 	pendIntr atomic.Bool
 	budget   uint64
@@ -69,7 +69,7 @@ func (s *Server) SetStdin(r io.Reader) { s.stdin = r }
 // "interrupted" before its next instruction and the in-flight exec command
 // returns a normal *stopped response. When no machine exists yet the
 // interrupt is latched and delivered by the next exec command. Safe to
-// call from any goroutine (Serve's reader, signal handlers).
+// call from any goroutine (Serve's reader, a client's, signal handlers).
 func (s *Server) Interrupt() {
 	if d := s.dbgP.Load(); d != nil {
 		d.Machine().Interrupt()
@@ -78,21 +78,23 @@ func (s *Server) Interrupt() {
 	s.pendIntr.Store(true)
 }
 
-// deliverPending forwards a latched interrupt to the machine; called by the
-// dispatch loop at the start of every exec command, closing the race where
-// an interrupt arrives between machine creation and dbgP publication.
+// deliverPending forwards a latched interrupt to the machine; called at the
+// start of every exec command, closing the race where an interrupt arrives
+// between machine creation and dbgP publication.
 func (s *Server) deliverPending() {
 	if s.d != nil && s.pendIntr.CompareAndSwap(true, false) {
 		s.d.Machine().Interrupt()
 	}
 }
 
-// Serve reads commands from conn until -gdb-exit or EOF. A dedicated
-// reader goroutine keeps draining the connection while a command executes —
-// that is what lets -exec-interrupt arrive DURING a blocking -exec-continue.
-// Interrupt lines are consumed out of band (they produce no response of
-// their own, keeping one-response-per-command alignment for the client);
-// every other line is queued to the dispatch loop in arrival order.
+// Serve reads commands from a byte-stream conn (cmd/minigdb's StdioConn)
+// until -gdb-exit or EOF. A dedicated reader goroutine keeps draining the
+// stream while a command executes — that is what lets -exec-interrupt
+// arrive DURING a blocking -exec-continue. Interrupt lines are consumed out
+// of band (they produce no response of their own, keeping
+// one-response-per-command alignment for the client); every other line is
+// queued to the dispatch loop in arrival order. An in-process client needs
+// none of this: Connect runs each command on the sender's goroutine.
 func (s *Server) Serve(conn Conn) error {
 	defer conn.Close()
 	lines := make(chan string)
@@ -146,6 +148,11 @@ func isInterruptLine(line string) bool {
 // the prompt).
 func (s *Server) Execute(line string) []Record {
 	token, op, args, err := SplitCommand(line)
+	return s.execute(token, op, args, err)
+}
+
+// execute runs one command line SplitCommand split; err is its error.
+func (s *Server) execute(token, op string, args []string, err error) []Record {
 	if err != nil {
 		return []Record{errRec("", err)}
 	}
@@ -235,8 +242,8 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		return s.stopRecords(token, stop), nil
 
 	case "-exec-interrupt":
-		// Normally intercepted out of band by Serve's reader goroutine;
-		// this path serves direct Execute callers and queued interrupts.
+		// Normally intercepted out of band by Serve's reader goroutine or
+		// Connect's Send; this path serves direct Execute callers.
 		s.Interrupt()
 		return []Record{doneRec(token)}, nil
 

@@ -170,10 +170,7 @@ func TestFileExecAndSymbols(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := NewServer(nil) // no program until the client loads one
-	cConn, sConn := Pipe()
-	go func() { _ = srv.Serve(sConn) }()
-	cl := NewClient(cConn)
+	cl := NewClient(Connect(NewServer(nil))) // no program until the client loads one
 	defer cl.Close()
 
 	// Commands before load fail cleanly.

@@ -47,8 +47,8 @@ type Interrupter interface {
 // given one grace period to finish with a normal *stopped
 // reason="interrupted" response — a recoverable pause with all session state
 // intact. Only if that also times out (server wedged, not just the inferior
-// looping) is the transport poisoned (closed) — the in-flight reader
-// goroutine unblocks with a connection error and the transport must not be
+// looping) is the transport poisoned (closed) — a round trip blocked on its
+// reply unblocks with a connection error and the transport must not be
 // reused — and RoundTrip returns an error wrapping ErrTimeout.
 type DeadlineTransport struct {
 	T       Transport
@@ -98,7 +98,7 @@ func (d *DeadlineTransport) RoundTrip(op string, args ...string) (*Response, err
 			}
 		}
 	}
-	// Poison the wedged transport so the reader goroutine exits.
+	// Poison the wedged transport so the abandoned round trip returns.
 	_ = d.T.Close()
 	return nil, fmt.Errorf("mi: no response to %s within %v: %w", op, d.Timeout, ErrTimeout)
 }

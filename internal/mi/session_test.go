@@ -20,10 +20,7 @@ func faultSession(t *testing.T) (*Client, *FaultConn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cConn, sConn := Pipe()
-	srv := NewServer(prog)
-	go func() { _ = srv.Serve(sConn) }()
-	fc := NewFaultConn(cConn)
+	fc := NewFaultConn(Connect(NewServer(prog)))
 	return NewClient(fc), fc
 }
 

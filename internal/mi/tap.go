@@ -56,26 +56,70 @@ func (t *TapTransport) Interrupt() error {
 	return errNoInterrupt
 }
 
-// SummarizeResponse renders a one-line summary of an MI response for event
-// logs: the result class plus the stop reason, if any ("^done *stopped
-// reason=breakpoint-hit line=12").
-func SummarizeResponse(resp *Response) string {
+// Summary is the one-line summary of an MI response that event logs show:
+// the result class plus the stop reason, if any ("^done *stopped
+// reason=breakpoint-hit line=12"). A record's strings are slices of its
+// line, so a Summary keeps the names the server prints as constants and
+// copies any other: a log may hold it and format it later.
+type Summary struct {
+	none    bool // no response at all
+	class   string
+	stopped bool
+	reason  string
+	line    int64
+}
+
+// summaryNames are the result classes and stop reasons the server prints.
+var summaryNames = [...]string{
+	"done", "running", "error", "exit",
+	"entry", "end-stepping-range", "breakpoint-hit", "watchpoint-trigger",
+	"exited", "signal-received", "interrupted",
+}
+
+// ownName returns s without the line it may slice.
+func ownName(s string) string {
+	for _, n := range summaryNames {
+		if s == n {
+			return n
+		}
+	}
+	return strings.Clone(s)
+}
+
+// Summarize takes the summary of resp, which may be nil.
+func Summarize(resp *Response) Summary {
 	if resp == nil {
+		return Summary{none: true}
+	}
+	s := Summary{class: ownName(resp.Result.Class)}
+	if stopped, ok := resp.Stopped(); ok {
+		s.stopped = true
+		s.reason = ownName(stopped.GetString("reason"))
+		if line, ok := stopped.Results.GetInt("line"); ok {
+			s.line = line
+		}
+	}
+	return s
+}
+
+// String renders the summary.
+func (s Summary) String() string {
+	if s.none {
 		return "<no response>"
 	}
 	var b strings.Builder
 	b.WriteString("^")
-	if resp.Result.Class == "" {
+	if s.class == "" {
 		b.WriteString("<none>")
 	} else {
-		b.WriteString(resp.Result.Class)
+		b.WriteString(s.class)
 	}
-	if stopped, ok := resp.Stopped(); ok {
+	if s.stopped {
 		b.WriteString(" *stopped reason=")
-		b.WriteString(stopped.GetString("reason"))
-		if line, ok := stopped.Results.GetInt("line"); ok && line > 0 {
+		b.WriteString(s.reason)
+		if s.line > 0 {
 			b.WriteString(" line=")
-			b.WriteString(strconv.FormatInt(line, 10))
+			b.WriteString(strconv.FormatInt(s.line, 10))
 		}
 	}
 	return b.String()

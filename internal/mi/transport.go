@@ -24,64 +24,86 @@ type Conn interface {
 // ErrClosed is returned on use after Close.
 var ErrClosed = errors.New("mi: connection closed")
 
-// chanConn is one endpoint of an in-process pipe. Both endpoints share the
-// done channel and the Once guarding its close.
-type chanConn struct {
-	in   <-chan string
-	out  chan<- string
-	done chan struct{}
-	once *sync.Once
+// serverConn is the in-process transport Connect returns.
+type serverConn struct {
+	srv  *Server
+	exec sync.Mutex // serializes commands on srv
+
+	mu     sync.Mutex // guards the fields below
+	ready  sync.Cond  // signalled when a reply is queued or the conn closes
+	reply  []string   // queued reply lines; reply[head:] are unread
+	head   int
+	closed bool
 }
 
-// Pipe creates a connected in-process client/server transport pair. The
-// returned connections play the role of the OS pipe of the paper's Fig. 4
-// when tracker and MiniGDB share a process (the default in tests); the
-// subprocess transport in StdioConn is byte-compatible.
-func Pipe() (client, server Conn) {
-	a := make(chan string, 64)
-	b := make(chan string, 64)
-	done := make(chan struct{})
-	once := new(sync.Once)
-	return &chanConn{in: b, out: a, done: done, once: once},
-		&chanConn{in: a, out: b, done: done, once: once}
+// Connect returns the in-process transport to srv, the OS pipe of the
+// paper's Fig. 4 when tracker and MiniGDB share a process. Send runs the
+// command on the calling goroutine and queues its reply, the records and
+// then the "(gdb)" prompt, for Recv: no goroutine or channel stands between
+// a command and its reply. An -exec-interrupt line goes straight to
+// srv.Interrupt and gets no reply, as Serve's reader treats it, so
+// Client.Interrupt from another goroutine stops a running -exec-continue.
+// The lines are those StdioConn carries to a minigdb child.
+func Connect(srv *Server) Conn {
+	c := &serverConn{srv: srv}
+	c.ready.L = &c.mu
+	return c
 }
 
 // Send implements Conn.
-func (c *chanConn) Send(line string) error {
-	select {
-	case <-c.done:
-		return ErrClosed
-	default:
-	}
-	select {
-	case <-c.done:
-		return ErrClosed
-	case c.out <- line:
+func (c *serverConn) Send(line string) error {
+	token, op, args, err := SplitCommand(line)
+	if err == nil && op == "-exec-interrupt" {
+		c.srv.Interrupt()
 		return nil
 	}
+	c.exec.Lock()
+	defer c.exec.Unlock()
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed || c.srv.closed {
+		return ErrClosed
+	}
+	if strings.TrimSpace(line) == "" {
+		return nil
+	}
+	recs := c.srv.execute(token, op, args, err)
+	c.mu.Lock()
+	for _, r := range recs {
+		c.reply = append(c.reply, r.Print())
+	}
+	c.reply = append(c.reply, "(gdb)")
+	c.mu.Unlock()
+	c.ready.Signal()
+	return nil
 }
 
-// Recv implements Conn.
-func (c *chanConn) Recv() (string, error) {
-	select {
-	case <-c.done:
-		return "", ErrClosed
-	default:
+// Recv implements Conn. With no reply queued it blocks until Close, as a
+// hung debugger would.
+func (c *serverConn) Recv() (string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.head == len(c.reply) && !c.closed {
+		c.ready.Wait()
 	}
-	select {
-	case <-c.done:
+	if c.closed {
 		return "", ErrClosed
-	case line, ok := <-c.in:
-		if !ok {
-			return "", io.EOF
-		}
-		return line, nil
 	}
+	line := c.reply[c.head]
+	c.reply[c.head] = ""
+	if c.head++; c.head == len(c.reply) {
+		c.reply, c.head = c.reply[:0], 0
+	}
+	return line, nil
 }
 
 // Close implements Conn.
-func (c *chanConn) Close() error {
-	c.once.Do(func() { close(c.done) })
+func (c *serverConn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.ready.Broadcast()
 	return nil
 }
 

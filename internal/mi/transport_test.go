@@ -3,6 +3,7 @@ package mi
 import (
 	"io"
 	"testing"
+	"time"
 
 	"easytracker/internal/minic"
 )
@@ -92,19 +93,104 @@ func TestStdioConnLineFraming(t *testing.T) {
 	}
 }
 
-func TestPipeClosePropagates(t *testing.T) {
-	c, s := Pipe()
+// TestStdioInterruptDuringContinue interrupts an endless -exec-continue
+// over the byte-stream transport, where Serve's reader goroutine must read
+// the -exec-interrupt line while the loop runs. The interrupted stop
+// answers the continue, and the next command's reply carries its own
+// token: the interrupt got no reply of its own.
+func TestStdioInterruptDuringContinue(t *testing.T) {
+	prog, err := minic.Compile("spin.c", `int main() {
+    int n = 0;
+    while (1) {
+        n = n + 1;
+    }
+    return 0;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliR, srvW := io.Pipe()
+	srvR, cliW := io.Pipe()
+	done := make(chan struct{})
+	go func() {
+		_ = NewServer(prog).Serve(NewStdioConn(srvR, srvW, nil))
+		close(done)
+	}()
+	cl := NewClient(NewStdioConn(cliR, cliW, nil))
+	if _, err := cl.Send("-exec-run"); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		if err := cl.Interrupt(); err != nil {
+			t.Error(err)
+		}
+	}()
+	resp, err := cl.Send("-exec-continue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped, ok := resp.Stopped()
+	if !ok || stopped.GetString("reason") != "interrupted" || stopped.GetString("detail") != "interrupt" {
+		t.Fatalf("continue answered %s", stopped.Print())
+	}
+	resp, err = cl.Send("-data-watch-version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Result.Token != "3" || resp.Result.GetString("version") == "" {
+		t.Fatalf("third command answered %s", resp.Result.Print())
+	}
+	if _, err := cl.Send("-gdb-exit"); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+}
+
+// TestConnRecvBlocksUntilClose pins the in-process conn's end of life: a
+// Recv with no reply queued waits, as on a hung debugger, until Close
+// wakes it, and every call after Close fails with ErrClosed.
+func TestConnRecvBlocksUntilClose(t *testing.T) {
+	prog, err := minic.Compile("p.c", "int main() { return 0; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Connect(NewServer(prog))
+	if err := c.Send("1-exec-run"); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		line, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line == "(gdb)" {
+			break
+		}
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := c.Recv()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		t.Fatalf("Recv with no reply queued returned %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Send("x"); err != ErrClosed {
+	if err := <-got; err != ErrClosed {
+		t.Errorf("blocked recv woke with %v", err)
+	}
+	if err := c.Send("2-exec-next"); err != ErrClosed {
 		t.Errorf("send after close = %v", err)
 	}
-	if _, err := s.Recv(); err != ErrClosed {
+	if _, err := c.Recv(); err != ErrClosed {
 		t.Errorf("recv after close = %v", err)
 	}
-	// Closing the other side too is fine.
-	if err := s.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -135,10 +135,26 @@ func TestObserveTimerPair(t *testing.T) {
 	}
 }
 
+// nthEvent is a lazily rendered event's payload in the tests below.
+type nthEvent struct{ who, n int }
+
+func (e nthEvent) String() string {
+	if e.who < 0 {
+		return fmt.Sprintf("event %d", e.n)
+	}
+	return fmt.Sprintf("producer %d event %d", e.who, e.n)
+}
+
+// TestFlightRecorderOrderAndWraparound alternates events recorded as text
+// with events recorded lazily: both read back the same way.
 func TestFlightRecorderOrderAndWraparound(t *testing.T) {
 	r := NewFlightRecorder(4)
 	for i := 1; i <= 10; i++ {
-		r.Recordf("k", "event %d", i)
+		if i%2 == 0 {
+			RecordLazy(r, "k", nthEvent{-1, i})
+		} else {
+			r.Record("k", fmt.Sprintf("event %d", i))
+		}
 	}
 	evs := r.Snapshot()
 	if len(evs) != 4 {
@@ -171,9 +187,9 @@ func TestFlightRecorderOrderAndWraparound(t *testing.T) {
 }
 
 // TestFlightRecorderConcurrentProducers hammers a small ring from many
-// goroutines under -race: every published entry must be intact (the slot
-// store is atomic, entries are immutable) and snapshots taken mid-flight
-// must stay ordered.
+// goroutines under -race, half of them recording lazily: every published
+// entry must be intact (the slot store is atomic, entries are immutable)
+// and snapshots taken mid-flight must stay ordered.
 func TestFlightRecorderConcurrentProducers(t *testing.T) {
 	r := NewFlightRecorder(8)
 	const producers = 8
@@ -203,7 +219,11 @@ func TestFlightRecorderConcurrentProducers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				r.Recordf("p", "producer %d event %d", p, i)
+				if p%2 == 0 {
+					RecordLazy(r, "p", nthEvent{p, i})
+				} else {
+					r.Record("p", nthEvent{p, i}.String())
+				}
 			}
 		}(p)
 	}

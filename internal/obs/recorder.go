@@ -19,6 +19,9 @@ type Event struct {
 	Kind string `json:"kind"`
 	// Detail is the human-readable payload.
 	Detail string `json:"detail,omitempty"`
+
+	// lazy, when set, renders Detail as the recorder is read.
+	lazy interface{ detail() string }
 }
 
 // String renders the event the way a crash dump shows it.
@@ -72,21 +75,36 @@ func (r *FlightRecorder) Record(kind, detail string) {
 	if r == nil {
 		return
 	}
-	ev := &Event{
-		Seq:    r.seq.Add(1),
-		AtNs:   time.Since(r.start).Nanoseconds(),
-		Kind:   kind,
-		Detail: detail,
-	}
-	r.slots[(ev.Seq-1)%uint64(len(r.slots))].Store(ev)
+	r.publish(&Event{Kind: kind, Detail: detail})
 }
 
-// Recordf is Record with formatting. Safe on a nil receiver.
-func (r *FlightRecorder) Recordf(kind, format string, args ...any) {
+// lazyEvent is an event whose detail is v's text, made when the recorder
+// is read.
+type lazyEvent[T fmt.Stringer] struct {
+	Event
+	v T
+}
+
+func (l *lazyEvent[T]) detail() string { return l.v.String() }
+
+// RecordLazy appends an event whose detail is v.String(), formatted only
+// when the recorder is read (Snapshot, Dump), so recording formats
+// nothing. The ring keeps v until it wraps past the event: v must own what
+// it holds and not change. Safe on a nil receiver.
+func RecordLazy[T fmt.Stringer](r *FlightRecorder, kind string, v T) {
 	if r == nil {
 		return
 	}
-	r.Record(kind, fmt.Sprintf(format, args...))
+	l := &lazyEvent[T]{v: v}
+	l.Event = Event{Kind: kind, lazy: l}
+	r.publish(&l.Event)
+}
+
+// publish stamps ev and stores it in its slot.
+func (r *FlightRecorder) publish(ev *Event) {
+	ev.Seq = r.seq.Add(1)
+	ev.AtNs = time.Since(r.start).Nanoseconds()
+	r.slots[(ev.Seq-1)%uint64(len(r.slots))].Store(ev)
 }
 
 // Snapshot returns the retained events ordered oldest first. Entries being
@@ -99,7 +117,11 @@ func (r *FlightRecorder) Snapshot() []Event {
 	out := make([]Event, 0, len(r.slots))
 	for i := range r.slots {
 		if ev := r.slots[i].Load(); ev != nil {
-			out = append(out, *ev)
+			e := *ev
+			if e.lazy != nil {
+				e.Detail, e.lazy = e.lazy.detail(), nil
+			}
+			out = append(out, e)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

@@ -717,6 +717,10 @@ func (t *Tracker) Next() error {
 // werr wraps err in the tracker's typed error (core.TrackerError), keeping
 // errors.Is/errors.As against the sentinels working.
 func (t *Tracker) werr(op string, err error) error {
+	if err == nil {
+		// Before errors.As, which would move ce to the heap on success too.
+		return nil
+	}
 	file, line := t.Position()
 	var ce *crashError
 	if errors.As(err, &ce) {

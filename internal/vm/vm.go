@@ -302,7 +302,8 @@ func (m *Machine) locate(addr, size uint64) ([]byte, uint64, error) {
 	return nil, 0, fmt.Errorf("vm: segmentation fault at %#x (size %d)", addr, size)
 }
 
-// ReadMem copies size bytes at addr.
+// ReadMem copies size bytes at addr, for callers that keep them; a read
+// that only decodes them goes through locate, which copies nothing.
 func (m *Machine) ReadMem(addr, size uint64) ([]byte, error) {
 	buf, off, err := m.locate(addr, size)
 	if err != nil {
@@ -327,25 +328,25 @@ func (m *Machine) WriteMem(addr uint64, data []byte) error {
 
 // ReadU64 loads a 64-bit little-endian word.
 func (m *Machine) ReadU64(addr uint64) (uint64, error) {
-	b, err := m.ReadMem(addr, 8)
+	buf, off, err := m.locate(addr, 8)
 	if err != nil {
 		return 0, err
 	}
-	return leU64(b), nil
+	return leU64(buf[off:]), nil
 }
 
 // ReadCString reads a NUL-terminated string of at most max bytes.
 func (m *Machine) ReadCString(addr uint64, max int) (string, error) {
 	var sb strings.Builder
 	for i := 0; i < max; i++ {
-		b, err := m.ReadMem(addr+uint64(i), 1)
+		buf, off, err := m.locate(addr+uint64(i), 1)
 		if err != nil {
 			return "", err
 		}
-		if b[0] == 0 {
+		if buf[off] == 0 {
 			return sb.String(), nil
 		}
-		sb.WriteByte(b[0])
+		sb.WriteByte(buf[off])
 	}
 	return sb.String(), nil
 }
@@ -476,10 +477,11 @@ func (m *Machine) StepOne() Stop {
 		case isa.LB, isa.LBU:
 			size = 1
 		}
-		b, err := m.ReadMem(addr, size)
+		buf, off, err := m.locate(addr, size)
 		if err != nil {
 			return m.fault("vm: load fault at pc %#x: %v", m.pc, err)
 		}
+		b := buf[off:]
 		var v uint64
 		switch ins.Op {
 		case isa.LD:
