@@ -1,7 +1,7 @@
 // Command et-benchdiff runs the watchpoint, observability, State codec,
 // State conversion and remote benchmarks, compares them against the
 // committed baseline, and writes a JSON report. It exits non-zero when any
-// gated benchmark's allocs/op or ns/op regresses beyond its tolerance, so
+// gated benchmark's allocs/op, ns/op or B/op regresses beyond its tolerance, so
 // it can serve as a CI guard for the watchpoint fast path (which is also
 // the off path of observability, span tracing and recording), against a
 // return to per-value allocations in the State codec or to decoding a
@@ -9,7 +9,9 @@
 // unchanged MiniPy values again at every pause, against an inspected
 // remote pause costing more than one round trip, and against allocations
 // coming back to a MiniGDB control round trip (BenchmarkSteppingOverheadMiniC)
-// or to the MiniC machine's loads (BenchmarkNativeMiniC).
+// or to the MiniC machine's loads (BenchmarkNativeMiniC), and against the
+// machine committing its whole stack up front again (BenchmarkNativeMiniC's
+// B/op).
 //
 // Usage:
 //
@@ -119,8 +121,8 @@ func main() {
 	baselinePath := flag.String("baseline", filepath.Join("cmd", "et-benchdiff", "baseline.json"), "committed baseline JSON")
 	outPath := flag.String("o", "BENCH_1.json", "report output path")
 	count := flag.Int("count", 1, "benchmark repetitions (best of N is kept)")
-	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,allocs:BenchmarkRemoteInspectMiniPy,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateDecodeGolden,allocs:BenchmarkStateAcrossPausesMiniPy,allocs:BenchmarkSteppingOverheadMiniC,allocs:BenchmarkNativeMiniC", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency)")
-	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op regression in percent")
+	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,allocs:BenchmarkRemoteInspectMiniPy,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateDecodeGolden,allocs:BenchmarkStateAcrossPausesMiniPy,allocs:BenchmarkSteppingOverheadMiniC,allocs:BenchmarkNativeMiniC,bytes:BenchmarkNativeMiniC", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency), a bytes: prefix gates B/op only, at the allocs/op tolerance")
+	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op and B/op regression in percent")
 	nsTolerance := flag.Float64("ns-tolerance", 15, "allowed ns/op regression in percent (ns/op is noisier than allocs/op)")
 	dir := flag.String("dir", ".", "module directory to benchmark")
 	flag.Parse()
@@ -181,13 +183,21 @@ func main() {
 				continue
 			}
 			allocsOnly := strings.HasPrefix(g, "allocs:")
-			g = strings.TrimPrefix(g, "allocs:")
+			bytesOnly := strings.HasPrefix(g, "bytes:")
+			g = strings.TrimPrefix(strings.TrimPrefix(g, "allocs:"), "bytes:")
 			ref, hasRef := base.Benchmarks[g]
 			cur, hasCur := current[g]
 			switch {
 			case !hasCur:
 				fmt.Fprintf(os.Stderr, "et-benchdiff: gate %s did not run\n", g)
 				report.Pass = false
+			case hasRef && bytesOnly:
+				if limit := ref.BPerOp * (1 + *tolerance/100); cur.BPerOp > limit {
+					fmt.Fprintf(os.Stderr,
+						"et-benchdiff: %s B/op %.0f exceeds baseline %.0f by more than %.0f%%\n",
+						g, cur.BPerOp, ref.BPerOp, *tolerance)
+					report.Pass = false
+				}
 			case hasRef:
 				limit := ref.AllocsPerOp * (1 + *tolerance/100)
 				if cur.AllocsPerOp > limit {
@@ -219,10 +229,10 @@ func main() {
 	}
 	for _, name := range names {
 		c := report.Results[name]
-		line := fmt.Sprintf("%s: %.0f ns/op, %.0f allocs/op", name, c.After.NsPerOp, c.After.AllocsPerOp)
+		line := fmt.Sprintf("%s: %.0f ns/op, %.0f B/op, %.0f allocs/op", name, c.After.NsPerOp, c.After.BPerOp, c.After.AllocsPerOp)
 		if c.Before != nil {
-			line += fmt.Sprintf(" (was %.0f ns/op, %.0f allocs/op; %.2fx faster, %.2fx fewer allocs)",
-				c.Before.NsPerOp, c.Before.AllocsPerOp, c.SpeedupX, c.AllocReductionX)
+			line += fmt.Sprintf(" (was %.0f ns/op, %.0f B/op, %.0f allocs/op; %.2fx faster, %.2fx fewer allocs)",
+				c.Before.NsPerOp, c.Before.BPerOp, c.Before.AllocsPerOp, c.SpeedupX, c.AllocReductionX)
 		}
 		fmt.Println(line)
 	}

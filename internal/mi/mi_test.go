@@ -1,13 +1,19 @@
 package mi
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"easytracker/internal/isa"
 	"easytracker/internal/minic"
+	"easytracker/internal/vm"
 )
 
 // ---- record grammar ----
@@ -494,6 +500,69 @@ func TestRegistersMemorySegmentsSource(t *testing.T) {
 	}
 	if !strings.Contains(resp.Result.GetString("source"), "int fib") {
 		t.Error("source text missing")
+	}
+}
+
+func TestReadMemoryBelowCommittedStack(t *testing.T) {
+	// deep spans 24000 bytes of stack, far below the page a machine
+	// commits at start.
+	cl := startServer(t, `int main() {
+    int deep[3000];
+    deep[0] = 4242;
+    deep[2999] = 77;
+    return 0;
+}`)
+	for _, cmd := range [][]string{{"-exec-run"}, {"-break-insert", "5"}, {"-exec-continue"}} {
+		if _, err := cl.Send(cmd[0], cmd[1:]...); err != nil {
+			t.Fatalf("%s: %v", cmd[0], err)
+		}
+	}
+	resp, err := cl.Send("-data-list-register-values", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp uint64
+	regs, _ := resp.Result.Results.Get("register-values").(List)
+	for _, r := range regs {
+		if tp, _ := r.(Tuple); tp.GetString("name") == "sp" {
+			sp, _ = strconv.ParseUint(tp.GetString("value"), 10, 64)
+		}
+	}
+	if sp == 0 || sp > isa.StackTop-24000 {
+		t.Fatalf("sp = %#x", sp)
+	}
+	readMem := func(addr, size uint64) []byte {
+		t.Helper()
+		resp, err := cl.Send("-data-read-memory", strconv.FormatUint(addr, 10), strconv.FormatUint(size, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem, err := hex.DecodeString(resp.Result.GetString("memory"))
+		if err != nil || uint64(len(mem)) != size {
+			t.Fatalf("memory at %#x: %d bytes, %v", addr, len(mem), err)
+		}
+		return mem
+	}
+	// The frame holds 4242, then 2998 zero words, then 77.
+	mem := readMem(sp, isa.StackTop-sp)
+	first, last := -1, -1
+	for i := 0; i+8 <= len(mem); i += 8 {
+		switch binary.LittleEndian.Uint64(mem[i:]) {
+		case 4242:
+			first = i
+		case 77:
+			last = i
+		}
+	}
+	if first < 0 || last-first != 2999*8 {
+		t.Fatalf("deep[0] at sp+%d, deep[2999] at sp+%d", first, last)
+	}
+	if inner := mem[first+8 : last]; !bytes.Equal(inner, make([]byte, len(inner))) {
+		t.Error("deep[1..2998] are not zero")
+	}
+	// The segment's bottom, which nothing touched, reads as zeros.
+	if low := readMem(isa.StackTop-vm.DefaultStackSize, 4096); !bytes.Equal(low, make([]byte, 4096)) {
+		t.Error("the stack segment's untouched bottom is not zero")
 	}
 }
 

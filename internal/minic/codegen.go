@@ -2,10 +2,17 @@ package minic
 
 import (
 	"fmt"
+	"sync"
 
 	"easytracker/internal/isa"
 	"easytracker/internal/rt"
 )
+
+// runtimeAST parses the runtime once per process. Every compile shares the
+// *File, from concurrent goroutines too, so code generation only reads it.
+var runtimeAST = sync.OnceValues(func() (*File, error) {
+	return ParseFile("<runtime>", rt.Source)
+})
 
 // Compiler lowers a MiniC translation unit (plus the implicitly linked
 // runtime) into an isa.Program with full debug information.
@@ -44,7 +51,8 @@ type Options struct {
 }
 
 // Compile builds a debuggable program image from MiniC source. The runtime
-// (allocator, interposition wrappers) is parsed and linked implicitly.
+// (allocator, interposition wrappers) is linked implicitly; it is parsed
+// once per process.
 func Compile(file, src string, opts ...Options) (*isa.Program, error) {
 	var opt Options
 	if len(opts) > 0 {
@@ -66,7 +74,7 @@ func Compile(file, src string, opts ...Options) (*isa.Program, error) {
 
 	var rtAST *File
 	if !opt.NoRuntime {
-		rtAST, err = ParseFile("<runtime>", rt.Source)
+		rtAST, err = runtimeAST()
 		if err != nil {
 			return nil, fmt.Errorf("minic: internal runtime error: %w", err)
 		}

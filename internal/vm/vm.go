@@ -20,6 +20,11 @@ import (
 // DefaultStackSize is the stack segment size in bytes.
 const DefaultStackSize = 1 << 20
 
+// stackPage is the stack a machine commits at New. An access below the
+// committed part commits more (see commitStack), so a program pays only for
+// the stack it touches.
+const stackPage = 4 << 10
+
 // DefaultMaxHeap bounds sbrk growth.
 const DefaultMaxHeap = 8 << 20
 
@@ -113,10 +118,13 @@ type Segment struct {
 
 // Machine is one executing program instance.
 type Machine struct {
-	prog  *isa.Program
-	text  []byte
-	data  []byte
-	heap  []byte
+	prog *isa.Program
+	text []byte
+	data []byte
+	heap []byte
+	// stack backs the committed top of the stack segment,
+	// [StackTop-len(stack), StackTop). The rest of the segment, down to
+	// stackBase, reads as zeros until an access commits it.
 	stack []byte
 
 	regs [isa.NumRegs]uint64
@@ -128,7 +136,10 @@ type Machine struct {
 
 	stdout io.Writer
 	stderr io.Writer
-	stdin  *bufio.Reader
+	// in is Config.Stdin; stdin buffers it from the first read on (see
+	// input), since few programs read stdin at all.
+	in    io.Reader
+	stdin *bufio.Reader
 
 	breakpoints map[uint64]bool
 	watches     []watch
@@ -175,9 +186,6 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	if cfg.Stderr == nil {
 		cfg.Stderr = io.Discard
 	}
-	if cfg.Stdin == nil {
-		cfg.Stdin = strings.NewReader("")
-	}
 	if cfg.StackSize == 0 {
 		cfg.StackSize = DefaultStackSize
 	}
@@ -188,7 +196,7 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 		prog:        prog,
 		stdout:      cfg.Stdout,
 		stderr:      cfg.Stderr,
-		stdin:       bufio.NewReader(cfg.Stdin),
+		in:          cfg.Stdin,
 		stackBase:   isa.StackTop - cfg.StackSize,
 		maxHeap:     cfg.MaxHeap,
 		breakpoints: map[uint64]bool{},
@@ -196,13 +204,14 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	m.text = prog.EncodeText()
 	m.data = make([]byte, len(prog.Data))
 	copy(m.data, prog.Data)
-	m.stack = make([]byte, cfg.StackSize)
+	m.stack = make([]byte, min(stackPage, cfg.StackSize))
 	m.Reset()
 	return m, nil
 }
 
 // Reset restores the entry state (registers, pc, heap, stack; the data
-// segment is reloaded from the program image).
+// segment is reloaded from the program image). The stack stays committed
+// as far as the last run reached.
 func (m *Machine) Reset() {
 	m.regs = [isa.NumRegs]uint64{}
 	m.regs[isa.SP] = isa.StackTop
@@ -214,9 +223,7 @@ func (m *Machine) Reset() {
 	for i := len(m.prog.Data); i < len(m.data); i++ {
 		m.data[i] = 0
 	}
-	for i := range m.stack {
-		m.stack[i] = 0
-	}
+	clear(m.stack)
 	m.exited = false
 	m.exitCode = 0
 	m.steps = 0
@@ -277,7 +284,7 @@ func (m *Machine) Segments() []Segment {
 		{Name: "text", Start: isa.TextBase, Size: uint64(len(m.text))},
 		{Name: "data", Start: isa.DataBase, Size: uint64(len(m.data))},
 		{Name: "heap", Start: isa.HeapBase, Size: m.brk - isa.HeapBase},
-		{Name: "stack", Start: m.stackBase, Size: uint64(len(m.stack))},
+		{Name: "stack", Start: m.stackBase, Size: isa.StackTop - m.stackBase},
 	}
 }
 
@@ -287,19 +294,40 @@ func (m *Machine) InRange(addr, size uint64) bool {
 	return err == nil
 }
 
-// locate maps an address range to its backing slice.
+// locate maps an address range to its backing slice. A stack address below
+// the committed part commits it, which moves the stack's backing, so every
+// caller uses the returned slice before it calls locate again.
 func (m *Machine) locate(addr, size uint64) ([]byte, uint64, error) {
+	end := addr + size
 	switch {
-	case addr >= isa.TextBase && addr+size <= isa.TextBase+uint64(len(m.text)):
+	case end < addr: // a range that wraps past 2^64 is mapped nowhere
+	case addr >= isa.TextBase && end <= isa.TextBase+uint64(len(m.text)):
 		return m.text, addr - isa.TextBase, nil
-	case addr >= isa.DataBase && addr+size <= isa.DataBase+uint64(len(m.data)):
+	case addr >= isa.DataBase && end <= isa.DataBase+uint64(len(m.data)):
 		return m.data, addr - isa.DataBase, nil
-	case addr >= isa.HeapBase && addr+size <= m.brk:
+	case addr >= isa.HeapBase && end <= m.brk:
 		return m.heap, addr - isa.HeapBase, nil
-	case addr >= m.stackBase && addr+size <= isa.StackTop:
-		return m.stack, addr - m.stackBase, nil
+	case addr >= m.stackBase && end <= isa.StackTop:
+		if need := isa.StackTop - addr; need > uint64(len(m.stack)) {
+			m.commitStack(need)
+		}
+		return m.stack, addr - (isa.StackTop - uint64(len(m.stack))), nil
 	}
 	return nil, 0, fmt.Errorf("vm: segmentation fault at %#x (size %d)", addr, size)
+}
+
+// commitStack grows the committed stack downward to at least need bytes
+// below StackTop, doubling, capped at the segment. The committed bytes keep
+// their addresses: they move to the top of the new backing.
+func (m *Machine) commitStack(need uint64) {
+	n := uint64(len(m.stack))
+	for n < need {
+		n *= 2
+	}
+	n = min(n, isa.StackTop-m.stackBase)
+	grown := make([]byte, n)
+	copy(grown[n-uint64(len(m.stack)):], m.stack)
+	m.stack = grown
 }
 
 // ReadMem copies size bytes at addr, for callers that keep them; a read
@@ -648,22 +676,21 @@ func (m *Machine) ecall() (Stop, bool) {
 		}
 		m.brk = uint64(nb)
 		m.dataVersion++
-		need := int(m.brk - isa.HeapBase)
-		for len(m.heap) < need {
-			m.heap = append(m.heap, 0)
-		}
-		if len(m.heap) > need {
+		// Growth appends zeros, so bytes regained after a shrink read 0.
+		if need := int(m.brk - isa.HeapBase); need > len(m.heap) {
+			m.heap = append(m.heap, make([]byte, need-len(m.heap))...)
+		} else {
 			m.heap = m.heap[:need]
 		}
 		m.SetReg(isa.A0, old)
 	case isa.SysReadInt:
 		var v int64
-		if _, err := fmt.Fscan(m.stdin, &v); err != nil {
+		if _, err := fmt.Fscan(m.input(), &v); err != nil {
 			v = 0
 		}
 		m.SetReg(isa.A0, uint64(v))
 	case isa.SysReadChr:
-		b, err := m.stdin.ReadByte()
+		b, err := m.input().ReadByte()
 		if err != nil {
 			m.SetReg(isa.A0, ^uint64(0))
 		} else {
@@ -673,6 +700,18 @@ func (m *Machine) ecall() (Stop, bool) {
 		return m.fault("vm: unknown ecall service %d at pc %#x", svc, m.pc), false
 	}
 	return Stop{Kind: StopStep}, true
+}
+
+// input returns the buffered stdin, built at the first read.
+func (m *Machine) input() *bufio.Reader {
+	if m.stdin == nil {
+		in := m.in
+		if in == nil {
+			in = strings.NewReader("")
+		}
+		m.stdin = bufio.NewReader(in)
+	}
+	return m.stdin
 }
 
 // Interrupt raises the cooperative interrupt flag: the executing run loop

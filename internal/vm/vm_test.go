@@ -184,11 +184,17 @@ func TestMemoryFaults(t *testing.T) {
 	if err := m.WriteMem(isa.StackTop-4, make([]byte, 8)); err == nil {
 		t.Error("straddling stack top write succeeded")
 	}
-	// Load fault during execution.
-	p := prog(isa.Instr{Op: isa.LD, Rd: isa.A0, Rs1: isa.Zero, Imm: 0})
-	m2 := mustMachine(t, p, Config{})
-	if s := m2.StepOne(); s.Kind != StopFault {
-		t.Errorf("null deref stop = %v", s.Kind)
+	if _, err := m.ReadMem(^uint64(0)-3, 8); err == nil {
+		t.Error("read of a range wrapping past 2^64 succeeded")
+	}
+	// Load faults during execution, at 0 and at -4, whose end wraps.
+	for _, base := range []isa.Reg{isa.Zero, isa.A0} {
+		p := prog(isa.Instr{Op: isa.LD, Rd: isa.A1, Rs1: base, Imm: 0})
+		m2 := mustMachine(t, p, Config{})
+		m2.SetReg(isa.A0, ^uint64(0)-3)
+		if s := m2.StepOne(); s.Kind != StopFault {
+			t.Errorf("load at %#x: stop = %v", m2.Reg(base), s.Kind)
+		}
 	}
 }
 
@@ -328,6 +334,83 @@ func TestSbrkLimit(t *testing.T) {
 	}
 	if int64(m.Reg(isa.A0)) != -1 {
 		t.Errorf("over-limit sbrk returned %d", int64(m.Reg(isa.A0)))
+	}
+}
+
+func TestSbrkShrinkThenGrow(t *testing.T) {
+	sbrk := func(inc int32) []isa.Instr {
+		return []isa.Instr{
+			{Op: isa.ADDI, Rd: isa.A0, Rs1: isa.Zero, Imm: inc},
+			{Op: isa.ADDI, Rd: isa.A7, Rs1: isa.Zero, Imm: isa.SysSbrk},
+			{Op: isa.ECALL},
+		}
+	}
+	var code []isa.Instr
+	code = append(code, sbrk(64)...)
+	code = append(code,
+		isa.Instr{Op: isa.ADDI, Rd: isa.S1, Rs1: isa.A0, Imm: 0},
+		isa.Instr{Op: isa.ADDI, Rd: isa.S2, Rs1: isa.Zero, Imm: -1},
+		isa.Instr{Op: isa.SD, Rs1: isa.S1, Rs2: isa.S2, Imm: 56},
+	)
+	code = append(code, sbrk(-64)...)
+	code = append(code, sbrk(64)...)
+	code = append(code, isa.Instr{Op: isa.LD, Rd: isa.S3, Rs1: isa.S1, Imm: 56})
+	code = append(code, sbrk(2048)...) // past MaxHeap
+	code = append(code, isa.Instr{Op: isa.EBREAK})
+	m := mustMachine(t, prog(code...), Config{MaxHeap: 1024})
+
+	// Step to each ecall's end: every heap-break move advances DataVersion.
+	var results []uint64
+	for {
+		ins := m.Prog().Instrs[(m.PC()-isa.TextBase)/isa.WordSize]
+		v := m.DataVersion()
+		s := m.StepOne()
+		if s.Kind == StopEBreak {
+			break
+		}
+		if s.Kind != StopStep {
+			t.Fatalf("stop %v (%v)", s.Kind, s.Err)
+		}
+		if ins.Op != isa.ECALL {
+			continue
+		}
+		results = append(results, m.Reg(isa.A0))
+		if moved := int64(m.Reg(isa.A0)) != -1; moved && m.DataVersion() <= v {
+			t.Errorf("sbrk #%d moved the break without advancing DataVersion", len(results))
+		}
+	}
+	want := []uint64{isa.HeapBase, isa.HeapBase + 64, isa.HeapBase, ^uint64(0)}
+	if len(results) != len(want) {
+		t.Fatalf("sbrk results %#x, want %#x", results, want)
+	}
+	for i := range want {
+		if results[i] != want[i] {
+			t.Errorf("sbrk #%d returned %#x, want %#x", i+1, results[i], want[i])
+		}
+	}
+	if m.Reg(isa.S3) != 0 {
+		t.Errorf("a word regained after a shrink reads %#x, want 0", m.Reg(isa.S3))
+	}
+	if m.Brk() != isa.HeapBase+64 {
+		t.Errorf("brk = %#x after the refused request", m.Brk())
+	}
+}
+
+func TestStdinBufferedAtFirstRead(t *testing.T) {
+	p := exitProg(
+		isa.Instr{Op: isa.ADDI, Rd: isa.A7, Rs1: isa.Zero, Imm: isa.SysReadChr},
+		isa.Instr{Op: isa.ECALL},
+		isa.Instr{Op: isa.ADDI, Rd: isa.S1, Rs1: isa.A0, Imm: 0},
+	)
+	m := mustMachine(t, p, Config{})
+	if m.stdin != nil {
+		t.Error("New built the stdin reader before any read")
+	}
+	if s := m.Run(0); s.Kind != StopExit {
+		t.Fatalf("stop %v (%v)", s.Kind, s.Err)
+	}
+	if int64(m.Reg(isa.S1)) != -1 {
+		t.Errorf("read without Config.Stdin = %d, want -1 (EOF)", int64(m.Reg(isa.S1)))
 	}
 }
 
@@ -474,6 +557,17 @@ func TestSegments(t *testing.T) {
 	if m.InRange(isa.StackTop, 1) {
 		t.Error("beyond stack top in range")
 	}
+	// The stack segment is the whole 1 MiB, however little is committed.
+	stack := Segment{Name: "stack", Start: isa.StackTop - DefaultStackSize, Size: DefaultStackSize}
+	if segs[3] != stack {
+		t.Errorf("stack segment %+v, want %+v", segs[3], stack)
+	}
+	if err := m.WriteMem(isa.StackTop-200<<10, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Segments()[3]; got != stack {
+		t.Errorf("after the stack grew: stack segment %+v, want %+v", got, stack)
+	}
 }
 
 func TestResetRestoresState(t *testing.T) {
@@ -492,6 +586,18 @@ func TestResetRestoresState(t *testing.T) {
 	}
 	if m.Steps() != 0 {
 		t.Error("step count not reset")
+	}
+	// Words stored on the stack, near its top and far below, read 0.
+	for _, addr := range []uint64{isa.StackTop - 8, isa.StackTop - 100<<10} {
+		if err := m.WriteMem(addr, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Reset()
+	for _, addr := range []uint64{isa.StackTop - 8, isa.StackTop - 100<<10} {
+		if v, err := m.ReadU64(addr); err != nil || v != 0 {
+			t.Errorf("stack word at %#x after Reset = %#x, %v; want 0", addr, v, err)
+		}
 	}
 }
 
