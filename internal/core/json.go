@@ -79,6 +79,23 @@ func (s *State) MarshalJSON() ([]byte, error) {
 	return e.finish(), nil
 }
 
+// AppendJSON appends the bytes MarshalJSON returns to dst and returns the
+// extended buffer, so a caller that builds a larger message around the
+// State encodes it in place instead of copying it there.
+func (s *State) AppendJSON(dst []byte) []byte {
+	if s == nil {
+		return append(dst, "null"...)
+	}
+	e := getEncoder()
+	own := e.buf
+	e.buf = dst
+	e.state(s)
+	dst = e.buf
+	e.buf = own
+	e.release()
+	return dst
+}
+
 // UnmarshalJSON decodes a snapshot produced by MarshalJSON.
 func (s *State) UnmarshalJSON(data []byte) error {
 	var st State

@@ -71,6 +71,31 @@ func TestStateJSONGolden(t *testing.T) {
 	}
 }
 
+// TestStateAppendJSON appends each golden State after a prefix: the bytes
+// appended are MarshalJSON's, the prefix stays, and the result is the
+// caller's, untouched by the encodes that follow.
+func TestStateAppendJSON(t *testing.T) {
+	names, docs := goldenDocs(t)
+	var prev, prevWant []byte
+	for i, doc := range docs {
+		var st State
+		if err := st.UnmarshalJSON(doc); err != nil {
+			t.Fatalf("%s: decode: %v", names[i], err)
+		}
+		got := st.AppendJSON([]byte("frame:"))
+		if want := "frame:" + string(doc); string(got) != want {
+			t.Errorf("%s: AppendJSON wrote\n%s\nwant\n%s", names[i], got, want)
+		}
+		if prev != nil && !bytes.Equal(prev, prevWant) {
+			t.Errorf("%s: the previous State's bytes changed under a later encode", names[i])
+		}
+		prev, prevWant = got, append([]byte(nil), got...)
+	}
+	if got := (*State)(nil).AppendJSON([]byte("x")); string(got) != "xnull" {
+		t.Errorf("nil State appended %q, want null", got)
+	}
+}
+
 func TestStateJSONNullElements(t *testing.T) {
 	paths := []struct {
 		name   string

@@ -36,6 +36,12 @@ func getEncoder() *encoder { return encoderPool.Get().(*encoder) }
 // e back in the pool.
 func (e *encoder) finish() []byte {
 	out := append([]byte(nil), e.buf...)
+	e.release()
+	return out
+}
+
+// release empties e and puts it back in the pool.
+func (e *encoder) release() {
 	e.buf = e.buf[:0]
 	if cap(e.buf) > maxPooledBuf {
 		e.buf = nil
@@ -47,7 +53,6 @@ func (e *encoder) finish() []byte {
 	}
 	e.next = 0
 	encoderPool.Put(e)
-	return out
 }
 
 func (e *encoder) raw(s string) { e.buf = append(e.buf, s...) }
@@ -56,7 +61,7 @@ func (e *encoder) int(n int) { e.buf = strconv.AppendInt(e.buf, int64(n), 10) }
 
 func (e *encoder) uint(n uint64) { e.buf = strconv.AppendUint(e.buf, n, 10) }
 
-func (e *encoder) str(s string) { e.buf = appendString(e.buf, s) }
+func (e *encoder) str(s string) { e.buf = AppendJSONString(e.buf, s) }
 
 func (e *encoder) state(s *State) {
 	e.raw("{")
@@ -288,12 +293,12 @@ var htmlSafe = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
-// appendString appends s as a JSON string literal escaped exactly as
+// AppendJSONString appends s as a JSON string literal escaped exactly as
 // encoding/json escapes it with HTML escaping on: '<', '>' and '&' become
 // \u003c, \u003e and \u0026; \b, \f, \n, \r and \t keep their short forms and
 // other control bytes become \u00XX; invalid UTF-8 becomes \ufffd; and
 // U+2028 and U+2029 are escaped.
-func appendString(b []byte, s string) []byte {
+func AppendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {

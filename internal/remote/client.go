@@ -56,8 +56,9 @@ func dialWire(dial func(addr string) (net.Conn, error), addr string) (*wireConn,
 func (c *wireConn) readLoop() {
 	var err error
 	for {
+		var f *frameBuf
 		var payload []byte
-		payload, err = ReadFrame(c.nc)
+		f, payload, err = readFrame(c.nc)
 		if err != nil {
 			break
 		}
@@ -65,24 +66,25 @@ func (c *wireConn) readLoop() {
 		// The response's trace context (the server's executor span) is not
 		// needed client-side — the client's own call span already brackets
 		// the round trip — but the framing must still be consumed.
-		_, body, tail, perr := splitPayload(payload)
-		if perr != nil {
-			err = perr
+		var body, tail []byte
+		_, body, tail, err = splitPayload(payload)
+		resp := &Response{}
+		if err == nil {
+			if err = unmarshalResponse(body, resp); err != nil {
+				err = fmt.Errorf("remote: bad response frame: %w", err)
+			}
+		}
+		if err != nil {
+			f.release()
 			break
 		}
-		var resp Response
-		if err = json.Unmarshal(body, &resp); err != nil {
-			err = fmt.Errorf("remote: bad response frame: %w", err)
-			break
-		}
-		if tail != nil {
-			resp.State = tail
-		}
+		resp.State, resp.frame = tail, f
 		c.pmu.Lock()
 		ch := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.pmu.Unlock()
 		if ch == nil {
+			resp.release()
 			if resp.ID == 0 && resp.Err != nil {
 				// The server could not read a request, so it had no ID to
 				// answer with: this is its last word before it closes,
@@ -98,7 +100,7 @@ func (c *wireConn) readLoop() {
 			err = fmt.Errorf("remote: unsolicited response id %d (corrupted stream?)", resp.ID)
 			break
 		}
-		ch <- &resp
+		ch <- resp
 	}
 	c.pmu.Lock()
 	if c.failCause != nil {
@@ -175,9 +177,13 @@ func (c *wireConn) send(req *Request, tc *TraceContext) (chan *Response, error) 
 	c.pending[req.ID] = ch
 	c.pmu.Unlock()
 
-	c.wmu.Lock()
-	err := WriteFrame(c.nc, req, tc)
-	c.wmu.Unlock()
+	f, err := encodeFrame(req, tc, nil)
+	if err == nil {
+		c.wmu.Lock()
+		_, err = c.nc.Write(f.b)
+		c.wmu.Unlock()
+		f.release()
+	}
 	if err != nil {
 		c.pmu.Lock()
 		delete(c.pending, req.ID)
@@ -250,7 +256,11 @@ func (c *wireConn) post(req *Request) {
 	if err != nil {
 		return
 	}
-	go func() { <-ch }()
+	go func() {
+		if resp := <-ch; resp != nil {
+			resp.release()
+		}
+	}()
 }
 
 func (c *wireConn) close() {
@@ -323,11 +333,12 @@ type Tracker struct {
 
 	// stateCache is the State the tool read at the current pause; while it
 	// is set, the next control op asks for the next pause's State
-	// (WantState). stateRaw holds the codec bytes such a response brought,
-	// decoded by the first inspection call. Both drop at every control op,
-	// at Terminate and on reconnect.
+	// (WantState). stateTail is a response that brought such a State,
+	// holding its frame buffer until the first inspection call decodes
+	// the State. Both drop at every control op, at Terminate and on
+	// reconnect.
 	stateCache *core.State
-	stateRaw   []byte
+	stateTail  *Response
 	srcCache   []string
 }
 
@@ -516,9 +527,23 @@ func (t *Tracker) do(op string, req *Request) (*Response, error) {
 		t.caps = *resp.Caps
 	}
 	if resp.Err != nil {
+		resp.release()
 		return resp, resp.Err.DecodeError()
 	}
+	if resp.State == nil {
+		resp.release()
+	}
 	return resp, nil
+}
+
+// dropState forgets the State of the pause being left, giving back the
+// frame buffer of a State that arrived but was never read.
+func (t *Tracker) dropState() {
+	t.stateCache = nil
+	if t.stateTail != nil {
+		t.stateTail.release()
+		t.stateTail = nil
+	}
 }
 
 func (t *Tracker) applyStatus(st *Status) {
@@ -615,7 +640,7 @@ func (t *Tracker) recover(op string, cause error) error {
 		t.connMu.Lock()
 		t.conn = conn
 		t.connMu.Unlock()
-		t.stateCache, t.stateRaw = nil, nil
+		t.dropState()
 		return &core.TrackerError{
 			Op:       op,
 			Kind:     "remote[" + t.kind + "]",
@@ -798,12 +823,14 @@ func (t *Tracker) control(op string, req *Request) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	req.WantState = t.stateCache != nil
-	t.stateCache, t.stateRaw = nil, nil
+	t.dropState()
 	resp, err := t.do(op, req)
 	if err != nil {
 		return err
 	}
-	t.stateRaw = resp.State
+	if resp.State != nil {
+		t.stateTail = resp
+	}
 	if req.Op == OpStart {
 		t.started = true
 	}
@@ -830,7 +857,7 @@ func (t *Tracker) Terminate() error {
 	if t.deadErr != nil {
 		return nil // retired sessions terminate trivially
 	}
-	t.stateCache, t.stateRaw = nil, nil
+	t.dropState()
 	_, err := t.do("Terminate", &Request{Op: OpTerminate})
 	var te *core.TrackerError
 	if errors.As(err, &te) && te.Recovery != core.RecoveryNone {
@@ -973,17 +1000,18 @@ func (t *Tracker) state(op string) (*core.State, error) {
 	if t.stateCache != nil {
 		return t.stateCache, nil
 	}
-	raw := t.stateRaw
-	t.stateRaw = nil
-	if raw == nil {
-		resp, err := t.do(op, &Request{Op: OpState})
-		if err != nil {
+	resp := t.stateTail
+	t.stateTail = nil
+	if resp == nil {
+		var err error
+		if resp, err = t.do(op, &Request{Op: OpState}); err != nil {
 			return nil, err
 		}
-		raw = resp.State
 	}
 	var st core.State
-	if err := st.UnmarshalJSON(raw); err != nil {
+	err := st.UnmarshalJSON(resp.State)
+	resp.release()
+	if err != nil {
 		return nil, core.WrapErr("remote", op, t.file, t.line, fmt.Errorf("decoding state: %w", err))
 	}
 	t.stateCache = &st

@@ -2,25 +2,25 @@ package remote
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"testing"
 )
 
-// FuzzWireDecode drives the server's request decode — ReadFrame, then
-// ParsePayload, then the JSON — with arbitrary bytes: the exact stream a
-// hostile or corrupted client could feed the server. A hostile peer can
-// compute a CRC-32C too, so each payload is also decoded as the JSON body
-// of a frame with a valid checksum; that is how corpus entries written as
-// bare JSON still reach the JSON decoder. Properties: the decoder never
-// panics and never allocates beyond MaxFrame no matter the length prefix,
-// the reader consumes exactly one frame, and every request it accepts
-// survives a re-encode/re-decode round trip with its trace context.
+// FuzzWireDecode drives the server's request decode — readFrame, then
+// ParsePayload, then the envelope decoder — with arbitrary bytes: the
+// exact stream a hostile or corrupted client could feed the server. A
+// hostile peer can compute a CRC-32C too, so each payload is also decoded
+// as the JSON body of a frame with a valid checksum; that is how corpus
+// entries written as bare JSON still reach the JSON decoder. Properties:
+// the decoder never panics and never allocates beyond MaxFrame no matter
+// the length prefix, the reader consumes exactly one frame, and every
+// request it accepts survives a re-encode/re-decode round trip with its
+// trace context.
 func FuzzWireDecode(f *testing.F) {
 	frame := func(v any) []byte {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, v, nil); err != nil {
+		if err := writeFrame(&buf, v, nil); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -41,7 +41,7 @@ func FuzzWireDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		payload, err := ReadFrame(r)
+		_, payload, err := readFrame(r)
 		if err != nil {
 			return // rejecting garbage is fine; not panicking is the test
 		}
@@ -63,14 +63,14 @@ func decodeRequest(t *testing.T, payload []byte) {
 		return
 	}
 	var req Request
-	if json.Unmarshal(body, &req) != nil {
+	if unmarshalRequest(body, &req) != nil {
 		return
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &req, tc); err != nil {
+	if err := writeFrame(&buf, &req, tc); err != nil {
 		t.Fatalf("re-encoding accepted request: %v", err)
 	}
-	payload2, err := ReadFrame(&buf)
+	_, payload2, err := readFrame(&buf)
 	if err != nil {
 		t.Fatalf("re-reading re-encoded frame: %v", err)
 	}
@@ -79,7 +79,7 @@ func decodeRequest(t *testing.T, payload []byte) {
 		t.Fatalf("re-parsing re-encoded frame: %v", err)
 	}
 	var req2 Request
-	if err := json.Unmarshal(body2, &req2); err != nil {
+	if err := unmarshalRequest(body2, &req2); err != nil {
 		t.Fatalf("re-decoding: %v", err)
 	}
 	if req.ID != req2.ID || req.Op != req2.Op || req.Path != req2.Path ||
@@ -108,7 +108,7 @@ func decodeRequest(t *testing.T, payload []byte) {
 func FuzzWireDecodeTorn(f *testing.F) {
 	frame := func(v any) []byte {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, v, nil); err != nil {
+		if err := writeFrame(&buf, v, nil); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -125,7 +125,7 @@ func FuzzWireDecodeTorn(f *testing.F) {
 			return
 		}
 		torn := data[:cut]
-		payload, err := ReadFrame(bytes.NewReader(torn))
+		_, payload, err := readFrame(bytes.NewReader(torn))
 		if err == nil {
 			// A successful read must have had a complete frame available.
 			if cut < 4 || 4+len(payload) > cut {

@@ -186,7 +186,7 @@ func TestHelloBareJSONReplyRefused(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		payload, err := ReadFrame(nc)
+		_, payload, err := readFrame(nc)
 		if err != nil {
 			errc <- err
 			return
@@ -246,11 +246,11 @@ func TestHelloReplyGrantsHeartbeat(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer nc.Close()
-			if err := WriteFrame(nc, &Request{ID: 1, Op: OpHello, Kind: "minipy"}, nil); err != nil {
+			if err := writeFrame(nc, &Request{ID: 1, Op: OpHello, Kind: "minipy"}, nil); err != nil {
 				t.Fatal(err)
 			}
 			nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-			payload, err := ReadFrame(nc)
+			_, payload, err := readFrame(nc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -182,6 +182,24 @@ type Response struct {
 	Mem    []byte            `json:"mem,omitempty"`
 	Segs   []core.Segment    `json:"segs,omitempty"`
 	Heap   map[string]uint64 `json:"heap,omitempty"`
+
+	// frame is the pooled buffer a received response was read into. State
+	// and Status.Reason may alias it, so whoever takes the response reads
+	// them before calling release.
+	frame *frameBuf
+}
+
+// release gives a received response's frame buffer back to the pool and
+// drops the State and pause reason that alias it. Releasing is optional:
+// the collector takes an unreleased buffer, which only the next frame
+// could have reused.
+func (r *Response) release() {
+	r.frame.release()
+	r.frame = nil
+	r.State = nil
+	if r.Status != nil {
+		r.Status.Reason = nil
+	}
 }
 
 // probeOps is the arming op of each probe kind, read forwards by the

@@ -475,21 +475,26 @@ func (s *Server) SessionsInfo() []SessionInfo {
 }
 
 func (c *serverConn) writeResp(r *Response) error {
-	return c.writeRespCtx(r, nil)
+	return c.writeFrame(encodeFrame(r, nil, nil))
 }
 
-// writeRespCtx writes one response frame, stamping tc (the responding
-// executor span) into its header. The frame is counted before it is
-// written, so a client that has read a response finds it in the counters;
-// a frame whose write fails still counts, on a connection that is dead
-// from then on.
-func (c *serverConn) writeRespCtx(r *Response, tc *TraceContext) error {
+// writeFrame writes one encoded response frame and releases its buffer;
+// err is the encoding's failure, if any. The frame is counted before it
+// is written, so a client that has read a response finds it in the
+// counters; a frame whose write fails still counts, on a connection that
+// is dead from then on.
+func (c *serverConn) writeFrame(f *frameBuf, err error) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.srv.met.Counter(core.CtrRemoteFramesOut).Inc()
 	c.framesOut.Add(1)
+	if err != nil {
+		return err
+	}
 	c.nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	return WriteFrame(c.nc, r, tc)
+	_, err = c.nc.Write(f.b)
+	f.release()
+	return err
 }
 
 // interrupt pokes the session's tracker so a command running in the
@@ -542,7 +547,7 @@ func (c *serverConn) serve() {
 		if !dl.IsZero() {
 			c.nc.SetReadDeadline(dl)
 		}
-		payload, err := ReadFrame(c.nc)
+		f, payload, err := readFrame(c.nc)
 		if err != nil {
 			var ne net.Error
 			timeout := errors.As(err, &ne) && ne.Timeout()
@@ -583,15 +588,16 @@ func (c *serverConn) serve() {
 		c.srv.met.Counter(core.CtrRemoteFramesIn).Inc()
 		c.framesIn.Add(1)
 		tc, body, err := ParsePayload(payload)
+		var req Request
+		if err == nil {
+			err = unmarshalRequest(body, &req)
+			if err != nil {
+				err = fmt.Errorf("remote: bad request frame: %w", err)
+			}
+		}
+		f.release()
 		if err != nil {
 			c.writeResp(&Response{Err: core.EncodeError(err)})
-			c.interrupt()
-			close(cmds)
-			return
-		}
-		var req Request
-		if err := json.Unmarshal(body, &req); err != nil {
-			c.writeResp(&Response{Err: core.EncodeError(fmt.Errorf("remote: bad request frame: %w", err))})
 			c.interrupt()
 			close(cmds)
 			return
@@ -626,7 +632,7 @@ func (c *serverConn) serve() {
 // handshake reads the hello frame, runs admission and builds the session.
 func (c *serverConn) handshake() (*session, bool) {
 	c.nc.SetReadDeadline(time.Now().Add(30 * time.Second))
-	payload, err := ReadFrame(c.nc)
+	f, payload, err := readFrame(c.nc)
 	if err != nil {
 		return nil, false
 	}
@@ -635,7 +641,11 @@ func (c *serverConn) handshake() (*session, bool) {
 	c.framesIn.Add(1)
 	_, body, err := ParsePayload(payload)
 	var req Request
-	if err != nil || json.Unmarshal(body, &req) != nil || req.Op != OpHello {
+	if err == nil {
+		err = unmarshalRequest(body, &req)
+	}
+	f.release()
+	if err != nil || req.Op != OpHello {
 		c.writeResp(&Response{ID: req.ID, Err: core.EncodeError(errors.New("remote: expected hello"))})
 		return nil, false
 	}
@@ -697,12 +707,13 @@ func (c *serverConn) execute(sess *session, cmds <-chan command) {
 		}
 		bt.SetParent(sp.Context())
 		t0 := c.srv.met.Now()
-		resp := c.exec(sess, req)
+		resp, st := c.exec(sess, req)
+		spCtx := sp.Context()
+		f, err := encodeFrame(resp, &TraceContext{TraceID: spCtx.TraceID, SpanID: spCtx.SpanID}, st)
 		c.srv.met.Observe(core.OpRemoteRound, t0)
 		bt.SetParent(obs.SpanContext{})
 		sp.End()
-		spCtx := sp.Context()
-		if err := c.writeRespCtx(resp, &TraceContext{TraceID: spCtx.TraceID, SpanID: spCtx.SpanID}); err != nil {
+		if err := c.writeFrame(f, err); err != nil {
 			// Client is gone; keep draining so Terminate below runs.
 			c.srv.logf("session %d: dropping response: %v", sess.id, err)
 		}
@@ -716,9 +727,10 @@ func (c *serverConn) execute(sess *session, cmds <-chan command) {
 	c.nc.Close()
 }
 
-// exec runs one request against the session tracker.
-func (c *serverConn) exec(sess *session, req *Request) *Response {
-	resp := &Response{ID: req.ID}
+// exec runs one request against the session tracker. st is the State the
+// response carries in its frame's tail, nil when it carries none.
+func (c *serverConn) exec(sess *session, req *Request) (resp *Response, st *core.State) {
+	resp = &Response{ID: req.ID}
 	var err error
 	switch req.Op {
 	case OpLoad:
@@ -779,14 +791,10 @@ func (c *serverConn) exec(sess *session, req *Request) *Response {
 			err = core.WrapErr(sess.kind, "LastChange", "", 0, core.ErrUnsupported)
 		}
 	case OpState:
-		var st *core.State
 		if sp, ok := core.As[core.StateProvider](sess.tr); ok {
 			st, err = sp.State()
 		} else {
 			err = core.WrapErr(sess.kind, "State", "", 0, core.ErrUnsupported)
-		}
-		if err == nil {
-			resp.State, err = st.MarshalJSON()
 		}
 	case OpSource:
 		resp.Lines, err = sess.tr.SourceLines()
@@ -834,17 +842,16 @@ func (c *serverConn) exec(sess *session, req *Request) *Response {
 	if sess.loaded {
 		resp.Status = c.status(sess)
 		if err == nil && req.WantState {
-			resp.State = pushedState(sess)
+			st = pushedState(sess)
 		}
 	}
-	return resp
+	return resp, st
 }
 
-// pushedState answers WantState: the codec bytes of the State at the pause
-// the op reached, or nil when the backend has no State or fails to produce
-// it — the client's next State() then asks with OpState and gets the error
-// there.
-func pushedState(sess *session) []byte {
+// pushedState answers WantState: the State at the pause the op reached, or
+// nil when the backend has no State or fails to produce it — the client's
+// next State() then asks with OpState and gets the error there.
+func pushedState(sess *session) *core.State {
 	sp, ok := core.As[core.StateProvider](sess.tr)
 	if !ok {
 		return nil
@@ -853,11 +860,7 @@ func pushedState(sess *session) []byte {
 	if err != nil {
 		return nil
 	}
-	raw, err := st.MarshalJSON()
-	if err != nil {
-		return nil
-	}
-	return raw
+	return st
 }
 
 // load runs OpLoad: it builds the effective load options with the server's

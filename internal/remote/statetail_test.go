@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -38,7 +39,7 @@ func (c *tapConn) responses(t *testing.T) (bodies, tails [][]byte) {
 	r := bytes.NewReader(c.rx.Bytes())
 	c.mu.Unlock()
 	for {
-		payload, err := ReadFrame(r)
+		_, payload, err := readFrame(r)
 		if err == io.EOF {
 			return bodies, tails
 		}
@@ -174,7 +175,7 @@ func serveStub(t *testing.T, answer func(req *Request, resp *Response),
 		}
 		defer nc.Close()
 		for {
-			payload, err := ReadFrame(nc)
+			_, payload, err := readFrame(nc)
 			if err != nil {
 				errc <- nil // the client hung up
 				return
@@ -197,7 +198,7 @@ func serveStub(t *testing.T, answer func(req *Request, resp *Response),
 				answer(&req, resp)
 			}
 			var buf bytes.Buffer
-			if err := WriteFrame(&buf, resp, nil); err != nil {
+			if err := writeFrame(&buf, resp, nil); err != nil {
 				errc <- err
 				return
 			}
@@ -223,14 +224,14 @@ func TestChecksumDropsFlippedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := WriteFrame(nc, &Request{ID: 1, Op: OpHello, Kind: "minipy"}, nil); err != nil {
+	if err := writeFrame(nc, &Request{ID: 1, Op: OpHello, Kind: "minipy"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(nc); err != nil {
+	if _, _, err := readFrame(nc); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Request{ID: 2, Op: OpLoad, Path: "count.py",
+	if err := writeFrame(&buf, &Request{ID: 2, Op: OpLoad, Path: "count.py",
 		Load: &LoadSpec{Source: countPy}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestChecksumDropsFlippedRequest(t *testing.T) {
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
-		payload, err := ReadFrame(nc)
+		_, payload, err := readFrame(nc)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -306,5 +307,124 @@ func TestChecksumDropsFlippedStateTail(t *testing.T) {
 	tr.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("stub server: %v", err)
+	}
+}
+
+// ownedPy changes its State at every line, so a State decoded from a frame
+// buffer that another frame has since reused cannot pass for the right one.
+const ownedPy = `def grow(xs, k):
+    xs.append("v" + str(k * k))
+    return len(xs)
+
+xs = []
+d = {}
+k = 0
+while k < 12:
+    n = grow(xs, k)
+    d[str(k)] = [k, n, "<" + str(k) + ">"]
+    k = k + 1
+print(len(d), xs[-1])
+`
+
+// TestStateTailBufferOwnership runs loopback sessions side by side on one
+// server, each reading the State at some pauses and not at others, so some
+// tails are decoded and some dropped unread while the other sessions' frames
+// churn the buffer pool. A State tail aliases its frame buffer until it is
+// decoded, and a Status's pause reason until applyStatus reads it: every
+// State and pause reason a session reads must be the local session's at the
+// same pause.
+func TestStateTailBufferOwnership(t *testing.T) {
+	local, err := core.NewTracker("minipy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Terminate()
+	if err := local.LoadProgram("owned.py", core.WithSource(ownedPy)); err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var wantStates, wantReasons []string
+	for {
+		if _, done := local.ExitCode(); done {
+			break
+		}
+		st, err := local.(core.StateProvider).State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := st.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStates = append(wantStates, string(js))
+		wantReasons = append(wantReasons, local.PauseReason().String())
+		if err := local.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, addr := startServer(t)
+	const sessions, rounds = 8, 3
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				if err := ownedSession(addr, s+round, wantStates, wantReasons); err != nil {
+					t.Errorf("session %d, round %d: %v", s, round, err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+}
+
+// ownedSession steps ownedPy to its exit, reading the State at pause i
+// unless (i+seed)%3 is 0, and checks each State and pause reason it reads.
+func ownedSession(addr string, seed int, wantStates, wantReasons []string) error {
+	tr, err := Connect(addr, "minipy")
+	if err != nil {
+		return err
+	}
+	defer tr.Close()
+	if err := tr.LoadProgram("owned.py", core.WithSource(ownedPy)); err != nil {
+		return err
+	}
+	if err := tr.Start(); err != nil {
+		return err
+	}
+	for i := 0; ; i++ {
+		if _, done := tr.ExitCode(); done {
+			if i != len(wantStates) {
+				return fmt.Errorf("exited after %d pauses, want %d", i, len(wantStates))
+			}
+			return nil
+		}
+		if i == len(wantStates) {
+			return fmt.Errorf("still running after %d pauses", i)
+		}
+		if got := tr.PauseReason().String(); got != wantReasons[i] {
+			return fmt.Errorf("pause %d: reason %q, want %q", i, got, wantReasons[i])
+		}
+		if (i+seed)%3 != 0 {
+			st, err := tr.State()
+			if err != nil {
+				return fmt.Errorf("pause %d: %w", i, err)
+			}
+			js, err := st.MarshalJSON()
+			if err != nil {
+				return err
+			}
+			if string(js) != wantStates[i] {
+				return fmt.Errorf("pause %d: State\n%s\nwant\n%s", i, js, wantStates[i])
+			}
+		}
+		if err := tr.Step(); err != nil {
+			return fmt.Errorf("pause %d: %w", i, err)
+		}
 	}
 }

@@ -38,13 +38,13 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 				v = &Response{ID: 9, Status: &Status{Line: 3}, State: state}
 			}
 			var buf bytes.Buffer
-			if err := WriteFrame(&buf, v, c.tc); err != nil {
+			if err := writeFrame(&buf, v, c.tc); err != nil {
 				t.Fatal(err)
 			}
 			if resp, ok := v.(*Response); ok && string(resp.State) != string(state) {
 				t.Fatalf("writing moved the caller's State: %q", resp.State)
 			}
-			payload, err := ReadFrame(&buf)
+			_, payload, err := readFrame(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}

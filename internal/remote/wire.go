@@ -24,6 +24,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
+
+	"easytracker/internal/core"
 )
 
 // MaxFrame bounds one wire frame (the 4-byte length prefix counts only the
@@ -66,35 +69,86 @@ func (e *DecodeError) Error() string {
 // Unwrap exposes the cause to errors.Is / errors.As.
 func (e *DecodeError) Unwrap() error { return e.Err }
 
-// ReadFrame reads one length-prefixed frame payload. The length is bounds-
-// checked before any payload allocation, so a corrupt prefix cannot balloon
-// memory. io.EOF is returned untouched on a clean end-of-stream boundary;
-// a stream cut mid-frame yields io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one length-prefixed frame payload into a pooled buffer,
+// taken only once the length prefix has arrived, so a reader waiting for
+// the next frame holds none. The length is bounds-checked before the
+// buffer is sized, so a corrupt prefix cannot balloon memory. io.EOF is
+// returned untouched on a clean end-of-stream boundary; a stream cut
+// mid-frame yields io.ErrUnexpectedEOF. The payload aliases the buffer,
+// which the caller releases.
+func readFrame(r io.Reader) (*frameBuf, []byte, error) {
+	n, err := readPrefix(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	f := getFrame()
+	if cap(f.b) < n {
+		f.b = make([]byte, n)
+	}
+	payload := f.b[:n]
+	if err := readPayload(r, payload); err != nil {
+		f.release()
+		return nil, nil, err
+	}
+	return f, payload, nil
+}
+
+// readPrefix reads a frame's length prefix and checks it against MaxFrame.
+func readPrefix(r io.Reader) (int, error) {
 	var hdr [4]byte
 	if m, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
+			return 0, io.EOF
 		}
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			// Torn mid-length-prefix: 1–3 bytes of header arrived.
-			return nil, &DecodeError{Offset: m, Len: -1, Err: io.ErrUnexpectedEOF}
+			return 0, &DecodeError{Offset: m, Len: -1, Err: io.ErrUnexpectedEOF}
 		}
-		return nil, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return nil, &DecodeError{Offset: 4, Len: int(n), Err: ErrFrameTooLarge}
+		return 0, &DecodeError{Offset: 4, Len: int(n), Err: ErrFrameTooLarge}
 	}
-	payload := make([]byte, n)
+	return int(n), nil
+}
+
+// readPayload fills payload, the body of a frame whose prefix was read.
+func readPayload(r io.Reader, payload []byte) error {
 	if m, err := io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			// Torn mid-payload: the prefix promised n bytes, fewer came.
-			return nil, &DecodeError{Offset: 4 + m, Len: int(n), Err: io.ErrUnexpectedEOF}
+			return &DecodeError{Offset: 4 + m, Len: len(payload), Err: io.ErrUnexpectedEOF}
 		}
-		return nil, err
+		return err
 	}
-	return payload, nil
+	return nil
+}
+
+// frameBuf is one pooled frame buffer. Each frame is built in one, prefix
+// to checksum, and read into one; a response's State tail and its Status's
+// pause reason alias the buffer they arrived in until it is released.
+type frameBuf struct{ b []byte }
+
+var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, minFrameBuf)} }}
+
+// A new buffer holds a typical State reply; one grown past maxPooledFrame
+// by a rare huge frame is left to the collector rather than pooled.
+const (
+	minFrameBuf    = 4 << 10
+	maxPooledFrame = 64 << 10
+)
+
+func getFrame() *frameBuf { return framePool.Get().(*frameBuf) }
+
+// release puts f back in the pool; nothing may read its bytes afterwards.
+// Safe on nil.
+func (f *frameBuf) release() {
+	if f == nil || cap(f.b) > maxPooledFrame {
+		return
+	}
+	f.b = f.b[:0]
+	framePool.Put(f)
 }
 
 // Every payload, the hello and its reply included, is
@@ -142,63 +196,91 @@ type TraceContext struct {
 	SpanID  uint64
 }
 
-// WriteFrame marshals v and writes it as one length-prefixed frame, with
-// the trace context tc (nil or zero means "none"). A *Response's State
-// rides in the tail, outside the JSON.
-func WriteFrame(w io.Writer, v any, tc *TraceContext) error {
-	var tail []byte
-	if resp, ok := v.(*Response); ok && len(resp.State) > 0 {
-		tail = resp.State
-	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("remote: encoding frame: %w", err)
-	}
-	if tc != nil && tc.TraceID == 0 && tc.SpanID == 0 {
+// encodeFrame builds the whole frame for v in one pooled buffer, which the
+// caller writes and releases, with the trace context tc (nil or zero means
+// "none"). A Request's or Response's body comes from the envelope codec,
+// anything else's from json.Marshal. The tail is st, appended by its codec
+// straight after the body, when st is non-nil, and else a Response's State
+// bytes.
+func encodeFrame(v any, tc *TraceContext, st *core.State) (*frameBuf, error) {
+	if tc != nil && *tc == (TraceContext{}) {
 		tc = nil
 	}
-	n := 1 + len(body) + len(tail) + crcSize
-	if tc != nil {
-		n += traceCtxSize
+	resp, _ := v.(*Response)
+	tail := st != nil || resp != nil && len(resp.State) > 0
+	f := getFrame()
+	b := append(f.b[:0], 0, 0, 0, 0) // the length prefix, set below
+	b = beginPayload(b, tc, tail)
+	bodyAt := len(b)
+	var err error
+	switch v := v.(type) {
+	case *Request:
+		b, err = appendRequest(b, v)
+	case *Response:
+		b, err = appendResponse(b, v)
+	default:
+		var body []byte
+		body, err = json.Marshal(v)
+		b = append(b, body...)
 	}
-	if tail != nil {
-		n += bodyLenSize
+	if tail {
+		endBody(b, bodyAt)
+		if st != nil {
+			b = st.AppendJSON(b)
+		} else {
+			b = append(b, resp.State...)
+		}
 	}
-	if n > MaxFrame {
-		return ErrFrameTooLarge
+	f.b = sealPayload(b, 4)
+	n := len(f.b) - 4
+	switch {
+	case err != nil:
+		err = fmt.Errorf("remote: encoding frame: %w", err)
+	case n > MaxFrame:
+		err = ErrFrameTooLarge
 	}
-	buf := make([]byte, 4, 4+n)
-	binary.BigEndian.PutUint32(buf, uint32(n))
-	_, err = w.Write(appendPayload(buf, tc, body, tail))
-	return err
+	if err != nil {
+		f.release()
+		return nil, err
+	}
+	binary.BigEndian.PutUint32(f.b, uint32(n))
+	return f, nil
 }
 
-// appendPayload appends one payload to dst: the flags byte, the trace
-// context when tc is non-nil, the body length when tail is non-nil, the
-// body, the tail and the checksum.
-func appendPayload(dst []byte, tc *TraceContext, body, tail []byte) []byte {
-	start := len(dst)
+// beginPayload appends a payload's header to b: the flags byte, the trace
+// context when tc is non-nil, and when the payload has a tail, a body
+// length for endBody to fill in.
+func beginPayload(b []byte, tc *TraceContext, tail bool) []byte {
 	var flags byte
 	if tc != nil {
 		flags |= flagTraceContext
 	}
-	if tail != nil {
+	if tail {
 		flags |= flagStateTail
 	}
-	dst = append(dst, flags)
+	b = append(b, flags)
 	if tc != nil {
-		dst = binary.BigEndian.AppendUint64(dst, tc.TraceID)
-		dst = binary.BigEndian.AppendUint64(dst, tc.SpanID)
+		b = binary.BigEndian.AppendUint64(b, tc.TraceID)
+		b = binary.BigEndian.AppendUint64(b, tc.SpanID)
 	}
-	if tail != nil {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
+	if tail {
+		b = append(b, 0, 0, 0, 0)
 	}
-	dst = append(dst, body...)
-	dst = append(dst, tail...)
-	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+	return b
 }
 
-// ParsePayload splits one request payload read by ReadFrame into its
+// endBody sets the body length of a payload with a tail whose body began
+// at bodyAt and ends at len(b).
+func endBody(b []byte, bodyAt int) {
+	binary.BigEndian.PutUint32(b[bodyAt-bodyLenSize:], uint32(len(b)-bodyAt))
+}
+
+// sealPayload appends the checksum of the payload that begins at start.
+func sealPayload(b []byte, start int) []byte {
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
+}
+
+// ParsePayload splits one request payload read by readFrame into its
 // optional trace context and the JSON body. Only responses carry a State
 // tail, so a request with one is rejected. The returned body aliases
 // payload.

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -15,14 +17,17 @@ func TestFrameRoundTrip(t *testing.T) {
 		{ID: 1, Op: OpHello, Kind: "minipy"},
 		{ID: 2, Op: OpLoad, Path: "prog.py", Load: &LoadSpec{Source: "x = 1\n", WantStdout: true}},
 		{ID: 3, Op: OpBreakLine, File: "prog.py", Line: 7, MaxDepth: 2},
+		// Larger than a new pooled buffer, which must grow to hold it.
+		{ID: 4, Op: OpLoad, Path: "big.py", Load: &LoadSpec{Source: strings.Repeat("x = 1\n", 2*minFrameBuf)}},
+		{ID: 5, Op: OpStep},
 	}
 	for _, req := range reqs {
-		if err := WriteFrame(&buf, req, nil); err != nil {
+		if err := writeFrame(&buf, req, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, want := range reqs {
-		payload, err := ReadFrame(&buf)
+		f, payload, err := readFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,11 +39,13 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.ID != want.ID || got.Op != want.Op || got.Path != want.Path || got.Line != want.Line {
+		// The next frame may be read into this buffer.
+		f.release()
+		if !reflect.DeepEqual(&got, want) {
 			t.Errorf("frame round trip: got %+v, want %+v", got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, _, err := readFrame(&buf); err != io.EOF {
 		t.Errorf("exhausted stream: err = %v, want io.EOF", err)
 	}
 }
@@ -46,7 +53,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameTooLarge(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	_, err := ReadFrame(bytes.NewReader(hdr[:]))
+	_, _, err := readFrame(bytes.NewReader(hdr[:]))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized prefix: err = %v, want ErrFrameTooLarge", err)
 	}
@@ -62,12 +69,12 @@ func TestFrameTooLarge(t *testing.T) {
 
 func TestFrameCutMidPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Request{ID: 1, Op: OpResume}, nil); err != nil {
+	if err := writeFrame(&buf, &Request{ID: 1, Op: OpResume}, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := buf.Len() - 4 // payload the prefix promises
 	cut := buf.Bytes()[:buf.Len()-3]
-	_, err := ReadFrame(bytes.NewReader(cut))
+	_, _, err := readFrame(bytes.NewReader(cut))
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("mid-frame cut: err = %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -80,7 +87,7 @@ func TestFrameCutMidPayload(t *testing.T) {
 			de.Offset, de.Len, len(cut), want)
 	}
 	// Cut inside the header is also typed, and distinguishable: Len == -1.
-	_, err = ReadFrame(bytes.NewReader(cut[:2]))
+	_, _, err = readFrame(bytes.NewReader(cut[:2]))
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("mid-header cut: err = %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -94,4 +101,30 @@ func TestFrameCutMidPayload(t *testing.T) {
 	if de.Error() == "" {
 		t.Error("DecodeError renders empty")
 	}
+}
+
+// appendPayload appends one payload to dst: body, and tail when it is
+// non-nil, framed as the wire frames them, with the trace context tc.
+func appendPayload(dst []byte, tc *TraceContext, body, tail []byte) []byte {
+	start := len(dst)
+	dst = beginPayload(dst, tc, tail != nil)
+	bodyAt := len(dst)
+	dst = append(dst, body...)
+	if tail != nil {
+		endBody(dst, bodyAt)
+		dst = append(dst, tail...)
+	}
+	return sealPayload(dst, start)
+}
+
+// writeFrame encodes v and writes it as one frame, with the trace context
+// tc, as a client or server sends it.
+func writeFrame(w io.Writer, v any, tc *TraceContext) error {
+	f, err := encodeFrame(v, tc, nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(f.b)
+	f.release()
+	return err
 }

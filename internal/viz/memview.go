@@ -13,7 +13,8 @@ import (
 // array of words.
 type MemViewOptions struct {
 	Title string
-	// Segments to render; each shows up to MaxWords words.
+	// Segments to render; each shows up to MaxWords words: its first ones,
+	// or for the segment named "stack", the ones from sp upward.
 	Segments []core.Segment
 	// MaxWords caps the words shown per segment (default 16).
 	MaxWords int
@@ -24,6 +25,25 @@ type MemViewOptions struct {
 // memReader reads inferior memory (implemented by the MiniGDB tracker).
 type memReader interface {
 	ValueAt(addr uint64, size int) ([]byte, error)
+}
+
+// shownWords returns the first address and the number of words the view
+// shows of seg. The stack grows down from its segment's end, so its live
+// words are the ones from sp (rounded down to a word) upward; every other
+// segment shows its first words.
+func shownWords(seg core.Segment, regs map[string]uint64, maxWords int) (uint64, int) {
+	start, end := seg.Start, seg.Start+seg.Size
+	if sp := regs["sp"] &^ 7; seg.Name == "stack" && sp > start {
+		start = sp
+		if start > end {
+			start = end
+		}
+	}
+	words := (end - start) / 8
+	if words > uint64(maxWords) {
+		words = uint64(maxWords)
+	}
+	return start, int(words)
 }
 
 // MemViewText renders the registers and memory as the splittable-terminal
@@ -55,12 +75,9 @@ func MemViewText(regs map[string]uint64, mem memReader, opt MemViewOptions) stri
 	}
 	for _, seg := range opt.Segments {
 		fmt.Fprintf(&b, "memory (%s @ %#x, %d bytes):\n", seg.Name, seg.Start, seg.Size)
-		words := int(seg.Size / 8)
-		if words > opt.MaxWords {
-			words = opt.MaxWords
-		}
+		start, words := shownWords(seg, regs, opt.MaxWords)
 		for i := 0; i < words; i++ {
-			addr := seg.Start + uint64(i*8)
+			addr := start + uint64(i*8)
 			raw, err := mem.ValueAt(addr, 8)
 			if err != nil {
 				fmt.Fprintf(&b, "  0x%08x  <unmapped>\n", addr)
@@ -94,10 +111,7 @@ func MemViewSVG(regs map[string]uint64, mem memReader, opt MemViewOptions) strin
 
 	totalWords := 0
 	for _, seg := range opt.Segments {
-		w := int(seg.Size / 8)
-		if w > opt.MaxWords {
-			w = opt.MaxWords
-		}
+		_, w := shownWords(seg, regs, opt.MaxWords)
 		totalWords += w + 2
 	}
 	rows := len(names)
@@ -128,12 +142,9 @@ func MemViewSVG(regs map[string]uint64, mem memReader, opt MemViewOptions) strin
 		s.Text(memX, my+12, fontSize-1, ColFrameHdr,
 			fmt.Sprintf("%s @ %#x", seg.Name, seg.Start))
 		my += 18
-		words := int(seg.Size / 8)
-		if words > opt.MaxWords {
-			words = opt.MaxWords
-		}
+		start, words := shownWords(seg, regs, opt.MaxWords)
 		for i := 0; i < words; i++ {
-			addr := seg.Start + uint64(i*8)
+			addr := start + uint64(i*8)
 			raw, err := mem.ValueAt(addr, 8)
 			v := uint64(0)
 			if err == nil {

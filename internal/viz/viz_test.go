@@ -2,6 +2,7 @@ package viz
 
 import (
 	"encoding/xml"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -255,6 +256,75 @@ func TestMemViews(t *testing.T) {
 		if !strings.Contains(svg, want) {
 			t.Errorf("svg view missing %q", want)
 		}
+	}
+}
+
+// TestMemViewStackFromSP pauses a MiniC program inside a callee and
+// renders the stack segment as et-memview does: the first row is sp's word,
+// marked sp, and the callee's local (7) is among the words shown. The
+// stack's lowest words, which no frame reaches, are not.
+func TestMemViewStackFromSP(t *testing.T) {
+	const src = `int add(int a, int b) {
+    int local = 7;
+    return a + b + local;
+}
+
+int main() {
+    int r = add(2, 3);
+    printf("%d\n", r);
+    return 0;
+}
+`
+	tr := gdbtracker.New()
+	if err := tr.LoadProgram("prog.c", core.WithSource(src)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tr.Terminate() })
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.BreakBeforeLine("", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	regs, err := tr.Registers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stack core.Segment
+	for _, seg := range tr.MemorySegments() {
+		if seg.Name == "stack" {
+			stack = seg
+		}
+	}
+	sp := regs["sp"] &^ 7
+	if stack.Size == 0 || sp <= stack.Start {
+		t.Fatalf("stack segment %+v, sp %#x", stack, sp)
+	}
+	opt := MemViewOptions{Segments: []core.Segment{stack}, MaxWords: 8,
+		Highlight: map[uint64]string{sp: "sp", regs["fp"] &^ 7: "fp"}}
+	text := MemViewText(regs, tr, opt)
+	rows := strings.Split(strings.TrimSpace(text[strings.Index(text, "memory ("):]), "\n")[1:]
+	if len(rows) == 0 || !strings.Contains(rows[0], fmt.Sprintf("0x%08x", sp)) || !strings.HasSuffix(rows[0], "<-- sp") {
+		t.Fatalf("first stack row is not sp's word (sp %#x):\n%s", sp, text)
+	}
+	found := false
+	for _, row := range rows {
+		f := strings.Fields(row)
+		found = found || len(f) >= 3 && f[2] == "7"
+	}
+	if !found {
+		t.Errorf("the callee's local 7 is not among the stack words shown:\n%s", text)
+	}
+	if strings.Contains(text, fmt.Sprintf("0x%08x ", stack.Start)) {
+		t.Errorf("the stack view shows the segment's lowest word %#x:\n%s", stack.Start, text)
+	}
+	svg := MemViewSVG(regs, tr, opt)
+	validSVG(t, svg)
+	if !strings.Contains(svg, fmt.Sprintf("0x%08x", sp)) || !strings.Contains(svg, "← sp") {
+		t.Errorf("the stack SVG does not start at sp %#x", sp)
 	}
 }
 

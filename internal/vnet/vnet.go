@@ -505,9 +505,10 @@ func (c *Conn) Write(b []byte) (int, error) {
 	if f.Bandwidth > 0 {
 		delay += time.Duration(len(b)) * time.Second / time.Duration(f.Bandwidth)
 	}
-	data := b
+	// io.Writer forbids keeping b, and the peer reads data after Write
+	// returns: queue a copy, and corrupt only that.
+	data := append([]byte(nil), b...)
 	if f.CorruptProb > 0 {
-		data = append([]byte(nil), b...)
 		for i := range data {
 			if n.randFloat() < f.CorruptProb {
 				data[i] ^= 1 << (n.rand64() % 8)

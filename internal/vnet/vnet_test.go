@@ -63,6 +63,31 @@ func TestVnetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVnetWriteDoesNotRetain reuses a written buffer before the peer reads
+// it, as a writer with pooled frame buffers does: io.Writer forbids Write
+// from keeping the slice, so the peer must read what was written.
+func TestVnetWriteDoesNotRetain(t *testing.T) {
+	n := New(1)
+	l, err := n.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := dialPair(t, n, "cli", "srv", l)
+	defer client.Close()
+	defer server.Close()
+
+	b := []byte("hello")
+	if _, err := client.Write(b); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	copy(b, "XXXXX")
+	buf := make([]byte, 16)
+	m, err := server.Read(buf)
+	if err != nil || string(buf[:m]) != "hello" {
+		t.Fatalf("read: %q, %v; want the bytes as written", buf[:m], err)
+	}
+}
+
 func TestVnetDialFailures(t *testing.T) {
 	n := New(1)
 	if _, err := n.Dial("cli", "nowhere"); !errors.Is(err, ErrRefused) {
