@@ -10,9 +10,12 @@
 // remote pause costing more than one round trip, and against allocations
 // coming back to a MiniGDB control round trip (BenchmarkSteppingOverheadMiniC)
 // or to the MiniC machine's loads (BenchmarkNativeMiniC), against the
-// machine committing its whole stack up front again (BenchmarkNativeMiniC's
-// B/op), and against the remote wire allocating each frame and copying the
-// State into it again (BenchmarkRemoteInspectMiniPy's B/op).
+// machine committing its whole stack up front or encoding its text image at
+// every start again (BenchmarkNativeMiniC's B/op), against the MI server
+// copying each -et-inspect State out of the encoder again
+// (BenchmarkMIInspectState's B/op), and against the remote wire allocating
+// each frame and copying the State into it again
+// (BenchmarkRemoteInspectMiniPy's B/op).
 //
 // Usage:
 //
@@ -122,7 +125,7 @@ func main() {
 	baselinePath := flag.String("baseline", filepath.Join("cmd", "et-benchdiff", "baseline.json"), "committed baseline JSON")
 	outPath := flag.String("o", "BENCH_1.json", "report output path")
 	count := flag.Int("count", 1, "benchmark repetitions (best of N is kept)")
-	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,allocs:BenchmarkRemoteInspectMiniPy,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateDecodeGolden,allocs:BenchmarkStateAcrossPausesMiniPy,allocs:BenchmarkSteppingOverheadMiniC,allocs:BenchmarkNativeMiniC,bytes:BenchmarkNativeMiniC,bytes:BenchmarkRemoteInspectMiniPy", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency), a bytes: prefix gates B/op only, at the allocs/op tolerance")
+	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,allocs:BenchmarkRemoteInspectMiniPy,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateDecodeGolden,allocs:BenchmarkStateAcrossPausesMiniPy,allocs:BenchmarkSteppingOverheadMiniC,allocs:BenchmarkNativeMiniC,bytes:BenchmarkNativeMiniC,bytes:BenchmarkMIInspectState,bytes:BenchmarkRemoteInspectMiniPy", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency), a bytes: prefix gates B/op only, at the allocs/op tolerance")
 	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op and B/op regression in percent")
 	nsTolerance := flag.Float64("ns-tolerance", 15, "allowed ns/op regression in percent (ns/op is noisier than allocs/op)")
 	dir := flag.String("dir", ".", "module directory to benchmark")

@@ -79,7 +79,7 @@ func Assemble(file, src string) (*isa.Program, error) {
 			return nil, err
 		}
 		prog.Instrs = append(prog.Instrs, ins)
-		prog.Lines = append(prog.Lines, isa.LineEntry{PC: pi.pc, Line: pi.line})
+		prog.Lines = isa.AppendLine(prog.Lines, pi.pc, pi.line)
 	}
 	if len(prog.Instrs) == 0 {
 		return nil, &AsmError{File: file, Line: 1, Msg: "no instructions"}

@@ -99,10 +99,7 @@ _start:
     li a7, 0
     ecall
 `
-	p, err := Assemble("s.s", src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := assemble(t, src)
 	if p.Entry != isa.TextBase {
 		t.Errorf("entry = %#x", p.Entry)
 	}
@@ -124,10 +121,7 @@ helper:
     li a0, 1
     ret
 `
-	p, err := Assemble("f.s", src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := assemble(t, src)
 	mainFn := p.FuncByName("main")
 	helperFn := p.FuncByName("helper")
 	if mainFn == nil || helperFn == nil {

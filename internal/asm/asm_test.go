@@ -8,11 +8,27 @@ import (
 	"easytracker/internal/vm"
 )
 
+// assemble assembles src and checks its line table: one entry per run of
+// one line, PCs strictly increasing from TextBase.
 func assemble(t *testing.T, src string) *isa.Program {
 	t.Helper()
 	p, err := Assemble("t.s", src)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
+	}
+	runs := 0
+	for i := range p.Instrs {
+		if i == 0 || p.LineAt(isa.IndexToPC(i)) != p.LineAt(isa.IndexToPC(i-1)) {
+			runs++
+		}
+	}
+	if len(p.Lines) != runs || p.Lines[0].PC != isa.TextBase {
+		t.Fatalf("%d line entries for %d runs: %v", len(p.Lines), runs, p.Lines)
+	}
+	for i := 1; i < len(p.Lines); i++ {
+		if p.Lines[i].PC <= p.Lines[i-1].PC || p.Lines[i].Line == p.Lines[i-1].Line {
+			t.Fatalf("line entry %d %+v after %+v", i, p.Lines[i], p.Lines[i-1])
+		}
 	}
 	return p
 }

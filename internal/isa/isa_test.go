@@ -3,6 +3,7 @@ package isa
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -252,6 +253,29 @@ func TestProgramQueries(t *testing.T) {
 	}
 	if len(p.EncodeText()) != 4*WordSize {
 		t.Error("EncodeText size")
+	}
+}
+
+func TestAppendLineKeepsAnswers(t *testing.T) {
+	// sampleProgram's table has an entry per instruction; built with
+	// AppendLine it has one per run and answers every query the same.
+	per, runs := sampleProgram(), sampleProgram()
+	runs.Lines = nil
+	for _, e := range per.Lines {
+		runs.Lines = AppendLine(runs.Lines, e.PC, e.Line)
+	}
+	if len(runs.Lines) != 3 || runs.Validate() != nil {
+		t.Fatalf("runs = %v", runs.Lines)
+	}
+	for i := range per.Instrs {
+		if got, want := runs.LineAt(IndexToPC(i)), per.LineAt(IndexToPC(i)); got != want {
+			t.Errorf("LineAt(%#x) = %d, want %d", IndexToPC(i), got, want)
+		}
+	}
+	for line := 0; line <= 4; line++ {
+		if got, want := runs.PCsForLine(line), per.PCsForLine(line); !reflect.DeepEqual(got, want) {
+			t.Errorf("PCsForLine(%d) = %v, want %v", line, got, want)
+		}
 	}
 }
 

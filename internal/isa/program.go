@@ -165,12 +165,23 @@ type FuncInfo struct {
 	BodyEnd int `json:"body_end,omitempty"`
 }
 
-// LineEntry maps one instruction address to a source line. Entries are
-// sorted by PC; an instruction's line is the entry with the greatest
+// LineEntry starts a run of instructions on one source line at PC. Entries
+// are sorted by PC; an instruction's line is the entry with the greatest
 // PC <= pc.
 type LineEntry struct {
 	PC   uint64 `json:"pc"`
 	Line int    `json:"line"`
+}
+
+// AppendLine records that the instruction at pc, the next after those
+// already recorded, is on line: it appends an entry only when line differs
+// from the last entry's, so a table built this way holds one entry per run
+// of one line.
+func AppendLine(lines []LineEntry, pc uint64, line int) []LineEntry {
+	if n := len(lines); n > 0 && lines[n-1].Line == line {
+		return lines
+	}
+	return append(lines, LineEntry{PC: pc, Line: line})
 }
 
 // Program is a loadable, debuggable program image — the output of the
@@ -193,7 +204,9 @@ type Program struct {
 	Globals []VarInfo `json:"globals,omitempty"`
 	// Structs holds named struct layouts for the type descriptors.
 	Structs map[string]*StructLayout `json:"structs,omitempty"`
-	// Lines is the pc-to-line table, sorted by PC.
+	// Lines is the pc-to-line table, sorted by PC, with one entry per run
+	// of one line (AppendLine). A table with an entry per instruction, as
+	// older program files hold, answers LineAt and PCsForLine the same.
 	Lines []LineEntry `json:"lines,omitempty"`
 }
 

@@ -491,8 +491,15 @@ func TestRegistersMemorySegmentsSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Result.GetString("memory")) != 16 {
-		t.Errorf("memory hex = %q", resp.Result.GetString("memory"))
+	// The text image is built at this first read: it holds the encoded
+	// first instruction.
+	prog, err := minic.Compile("prog.c", miFibC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := prog.Instrs[0].Encode()
+	if got := resp.Result.GetString("memory"); got != hex.EncodeToString(first[:]) {
+		t.Errorf("memory hex = %q, want the first instruction %x", got, first)
 	}
 	resp, err = cl.Send("-et-source")
 	if err != nil {

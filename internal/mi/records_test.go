@@ -93,11 +93,11 @@ func cutInspectReplies(t *testing.T) []string {
 	}
 	srv := NewServer(prog)
 	for _, cmd := range []string{"-exec-run", "-break-insert 3", "-exec-continue"} {
-		if recs := srv.Execute(cmd); recs[len(recs)-1].Class == "error" {
+		if recs := execLine(srv, cmd); recs[len(recs)-1].Class == "error" {
 			t.Fatalf("%s: %s", cmd, recs[len(recs)-1].Print())
 		}
 	}
-	recs := srv.Execute("7-et-inspect")
+	recs := execLine(srv, "7-et-inspect")
 	line := recs[len(recs)-1].Print()
 	rec, err := ParseRecord(line)
 	state := rec.GetString("state")

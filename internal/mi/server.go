@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"easytracker/internal/dbg"
@@ -50,7 +51,26 @@ type Server struct {
 	dbgP     atomic.Pointer[dbg.Debugger]
 	pendIntr atomic.Bool
 	budget   uint64
+
+	// lent is the pooled -et-inspect reply the command being run borrows,
+	// until printed gives it back.
+	lent *inspectReply
 }
+
+// inspectReply is an -et-inspect reply: the State's bytes and the record
+// that carries them. Replies are pooled, so a State is written once, into
+// the buffer its line is printed from, and its record allocates nothing.
+type inspectReply struct {
+	state []byte
+	rec   [1]Record
+	res   [2]Result
+}
+
+var inspectReplies = sync.Pool{New: func() any { return new(inspectReply) }}
+
+// maxPooledState bounds the State buffers inspectReplies keeps: one that a
+// rare huge State grew is left to the collector.
+const maxPooledState = 64 << 10
 
 // NewServer builds a server; prog may be nil when the client will load a
 // program image with -file-exec-and-symbols.
@@ -122,12 +142,13 @@ func (s *Server) Serve(conn Conn) error {
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		recs := s.Execute(line)
-		for _, r := range recs {
+		token, op, args, err := SplitCommand(line)
+		for _, r := range s.execute(token, op, args, err) {
 			if err := conn.Send(r.Print()); err != nil {
 				return err
 			}
 		}
+		s.printed()
 		if err := conn.Send("(gdb)"); err != nil {
 			return err
 		}
@@ -144,11 +165,17 @@ func isInterruptLine(line string) bool {
 	return err == nil && op == "-exec-interrupt"
 }
 
-// Execute runs one command line and returns the response records (without
-// the prompt).
-func (s *Server) Execute(line string) []Record {
-	token, op, args, err := SplitCommand(line)
-	return s.execute(token, op, args, err)
+// printed gives back the -et-inspect reply the command just printed
+// borrowed. Only a caller that has printed every record of the reply and
+// keeps none calls it.
+func (s *Server) printed() {
+	if r := s.lent; r != nil {
+		s.lent = nil
+		if cap(r.state) <= maxPooledState {
+			r.rec, r.res = [1]Record{}, [2]Result{}
+			inspectReplies.Put(r)
+		}
+	}
 }
 
 // execute runs one command line SplitCommand split; err is its error.
@@ -350,16 +377,17 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		if err := s.need(); err != nil {
 			return nil, err
 		}
-		data, err := s.d.State().MarshalJSON()
-		if err != nil {
-			return nil, err
-		}
+		r := inspectReplies.Get().(*inspectReply)
+		r.state = s.d.State().AppendJSON(r.state[:0])
 		// The codec's bytes cross as they stand, behind a length prefix:
 		// the codec escapes every control byte, so they hold no line end.
-		return []Record{doneRec(token,
-			Result{Var: "state", Val: RawVal(data)},
-			Result{Var: "version", Val: StringVal(strconv.FormatUint(s.d.DataVersion(), 10))},
-		)}, nil
+		r.res = [2]Result{
+			{Var: "state", Val: RawVal(r.state)},
+			{Var: "version", Val: StringVal(strconv.FormatUint(s.d.DataVersion(), 10))},
+		}
+		r.rec[0] = doneRec(token, r.res[:]...)
+		s.lent = r
+		return r.rec[:], nil
 
 	case "-data-watch-version":
 		if err := s.need(); err != nil {

@@ -236,12 +236,20 @@ func TestServerRejectsMalformedCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(prog)
-	recs := srv.Execute("not a command")
+	recs := execLine(srv, "not a command")
 	if len(recs) != 1 || recs[0].Class != "error" {
 		t.Errorf("records = %v", recs)
 	}
-	recs = srv.Execute("-break-insert")
+	recs = execLine(srv, "-break-insert")
 	if recs[len(recs)-1].Class != "error" {
 		t.Errorf("no-arg break-insert: %v", recs)
 	}
+}
+
+// execLine runs one command line on srv as Serve does and returns its
+// records without printing them. An -et-inspect record borrows a pooled
+// reply that only printing gives back, so the records stay valid.
+func execLine(srv *Server, line string) []Record {
+	token, op, args, err := SplitCommand(line)
+	return srv.execute(token, op, args, err)
 }

@@ -75,6 +75,7 @@ func (c *serverConn) Send(line string) error {
 	}
 	c.reply = append(c.reply, "(gdb)")
 	c.mu.Unlock()
+	c.srv.printed()
 	c.ready.Signal()
 	return nil
 }

@@ -27,9 +27,9 @@ type Compiler struct {
 	strPool  map[string]uint64
 	constMem map[uint64]uint64 // 8-byte constant bits -> address
 
-	instrs  []isa.Instr
-	lineTab []isa.LineEntry
-	funcs   []isa.FuncInfo
+	instrs []isa.Instr
+	lines  []isa.LineEntry // one entry per run of one line
+	funcs  []isa.FuncInfo
 
 	// fixups patched once all functions are placed.
 	callFix []nameFixup // JAL imm := entry - pc
@@ -161,7 +161,7 @@ func Compile(file, src string, opts ...Options) (*isa.Program, error) {
 		Entry:      isa.TextBase, // _start is first
 		Funcs:      c.funcs,
 		Structs:    c.structs,
-		Lines:      c.lineTab,
+		Lines:      c.lines,
 	}
 	for _, g := range c.globalOrderles() {
 		prog.Globals = append(prog.Globals, *g)
@@ -410,6 +410,6 @@ func (c *Compiler) emitAt(line int, ins isa.Instr) int {
 		line = 0
 	}
 	c.instrs = append(c.instrs, ins)
-	c.lineTab = append(c.lineTab, isa.LineEntry{PC: isa.IndexToPC(idx), Line: line})
+	c.lines = isa.AppendLine(c.lines, isa.IndexToPC(idx), line)
 	return idx
 }

@@ -193,6 +193,7 @@ func (c *Compiler) genFunc(fd *FuncDecl) error {
 	// a loop at the top of the body cannot re-trigger entry breakpoints.
 	padIdx := fc.emit(isa.Nop())
 	prologueEnd := isa.IndexToPC(padIdx)
+	bodyRun := len(c.lines)
 
 	fc.epilogue = fc.newLabel()
 	if err := fc.genBlock(fd.Body, false); err != nil {
@@ -224,9 +225,11 @@ func (c *Compiler) genFunc(fd *FuncDecl) error {
 	fc.popScope()
 
 	// Attribute the landing pad to the first body line so entry pauses
-	// report where execution is about to continue.
-	if padIdx+1 < len(c.lineTab) && !c.inRuntime {
-		c.lineTab[padIdx].Line = c.lineTab[padIdx+1].Line
+	// report where execution is about to continue: when the body starts a
+	// new run, the run starts at the pad instead. The prologue before the
+	// pad keeps the run it is on.
+	if bodyRun < len(c.lines) && c.lines[bodyRun].PC == isa.IndexToPC(padIdx+1) {
+		c.lines[bodyRun].PC = prologueEnd
 	}
 
 	// Locals with ScopeEnd zero (function scope) stay visible to End.

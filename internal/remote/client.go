@@ -23,6 +23,7 @@ import (
 // while a control command's response is still outstanding.
 type wireConn struct {
 	nc     net.Conn
+	in     frameReader // readLoop's alone
 	wmu    sync.Mutex
 	nextID atomic.Uint64
 
@@ -58,7 +59,7 @@ func (c *wireConn) readLoop() {
 	for {
 		var f *frameBuf
 		var payload []byte
-		f, payload, err = readFrame(c.nc)
+		f, payload, err = c.in.readFrame(c.nc)
 		if err != nil {
 			break
 		}
@@ -67,7 +68,7 @@ func (c *wireConn) readLoop() {
 		// needed client-side — the client's own call span already brackets
 		// the round trip — but the framing must still be consumed.
 		var body, tail []byte
-		_, body, tail, err = splitPayload(payload)
+		_, body, tail, err = cutPayload(payload)
 		resp := &Response{}
 		if err == nil {
 			if err = unmarshalResponse(body, resp); err != nil {
@@ -507,7 +508,11 @@ func (t *Tracker) do(op string, req *Request) (*Response, error) {
 	if conn == nil {
 		return nil, core.WrapErr("remote", op, t.file, t.line, errors.New("remote: tracker is closed"))
 	}
-	sp := t.tracer.Start(core.SpanCallPrefix + req.Op)
+	// With tracing off the span is inert and its name is never built.
+	var sp obs.Span
+	if t.tracer != nil {
+		sp = t.tracer.Start(core.SpanCallPrefix + req.Op)
+	}
 	var tc *TraceContext
 	if ctx := sp.Context(); ctx.Valid() {
 		tc = &TraceContext{TraceID: ctx.TraceID, SpanID: ctx.SpanID}

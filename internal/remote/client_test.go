@@ -460,3 +460,38 @@ func TestClientSubscribeInterrupt(t *testing.T) {
 		t.Fatalf("pause = %v, want INTERRUPTED", r)
 	}
 }
+
+// TestBareStepAllocs bounds the allocations of one bare Step round trip on
+// a loopback session, client and server together: the call's response
+// channel and Request, the Response and Status on each side, the server's
+// spans and the pause reason's copy. Observability turned off on the client
+// builds no span name, the client's reader drops the response's trace
+// context without decoding it, and each side reads length prefixes into
+// its connection.
+func TestBareStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled frame buffers")
+	}
+	_, addr := startServer(t)
+	tr, err := Connect(addr, "minipy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	src := "k = 0\nwhile k >= 0:\n    k = k + 1\n"
+	if err := tr.LoadProgram("loop.py", core.WithSource(src)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 14 {
+		t.Errorf("a bare Step round trip makes %v allocations, want at most 14", allocs)
+	}
+	t.Logf("%v allocations per bare Step round trip", allocs)
+}

@@ -88,7 +88,7 @@ func seedBodies(tb testing.TB) [][]byte {
 			continue
 		}
 		bodies = append(bodies, payload)
-		if _, body, _, err := splitPayload(payload); err == nil {
+		if _, body, _, err := cutPayload(payload); err == nil {
 			bodies = append(bodies, body)
 		}
 	}
@@ -243,7 +243,7 @@ func TestEnvelopeHotPathIsOnePass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, body, _, err := splitPayload(payload)
+		_, body, _, err := cutPayload(payload)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -126,11 +126,11 @@ func TestGoldenFrames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc, body, tail, err := splitPayload(payload)
+			ctx, body, tail, err := cutPayload(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(tc, g.tc) {
+			if tc := traceContext(ctx); !reflect.DeepEqual(tc, g.tc) {
 				t.Fatalf("trace context = %+v, want %+v", tc, g.tc)
 			}
 			var got any

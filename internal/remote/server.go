@@ -401,6 +401,7 @@ type session struct {
 type serverConn struct {
 	srv *Server
 	nc  net.Conn
+	in  frameReader // the handshake's, then the read loop's
 
 	wmu sync.Mutex // serializes response frames (reader + executor both write)
 
@@ -547,7 +548,7 @@ func (c *serverConn) serve() {
 		if !dl.IsZero() {
 			c.nc.SetReadDeadline(dl)
 		}
-		f, payload, err := readFrame(c.nc)
+		f, payload, err := c.in.readFrame(c.nc)
 		if err != nil {
 			var ne net.Error
 			timeout := errors.As(err, &ne) && ne.Timeout()
@@ -632,7 +633,7 @@ func (c *serverConn) serve() {
 // handshake reads the hello frame, runs admission and builds the session.
 func (c *serverConn) handshake() (*session, bool) {
 	c.nc.SetReadDeadline(time.Now().Add(30 * time.Second))
-	f, payload, err := readFrame(c.nc)
+	f, payload, err := c.in.readFrame(c.nc)
 	if err != nil {
 		return nil, false
 	}

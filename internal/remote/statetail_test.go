@@ -46,7 +46,7 @@ func (c *tapConn) responses(t *testing.T) (bodies, tails [][]byte) {
 		if err != nil {
 			t.Fatalf("recorded stream: %v", err)
 		}
-		_, body, tail, err := splitPayload(payload)
+		_, body, tail, err := cutPayload(payload)
 		if err != nil {
 			t.Fatalf("recorded frame: %v", err)
 		}

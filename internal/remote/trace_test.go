@@ -51,10 +51,11 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 			if payload[0] != c.flags {
 				t.Fatalf("flags byte = %#x, want %#x", payload[0], c.flags)
 			}
-			tc, body, tail, err := splitPayload(payload)
+			raw, body, tail, err := cutPayload(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tc := traceContext(raw)
 			size := 1 + len(body) + len(tail) + crcSize
 			if c.flags&flagTraceContext != 0 {
 				if tc == nil || *tc != *ctx {
@@ -249,20 +250,20 @@ func FuzzTraceContextDecode(f *testing.F) {
 	f.Add(append(v1, `{"id":4}`...))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		tc, body, tail, err := splitPayload(payload)
+		tc, body, tail, err := cutPayload(payload)
 		if err != nil {
 			return // rejecting garbage is fine; not panicking is the test
 		}
-		re := appendPayload(nil, tc, body, tail)
+		re := appendPayload(nil, traceContext(tc), body, tail)
 		if !bytes.Equal(re, payload) {
 			t.Fatalf("re-encode drifted: %x -> %x", payload, re)
 		}
-		tc2, body2, tail2, err := splitPayload(re)
+		tc2, body2, tail2, err := cutPayload(re)
 		if err != nil {
 			t.Fatalf("re-parsing accepted payload: %v", err)
 		}
-		if (tc == nil) != (tc2 == nil) || (tc != nil && *tc != *tc2) {
-			t.Fatalf("context drifted: %+v -> %+v", tc, tc2)
+		if (tc == nil) != (tc2 == nil) || !bytes.Equal(tc, tc2) {
+			t.Fatalf("context drifted: %x -> %x", tc, tc2)
 		}
 		if !bytes.Equal(body, body2) || (tail == nil) != (tail2 == nil) || !bytes.Equal(tail, tail2) {
 			t.Fatalf("body or tail drifted")

@@ -69,6 +69,11 @@ func (e *DecodeError) Error() string {
 // Unwrap exposes the cause to errors.Is / errors.As.
 func (e *DecodeError) Unwrap() error { return e.Err }
 
+// frameReader reads the frames of one connection. It holds the length
+// prefix being read: io.ReadFull reads through an interface, so a prefix
+// on the reader's stack would move to the heap at every frame.
+type frameReader struct{ prefix [4]byte }
+
 // readFrame reads one length-prefixed frame payload into a pooled buffer,
 // taken only once the length prefix has arrived, so a reader waiting for
 // the next frame holds none. The length is bounds-checked before the
@@ -76,8 +81,8 @@ func (e *DecodeError) Unwrap() error { return e.Err }
 // returned untouched on a clean end-of-stream boundary; a stream cut
 // mid-frame yields io.ErrUnexpectedEOF. The payload aliases the buffer,
 // which the caller releases.
-func readFrame(r io.Reader) (*frameBuf, []byte, error) {
-	n, err := readPrefix(r)
+func (fr *frameReader) readFrame(r io.Reader) (*frameBuf, []byte, error) {
+	n, err := fr.readPrefix(r)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -94,9 +99,8 @@ func readFrame(r io.Reader) (*frameBuf, []byte, error) {
 }
 
 // readPrefix reads a frame's length prefix and checks it against MaxFrame.
-func readPrefix(r io.Reader) (int, error) {
-	var hdr [4]byte
-	if m, err := io.ReadFull(r, hdr[:]); err != nil {
+func (fr *frameReader) readPrefix(r io.Reader) (int, error) {
+	if m, err := io.ReadFull(r, fr.prefix[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, io.EOF
 		}
@@ -106,7 +110,7 @@ func readPrefix(r io.Reader) (int, error) {
 		}
 		return 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(fr.prefix[:])
 	if n > MaxFrame {
 		return 0, &DecodeError{Offset: 4, Len: int(n), Err: ErrFrameTooLarge}
 	}
@@ -285,18 +289,26 @@ func sealPayload(b []byte, start int) []byte {
 // tail, so a request with one is rejected. The returned body aliases
 // payload.
 func ParsePayload(payload []byte) (*TraceContext, []byte, error) {
-	tc, body, tail, err := splitPayload(payload)
+	ctx, body, tail, err := cutPayload(payload)
 	if err == nil && tail != nil {
 		err = errors.New("remote: request frame carries a State tail")
+	}
+	var tc *TraceContext
+	if ctx != nil {
+		tc = &TraceContext{
+			TraceID: binary.BigEndian.Uint64(ctx[:8]),
+			SpanID:  binary.BigEndian.Uint64(ctx[8:]),
+		}
 	}
 	return tc, body, err
 }
 
-// splitPayload splits one payload into its trace context, JSON body and
-// State tail. tail is non-nil exactly when the payload set flagStateTail;
-// body and tail alias payload. A payload whose checksum does not match
-// fails with a *DecodeError wrapping ErrChecksum.
-func splitPayload(payload []byte) (tc *TraceContext, body, tail []byte, err error) {
+// cutPayload splits one payload into its trace context, JSON body and
+// State tail. tc is the context's 16 bytes, nil when the payload carries
+// none; tail is non-nil exactly when the payload set flagStateTail. All
+// three alias payload. A payload whose checksum does not match fails with
+// a *DecodeError wrapping ErrChecksum.
+func cutPayload(payload []byte) (tc, body, tail []byte, err error) {
 	if len(payload) < 1+crcSize {
 		return nil, nil, nil, fmt.Errorf("remote: short frame payload (%d bytes)", len(payload))
 	}
@@ -316,11 +328,7 @@ func splitPayload(payload []byte) (tc *TraceContext, body, tail []byte, err erro
 		if len(p) < traceCtxSize {
 			return nil, nil, nil, fmt.Errorf("remote: truncated trace context (%d bytes)", len(p))
 		}
-		tc = &TraceContext{
-			TraceID: binary.BigEndian.Uint64(p[:8]),
-			SpanID:  binary.BigEndian.Uint64(p[8:16]),
-		}
-		p = p[traceCtxSize:]
+		tc, p = p[:traceCtxSize], p[traceCtxSize:]
 	}
 	if flags&flagStateTail == 0 {
 		return tc, p, nil, nil

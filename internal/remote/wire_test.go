@@ -128,3 +128,18 @@ func writeFrame(w io.Writer, v any, tc *TraceContext) error {
 	f.release()
 	return err
 }
+
+// readFrame reads one frame as a client or server reads it, through a
+// frameReader of its own.
+func readFrame(r io.Reader) (*frameBuf, []byte, error) {
+	return new(frameReader).readFrame(r)
+}
+
+// traceContext decodes the trace-context bytes cutPayload returns; nil
+// stays nil.
+func traceContext(b []byte) *TraceContext {
+	if b == nil {
+		return nil
+	}
+	return &TraceContext{TraceID: binary.BigEndian.Uint64(b[:8]), SpanID: binary.BigEndian.Uint64(b[8:])}
+}

@@ -119,6 +119,9 @@ type Segment struct {
 // Machine is one executing program instance.
 type Machine struct {
 	prog *isa.Program
+	// text is the text segment's byte image, built at the first access to
+	// a text address: execution reads prog.Instrs, so most machines never
+	// need it.
 	text []byte
 	data []byte
 	heap []byte
@@ -201,7 +204,6 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 		maxHeap:     cfg.MaxHeap,
 		breakpoints: map[uint64]bool{},
 	}
-	m.text = prog.EncodeText()
 	m.data = make([]byte, len(prog.Data))
 	copy(m.data, prog.Data)
 	m.stack = make([]byte, min(stackPage, cfg.StackSize))
@@ -281,7 +283,7 @@ func (m *Machine) Brk() uint64 { return m.brk }
 // Segments describes the mapped memory regions.
 func (m *Machine) Segments() []Segment {
 	return []Segment{
-		{Name: "text", Start: isa.TextBase, Size: uint64(len(m.text))},
+		{Name: "text", Start: isa.TextBase, Size: m.textSize()},
 		{Name: "data", Start: isa.DataBase, Size: uint64(len(m.data))},
 		{Name: "heap", Start: isa.HeapBase, Size: m.brk - isa.HeapBase},
 		{Name: "stack", Start: m.stackBase, Size: isa.StackTop - m.stackBase},
@@ -301,7 +303,10 @@ func (m *Machine) locate(addr, size uint64) ([]byte, uint64, error) {
 	end := addr + size
 	switch {
 	case end < addr: // a range that wraps past 2^64 is mapped nowhere
-	case addr >= isa.TextBase && end <= isa.TextBase+uint64(len(m.text)):
+	case addr >= isa.TextBase && end <= isa.TextBase+m.textSize():
+		if m.text == nil {
+			m.text = m.prog.EncodeText()
+		}
 		return m.text, addr - isa.TextBase, nil
 	case addr >= isa.DataBase && end <= isa.DataBase+uint64(len(m.data)):
 		return m.data, addr - isa.DataBase, nil
@@ -315,6 +320,9 @@ func (m *Machine) locate(addr, size uint64) ([]byte, uint64, error) {
 	}
 	return nil, 0, fmt.Errorf("vm: segmentation fault at %#x (size %d)", addr, size)
 }
+
+// textSize is the text segment's size, whether or not its image is built.
+func (m *Machine) textSize() uint64 { return uint64(len(m.prog.Instrs)) * isa.WordSize }
 
 // commitStack grows the committed stack downward to at least need bytes
 // below StackTop, doubling, capped at the segment. The committed bytes keep

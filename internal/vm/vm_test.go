@@ -617,3 +617,36 @@ func TestTextIsReadableMemory(t *testing.T) {
 		t.Errorf("decoded %v, %v", ins, err)
 	}
 }
+
+func TestTextImageBuiltOnFirstAccess(t *testing.T) {
+	p := exitProg(isa.Instr{Op: isa.ADDI, Rd: isa.S1, Rs1: isa.Zero, Imm: 9})
+	m := mustMachine(t, p, Config{})
+	segs := m.Segments()
+	if stop := m.Run(0); stop.Kind != StopExit {
+		t.Fatalf("stop %v (%v)", stop.Kind, stop.Err)
+	}
+	if m.text != nil {
+		t.Fatal("a run that never read text built the text image")
+	}
+	want := p.EncodeText()
+	if got := m.Segments(); got[0] != segs[0] || segs[0].Size != uint64(len(want)) {
+		t.Errorf("text segment %+v, then %+v; want %d bytes", segs[0], got[0], len(want))
+	}
+	got, err := m.ReadMem(isa.TextBase, uint64(len(want)))
+	if err != nil || string(got) != string(want) {
+		t.Fatalf("text reads %x, %v; want %x", got, err, want)
+	}
+	last := isa.TextBase + uint64(len(want)) - 8
+	if err := m.WriteMem(last, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.ReadU64(last); err != nil || got != 0x0807060504030201 {
+		t.Errorf("text word after a write = %#x, %v", got, err)
+	}
+	if _, err := m.ReadMem(last+8, 1); err == nil {
+		t.Error("a read past the text segment succeeded")
+	}
+	if got := m.Segments(); got[0] != segs[0] {
+		t.Errorf("text segment after access %+v, want %+v", got[0], segs[0])
+	}
+}
