@@ -887,6 +887,39 @@ func BenchmarkSteppingOverheadMiniC(b *testing.B) {
 	}
 }
 
+// BenchmarkTrackFunctionMiniC tracks fib in fib(8) through the full MI
+// pipe and resumes through every CALL and RETURN pause to exit, reading no
+// State: a RETURN pause costs its one -exec-continue, since the return
+// value rides the *stopped record.
+func BenchmarkTrackFunctionMiniC(b *testing.B) {
+	b.ReportAllocs()
+	src := strings.Replace(fibC, "fib(10)", "fib(8)", 1)
+	for i := 0; i < b.N; i++ {
+		tr := gdbtracker.New()
+		if err := tr.LoadProgram("fib.c", core.WithSource(src)); err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.Start(); err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.TrackFunction("fib"); err != nil {
+			b.Fatal(err)
+		}
+		pauses := 0
+		for {
+			if err := tr.Resume(); err != nil {
+				b.Fatal(err)
+			}
+			if _, done := tr.ExitCode(); done {
+				break
+			}
+			pauses++
+		}
+		b.ReportMetric(float64(pauses), "pauses/op")
+		tr.Terminate()
+	}
+}
+
 // BenchmarkMIInspectState measures the cost of one full state transfer
 // across the pipe (serialize in the server, parse in the tracker).
 func BenchmarkMIInspectState(b *testing.B) {

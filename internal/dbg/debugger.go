@@ -166,6 +166,10 @@ type Debugger struct {
 	// expand heap pointers into arrays during inspection.
 	heapMap map[uint64]uint64
 
+	// typeNames holds the C names of the composite types inspections have
+	// read (typeName), each rendered once.
+	typeNames map[*isa.TypeInfo]string
+
 	// StepBudget bounds machine instructions per control command.
 	StepBudget uint64
 }

@@ -53,9 +53,33 @@ func (in *Inspector) locationOf(addr uint64) core.Location {
 	return core.LocNowhere
 }
 
+// typeName returns ty's C name. A composite type's name is rendered once
+// per debugger: the memo keys on the name, so every value an inspection
+// visits, a memo hit too, would render its type again. The cache keys on
+// the TypeInfo but hands out its name, so equal types reached through
+// different TypeInfos still meet in the memo as one Value.
+func (d *Debugger) typeName(ty *isa.TypeInfo) string {
+	if ty == nil {
+		return ty.String()
+	}
+	switch ty.Kind {
+	case isa.KInt, isa.KChar, isa.KDouble, isa.KVoid:
+		return string(ty.Kind)
+	}
+	if name, ok := d.typeNames[ty]; ok {
+		return name
+	}
+	if d.typeNames == nil {
+		d.typeNames = map[*isa.TypeInfo]string{}
+	}
+	name := ty.String()
+	d.typeNames[ty] = name
+	return name
+}
+
 // ValueAt reads a value of the given type at addr.
 func (in *Inspector) ValueAt(addr uint64, ty *isa.TypeInfo) *core.Value {
-	key := memoKey{addr, ty.String()}
+	key := memoKey{addr, in.d.typeName(ty)}
 	if v, ok := in.memo[key]; ok {
 		return v
 	}
@@ -186,7 +210,7 @@ func (in *Inspector) fillPointer(v *core.Value, ptr uint64, elem *isa.TypeInfo) 
 	if size, ok := in.d.heapMap[ptr]; ok && size > esz {
 		n := int(size / esz)
 		v.Kind = core.Ref
-		akey := memoKey{ptr, elem.String() + "[" + strconv.Itoa(n) + "]"}
+		akey := memoKey{ptr, in.d.typeName(elem) + "[" + strconv.Itoa(n) + "]"}
 		if prev, ok := in.memo[akey]; ok {
 			v.Content = prev
 			return

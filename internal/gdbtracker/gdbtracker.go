@@ -426,10 +426,16 @@ func (t *Tracker) classifyStop(resp *mi.Response) error {
 				File: t.file, Line: int(line),
 			}
 		case bkTrackExit:
+			// The exit breakpoints are return events: the stop carries
+			// a0, the raw return value.
+			var ret *core.Value
+			if v, ok := stopped.Results.GetInt("return-value"); ok {
+				ret = core.NewInt(v)
+			}
 			t.reason = core.PauseReason{
 				Type: core.PauseReturn, Function: info.fn,
 				File: t.file, Line: int(line),
-				ReturnValue: t.returnValue(),
+				ReturnValue: ret,
 			}
 		case bkUserFunc:
 			t.reason = core.PauseReason{
@@ -519,15 +525,6 @@ func parseWatchValue(s string) *core.Value {
 		return core.NewFloat(f)
 	}
 	return core.NewString(s)
-}
-
-// returnValue reads a0 at a function-exit pause.
-func (t *Tracker) returnValue() *core.Value {
-	regs, err := t.registerList()
-	if err != nil {
-		return nil
-	}
-	return core.NewInt(int64(regs[isa.A0.String()]))
 }
 
 func (t *Tracker) registerList() (map[string]uint64, error) {

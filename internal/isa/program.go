@@ -114,11 +114,20 @@ func (t *TypeInfo) Equal(o *TypeInfo) bool {
 	return t.Elem.Equal(o.Elem)
 }
 
+// The scalar types are shared: nothing writes a TypeInfo once built, and
+// types compare with Equal, never by pointer.
+var (
+	intType    = &TypeInfo{Kind: KInt}
+	charType   = &TypeInfo{Kind: KChar}
+	doubleType = &TypeInfo{Kind: KDouble}
+	voidType   = &TypeInfo{Kind: KVoid}
+)
+
 // Convenience constructors.
-func IntType() *TypeInfo          { return &TypeInfo{Kind: KInt} }
-func CharType() *TypeInfo         { return &TypeInfo{Kind: KChar} }
-func DoubleType() *TypeInfo       { return &TypeInfo{Kind: KDouble} }
-func VoidType() *TypeInfo         { return &TypeInfo{Kind: KVoid} }
+func IntType() *TypeInfo          { return intType }
+func CharType() *TypeInfo         { return charType }
+func DoubleType() *TypeInfo       { return doubleType }
+func VoidType() *TypeInfo         { return voidType }
 func PtrTo(t *TypeInfo) *TypeInfo { return &TypeInfo{Kind: KPtr, Elem: t} }
 func ArrayOf(t *TypeInfo, n int) *TypeInfo {
 	return &TypeInfo{Kind: KArray, Elem: t, Len: n}

@@ -36,6 +36,9 @@ type Response struct {
 	Asyncs []Record
 	// Console collects ~ stream text.
 	Console string
+	// async holds Asyncs while there is one, as after an execution
+	// command.
+	async [1]Record
 }
 
 // Stopped returns the *stopped async record, if any.
@@ -48,15 +51,29 @@ func (r *Response) Stopped() (Record, bool) {
 	return Record{}, false
 }
 
-// Send issues one MI command (operation plus arguments, already quoted as
-// needed) and reads the full response.
+// Send issues one MI command (operation plus arguments, quoted here as
+// needed) and reads the full response. A command line whose arguments
+// need no quoting, as every execution command's, is built in one
+// allocation; an argument QuoteArg quotes costs its own, and may grow the
+// line. The records are parsed from the lines as received.
 func (c *Client) Send(op string, args ...string) (*Response, error) {
 	c.token++
-	token := strconv.Itoa(c.token)
-	line := token + op
+	var num [20]byte
+	tok := strconv.AppendInt(num[:0], int64(c.token), 10)
+	n := len(tok) + len(op)
 	for _, a := range args {
-		line += " " + QuoteArg(a)
+		n += 1 + len(a)
 	}
+	var b strings.Builder
+	b.Grow(n)
+	b.Write(tok)
+	b.WriteString(op)
+	for _, a := range args {
+		b.WriteByte(' ')
+		b.WriteString(QuoteArg(a))
+	}
+	line := b.String()
+	token := line[:len(tok)]
 	if err := c.conn.Send(line); err != nil {
 		return nil, err
 	}
@@ -88,6 +105,9 @@ func (c *Client) Send(op string, args ...string) (*Response, error) {
 			resp.Result = rec
 			seenResult = true
 		case AsyncRecord, NotifyRecord:
+			if resp.Asyncs == nil {
+				resp.Asyncs = resp.async[:0]
+			}
 			resp.Asyncs = append(resp.Asyncs, rec)
 		case StreamRecord:
 			resp.Console += rec.Stream

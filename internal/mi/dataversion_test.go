@@ -49,7 +49,7 @@ int main() {
 	}
 	stopped, _ := resp.Stopped()
 	if stopped.GetString("reason") != "watchpoint-trigger" {
-		t.Fatalf("stop = %s", stopped.Print())
+		t.Fatalf("stop = %s", refPrint(stopped))
 	}
 	v1 := getVersion(t, cl)
 	if v1 <= v0 {

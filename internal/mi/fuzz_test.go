@@ -6,12 +6,16 @@ import (
 	"testing"
 )
 
-// FuzzParseRecord checks that the MI record parser never panics and that
+// FuzzParseRecord checks that the MI record parser never panics, that it
+// accepts exactly the lines the parser it replaced (refParseRecord)
+// accepts and reads each into the same record, field by field, each tuple
+// and list in a slice of exactly its length, and that
 // parsing is stable under re-printing: for any line the parser accepts,
-// Print produces a line that parses back to the same record (and printing
-// that is a fixed point). C-strings are quoted and unquoted byte by byte, so
-// this holds for bytes that are not UTF-8 too. A raw value parses as a
-// string and prints back as a c-string.
+// the reference printer (refPrint) produces a line that parses back to the
+// same record (and printing that is a fixed point). C-strings are quoted
+// and unquoted byte by byte, so this holds for bytes that are not UTF-8
+// too. A raw value parses as a string and prints back as a c-string.
+// FuzzServerReply holds the server's own lines to the same printer.
 func FuzzParseRecord(f *testing.F) {
 	seeds := []string{
 		"(gdb)",
@@ -43,15 +47,25 @@ func FuzzParseRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		rec, err := ParseRecord(line)
+		ref, refErr := refParseRecord(line)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("%q: ParseRecord error %v, reference parser error %v", line, err, refErr)
+		}
 		if err != nil {
 			return // rejecting is fine; not crashing is the property
 		}
-		p1 := rec.Print()
+		if !reflect.DeepEqual(rec, ref) {
+			t.Fatalf("%q: ParseRecord read %#v, the reference parser %#v", line, rec, ref)
+		}
+		if !exactlySized(rec.Results) {
+			t.Fatalf("%q: a tuple or list has room to spare: %#v", line, rec)
+		}
+		p1 := refPrint(rec)
 		rec2, err := ParseRecord(p1)
 		if err != nil {
 			t.Fatalf("printed record does not re-parse: %q -> %q: %v", line, p1, err)
 		}
-		if p2 := rec2.Print(); p2 != p1 {
+		if p2 := refPrint(rec2); p2 != p1 {
 			t.Fatalf("print not a fixed point: %q -> %q -> %q", line, p1, p2)
 		}
 		if !reflect.DeepEqual(rec, rec2) {
@@ -60,8 +74,35 @@ func FuzzParseRecord(f *testing.F) {
 	})
 }
 
-// FuzzSplitCommand checks the command tokenizer never panics, and that
-// accepted commands survive a quote-and-resplit round trip.
+// exactlySized reports whether every tuple and list in v has the
+// capacity of its length.
+func exactlySized(v Value) bool {
+	switch v := v.(type) {
+	case Tuple:
+		if cap(v) != len(v) {
+			return false
+		}
+		for _, r := range v {
+			if !exactlySized(r.Val) {
+				return false
+			}
+		}
+	case List:
+		if cap(v) != len(v) {
+			return false
+		}
+		for _, e := range v {
+			if !exactlySized(e) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzSplitCommand checks the command tokenizer never panics, that it
+// splits every line as the splitter it replaced (refSplitCommand) does,
+// and that accepted commands survive a quote-and-resplit round trip.
 func FuzzSplitCommand(f *testing.F) {
 	seeds := []string{
 		"-exec-run",
@@ -79,8 +120,19 @@ func FuzzSplitCommand(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		token, op, args, err := SplitCommand(line)
+		rtoken, rop, rargs, rerr := refSplitCommand(line)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("%q: SplitCommand error %v, reference splitter error %v", line, err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		if len(rargs) == 0 {
+			rargs = nil
+		}
+		if token != rtoken || op != rop || !reflect.DeepEqual(args, rargs) {
+			t.Fatalf("%q: SplitCommand split (%q,%q,%q), the reference splitter (%q,%q,%q)",
+				line, token, op, args, rtoken, rop, rargs)
 		}
 		if !strings.HasPrefix(op, "-") {
 			t.Fatalf("accepted op without '-': %q from %q", op, line)

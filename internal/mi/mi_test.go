@@ -35,7 +35,7 @@ func TestPrintParseBasics(t *testing.T) {
 			t.Errorf("ParseRecord(%q): %v", c, err)
 			continue
 		}
-		if got := rec.Print(); got != c {
+		if got := refPrint(rec); got != c {
 			t.Errorf("round trip %q -> %q", c, got)
 		}
 	}
@@ -72,7 +72,16 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// randomRecord generates structured records for the round-trip property.
+// randomResult and randomValue generate structured records for the
+// round-trip property.
+func randomResult(r *rand.Rand, depth int) Result {
+	res := Result{Var: randName(r), Val: randomValue(r, depth)}
+	if s, ok := res.Val.(StringVal); ok {
+		res.Val, res.Str = nil, string(s)
+	}
+	return res
+}
+
 func randomValue(r *rand.Rand, depth int) Value {
 	if depth <= 0 || r.Intn(2) == 0 {
 		return StringVal(randText(r))
@@ -81,7 +90,7 @@ func randomValue(r *rand.Rand, depth int) Value {
 		n := r.Intn(3)
 		t := make(Tuple, n)
 		for i := range t {
-			t[i] = Result{Var: randName(r), Val: randomValue(r, depth-1)}
+			t[i] = randomResult(r, depth-1)
 		}
 		return t
 	}
@@ -120,20 +129,20 @@ func (recGen) Generate(r *rand.Rand, size int) reflect.Value {
 	}
 	n := r.Intn(4)
 	for i := 0; i < n; i++ {
-		rec.Results = append(rec.Results, Result{Var: randName(r), Val: randomValue(r, 3)})
+		rec.Results = append(rec.Results, randomResult(r, 3))
 	}
 	return reflect.ValueOf(recGen{rec})
 }
 
 func TestQuickRecordRoundTrip(t *testing.T) {
 	f := func(g recGen) bool {
-		printed := g.R.Print()
+		printed := refPrint(g.R)
 		back, err := ParseRecord(printed)
 		if err != nil {
 			t.Logf("parse %q: %v", printed, err)
 			return false
 		}
-		return back.Print() == printed
+		return refPrint(back) == printed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
@@ -161,8 +170,9 @@ func TestSplitCommand(t *testing.T) {
 
 func TestTupleAccessors(t *testing.T) {
 	tp := Tuple{
-		{Var: "line", Val: StringVal("42")},
-		{Var: "name", Val: StringVal("main")},
+		{Var: "line", Str: "42"},
+		{Var: "name", Str: "main"},
+		{Var: "frame", Val: Tuple{{Var: "func", Str: "fib"}}},
 	}
 	if tp.GetString("name") != "main" {
 		t.Error("GetString")
@@ -173,8 +183,11 @@ func TestTupleAccessors(t *testing.T) {
 	if _, ok := tp.GetInt("name"); ok {
 		t.Error("GetInt on non-number")
 	}
-	if tp.Get("zzz") != nil {
+	if tp.Get("zzz") != nil || tp.Get("name") != nil {
 		t.Error("Get phantom")
+	}
+	if f, _ := tp.Get("frame").(Tuple); f.GetString("func") != "fib" || tp.GetString("frame") != "" {
+		t.Error("Get tuple")
 	}
 }
 
@@ -240,7 +253,7 @@ func TestBreakContinueInspect(t *testing.T) {
 	}
 	bkpt, _ := resp.Result.Results.Get("bkpt").(Tuple)
 	if bkpt.GetString("number") == "" {
-		t.Fatalf("no bkpt number in %v", resp.Result.Print())
+		t.Fatalf("no bkpt number in %v", refPrint(resp.Result))
 	}
 	resp, err = cl.Send("-exec-continue")
 	if err != nil {
@@ -248,7 +261,7 @@ func TestBreakContinueInspect(t *testing.T) {
 	}
 	stopped, _ := resp.Stopped()
 	if stopped.GetString("reason") != "breakpoint-hit" || stopped.GetString("line") != "3" {
-		t.Errorf("stopped = %s", stopped.Print())
+		t.Errorf("stopped = %s", refPrint(stopped))
 	}
 
 	// Full state over the pipe.
@@ -271,7 +284,7 @@ func TestBreakContinueInspect(t *testing.T) {
 		// fib(5): first `return n` hit at n=1, depth 5 + main = 6?
 		// Let the assertion be structural:
 		if len(stack) < 2 {
-			t.Errorf("stack = %v", resp.Result.Print())
+			t.Errorf("stack = %v", refPrint(resp.Result))
 		}
 	}
 	top, _ := stack[0].(Tuple)
@@ -318,7 +331,7 @@ func TestInferiorOutputAsTargetStream(t *testing.T) {
 	}
 	stopped, _ := resp.Stopped()
 	if stopped.GetString("reason") != "exited" || stopped.GetString("exit-code") != "0" {
-		t.Errorf("stopped = %s", stopped.Print())
+		t.Errorf("stopped = %s", refPrint(stopped))
 	}
 	if out := cl.TakeOutput(); out != "fib=5\n" {
 		t.Errorf("inferior output = %q", out)
@@ -345,7 +358,7 @@ int main() {
 	}
 	stopped, _ := resp.Stopped()
 	if stopped.GetString("reason") != "watchpoint-trigger" {
-		t.Fatalf("stopped = %s", stopped.Print())
+		t.Fatalf("stopped = %s", refPrint(stopped))
 	}
 	val, _ := stopped.Results.Get("value").(Tuple)
 	if val.GetString("old") != "0" || val.GetString("new") != "5" {
@@ -401,7 +414,7 @@ func TestDisassembleAndRawBreakpoint(t *testing.T) {
 		}
 	}
 	if retAddr == "" {
-		t.Fatalf("no ret found in %v", resp.Result.Print())
+		t.Fatalf("no ret found in %v", refPrint(resp.Result))
 	}
 	if _, err := cl.Send("-break-insert", "*"+retAddr); err != nil {
 		t.Fatal(err)
@@ -412,7 +425,7 @@ func TestDisassembleAndRawBreakpoint(t *testing.T) {
 	}
 	stopped, _ := resp.Stopped()
 	if stopped.GetString("reason") != "breakpoint-hit" {
-		t.Errorf("stopped = %s", stopped.Print())
+		t.Errorf("stopped = %s", refPrint(stopped))
 	}
 	// Return value is in a0 = register 10.
 	resp, err = cl.Send("-data-list-register-values", "x")
@@ -457,7 +470,7 @@ func TestHeapTrackingOverMI(t *testing.T) {
 	}
 	blocks, _ := resp.Result.Results.Get("blocks").(List)
 	if len(blocks) != 1 {
-		t.Fatalf("live blocks = %v (want only xs)", resp.Result.Print())
+		t.Fatalf("live blocks = %v (want only xs)", refPrint(resp.Result))
 	}
 	b0, _ := blocks[0].(Tuple)
 	if b0.GetString("size") != "32" {
@@ -485,7 +498,7 @@ func TestRegistersMemorySegmentsSource(t *testing.T) {
 	}
 	segs, _ := resp.Result.Results.Get("segments").(List)
 	if len(segs) != 4 {
-		t.Errorf("segments = %v", resp.Result.Print())
+		t.Errorf("segments = %v", refPrint(resp.Result))
 	}
 	resp, err = cl.Send("-data-read-memory", "4096", "8")
 	if err != nil {
@@ -618,6 +631,6 @@ func TestBreakDelete(t *testing.T) {
 	}
 	stopped, _ := resp.Stopped()
 	if stopped.GetString("reason") != "exited" {
-		t.Errorf("after delete stopped = %s", stopped.Print())
+		t.Errorf("after delete stopped = %s", refPrint(stopped))
 	}
 }

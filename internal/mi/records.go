@@ -32,19 +32,12 @@ const (
 	PromptRecord
 )
 
-// Value is an MI value: a string (c-string on the wire), a raw value, a
-// Tuple, or a List.
+// Value is an MI value a Result's string is not: a Tuple, a List, or a
+// List's c-string item, a StringVal.
 type Value interface{ miValue() }
 
-// StringVal is a c-string value.
+// StringVal is a c-string item of a List.
 type StringVal string
-
-// RawVal is a value written as it stands behind a length prefix,
-// "#<len>:<bytes>", instead of being quoted as a c-string. It carries
-// -et-inspect's State exactly as the codec wrote it. Its bytes must hold no
-// '\n' or '\r', which end an MI line. ParseRecord returns a raw value as a
-// StringVal, so readers get it with GetString either way.
-type RawVal []byte
 
 // Tuple is "{var=value,...}".
 type Tuple []Result
@@ -54,17 +47,20 @@ type Tuple []Result
 type List []Value
 
 func (StringVal) miValue() {}
-func (RawVal) miValue()    {}
 func (Tuple) miValue()     {}
 func (List) miValue()      {}
 
-// Result is one var=value pair.
+// Result is one var=value pair. A string value, c-string or raw, sits in
+// Str, which ParseRecord slices from the line it reads; a tuple or list
+// sits in Val, which is nil for a string.
 type Result struct {
 	Var string
 	Val Value
+	Str string
 }
 
-// Get returns the value of the named field in a tuple, or nil.
+// Get returns the tuple or list held by the named field of a tuple, or
+// nil; GetString reads a string field.
 func (t Tuple) Get(name string) Value {
 	for _, r := range t {
 		if r.Var == name {
@@ -76,8 +72,10 @@ func (t Tuple) Get(name string) Value {
 
 // GetString returns the named field as a string.
 func (t Tuple) GetString(name string) string {
-	if v, ok := t.Get(name).(StringVal); ok {
-		return string(v)
+	for _, r := range t {
+		if r.Var == name {
+			return r.Str
+		}
 	}
 	return ""
 }
@@ -108,90 +106,117 @@ type Record struct {
 // GetString is a convenience accessor on the record's results.
 func (r Record) GetString(name string) string { return r.Results.GetString(name) }
 
-// Print renders the record as one MI line (without trailing newline).
-func (r Record) Print() string {
-	var b strings.Builder
-	// A raw value is most of its line: size the line for it up front, so
-	// its bytes are copied once.
-	for _, res := range r.Results {
-		if raw, ok := res.Val.(RawVal); ok {
-			b.Grow(len(raw) + 64*len(r.Results))
-		}
-	}
-	switch r.Kind {
+// printer appends MI records to one buffer, the server's reply: each
+// value straight from what it stands for, numbers included, with no string
+// made per field.
+type printer struct {
+	b []byte
+	// first marks that the next item opens a tuple or list, so no comma
+	// goes before it.
+	first bool
+}
+
+// begin starts a record line of the given kind.
+func (p *printer) begin(kind RecordKind, token, class string) {
+	switch kind {
 	case ResultRecord:
-		b.WriteString(r.Token)
-		b.WriteString("^")
-		b.WriteString(r.Class)
+		p.b = append(p.b, token...)
+		p.b = append(p.b, '^')
 	case AsyncRecord:
-		b.WriteString("*")
-		b.WriteString(r.Class)
+		p.b = append(p.b, '*')
 	case NotifyRecord:
-		b.WriteString("=")
-		b.WriteString(r.Class)
-	case StreamRecord:
-		b.WriteString("~")
-		writeQuoted(&b, r.Stream)
-		return b.String()
-	case TargetStreamRecord:
-		b.WriteString("@")
-		writeQuoted(&b, r.Stream)
-		return b.String()
-	case PromptRecord:
-		return "(gdb)"
+		p.b = append(p.b, '=')
 	}
-	for _, res := range r.Results {
-		b.WriteString(",")
-		printResult(&b, res)
-	}
-	return b.String()
+	p.b = append(p.b, class...)
+	p.first = false
 }
 
-func printResult(b *strings.Builder, r Result) {
-	b.WriteString(r.Var)
-	b.WriteString("=")
-	printValue(b, r.Val)
+// line ends a record line.
+func (p *printer) line() { p.b = append(p.b, '\n') }
+
+// stream writes a whole stream record line: '~' or '@', then the text as
+// a c-string.
+func (p *printer) stream(c byte, s string) {
+	p.b = append(p.b, c)
+	p.b = appendQuoted(p.b, s)
 }
 
-func printValue(b *strings.Builder, v Value) {
-	switch val := v.(type) {
-	case StringVal:
-		writeQuoted(b, string(val))
-	case RawVal:
-		b.WriteByte('#')
-		b.WriteString(strconv.Itoa(len(val)))
-		b.WriteByte(':')
-		b.Write(val)
-	case Tuple:
-		b.WriteString("{")
-		for i, r := range val {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			printResult(b, r)
-		}
-		b.WriteString("}")
-	case List:
-		b.WriteString("[")
-		for i, e := range val {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			printValue(b, e)
-		}
-		b.WriteString("]")
-	case nil:
-		b.WriteString(`""`)
-	default:
-		writeQuoted(b, fmt.Sprint(val))
+// sep writes the comma before an item, unless it opens a tuple or list.
+func (p *printer) sep() {
+	if p.first {
+		p.first = false
+		return
 	}
+	p.b = append(p.b, ',')
 }
 
-// writeQuoted writes s as a c-string with the escapes MI uses. It works
-// byte by byte and copies each run without escapes in one write, so bytes
+// name writes an item's "name=".
+func (p *printer) name(name string) {
+	p.sep()
+	p.b = append(p.b, name...)
+	p.b = append(p.b, '=')
+}
+
+// str writes name="s".
+func (p *printer) str(name, s string) {
+	p.name(name)
+	p.b = appendQuoted(p.b, s)
+}
+
+// int writes name="v" for a signed v in decimal.
+func (p *printer) int(name string, v int64) {
+	p.name(name)
+	p.b = append(p.b, '"')
+	p.b = strconv.AppendInt(p.b, v, 10)
+	p.b = append(p.b, '"')
+}
+
+// uint writes name="v" for an unsigned v in decimal.
+func (p *printer) uint(name string, v uint64) {
+	p.name(name)
+	p.b = append(p.b, '"')
+	p.b = strconv.AppendUint(p.b, v, 10)
+	p.b = append(p.b, '"')
+}
+
+// hex writes name="0xv", as %#x prints v.
+func (p *printer) hex(name string, v uint64) {
+	p.name(name)
+	p.b = append(p.b, `"0x`...)
+	p.b = strconv.AppendUint(p.b, v, 16)
+	p.b = append(p.b, '"')
+}
+
+// open writes name={ or name=[ (a bare { or [ for a list item, whose name
+// is "").
+func (p *printer) open(name string, c byte) {
+	if name == "" {
+		p.sep()
+	} else {
+		p.name(name)
+	}
+	p.b = append(p.b, c)
+	p.first = true
+}
+
+// close writes the } or ] that ends a tuple or list.
+func (p *printer) close(c byte) {
+	p.b = append(p.b, c)
+	p.first = false
+}
+
+// appendRawPrefix appends a raw value's "#<len>:".
+func appendRawPrefix(b []byte, n int) []byte {
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, ':')
+}
+
+// appendQuoted appends s as a c-string with the escapes MI uses. It works
+// byte by byte and copies each run without escapes in one append, so bytes
 // that are not UTF-8 cross unchanged.
-func writeQuoted(b *strings.Builder, s string) {
-	b.WriteByte('"')
+func appendQuoted(b []byte, s string) []byte {
+	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); i++ {
 		var esc string
@@ -209,15 +234,17 @@ func writeQuoted(b *strings.Builder, s string) {
 		default:
 			continue
 		}
-		b.WriteString(s[start:i])
-		b.WriteString(esc)
+		b = append(b, s[start:i]...)
+		b = append(b, esc...)
 		start = i + 1
 	}
-	b.WriteString(s[start:])
-	b.WriteByte('"')
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
-// ParseRecord parses one MI output line.
+// ParseRecord parses one MI output line. Each tuple and list it reads, the
+// record's results among them, is one slice of exactly its length, and each
+// string value is sliced from line unless it holds an escape.
 func ParseRecord(line string) (Record, error) {
 	line = strings.TrimRight(line, "\r\n")
 	if line == "(gdb)" || line == "(gdb) " {
@@ -236,7 +263,7 @@ func ParseRecord(line string) (Record, error) {
 	if rest == "" {
 		return Record{}, fmt.Errorf("mi: bare token %s", quoteLine(line))
 	}
-	p := &recParser{s: rest, pos: 1}
+	p := recParser{s: rest, pos: 1}
 	switch rest[0] {
 	case '^':
 		rec, err := p.classAndResults()
@@ -301,6 +328,9 @@ func (p *recParser) classAndResults() (Record, error) {
 		p.pos++
 	}
 	rec := Record{Class: p.s[start:p.pos]}
+	if n := p.count(0); n > 0 {
+		rec.Results = make(Tuple, 0, n)
+	}
 	for p.peek() == ',' {
 		p.pos++
 		res, err := p.result()
@@ -315,6 +345,54 @@ func (p *recParser) classAndResults() (Record, error) {
 	return rec, nil
 }
 
+// count returns how many items the tuple or list whose first item is at
+// p.pos holds, or, with close 0, how many ",result" items follow the class
+// of a record: the commas at this level, skipping over c-strings, raw
+// values and nested tuples and lists. It is exact on a well-formed record;
+// on any other it only sizes a slice the parse then fails to fill.
+func (p *recParser) count(close byte) int {
+	s := p.s
+	n, depth := 0, 0
+	if close != 0 {
+		if p.peek() == close {
+			return 0
+		}
+		n = 1
+	}
+	for i := p.pos; i < len(s); i++ {
+		switch s[i] {
+		case '"':
+			for i++; i < len(s) && s[i] != '"'; i++ {
+				if s[i] == '\\' {
+					i++
+				}
+			}
+		case '#':
+			j := i + 1
+			for j < len(s) && '0' <= s[j] && s[j] <= '9' {
+				j++
+			}
+			l, err := strconv.Atoi(s[i+1 : j])
+			if err != nil || j == len(s) || s[j] != ':' || l > len(s)-j-1 {
+				return n
+			}
+			i = j + l
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return n
+			}
+			depth--
+		case ',':
+			if depth == 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func (p *recParser) result() (Result, error) {
 	start := p.pos
 	for p.pos < len(p.s) && isNameByte(p.s[p.pos]) {
@@ -326,10 +404,18 @@ func (p *recParser) result() (Result, error) {
 	if p.peek() != '=' {
 		return Result{}, p.errf("missing '='")
 	}
-	name := p.s[start:p.pos]
+	r := Result{Var: p.s[start:p.pos]}
 	p.pos++ // =
-	v, err := p.value()
-	return Result{Var: name, Val: v}, err
+	var err error
+	switch p.peek() {
+	case '"':
+		r.Str, err = p.cstring()
+	case '#':
+		r.Str, err = p.raw()
+	default:
+		r.Val, err = p.value()
+	}
+	return r, err
 }
 
 // isNameByte reports whether c belongs to MI's variable grammar, the
@@ -348,11 +434,11 @@ func (p *recParser) value() (Value, error) {
 		return StringVal(s), err
 	case '{':
 		p.pos++
-		var t Tuple
 		if p.peek() == '}' {
 			p.pos++
-			return t, nil
+			return Tuple(nil), nil
 		}
+		t := make(Tuple, 0, p.count('}'))
 		for {
 			r, err := p.result()
 			if err != nil {
@@ -372,11 +458,11 @@ func (p *recParser) value() (Value, error) {
 		return t, nil
 	case '[':
 		p.pos++
-		var l List
 		if p.peek() == ']' {
 			p.pos++
-			return l, nil
+			return List(nil), nil
 		}
+		l := make(List, 0, p.count(']'))
 		for {
 			// List items may be values or var=value results.
 			if c := p.peek(); c == '"' || c == '#' || c == '{' || c == '[' {
@@ -447,7 +533,7 @@ func (p *recParser) cstring() (string, error) {
 }
 
 // unescape returns the byte a c-string's backslash escape stands for, the
-// inverse of writeQuoted.
+// inverse of appendQuoted.
 func unescape(e byte) (byte, bool) {
 	switch e {
 	case 'n':
@@ -491,7 +577,9 @@ func (p *recParser) raw() (string, error) {
 const cmdSpace = " \t\r\n"
 
 // SplitCommand tokenizes an MI input command line into (token, operation,
-// args); quoted arguments may contain spaces.
+// args); quoted arguments may contain spaces. Each field is sliced from
+// line unless it holds an escape or mixes quoted and bare text, and args
+// is one slice of exactly its length, nil for a command without one.
 func SplitCommand(line string) (token, op string, args []string, err error) {
 	line = strings.Trim(line, cmdSpace)
 	i := 0
@@ -503,54 +591,97 @@ func SplitCommand(line string) (token, op string, args []string, err error) {
 	if rest == "" || rest[0] != '-' {
 		return "", "", nil, fmt.Errorf("mi: command must start with '-': %q", line)
 	}
-	fields, err := splitQuoted(rest)
-	if err != nil {
-		return "", "", nil, err
+	n := 0 // fields, the operation's included
+	for i := skipBlanks(rest, 0); i < len(rest); i = skipBlanks(rest, i) {
+		if _, i, _, err = scanField(rest, i); err != nil {
+			return "", "", nil, err
+		}
+		n++
 	}
-	return token, fields[0], fields[1:], nil
-}
-
-func splitQuoted(s string) ([]string, error) {
-	var out []string
-	var cur strings.Builder
-	inQ := false
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+	if n > 1 {
+		args = make([]string, 0, n-1)
+	}
+	for i, k := 0, 0; k < n; k++ {
+		f, end, plain, _ := scanField(rest, skipBlanks(rest, i))
+		i = end
+		if k == 0 {
+			op = fieldValue(f, plain)
+		} else {
+			args = append(args, fieldValue(f, plain))
 		}
 	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
+	return token, op, args, nil
+}
+
+// skipBlanks returns the index of the first byte at or after s[i:] that
+// does not separate fields.
+func skipBlanks(s string, i int) int {
+	for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+		i++
+	}
+	return i
+}
+
+// scanField finds the end of the field that starts at s[i], a byte that
+// is not blank, and returns the field as written. A quote opens a quoted
+// run, in which blanks are kept and backslash escapes are read, and the
+// quote that closes it ends the field. plain reports a field with neither
+// escapes nor quotes but a pair around the whole field.
+func scanField(s string, i int) (f string, end int, plain bool, err error) {
+	start := i
+	inQ := false
+	plain = true
+	for ; i < len(s); i++ {
+		switch c := s[i]; {
 		case inQ && c == '\\' && i+1 < len(s):
+			plain = false
 			i++
-			if e, ok := unescape(s[i]); ok {
-				cur.WriteByte(e)
-			} else {
-				cur.WriteByte('\\')
-				cur.WriteByte(s[i])
-			}
+		case c == '"' && !inQ:
+			inQ = true
+			plain = plain && i == start
 		case c == '"':
-			inQ = !inQ
-			if !inQ {
-				out = append(out, cur.String())
-				cur.Reset()
-			}
+			return s[start : i+1], i + 1, plain, nil
 		case !inQ && (c == ' ' || c == '\t'):
-			flush()
-		default:
-			cur.WriteByte(c)
+			return s[start:i], i, plain, nil
 		}
 	}
 	if inQ {
-		return nil, fmt.Errorf("mi: unterminated quote in %q", s)
+		return "", i, false, fmt.Errorf("mi: unterminated quote in %q", s)
 	}
-	flush()
-	if len(out) == 0 {
-		return nil, fmt.Errorf("mi: empty command")
+	return s[start:], i, plain, nil
+}
+
+// fieldValue returns the value of a field scanField found: a plain field
+// sliced, without its quotes, and any other built with its quotes dropped
+// and the escapes of its quoted runs decoded (an unknown escape stays as
+// written).
+func fieldValue(f string, plain bool) string {
+	if plain {
+		if f != "" && f[0] == '"' {
+			return f[1 : len(f)-1]
+		}
+		return f
 	}
-	return out, nil
+	var b strings.Builder
+	b.Grow(len(f))
+	inQ := false
+	for i := 0; i < len(f); i++ {
+		switch c := f[i]; {
+		case inQ && c == '\\' && i+1 < len(f):
+			i++
+			if e, ok := unescape(f[i]); ok {
+				b.WriteByte(e)
+			} else {
+				b.WriteByte('\\')
+				b.WriteByte(f[i])
+			}
+		case c == '"':
+			inQ = !inQ
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
 }
 
 // QuoteArg quotes an argument for an MI command line if needed.
@@ -558,7 +689,5 @@ func QuoteArg(s string) string {
 	if s != "" && !strings.ContainsAny(s, cmdSpace+`"\`) {
 		return s
 	}
-	var b strings.Builder
-	writeQuoted(&b, s)
-	return b.String()
+	return string(appendQuoted(make([]byte, 0, len(s)+2), s))
 }

@@ -16,9 +16,9 @@ func TestRawValue(t *testing.T) {
 		{Var: "state", Val: RawVal(`{"a":"x,y}]"}`)},
 		{Var: "l", Val: List{RawVal(""), StringVal("s"), Tuple{{Var: "r", Val: RawVal(`"`)}}}},
 	}}
-	line := rec.Print()
+	line := refPrint(rec)
 	if want := `4^done,state=#13:{"a":"x,y}]"},l=[#0:,"s",{r=#1:"}]`; line != want {
-		t.Fatalf("Print = %s, want %s", line, want)
+		t.Fatalf("refPrint = %s, want %s", line, want)
 	}
 	back, err := ParseRecord(line)
 	if err != nil {
@@ -56,14 +56,14 @@ func TestRawValue(t *testing.T) {
 // written as it always was.
 func TestCStringKeepsBytes(t *testing.T) {
 	for _, s := range []string{"\xffA\n", "\xc3\x28 \"q\" \\ \t\r", "é ok", ""} {
-		line := Record{Kind: TargetStreamRecord, Stream: s}.Print()
+		line := refPrint(Record{Kind: TargetStreamRecord, Stream: s})
 		back, err := ParseRecord(line)
 		if err != nil || back.Stream != s {
 			t.Errorf("%q printed as %q, parsed back as %q (%v)", s, line, back.Stream, err)
 		}
 	}
-	if got, want := (Record{Kind: StreamRecord, Stream: "é \"x\"\n"}).Print(), `~"é \"x\"\n"`; got != want {
-		t.Errorf("Print = %s, want %s", got, want)
+	if got, want := refPrint(Record{Kind: StreamRecord, Stream: "é \"x\"\n"}), `~"é \"x\"\n"`; got != want {
+		t.Errorf("refPrint = %s, want %s", got, want)
 	}
 	if got, want := QuoteArg("\xff a"), "\"\xff a\""; got != want {
 		t.Errorf("QuoteArg = %q, want %q", got, want)
@@ -93,12 +93,12 @@ func cutInspectReplies(t *testing.T) []string {
 	}
 	srv := NewServer(prog)
 	for _, cmd := range []string{"-exec-run", "-break-insert 3", "-exec-continue"} {
-		if recs := execLine(srv, cmd); recs[len(recs)-1].Class == "error" {
-			t.Fatalf("%s: %s", cmd, recs[len(recs)-1].Print())
+		if recs := execLine(t, srv, cmd); recs[len(recs)-1].Class == "error" {
+			t.Fatalf("%s: %s", cmd, refPrint(recs[len(recs)-1]))
 		}
 	}
-	recs := execLine(srv, "7-et-inspect")
-	line := recs[len(recs)-1].Print()
+	recs := execLine(t, srv, "7-et-inspect")
+	line := refPrint(recs[len(recs)-1])
 	rec, err := ParseRecord(line)
 	state := rec.GetString("state")
 	if err != nil || !strings.Contains(state, `"fib"`) {

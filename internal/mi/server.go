@@ -33,6 +33,9 @@ type Server struct {
 	// watchTypes remembers the declared type of named watchpoints so
 	// stop records can render old/new values.
 	watchTypes map[int]*isa.TypeInfo
+	// returns holds the breakpoints armed as return events (--event
+	// return or --exit), whose stops carry the return value.
+	returns map[int]bool
 
 	// Heap interposition state (the paper's silent watchpoints).
 	trackHeap bool
@@ -52,25 +55,18 @@ type Server struct {
 	pendIntr atomic.Bool
 	budget   uint64
 
-	// lent is the pooled -et-inspect reply the command being run borrows,
-	// until printed gives it back.
-	lent *inspectReply
+	// out is the reply of the command being run, which its records are
+	// appended to as it runs.
+	out printer
 }
 
-// inspectReply is an -et-inspect reply: the State's bytes and the record
-// that carries them. Replies are pooled, so a State is written once, into
-// the buffer its line is printed from, and its record allocates nothing.
-type inspectReply struct {
-	state []byte
-	rec   [1]Record
-	res   [2]Result
-}
+// replyBufs holds the buffers replies are printed into between commands,
+// so a server between commands keeps none.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-var inspectReplies = sync.Pool{New: func() any { return new(inspectReply) }}
-
-// maxPooledState bounds the State buffers inspectReplies keeps: one that a
-// rare huge State grew is left to the collector.
-const maxPooledState = 64 << 10
+// maxPooledReply bounds the reply buffers replyBufs keeps: one that a rare
+// huge State grew is left to the collector.
+const maxPooledReply = 64 << 10
 
 // NewServer builds a server; prog may be nil when the client will load a
 // program image with -file-exec-and-symbols.
@@ -142,15 +138,12 @@ func (s *Server) Serve(conn Conn) error {
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		token, op, args, err := SplitCommand(line)
-		for _, r := range s.execute(token, op, args, err) {
-			if err := conn.Send(r.Print()); err != nil {
+		for rep := s.run(SplitCommand(line)); rep != ""; {
+			var l string
+			l, rep, _ = strings.Cut(rep, "\n")
+			if err := conn.Send(l); err != nil {
 				return err
 			}
-		}
-		s.printed()
-		if err := conn.Send("(gdb)"); err != nil {
-			return err
 		}
 		if s.closed {
 			return nil
@@ -165,48 +158,59 @@ func isInterruptLine(line string) bool {
 	return err == nil && op == "-exec-interrupt"
 }
 
-// printed gives back the -et-inspect reply the command just printed
-// borrowed. Only a caller that has printed every record of the reply and
-// keeps none calls it.
-func (s *Server) printed() {
-	if r := s.lent; r != nil {
-		s.lent = nil
-		if cap(r.state) <= maxPooledState {
-			r.rec, r.res = [1]Record{}, [2]Result{}
-			inspectReplies.Put(r)
-		}
-	}
-}
-
-// execute runs one command line SplitCommand split; err is its error.
-func (s *Server) execute(token, op string, args []string, err error) []Record {
+// run runs one command line SplitCommand split (err is its error) and
+// returns its reply, the lines Connect and Serve carry back: its records,
+// each ended by a newline, then the "(gdb)" prompt's line. The records are
+// printed into one pooled buffer, which the reply is copied out of once.
+func (s *Server) run(token, op string, args []string, err error) string {
+	buf := replyBufs.Get().(*[]byte)
+	s.out = printer{b: (*buf)[:0]}
 	if err != nil {
-		return []Record{errRec("", err)}
+		s.errRec("", err)
+	} else if err := s.dispatch(token, op, args); err != nil {
+		// What the command printed before it failed is dropped; the
+		// inferior output it produced is not.
+		s.out.b = s.out.b[:0]
+		s.drainOutput()
+		s.errRec(token, err)
 	}
-	recs, err := s.dispatch(token, op, args)
-	if err != nil {
-		recs = append(s.drainOutput(), errRec(token, err))
+	s.out.b = append(s.out.b, "(gdb)\n"...)
+	reply := string(s.out.b)
+	if cap(s.out.b) <= maxPooledReply {
+		*buf = s.out.b[:0]
+		replyBufs.Put(buf)
 	}
-	return recs
+	s.out = printer{}
+	return reply
 }
 
-func errRec(token string, err error) Record {
-	return Record{Kind: ResultRecord, Token: token, Class: "error",
-		Results: Tuple{{Var: "msg", Val: StringVal(err.Error())}}}
+// errRec prints an ^error record.
+func (s *Server) errRec(token string, err error) {
+	s.out.begin(ResultRecord, token, "error")
+	s.out.str("msg", err.Error())
+	s.out.line()
 }
 
-func doneRec(token string, results ...Result) Record {
-	return Record{Kind: ResultRecord, Token: token, Class: "done", Results: results}
+// done begins a ^done record; the caller prints its results and ends its
+// line.
+func (s *Server) done(token string) {
+	s.out.begin(ResultRecord, token, "done")
 }
 
-// drainOutput converts buffered inferior output into target stream records.
-func (s *Server) drainOutput() []Record {
+// doneLine prints a ^done record without results.
+func (s *Server) doneLine(token string) {
+	s.done(token)
+	s.out.line()
+}
+
+// drainOutput prints buffered inferior output as a target stream record.
+func (s *Server) drainOutput() {
 	if s.stdout.Len() == 0 {
-		return nil
+		return
 	}
-	out := s.stdout.String()
+	s.out.stream('@', string(s.stdout.Bytes()))
+	s.out.line()
 	s.stdout.Reset()
-	return []Record{{Kind: TargetStreamRecord, Stream: out}}
 }
 
 func (s *Server) need() error {
@@ -216,41 +220,49 @@ func (s *Server) need() error {
 	return nil
 }
 
-func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
+// dispatch runs one command, printing its records into s.out. On an error
+// run drops whatever it printed.
+func (s *Server) dispatch(token, op string, args []string) error {
+	p := &s.out
 	switch op {
 	case "-gdb-exit":
 		s.closed = true
-		return []Record{{Kind: ResultRecord, Token: token, Class: "exit"}}, nil
+		p.begin(ResultRecord, token, "exit")
+		p.line()
+		return nil
 
 	case "-file-exec-and-symbols":
 		if len(args) != 1 {
-			return nil, fmt.Errorf("usage: -file-exec-and-symbols PATH")
+			return fmt.Errorf("usage: -file-exec-and-symbols PATH")
 		}
 		data, err := os.ReadFile(args[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var prog isa.Program
 		if err := json.Unmarshal(data, &prog); err != nil {
-			return nil, fmt.Errorf("bad program image: %v", err)
+			return fmt.Errorf("bad program image: %v", err)
 		}
 		s.prog = &prog
-		return []Record{doneRec(token)}, nil
+		s.doneLine(token)
+		return nil
 
 	case "-et-track-heap":
 		s.trackHeap = true
-		return []Record{doneRec(token)}, nil
+		s.doneLine(token)
+		return nil
 
 	case "-exec-run":
 		if s.prog == nil {
-			return nil, fmt.Errorf("no program loaded")
+			return fmt.Errorf("no program loaded")
 		}
 		d, err := dbg.New(s.prog, vm.Config{Stdout: &s.stdout, Stderr: &s.stdout, Stdin: s.stdin})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.d = d
 		s.heapMap = map[uint64]uint64{}
+		clear(s.returns)
 		d.SetHeapMap(s.heapMap)
 		if s.budget > 0 {
 			d.Machine().SetStepLimit(s.budget)
@@ -259,20 +271,22 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		s.deliverPending()
 		if s.trackHeap {
 			if err := s.armHeapInterposition(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		stop, err := d.Start()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return s.stopRecords(token, stop), nil
+		s.stopRecords(token, stop)
+		return nil
 
 	case "-exec-interrupt":
-		// Normally intercepted out of band by Serve's reader goroutine or
-		// Connect's Send; this path serves direct Execute callers.
+		// Normally intercepted out of band, with no reply, by Serve's
+		// reader goroutine or Connect's Send.
 		s.Interrupt()
-		return []Record{doneRec(token)}, nil
+		s.doneLine(token)
+		return nil
 
 	case "-et-budget":
 		// Arm an instruction budget for the inferior: the machine pauses
@@ -281,117 +295,107 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 		// before the run — or replayed by session recovery — sticks) and
 		// immediately when the inferior is already live.
 		if len(args) != 1 {
-			return nil, fmt.Errorf("-et-budget wants one argument")
+			return fmt.Errorf("-et-budget wants one argument")
 		}
 		n, err := strconv.ParseUint(args[0], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad budget %q", args[0])
+			return fmt.Errorf("bad budget %q", args[0])
 		}
 		s.budget = n
 		if s.d != nil {
 			s.d.Machine().SetStepLimit(n)
 		}
-		return []Record{doneRec(token)}, nil
+		s.doneLine(token)
+		return nil
 
-	case "-exec-continue":
+	case "-exec-continue", "-exec-step", "-exec-next", "-exec-finish":
 		if err := s.need(); err != nil {
-			return nil, err
+			return err
 		}
 		s.deliverPending()
-		stop, err := s.d.Continue(s.onInternal)
+		var stop dbg.Stop
+		var err error
+		switch op {
+		case "-exec-continue":
+			stop, err = s.d.Continue(s.onInternal)
+		case "-exec-step":
+			stop, err = s.d.StepLine(s.onInternal)
+		case "-exec-next":
+			stop, err = s.d.NextLine(s.onInternal)
+		default:
+			stop, err = s.d.Finish(s.onInternal)
+		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return s.stopRecords(token, stop), nil
-
-	case "-exec-step":
-		if err := s.need(); err != nil {
-			return nil, err
-		}
-		s.deliverPending()
-		stop, err := s.d.StepLine(s.onInternal)
-		if err != nil {
-			return nil, err
-		}
-		return s.stopRecords(token, stop), nil
-
-	case "-exec-next":
-		if err := s.need(); err != nil {
-			return nil, err
-		}
-		s.deliverPending()
-		stop, err := s.d.NextLine(s.onInternal)
-		if err != nil {
-			return nil, err
-		}
-		return s.stopRecords(token, stop), nil
-
-	case "-exec-finish":
-		if err := s.need(); err != nil {
-			return nil, err
-		}
-		s.deliverPending()
-		stop, err := s.d.Finish(s.onInternal)
-		if err != nil {
-			return nil, err
-		}
-		return s.stopRecords(token, stop), nil
+		s.stopRecords(token, stop)
+		return nil
 
 	case "-break-insert":
 		return s.breakInsert(token, args)
 
 	case "-break-delete":
 		if err := s.need(); err != nil {
-			return nil, err
+			return err
 		}
 		for _, a := range args {
 			id, err := strconv.Atoi(a)
 			if err != nil {
-				return nil, fmt.Errorf("bad breakpoint id %q", a)
+				return fmt.Errorf("bad breakpoint id %q", a)
 			}
 			s.d.RemoveBreakpoint(id)
 			s.d.RemoveWatch(id)
+			delete(s.returns, id)
 		}
-		return []Record{doneRec(token)}, nil
+		s.doneLine(token)
+		return nil
 
 	case "-break-watch":
 		return s.breakWatch(token, args)
 
 	case "-stack-list-frames":
 		if err := s.need(); err != nil {
-			return nil, err
+			return err
 		}
-		var frames List
+		s.done(token)
+		p.open("stack", '[')
 		for i, fr := range s.d.Unwind() {
-			frames = append(frames, Tuple{
-				{Var: "level", Val: StringVal(strconv.Itoa(i))},
-				{Var: "func", Val: StringVal(fr.Fn.Name)},
-				{Var: "line", Val: StringVal(strconv.Itoa(s.prog.LineAt(fr.PC)))},
-				{Var: "addr", Val: StringVal(fmt.Sprintf("%#x", fr.PC))},
-				{Var: "fp", Val: StringVal(fmt.Sprintf("%#x", fr.FP))},
-			})
+			p.open("", '{')
+			p.int("level", int64(i))
+			p.str("func", fr.Fn.Name)
+			p.int("line", int64(s.prog.LineAt(fr.PC)))
+			p.hex("addr", fr.PC)
+			p.hex("fp", fr.FP)
+			p.close('}')
 		}
-		return []Record{doneRec(token, Result{Var: "stack", Val: frames})}, nil
+		p.close(']')
+		p.line()
+		return nil
 
 	case "-et-inspect":
 		if err := s.need(); err != nil {
-			return nil, err
+			return err
 		}
-		r := inspectReplies.Get().(*inspectReply)
-		r.state = s.d.State().AppendJSON(r.state[:0])
 		// The codec's bytes cross as they stand, behind a length prefix:
 		// the codec escapes every control byte, so they hold no line end.
-		r.res = [2]Result{
-			{Var: "state", Val: RawVal(r.state)},
-			{Var: "version", Val: StringVal(strconv.FormatUint(s.d.DataVersion(), 10))},
-		}
-		r.rec[0] = doneRec(token, r.res[:]...)
-		s.lent = r
-		return r.rec[:], nil
+		// They are appended in place, and the prefix put before them.
+		s.done(token)
+		p.name("state")
+		at := len(p.b)
+		p.b = s.d.State().AppendJSON(p.b)
+		n := len(p.b) - at
+		var pre [24]byte
+		prefix := appendRawPrefix(pre[:0], n)
+		p.b = append(p.b, prefix...)
+		copy(p.b[at+len(prefix):], p.b[at:at+n])
+		copy(p.b[at:], prefix)
+		p.uint("version", s.d.DataVersion())
+		p.line()
+		return nil
 
 	case "-data-watch-version":
 		if err := s.need(); err != nil {
-			return nil, err
+			return err
 		}
 		wv := s.d.WatchVersions()
 		ids := make([]int, 0, len(wv))
@@ -399,139 +403,168 @@ func (s *Server) dispatch(token, op string, args []string) ([]Record, error) {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
-		var watches List
+		s.done(token)
+		p.uint("version", s.d.DataVersion())
+		p.open("watch-versions", '[')
 		for _, id := range ids {
-			watches = append(watches, Tuple{
-				{Var: "number", Val: StringVal(strconv.Itoa(id))},
-				{Var: "version", Val: StringVal(strconv.FormatUint(wv[id], 10))},
-			})
+			p.open("", '{')
+			p.int("number", int64(id))
+			p.uint("version", wv[id])
+			p.close('}')
 		}
-		return []Record{doneRec(token,
-			Result{Var: "version", Val: StringVal(strconv.FormatUint(s.d.DataVersion(), 10))},
-			Result{Var: "watch-versions", Val: watches},
-			Result{Var: "addr", Val: StringVal(hexAddr(s.d.Machine().PC()))},
-		)}, nil
+		p.close(']')
+		p.hex("addr", s.d.Machine().PC())
+		p.line()
+		return nil
 
 	case "-et-heap-blocks":
-		var blocks List
+		s.done(token)
+		p.open("blocks", '[')
 		for addr, size := range s.heapMap {
-			blocks = append(blocks, Tuple{
-				{Var: "addr", Val: StringVal(strconv.FormatUint(addr, 10))},
-				{Var: "size", Val: StringVal(strconv.FormatUint(size, 10))},
-			})
+			p.open("", '{')
+			p.uint("addr", addr)
+			p.uint("size", size)
+			p.close('}')
 		}
-		return []Record{doneRec(token, Result{Var: "blocks", Val: blocks})}, nil
+		p.close(']')
+		p.line()
+		return nil
 
 	case "-data-list-register-values":
 		if err := s.need(); err != nil {
-			return nil, err
+			return err
 		}
-		names := isa.RegNames()
 		regs := s.d.Machine().Registers()
-		var vals List
-		for i, n := range names {
-			vals = append(vals, Tuple{
-				{Var: "number", Val: StringVal(strconv.Itoa(i))},
-				{Var: "name", Val: StringVal(n)},
-				{Var: "value", Val: StringVal(strconv.FormatUint(regs[i], 10))},
-			})
+		s.done(token)
+		p.open("register-values", '[')
+		for i, n := range isa.RegNames() {
+			p.open("", '{')
+			p.int("number", int64(i))
+			p.str("name", n)
+			p.uint("value", regs[i])
+			p.close('}')
 		}
-		vals = append(vals, Tuple{
-			{Var: "number", Val: StringVal("32")},
-			{Var: "name", Val: StringVal("pc")},
-			{Var: "value", Val: StringVal(strconv.FormatUint(s.d.Machine().PC(), 10))},
-		})
-		return []Record{doneRec(token, Result{Var: "register-values", Val: vals})}, nil
+		p.open("", '{')
+		p.int("number", 32)
+		p.str("name", "pc")
+		p.uint("value", s.d.Machine().PC())
+		p.close('}')
+		p.close(']')
+		p.line()
+		return nil
 
 	case "-data-read-memory":
 		if err := s.need(); err != nil {
-			return nil, err
+			return err
 		}
 		if len(args) != 2 {
-			return nil, fmt.Errorf("usage: -data-read-memory ADDR SIZE")
+			return fmt.Errorf("usage: -data-read-memory ADDR SIZE")
 		}
 		addr, err := strconv.ParseUint(args[0], 0, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad address %q", args[0])
+			return fmt.Errorf("bad address %q", args[0])
 		}
 		size, err := strconv.ParseUint(args[1], 0, 64)
 		if err != nil || size > 1<<20 {
-			return nil, fmt.Errorf("bad size %q", args[1])
+			return fmt.Errorf("bad size %q", args[1])
 		}
 		mem, err := s.d.Machine().ReadMem(addr, size)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []Record{doneRec(token, Result{Var: "memory", Val: StringVal(hex.EncodeToString(mem))})}, nil
+		s.done(token)
+		p.name("memory")
+		p.b = append(p.b, '"')
+		p.b = hex.AppendEncode(p.b, mem)
+		p.b = append(p.b, '"')
+		p.line()
+		return nil
 
 	case "-data-disassemble":
 		if err := s.need(); err != nil {
-			return nil, err
+			return err
 		}
 		if len(args) != 1 {
-			return nil, fmt.Errorf("usage: -data-disassemble FUNC")
+			return fmt.Errorf("usage: -data-disassemble FUNC")
 		}
 		fn := s.prog.FuncByName(args[0])
 		if fn == nil {
-			return nil, fmt.Errorf("no function %q", args[0])
+			return fmt.Errorf("no function %q", args[0])
 		}
-		var insns List
+		s.done(token)
+		p.open("asm_insns", '[')
 		for _, dl := range s.prog.Disassemble(fn.Entry, fn.End) {
-			insns = append(insns, Tuple{
-				{Var: "address", Val: StringVal(fmt.Sprintf("%#x", dl.PC))},
-				{Var: "inst", Val: StringVal(dl.Text)},
-			})
+			p.open("", '{')
+			p.hex("address", dl.PC)
+			p.str("inst", dl.Text)
+			p.close('}')
 		}
-		return []Record{doneRec(token, Result{Var: "asm_insns", Val: insns})}, nil
+		p.close(']')
+		p.line()
+		return nil
 
 	case "-et-segments":
 		if err := s.need(); err != nil {
-			return nil, err
+			return err
 		}
-		var segs List
+		s.done(token)
+		p.open("segments", '[')
 		for _, sg := range s.d.Machine().Segments() {
-			segs = append(segs, Tuple{
-				{Var: "name", Val: StringVal(sg.Name)},
-				{Var: "start", Val: StringVal(strconv.FormatUint(sg.Start, 10))},
-				{Var: "size", Val: StringVal(strconv.FormatUint(sg.Size, 10))},
-			})
+			p.open("", '{')
+			p.str("name", sg.Name)
+			p.uint("start", sg.Start)
+			p.uint("size", sg.Size)
+			p.close('}')
 		}
-		return []Record{doneRec(token, Result{Var: "segments", Val: segs})}, nil
+		p.close(']')
+		p.line()
+		return nil
 
 	case "-et-source":
 		if s.prog == nil {
-			return nil, fmt.Errorf("no program loaded")
+			return fmt.Errorf("no program loaded")
 		}
-		return []Record{doneRec(token,
-			Result{Var: "file", Val: StringVal(s.prog.SourceFile)},
-			Result{Var: "source", Val: StringVal(s.prog.Source)},
-		)}, nil
+		s.done(token)
+		p.str("file", s.prog.SourceFile)
+		p.str("source", s.prog.Source)
+		p.line()
+		return nil
 
 	case "-et-last-line":
 		if err := s.need(); err != nil {
-			return nil, err
+			return err
 		}
-		return []Record{doneRec(token,
-			Result{Var: "line", Val: StringVal(strconv.Itoa(s.d.LastLine()))},
-		)}, nil
+		s.done(token)
+		p.int("line", int64(s.d.LastLine()))
+		p.line()
+		return nil
 
 	case "-list-features":
-		return []Record{doneRec(token, Result{Var: "features", Val: List{
-			StringVal("et-inspect"), StringVal("et-maxdepth"),
-			StringVal("et-heap-track"), StringVal("et-segments"),
-			StringVal("et-data-watch-version"),
-			StringVal("et-exec-interrupt"), StringVal("et-budget"),
-			StringVal("et-break-condition"),
-		}})}, nil
+		s.done(token)
+		p.open("features", '[')
+		for _, f := range features {
+			p.sep()
+			p.b = appendQuoted(p.b, f)
+		}
+		p.close(']')
+		p.line()
+		return nil
 	}
-	return nil, fmt.Errorf("undefined MI command: %s", op)
+	return fmt.Errorf("undefined MI command: %s", op)
+}
+
+// features are the extensions -list-features reports.
+var features = [...]string{
+	"et-inspect", "et-maxdepth", "et-heap-track", "et-segments",
+	"et-data-watch-version", "et-exec-interrupt", "et-budget",
+	"et-break-condition",
 }
 
 // breakInsert handles -break-insert [-t] [-c EXPR] [-i N] [--maxdepth N]
 // (LINE | *ADDR | --function NAME | --exit NAME).
-func (s *Server) breakInsert(token string, args []string) ([]Record, error) {
+func (s *Server) breakInsert(token string, args []string) error {
 	if err := s.need(); err != nil {
-		return nil, err
+		return err
 	}
 	maxDepth := 0
 	ignore := 0
@@ -547,27 +580,27 @@ func (s *Server) breakInsert(token string, args []string) ([]Record, error) {
 		case "-c":
 			i++
 			if i >= len(args) {
-				return nil, fmt.Errorf("-c needs a condition")
+				return fmt.Errorf("-c needs a condition")
 			}
 			cond = args[i]
 		case "-i":
 			i++
 			if i >= len(args) {
-				return nil, fmt.Errorf("-i needs a count")
+				return fmt.Errorf("-i needs a count")
 			}
 			v, err := strconv.Atoi(args[i])
 			if err != nil || v < 0 {
-				return nil, fmt.Errorf("bad ignore count %q", args[i])
+				return fmt.Errorf("bad ignore count %q", args[i])
 			}
 			ignore = v
 		case "--maxdepth":
 			i++
 			if i >= len(args) {
-				return nil, fmt.Errorf("--maxdepth needs a value")
+				return fmt.Errorf("--maxdepth needs a value")
 			}
 			v, err := strconv.Atoi(args[i])
 			if err != nil {
-				return nil, fmt.Errorf("bad maxdepth %q", args[i])
+				return fmt.Errorf("bad maxdepth %q", args[i])
 			}
 			maxDepth = v
 		case "--function":
@@ -577,39 +610,38 @@ func (s *Server) breakInsert(token string, args []string) ([]Record, error) {
 		case "--event":
 			i++
 			if i >= len(args) {
-				return nil, fmt.Errorf("--event needs a kind")
+				return fmt.Errorf("--event needs a kind")
 			}
 			switch args[i] {
 			case query.EventLine, query.EventCall, query.EventReturn:
 				event = args[i]
 			default:
-				return nil, fmt.Errorf("bad event kind %q", args[i])
+				return fmt.Errorf("bad event kind %q", args[i])
 			}
 		default:
 			target = args[i]
 		}
 	}
+	if event == "" {
+		switch mode {
+		case "func":
+			event = query.EventCall
+		case "exit":
+			event = query.EventReturn
+		default:
+			event = query.EventLine
+		}
+	}
 	var condFn func() bool
 	if cond != "" {
-		ev := event
-		if ev == "" {
-			switch mode {
-			case "func":
-				ev = query.EventCall
-			case "exit":
-				ev = query.EventReturn
-			default:
-				ev = query.EventLine
-			}
-		}
-		fn, err := s.compileCond(cond, ev)
+		fn, err := s.compileCond(cond, event)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		condFn = fn
 	}
 	if target == "" {
-		return nil, fmt.Errorf("-break-insert needs a location")
+		return fmt.Errorf("-break-insert needs a location")
 	}
 	var bp *dbg.Breakpoint
 	var err error
@@ -617,7 +649,7 @@ func (s *Server) breakInsert(token string, args []string) ([]Record, error) {
 	case strings.HasPrefix(target, "*"):
 		addr, perr := strconv.ParseUint(target[1:], 0, 64)
 		if perr != nil {
-			return nil, fmt.Errorf("bad address %q", target)
+			return fmt.Errorf("bad address %q", target)
 		}
 		bp = s.d.BreakAtPC(addr)
 		bp.MaxDepth = maxDepth
@@ -633,28 +665,37 @@ func (s *Server) breakInsert(token string, args []string) ([]Record, error) {
 		}
 		line, perr := strconv.Atoi(lineStr)
 		if perr != nil {
-			return nil, fmt.Errorf("bad line %q", target)
+			return fmt.Errorf("bad line %q", target)
 		}
 		bp, err = s.d.BreakAtLine(line, maxDepth)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bp.Temporary = temporary
 	bp.Cond = condFn
 	bp.IgnoreLeft = ignore
-	return []Record{doneRec(token, Result{Var: "bkpt", Val: Tuple{
-		{Var: "number", Val: StringVal(strconv.Itoa(bp.ID))},
-		{Var: "func", Val: StringVal(bp.Function)},
-		{Var: "line", Val: StringVal(strconv.Itoa(bp.Line))},
-	}})}, nil
+	if event == query.EventReturn {
+		if s.returns == nil {
+			s.returns = map[int]bool{}
+		}
+		s.returns[bp.ID] = true
+	}
+	s.done(token)
+	s.out.open("bkpt", '{')
+	s.out.int("number", int64(bp.ID))
+	s.out.str("func", bp.Function)
+	s.out.int("line", int64(bp.Line))
+	s.out.close('}')
+	s.out.line()
+	return nil
 }
 
 // breakWatch handles -break-watch [-c EXPR] [-i N] (NAME | FUNC:NAME |
 // *ADDR SIZE).
-func (s *Server) breakWatch(token string, args []string) ([]Record, error) {
+func (s *Server) breakWatch(token string, args []string) error {
 	if err := s.need(); err != nil {
-		return nil, err
+		return err
 	}
 	cond := ""
 	ignore := 0
@@ -667,7 +708,7 @@ func (s *Server) breakWatch(token string, args []string) ([]Record, error) {
 		if args[0] == "-i" && len(args) > 1 {
 			v, err := strconv.Atoi(args[1])
 			if err != nil || v < 0 {
-				return nil, fmt.Errorf("bad ignore count %q", args[1])
+				return fmt.Errorf("bad ignore count %q", args[1])
 			}
 			ignore = v
 			args = args[2:]
@@ -676,13 +717,13 @@ func (s *Server) breakWatch(token string, args []string) ([]Record, error) {
 		break
 	}
 	if len(args) == 0 {
-		return nil, fmt.Errorf("-break-watch needs an expression")
+		return fmt.Errorf("-break-watch needs an expression")
 	}
 	var condFn func() bool
 	if cond != "" {
 		fn, err := s.compileCond(cond, query.EventLine)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		condFn = fn
 	}
@@ -693,12 +734,12 @@ func (s *Server) breakWatch(token string, args []string) ([]Record, error) {
 	switch {
 	case strings.HasPrefix(target, "*"):
 		if len(args) != 2 {
-			return nil, fmt.Errorf("usage: -break-watch *ADDR SIZE")
+			return fmt.Errorf("usage: -break-watch *ADDR SIZE")
 		}
 		addr, e1 := strconv.ParseUint(target[1:], 0, 64)
 		size, e2 := strconv.ParseUint(args[1], 0, 64)
 		if e1 != nil || e2 != nil {
-			return nil, fmt.Errorf("bad address/size")
+			return fmt.Errorf("bad address/size")
 		}
 		w = s.d.WatchAddr(target, addr, size)
 		ty = isa.IntType()
@@ -707,13 +748,13 @@ func (s *Server) breakWatch(token string, args []string) ([]Record, error) {
 		fn, name := target[:i], target[i+1:]
 		w, err = s.d.WatchLocal(fn, name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ty = s.localType(fn, name)
 	default:
 		w, err = s.d.WatchGlobal(target, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if g := s.prog.GlobalByName(target); g != nil {
 			ty = g.Type
@@ -725,10 +766,13 @@ func (s *Server) breakWatch(token string, args []string) ([]Record, error) {
 	w.Cond = condFn
 	w.IgnoreLeft = ignore
 	s.watchTypes[w.ID] = ty
-	return []Record{doneRec(token, Result{Var: "wpt", Val: Tuple{
-		{Var: "number", Val: StringVal(strconv.Itoa(w.ID))},
-		{Var: "exp", Val: StringVal(w.Name)},
-	}})}, nil
+	s.done(token)
+	s.out.open("wpt", '{')
+	s.out.int("number", int64(w.ID))
+	s.out.str("exp", w.Name)
+	s.out.close('}')
+	s.out.line()
+	return nil
 }
 
 func (s *Server) localType(fn, name string) *isa.TypeInfo {
@@ -784,80 +828,81 @@ func leBytes(b []byte) uint64 {
 	return v
 }
 
-// stopRecords renders a debugger stop as MI records: buffered inferior
+// stopRecords prints a debugger stop as MI records: buffered inferior
 // output first, then ^running + *stopped (the synchronous condensation of
 // GDB's async protocol). A stop that leaves the inferior paused carries the
 // machine's data version and program counter, as -data-watch-version
 // reports them, so a client can tell from the stop alone whether memory
 // changed since an earlier pause: neither moves until the next execution
-// command.
-func (s *Server) stopRecords(token string, stop dbg.Stop) []Record {
-	recs := s.drainOutput()
-	recs = append(recs, Record{Kind: ResultRecord, Token: token, Class: "running"})
-	st := Record{Kind: AsyncRecord, Class: "stopped", Results: make(Tuple, 0, 10)}
-	st.Results = append(st.Results, Result{Var: "reason", Val: StringVal(stop.Reason.String())})
+// command. A stop at a return-event breakpoint carries return-value, a0 at
+// the stop in decimal, as GDB's function-finished stop carries the value
+// the function returned.
+func (s *Server) stopRecords(token string, stop dbg.Stop) {
+	s.drainOutput()
+	p := &s.out
+	p.begin(ResultRecord, token, "running")
+	p.line()
+	p.begin(AsyncRecord, "", "stopped")
+	p.str("reason", stop.Reason.String())
 	switch stop.Reason {
 	case dbg.StopExited:
-		st.Results = append(st.Results,
-			Result{Var: "exit-code", Val: StringVal(strconv.Itoa(stop.ExitCode))})
+		p.int("exit-code", int64(stop.ExitCode))
 	case dbg.StopFault:
-		st.Results = append(st.Results,
-			Result{Var: "signal-meaning", Val: StringVal(stop.Fault)},
-			Result{Var: "exit-code", Val: StringVal(strconv.Itoa(stop.ExitCode))})
+		p.str("signal-meaning", stop.Fault)
+		p.int("exit-code", int64(stop.ExitCode))
 	default:
-		st.Results = append(st.Results,
-			Result{Var: "line", Val: StringVal(strconv.Itoa(stop.Line))},
-			Result{Var: "func", Val: StringVal(stop.Function)},
-			Result{Var: "depth", Val: StringVal(strconv.Itoa(s.d.Depth()))},
-			Result{Var: "version", Val: StringVal(strconv.FormatUint(s.d.DataVersion(), 10))},
-			Result{Var: "addr", Val: StringVal(hexAddr(s.d.Machine().PC()))})
+		p.int("line", int64(stop.Line))
+		p.str("func", stop.Function)
+		p.int("depth", int64(s.d.Depth()))
+		p.uint("version", s.d.DataVersion())
+		p.hex("addr", s.d.Machine().PC())
 		if stop.Detail != "" {
-			st.Results = append(st.Results,
-				Result{Var: "detail", Val: StringVal(stop.Detail)})
+			p.str("detail", stop.Detail)
 		}
 		if stop.Reason == dbg.StopBreakpoint {
-			st.Results = append(st.Results,
-				Result{Var: "bkptno", Val: StringVal(strconv.Itoa(stop.Breakpoint))})
+			p.int("bkptno", int64(stop.Breakpoint))
+			if s.returns[stop.Breakpoint] {
+				p.int("return-value", int64(s.d.Machine().Registers()[isa.A0]))
+			}
 		}
-		if stop.Watch != nil {
-			ty := s.watchTypes[stop.Watch.ID]
-			st.Results = append(st.Results,
-				Result{Var: "wpt", Val: Tuple{
-					{Var: "number", Val: StringVal(strconv.Itoa(stop.Watch.ID))},
-					{Var: "exp", Val: StringVal(stop.Watch.Name)},
-				}},
-				Result{Var: "value", Val: Tuple{
-					{Var: "old", Val: StringVal(renderRaw(stop.Watch.Old, ty))},
-					{Var: "new", Val: StringVal(renderRaw(stop.Watch.New, ty))},
-				}})
+		if w := stop.Watch; w != nil {
+			ty := s.watchTypes[w.ID]
+			p.open("wpt", '{')
+			p.int("number", int64(w.ID))
+			p.str("exp", w.Name)
+			p.close('}')
+			p.open("value", '{')
+			p.name("old")
+			p.b = appendWatched(p.b, w.Old, ty)
+			p.name("new")
+			p.b = appendWatched(p.b, w.New, ty)
+			p.close('}')
 		}
 	}
-	return append(recs, st)
+	p.line()
 }
 
-// hexAddr writes an address as %#x does.
-func hexAddr(a uint64) string {
-	var b [18]byte
-	return string(strconv.AppendUint(append(b[:0], "0x"...), a, 16))
-}
-
-// renderRaw renders watched raw bytes according to the declared type.
-func renderRaw(b []byte, ty *isa.TypeInfo) string {
-	v := leBytes(b)
-	if ty == nil {
-		return strconv.FormatUint(v, 10)
-	}
-	switch ty.Kind {
-	case isa.KChar:
-		if len(b) > 0 {
-			return strconv.FormatInt(int64(int8(b[0])), 10)
+// appendWatched appends watched raw bytes as a c-string, rendered
+// according to the declared type.
+func appendWatched(b, raw []byte, ty *isa.TypeInfo) []byte {
+	v := leBytes(raw)
+	b = append(b, '"')
+	switch {
+	case ty == nil:
+		b = strconv.AppendUint(b, v, 10)
+	case ty.Kind == isa.KChar:
+		if len(raw) > 0 {
+			b = strconv.AppendInt(b, int64(int8(raw[0])), 10)
+		} else {
+			b = append(b, '0')
 		}
-		return "0"
-	case isa.KDouble:
-		return strconv.FormatFloat(float64frombits(v), 'g', -1, 64)
-	case isa.KPtr:
-		return fmt.Sprintf("%#x", v)
+	case ty.Kind == isa.KDouble:
+		b = strconv.AppendFloat(b, float64frombits(v), 'g', -1, 64)
+	case ty.Kind == isa.KPtr:
+		b = append(b, "0x"...)
+		b = strconv.AppendUint(b, v, 16)
 	default:
-		return strconv.FormatInt(int64(v), 10)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
+	return append(b, '"')
 }

@@ -30,7 +30,7 @@ func TestTemporaryBreakpoint(t *testing.T) {
 	}
 	stopped, _ := resp.Stopped()
 	if stopped.GetString("reason") != "breakpoint-hit" {
-		t.Fatalf("first stop = %s", stopped.Print())
+		t.Fatalf("first stop = %s", refPrint(stopped))
 	}
 	// Temporary: the second continue runs to completion.
 	resp, err = cl.Send("-exec-continue")
@@ -39,7 +39,7 @@ func TestTemporaryBreakpoint(t *testing.T) {
 	}
 	stopped, _ = resp.Stopped()
 	if stopped.GetString("reason") != "exited" {
-		t.Errorf("after temp bp: %s", stopped.Print())
+		t.Errorf("after temp bp: %s", refPrint(stopped))
 	}
 }
 
@@ -69,7 +69,7 @@ int main() {
 	}
 	stopped, _ := resp.Stopped()
 	if stopped.GetString("reason") != "watchpoint-trigger" {
-		t.Fatalf("stop = %s", stopped.Print())
+		t.Fatalf("stop = %s", refPrint(stopped))
 	}
 	val, _ := stopped.Results.Get("value").(Tuple)
 	if val.GetString("new") != "1" {
@@ -219,7 +219,7 @@ func TestStackFramesFields(t *testing.T) {
 	}
 	stack, _ := resp.Result.Results.Get("stack").(List)
 	if len(stack) != 2 {
-		t.Fatalf("stack = %v", resp.Result.Print())
+		t.Fatalf("stack = %v", refPrint(resp.Result))
 	}
 	top, _ := stack[0].(Tuple)
 	if top.GetString("level") != "0" || top.GetString("func") != "fib" {
@@ -236,20 +236,20 @@ func TestServerRejectsMalformedCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(prog)
-	recs := execLine(srv, "not a command")
+	recs := execLine(t, srv, "not a command")
 	if len(recs) != 1 || recs[0].Class != "error" {
 		t.Errorf("records = %v", recs)
 	}
-	recs = execLine(srv, "-break-insert")
+	recs = execLine(t, srv, "-break-insert")
 	if recs[len(recs)-1].Class != "error" {
 		t.Errorf("no-arg break-insert: %v", recs)
 	}
 }
 
 // execLine runs one command line on srv as Serve does and returns its
-// records without printing them. An -et-inspect record borrows a pooled
-// reply that only printing gives back, so the records stay valid.
-func execLine(srv *Server, line string) []Record {
-	token, op, args, err := SplitCommand(line)
-	return srv.execute(token, op, args, err)
+// reply's records, the prompt left out, each checked to print back as its
+// line (checkReply).
+func execLine(t testing.TB, srv *Server, line string) []Record {
+	t.Helper()
+	return checkReply(t, srv.run(SplitCommand(line)))
 }

@@ -33,7 +33,7 @@ func TestDeadlineTransportPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stop, ok := resp.Stopped(); !ok || stop.GetString("reason") != "entry" {
-		t.Fatalf("entry stop through deadline transport: %v", resp.Result.Print())
+		t.Fatalf("entry stop through deadline transport: %v", refPrint(resp.Result))
 	}
 }
 
@@ -61,7 +61,7 @@ func TestDeadlineTransportTimeoutPoisons(t *testing.T) {
 	// rather than desynchronizing on a late response.
 	fc.DropResponses(0)
 	if resp, err := dt.RoundTrip("-exec-next"); err == nil {
-		t.Fatalf("poisoned transport accepted a command: %v", resp.Result.Print())
+		t.Fatalf("poisoned transport accepted a command: %v", refPrint(resp.Result))
 	}
 }
 

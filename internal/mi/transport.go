@@ -31,8 +31,7 @@ type serverConn struct {
 
 	mu     sync.Mutex // guards the fields below
 	ready  sync.Cond  // signalled when a reply is queued or the conn closes
-	reply  []string   // queued reply lines; reply[head:] are unread
-	head   int
+	unread string     // the queued reply lines Recv has not returned
 	closed bool
 }
 
@@ -40,10 +39,11 @@ type serverConn struct {
 // paper's Fig. 4 when tracker and MiniGDB share a process. Send runs the
 // command on the calling goroutine and queues its reply, the records and
 // then the "(gdb)" prompt, for Recv: no goroutine or channel stands between
-// a command and its reply. An -exec-interrupt line goes straight to
-// srv.Interrupt and gets no reply, as Serve's reader treats it, so
-// Client.Interrupt from another goroutine stops a running -exec-continue.
-// The lines are those StdioConn carries to a minigdb child.
+// a command and its reply, and Recv returns the reply's lines as slices of
+// the one string the server copied it into. An -exec-interrupt line goes
+// straight to srv.Interrupt and gets no reply, as Serve's reader treats
+// it, so Client.Interrupt from another goroutine stops a running
+// -exec-continue. The lines are those StdioConn carries to a minigdb child.
 func Connect(srv *Server) Conn {
 	c := &serverConn{srv: srv}
 	c.ready.L = &c.mu
@@ -68,14 +68,10 @@ func (c *serverConn) Send(line string) error {
 	if strings.TrimSpace(line) == "" {
 		return nil
 	}
-	recs := c.srv.execute(token, op, args, err)
+	reply := c.srv.run(token, op, args, err)
 	c.mu.Lock()
-	for _, r := range recs {
-		c.reply = append(c.reply, r.Print())
-	}
-	c.reply = append(c.reply, "(gdb)")
+	c.unread += reply
 	c.mu.Unlock()
-	c.srv.printed()
 	c.ready.Signal()
 	return nil
 }
@@ -85,16 +81,16 @@ func (c *serverConn) Send(line string) error {
 func (c *serverConn) Recv() (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.head == len(c.reply) && !c.closed {
+	for c.unread == "" && !c.closed {
 		c.ready.Wait()
 	}
 	if c.closed {
 		return "", ErrClosed
 	}
-	line := c.reply[c.head]
-	c.reply[c.head] = ""
-	if c.head++; c.head == len(c.reply) {
-		c.reply, c.head = c.reply[:0], 0
+	line, rest, _ := strings.Cut(c.unread, "\n")
+	c.unread = ""
+	if rest != "" { // an empty slice of the reply would keep it alive
+		c.unread = rest
 	}
 	return line, nil
 }

@@ -42,7 +42,7 @@ func TestStdioTransportFullSession(t *testing.T) {
 	}
 	stopped, ok := resp.Stopped()
 	if !ok || stopped.GetString("reason") != "entry" {
-		t.Fatalf("entry stop: %v", resp.Result.Print())
+		t.Fatalf("entry stop: %v", refPrint(resp.Result))
 	}
 	if _, err := cl.Send("-exec-next"); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestStdioTransportFullSession(t *testing.T) {
 	}
 	stopped, _ = resp.Stopped()
 	if stopped.GetString("reason") != "exited" {
-		t.Fatalf("final stop: %s", stopped.Print())
+		t.Fatalf("final stop: %s", refPrint(stopped))
 	}
 	if out := cl.TakeOutput(); out != "42\n" {
 		t.Errorf("inferior output = %q", out)
@@ -132,14 +132,14 @@ func TestStdioInterruptDuringContinue(t *testing.T) {
 	}
 	stopped, ok := resp.Stopped()
 	if !ok || stopped.GetString("reason") != "interrupted" || stopped.GetString("detail") != "interrupt" {
-		t.Fatalf("continue answered %s", stopped.Print())
+		t.Fatalf("continue answered %s", refPrint(stopped))
 	}
 	resp, err = cl.Send("-data-watch-version")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Result.Token != "3" || resp.Result.GetString("version") == "" {
-		t.Fatalf("third command answered %s", resp.Result.Print())
+		t.Fatalf("third command answered %s", refPrint(resp.Result))
 	}
 	if _, err := cl.Send("-gdb-exit"); err != nil {
 		t.Fatal(err)

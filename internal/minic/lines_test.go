@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -59,18 +60,7 @@ func lineDigest(p *isa.Program) string {
 // to testdata/lines.digests, written from the per-instruction line tables
 // the compiler emitted before it emitted one entry per run of one line.
 func TestLineTableGolden(t *testing.T) {
-	f, err := os.Open("testdata/lines.digests")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if name, digest, ok := strings.Cut(sc.Text(), " "); ok {
-			want[name] = digest
-		}
-	}
+	want := readDigests(t, "testdata/lines.digests")
 	ps := linePrograms(t)
 	if len(want) != len(ps) {
 		t.Fatalf("%d digests for %d programs", len(want), len(ps))
@@ -82,6 +72,49 @@ func TestLineTableGolden(t *testing.T) {
 		}
 		if got := lineDigest(p); got != want[lp.name] {
 			t.Errorf("%s: line table answers digest to %s, want %s", lp.name, got, want[lp.name])
+		}
+	}
+}
+
+// readDigests reads a file of "name digest" lines.
+func readDigests(t *testing.T, path string) map[string]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if name, digest, ok := strings.Cut(sc.Text(), " "); ok {
+			want[name] = digest
+		}
+	}
+	return want
+}
+
+// TestProgramJSONGolden holds the JSON of every program Compile builds to
+// testdata/programs.digests: instructions, data, functions, globals with
+// their types, struct layouts and line table.
+func TestProgramJSONGolden(t *testing.T) {
+	want := readDigests(t, "testdata/programs.digests")
+	ps := linePrograms(t)
+	if len(want) != len(ps) {
+		t.Fatalf("%d digests for %d programs", len(want), len(ps))
+	}
+	for _, lp := range ps {
+		p, err := Compile(lp.name, lp.src)
+		if err != nil {
+			t.Fatalf("%s: %v", lp.name, err)
+		}
+		js, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("%s: %v", lp.name, err)
+		}
+		sum := sha256.Sum256(js)
+		if got := hex.EncodeToString(sum[:]); got != want[lp.name] {
+			t.Errorf("%s: program JSON digests to %s, want %s", lp.name, got, want[lp.name])
 		}
 	}
 }

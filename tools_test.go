@@ -150,7 +150,7 @@ func testMinigdbSubprocess(t *testing.T, progPath string) {
 	}
 	stopped, ok := resp.Stopped()
 	if !ok || stopped.GetString("reason") != "entry" {
-		t.Fatalf("entry: %v", resp.Result.Print())
+		t.Fatalf("entry: %v", resp.Result)
 	}
 	resp, err = cl.Send("-exec-continue")
 	if err != nil {
@@ -158,7 +158,7 @@ func testMinigdbSubprocess(t *testing.T, progPath string) {
 	}
 	stopped, _ = resp.Stopped()
 	if stopped.GetString("reason") != "exited" || stopped.GetString("exit-code") != "5" {
-		t.Errorf("exit: %s", stopped.Print())
+		t.Errorf("exit: %v", stopped)
 	}
 	if out := cl.TakeOutput(); out != "answer 42\n" {
 		t.Errorf("inferior output over subprocess pipe = %q", out)
