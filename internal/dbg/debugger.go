@@ -154,6 +154,7 @@ type Debugger struct {
 
 	started  bool
 	exited   bool
+	halted   bool // exited through the exit service: no frame is alive
 	exitCode int
 	lastLine int
 
@@ -264,7 +265,7 @@ func (d *Debugger) locate(s Stop) Stop {
 }
 
 func (d *Debugger) finish(stop vm.Stop) Stop {
-	d.exited = true
+	d.exited, d.halted = true, true
 	d.exitCode = stop.ExitCode
 	return Stop{Reason: StopExited, ExitCode: stop.ExitCode}
 }
@@ -305,10 +306,19 @@ func (d *Debugger) Unwind() []FrameRec {
 	return out
 }
 
-// walk visits the frames of the fp chain, innermost first.
+// walk visits the frames of the fp chain, innermost first; none after the
+// program exited, while a fault leaves its frames inspectable.
 func (d *Debugger) walk(visit func(FrameRec)) {
+	if d.halted {
+		return
+	}
 	pc := d.m.PC()
 	fp := d.m.Reg(isa.FP)
+	if d.atEpilogueRet(pc) {
+		// The epilogue has reloaded fp with the caller's, but its first
+		// instruction left sp at the returning frame's fp.
+		fp = d.m.Reg(isa.SP)
+	}
 	for i := 0; i < 10000; i++ {
 		fn := d.prog.FuncAt(pc)
 		if fn == nil || fn.Name == "_start" {
@@ -322,6 +332,18 @@ func (d *Debugger) walk(visit func(FrameRec)) {
 		}
 		pc, fp = retPC, callerFP
 	}
+}
+
+// atEpilogueRet reports whether pc is the ret that ends a compiled
+// epilogue (sp = fp; ld ra, -8(sp); ld fp, -16(sp); ret), where a
+// return-event breakpoint stops.
+func (d *Debugger) atEpilogueRet(pc uint64) bool {
+	idx, ok := isa.PCToIndex(pc)
+	if !ok || idx < 1 || idx >= len(d.prog.Instrs) || !d.prog.Instrs[idx].IsRet() {
+		return false
+	}
+	prev := d.prog.Instrs[idx-1]
+	return prev.Op == isa.LD && prev.Rd == isa.FP && prev.Rs1 == isa.SP && prev.Imm == -16
 }
 
 // BreakAtLine arms a breakpoint before the given source line.

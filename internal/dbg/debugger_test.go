@@ -218,6 +218,57 @@ func TestFuncEntryAndExitBreakpoints(t *testing.T) {
 	}
 }
 
+// TestExitBreakpointUnwindsReturningFrame: at a return-event stop the
+// epilogue has already reloaded fp with the caller's, yet the unwinder
+// lists the returning frame on top of its callers, at the depth of its
+// entry stop and with the argument that stop read.
+func TestExitBreakpointUnwindsReturningFrame(t *testing.T) {
+	d := started(t, fibC, vm.Config{})
+	entryBP, err := d.BreakAtFunc("fib", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exitBP, err := d.BreakAtFuncExit("fib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type activation struct {
+		depth int
+		n     string
+	}
+	var open []activation
+	exits := 0
+	for {
+		stop, err := d.Continue(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stop.Reason == StopExited {
+			break
+		}
+		fr := d.NewInspector().Frame()
+		if fr.Name != "fib" || len(fr.Stack()) != d.Depth()+1 || fr.Lookup("n") == nil {
+			t.Fatalf("stop %d: innermost frame %s, %d frames at depth %d", stop.Breakpoint, fr.Name, len(fr.Stack()), d.Depth())
+		}
+		got := activation{d.Depth(), fr.Lookup("n").Value.String()}
+		if stop.Breakpoint == entryBP.ID {
+			open = append(open, got)
+			continue
+		}
+		if stop.Breakpoint != exitBP.ID || len(open) == 0 {
+			t.Fatalf("unexpected stop %+v", stop)
+		}
+		exits++
+		if want := open[len(open)-1]; got != want {
+			t.Errorf("exit %d: depth %d with n = %s, want the entry's depth %d with n = %s", exits, got.depth, got.n, want.depth, want.n)
+		}
+		open = open[:len(open)-1]
+	}
+	if exits != 9 || len(open) != 0 {
+		t.Errorf("%d exits, %d activations left open; want 9 and 0", exits, len(open))
+	}
+}
+
 func TestExitBreakpointFindsAllRets(t *testing.T) {
 	// The compiler emits a single epilogue, so one RET per function.
 	d := build(t, fibC, vm.Config{})
@@ -639,6 +690,26 @@ func TestFaultReporting(t *testing.T) {
 	}
 	if _, err := d.Continue(nil); err != ErrExited {
 		t.Errorf("Continue after fault = %v", err)
+	}
+}
+
+// TestFramesAfterExit: after the exit service no frame is alive, while
+// the globals stay readable; a fault keeps the frame it faulted in.
+func TestFramesAfterExit(t *testing.T) {
+	d := started(t, ptrC, vm.Config{})
+	if stop, err := d.Continue(nil); err != nil || stop.Reason != StopExited {
+		t.Fatalf("Continue = %+v, %v", stop, err)
+	}
+	st := d.State()
+	if st.Frame != nil || d.Depth() != -1 || len(st.Globals) == 0 {
+		t.Errorf("after the exit: frame %+v, depth %d, %d globals", st.Frame, d.Depth(), len(st.Globals))
+	}
+	d = started(t, "int main() {\n    int* p = 0;\n    return *p;\n}", vm.Config{})
+	if stop, err := d.Continue(nil); err != nil || stop.Reason != StopFault {
+		t.Fatalf("Continue = %+v, %v", stop, err)
+	}
+	if fr := d.State().Frame; fr == nil || fr.Name != "main" || fr.Lookup("p") == nil {
+		t.Errorf("after the fault: frame %+v", fr)
 	}
 }
 

@@ -59,6 +59,8 @@ type bpInfo struct {
 // Tracker drives one compiled inferior through MiniGDB/MI.
 type Tracker struct {
 	core.Arming
+	// Travel is time travel over the session's recording (timetravel.go).
+	ttd.Travel
 
 	// trans is the hardened command transport: the MI client, optionally
 	// behind a DeadlineTransport (core.WithCommandTimeout) and, in
@@ -117,15 +119,10 @@ type Tracker struct {
 	// State fetched there and the program output since the pause before
 	// (recOut). Each run Start launches, session recovery's re-run
 	// included, gets a fresh one; recErr latches the first recording
-	// failure. cur is the time-travel cursor, on the head while
-	// inspection is live; liveReason/liveLast stash the present's pause
-	// bookkeeping while inspection is rewound. See timetravel.go.
-	rec        *ttd.Recorder
-	recErr     error
-	recOut     strings.Builder
-	cur        ttd.Cursor
-	liveReason core.PauseReason
-	liveLast   int
+	// failure.
+	rec    *ttd.Recorder
+	recErr error
+	recOut strings.Builder
 
 	// deadlineHit marks that the WithExecutionTimeout timer fired; the
 	// next "interrupted" stop rewrites its detail from "interrupt" to
@@ -161,6 +158,7 @@ func New() *Tracker {
 		watches: map[int]string{},
 	}
 	t.Arming = core.NewArming(t)
+	t.Travel = ttd.NewTravel(t)
 	return t
 }
 
@@ -314,9 +312,9 @@ func (t *Tracker) sendRaw(op string, args ...string) (*mi.Response, error) {
 	return resp, err
 }
 
-// werr wraps err in the tracker's typed error, preserving already-typed
-// session errors. Session errors record the raw MI command that failed;
-// replace it with the public operation name the tool actually called.
+// werr wraps err in the tracker's typed error at Position, preserving
+// already-typed session errors, whose raw MI command it replaces with the
+// public operation name the tool actually called.
 func (t *Tracker) werr(op string, err error) error {
 	if err == nil {
 		// Before errors.As, which would move te to the heap on success too.
@@ -326,7 +324,8 @@ func (t *Tracker) werr(op string, err error) error {
 	if errors.As(err, &te) && strings.HasPrefix(te.Op, "-") {
 		te.Op = op
 	}
-	return core.WrapErr(Kind, op, t.file, t.curLine, err)
+	file, line := t.Position()
+	return core.WrapErr(Kind, op, file, line, err)
 }
 
 // Start launches the inferior and pauses it at main's first line.
@@ -364,7 +363,7 @@ func (t *Tracker) Start() error {
 	// inferior.
 	if t.cfg.Recording {
 		t.rec = ttd.NewRecorder(t.file, t.source, Kind, t.cfg.RecordInterval)
-		t.recErr, t.cur = nil, ttd.Cursor{}
+		t.recErr = nil
 		t.recOut.Reset()
 	}
 	sp := t.tracer.StartOp(core.OpStart)
@@ -552,9 +551,7 @@ func (t *Tracker) control(name, op string) error {
 	if t.exited {
 		return t.werr(name, core.ErrExited)
 	}
-	// Forward execution runs from the inferior's present: rewound
-	// inspection snaps back to live first (the inferior never moved).
-	t.returnToLive()
+	t.Present()
 	sp := t.tracer.StartOp(opHistName(name))
 	t0 := t.obs.Now()
 	disarm := t.armExecDeadline()
@@ -870,8 +867,9 @@ func (t *Tracker) fetchState() (*core.State, error) {
 	if !t.started {
 		return nil, core.ErrNotStarted
 	}
-	if t.replaying() {
-		return t.replayState()
+	if t.Rewound() {
+		// The State recorded at the cursor, with the landing's reason.
+		return t.rec.Store().StateAt(t.Pos())
 	}
 	if t.exited {
 		return nil, core.ErrExited
@@ -885,27 +883,37 @@ func (t *Tracker) fetchState() (*core.State, error) {
 	}
 	sp := t.tracer.StartOp(core.OpStateFetch)
 	t0 := t.obs.Now()
-	resp, err := t.send("-et-inspect")
+	st, ver, err := t.inspect()
 	if err != nil {
 		sp.EndErr(err)
 		return nil, err
-	}
-	var st core.State
-	if err := st.UnmarshalJSONString(resp.Result.GetString("state")); err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("gdbtracker: bad state payload: %w", err)
 	}
 	// The MI server sends no reason: what a stop means (a tracked entry
 	// or exit, a watch's ID) is the tracker's, and every State reports
 	// it, as PauseReason does. The decoded State is this call's own to
 	// stamp. The stale candidate is spent once the pause has its own.
 	st.Reason = t.reason
-	t.state, t.stale = &st, nil
-	t.stateVersion, _ = strconv.ParseUint(resp.Result.GetString("version"), 10, 64)
+	t.state, t.stale, t.stateVersion = st, nil, ver
 	t.obs.Observe(core.OpStateFetch, t0)
 	sp.End()
 	t.obs.Counter(core.CtrSnapshotMisses).Inc()
-	return &st, nil
+	return st, nil
+}
+
+// inspect reads the machine's State across the pipe, with the data version
+// it was read at. The machine's memory outlives the exit, so after it the
+// State still holds the globals' final values.
+func (t *Tracker) inspect() (*core.State, uint64, error) {
+	resp, err := t.send("-et-inspect")
+	if err != nil {
+		return nil, 0, err
+	}
+	st := new(core.State)
+	if err := st.UnmarshalJSONString(resp.Result.GetString("state")); err != nil {
+		return nil, 0, fmt.Errorf("gdbtracker: bad state payload: %w", err)
+	}
+	ver, _ := strconv.ParseUint(resp.Result.GetString("version"), 10, 64)
+	return st, ver, nil
 }
 
 // revalidateStale reuses the previous pause's snapshot when the *stopped
@@ -950,7 +958,7 @@ func (t *Tracker) WatchVersions() (map[int]uint64, error) {
 	if t.exited {
 		return nil, t.werr("WatchVersions", core.ErrExited)
 	}
-	if t.replaying() {
+	if t.Rewound() {
 		return nil, t.notRecorded("WatchVersions")
 	}
 	resp, err := t.send("-data-watch-version")
@@ -1017,9 +1025,8 @@ func (t *Tracker) InvalidateStateCache() {
 // Position returns the next line to execute; while rewound into the
 // recording it reports the replay cursor's line.
 func (t *Tracker) Position() (string, int) {
-	if t.replaying() {
-		s := t.rec.Store()
-		return t.file, s.LineAt(t.cur.Pos(s))
+	if t.Rewound() {
+		return t.file, t.rec.Store().LineAt(t.Pos())
 	}
 	return t.file, t.curLine
 }
@@ -1044,7 +1051,7 @@ func (t *Tracker) Registers() (map[string]uint64, error) {
 	if !t.started {
 		return nil, t.werr("Registers", core.ErrNotStarted)
 	}
-	if t.replaying() {
+	if t.Rewound() {
 		return nil, t.notRecorded("Registers")
 	}
 	regs, err := t.registerList()
@@ -1059,7 +1066,7 @@ func (t *Tracker) ValueAt(addr uint64, size int) ([]byte, error) {
 	if !t.started {
 		return nil, t.werr("ValueAt", core.ErrNotStarted)
 	}
-	if t.replaying() {
+	if t.Rewound() {
 		return nil, t.notRecorded("ValueAt")
 	}
 	resp, err := t.send("-data-read-memory",
@@ -1083,7 +1090,7 @@ func (t *Tracker) ValueAt(addr uint64, size int) ([]byte, error) {
 // is no answer: before Start, when the round trip fails, and while
 // rewound, since the recording holds no segment table.
 func (t *Tracker) MemorySegments() []core.Segment {
-	if !t.started || t.replaying() {
+	if !t.started || t.Rewound() {
 		return nil
 	}
 	resp, err := t.send("-et-segments")
@@ -1110,7 +1117,7 @@ func (t *Tracker) HeapBlocks() (map[uint64]uint64, error) {
 	if !t.started {
 		return nil, t.werr("HeapBlocks", core.ErrNotStarted)
 	}
-	if t.replaying() {
+	if t.Rewound() {
 		return nil, t.notRecorded("HeapBlocks")
 	}
 	resp, err := t.send("-et-heap-blocks")

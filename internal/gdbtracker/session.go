@@ -7,7 +7,6 @@ import (
 
 	"easytracker/internal/core"
 	"easytracker/internal/mi"
-	"easytracker/internal/ttd"
 )
 
 // This file is the hardened session layer between the tracker and the
@@ -172,7 +171,8 @@ func (t *Tracker) recoverSession(op string, cause error) error {
 	t.bps = map[int]bpInfo{}
 	t.watches = map[int]string{}
 	t.state, t.stale = nil, nil
-	t.rec, t.cur = nil, ttd.Cursor{}
+	t.Present()
+	t.rec = nil
 	t.exited = false
 	t.exitCode = 0
 	t.started = false

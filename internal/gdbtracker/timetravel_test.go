@@ -1,11 +1,14 @@
 package gdbtracker
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"easytracker/internal/core"
+	"easytracker/internal/tracetracker"
 )
 
 const loopC = `int main() {
@@ -93,7 +96,7 @@ func TestTimeTravelStepBackSeek(t *testing.T) {
 	if err := tr.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.replaying() {
+	if tr.Rewound() {
 		t.Fatal("still rewound after a forward step")
 	}
 	if tr.Len() <= before {
@@ -121,11 +124,16 @@ func TestTimeTravelStepBackSeek(t *testing.T) {
 	}
 }
 
-// TestTimeTravelGate checks the capability surface is tied to WithRecording.
+// TestTimeTravelGate checks the capability surface is tied to WithRecording,
+// and that ResumeBack stays unsupported: the tracker has no reverse
+// classifier.
 func TestTimeTravelGate(t *testing.T) {
 	plain := start(t, loopC)
 	if _, ok := core.As[core.TimeTraveler](plain); ok {
 		t.Fatal("TimeTraveler advertised without recording")
+	}
+	if _, ok := core.As[core.ReverseWatcher](plain); ok {
+		t.Fatal("ReverseWatcher advertised without recording")
 	}
 	if err := plain.StepBack(); !errors.Is(err, core.ErrUnsupported) {
 		t.Fatalf("StepBack without recording = %v", err)
@@ -136,6 +144,9 @@ func TestTimeTravelGate(t *testing.T) {
 	if !ok {
 		t.Fatal("TimeTraveler not advertised with recording")
 	}
+	if _, ok := core.As[core.ReverseWatcher](rec); !ok {
+		t.Fatal("ReverseWatcher not advertised with recording")
+	}
 	if err := rec.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +155,207 @@ func TestTimeTravelGate(t *testing.T) {
 	}
 	if err := rec.ResumeBack(); !errors.Is(err, core.ErrUnsupported) {
 		t.Fatalf("ResumeBack over MI = %v", err)
+	}
+}
+
+// writesC writes the global g several times, in main and inside calls.
+const writesC = `int g = 0;
+
+int bump(int k) {
+    g = g + k;
+    return g;
+}
+
+int main() {
+    int i = 0;
+    while (i < 4) {
+        bump(i);
+        i = i + 1;
+    }
+    g = 100;
+    return 0;
+}`
+
+// TestTimeTravelMatchesReplay: a recording session's StepBack, NextBack
+// and SeekTo agree with a trace replay of the session's own recording
+// driven the same way. After every move Pos, Position, LastLine and the
+// LastChange of three variables are equal, mid-run and after the exit.
+// PauseReason is left out: a MiniGDB landing reports the pause recorded
+// there, a replay the ENTRY or STEP of ttd.Landing.
+func TestTimeTravelMatchesReplay(t *testing.T) {
+	type traveler interface {
+		core.Tracker
+		core.TimeTraveler
+		core.ReverseWatcher
+	}
+	live := start(t, writesC, core.WithRecording(0))
+	// replay loads the recording so far and drives it as forward drove
+	// the live session.
+	replay := func(forward func(traveler) error) traveler {
+		t.Helper()
+		data, err := live.rec.Store().Trace().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp := tracetracker.New()
+		if err := rp.LoadProgram("writes.trace", core.WithSource(string(data))); err != nil {
+			t.Fatal(err)
+		}
+		if err := rp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := forward(rp); err != nil {
+			t.Fatal(err)
+		}
+		return rp
+	}
+	shot := func(tk traveler) string {
+		_, line := tk.Position()
+		s := fmt.Sprintf("pos %d, line %d, last line %d", tk.Pos(), line, tk.LastLine())
+		for _, v := range []string{"::g", "main:i", "bump:k"} {
+			ch, err := tk.LastChange(v)
+			if err != nil {
+				s += fmt.Sprintf(", %s unknown %v", v, errors.Is(err, core.ErrUnknownVariable))
+				continue
+			}
+			data, _ := json.Marshal(ch)
+			s += ", " + string(data)
+		}
+		return s
+	}
+	moves := []struct {
+		name string
+		move func(traveler) error
+	}{
+		{"StepBack", traveler.StepBack},
+		{"NextBack", traveler.NextBack},
+		{"SeekTo(9)", func(tk traveler) error { return tk.SeekTo(9) }},
+		{"NextBack", traveler.NextBack},
+		{"NextBack", traveler.NextBack},
+		{"StepBack", traveler.StepBack},
+		{"SeekTo(5)", func(tk traveler) error { return tk.SeekTo(5) }},
+		{"NextBack", traveler.NextBack},
+		{"StepBack", traveler.StepBack},
+		{"SeekTo(0)", func(tk traveler) error { return tk.SeekTo(0) }},
+		{"NextBack", traveler.NextBack},
+	}
+	compare := func(phase string, rp traveler) {
+		t.Helper()
+		for _, m := range moves {
+			if err := m.move(live); err != nil {
+				t.Fatalf("%s: live %s: %v", phase, m.name, err)
+			}
+			if err := m.move(rp); err != nil {
+				t.Fatalf("%s: replay %s: %v", phase, m.name, err)
+			}
+			if got, want := shot(live), shot(rp); got != want {
+				t.Errorf("%s, after %s:\nlive:   %s\nreplay: %s", phase, m.name, got, want)
+			}
+		}
+	}
+	steps := func(tk traveler) error {
+		for i := 0; i < 12; i++ {
+			if err := tk.Step(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := steps(live); err != nil {
+		t.Fatal(err)
+	}
+	compare("mid-run", replay(steps))
+
+	// The rest of the run is one Resume: the loop's last calls and the
+	// final g = 100 run after the last pause, and only the exit sees them.
+	toExit := func(tk traveler) error { return tk.Resume() }
+	if err := toExit(live); err != nil {
+		t.Fatal(err)
+	}
+	if _, done := live.ExitCode(); !done {
+		t.Fatal("Resume did not run to the exit")
+	}
+	if ch, err := live.LastChange("::g"); err != nil || ch.Val.String() != "100" {
+		t.Fatalf("LastChange(::g) after the exit = %+v, %v; want the program's last write, g = 100", ch, err)
+	}
+	rp := replay(toExit)
+	if got, want := shot(live), shot(rp); got != want {
+		t.Errorf("at the exit:\nlive:   %s\nreplay: %s", got, want)
+	}
+	compare("after the exit", rp)
+}
+
+// trackC calls f twice from main and stores each result in x.
+const trackC = `int f(int n) {
+    int m = n + 1;
+    return m;
+}
+
+int x = 0;
+
+int main() {
+    x = f(x);
+    x = f(x);
+    printf("%d\n", x);
+    return 0;
+}`
+
+// TestTimeTravelNextBackOverTrackedCalls: with f tracked and x watched the
+// pauses are ENTRY, then CALL f, RETURN f and WATCH x twice. A RETURN pause
+// stops at f's ret, still inside f, so its State holds f's own locals above
+// main's frame, and NextBack from a pause in main steps over the call.
+func TestTimeTravelNextBackOverTrackedCalls(t *testing.T) {
+	tr := start(t, trackC, core.WithRecording(0))
+	if err := tr.TrackFunction("f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Watch("::x"); err != nil {
+		t.Fatal(err)
+	}
+	pause := func() string {
+		t.Helper()
+		st, err := tr.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := fmt.Sprintf("%s in", tr.PauseReason().Type)
+		for _, fr := range st.Frame.Stack() {
+			s += fmt.Sprintf(" %s/%d", fr.Name, fr.Depth)
+			for _, v := range fr.Vars {
+				s += fmt.Sprintf(" %s=%s", v.Name, v.Value)
+			}
+		}
+		return s
+	}
+	got := []string{pause()}
+	for i := 0; i < 6; i++ {
+		if err := tr.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, pause())
+	}
+	want := []string{
+		"ENTRY in main/0",
+		"CALL in f/1 n=0 main/0",
+		"RETURN in f/1 n=0 m=1 main/0",
+		"WATCH in main/0",
+		"CALL in f/1 n=1 main/0",
+		"RETURN in f/1 n=1 m=2 main/0",
+		"WATCH in main/0",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("pauses:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for _, c := range []struct{ from, to int }{{6, 3}, {3, 0}, {5, 4}, {2, 1}} {
+		if err := tr.SeekTo(c.from); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.NextBack(); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Pos() != c.to || pause() != want[c.to] {
+			t.Errorf("NextBack from step %d lands on step %d (%s), want %d (%s)", c.from, tr.Pos(), pause(), c.to, want[c.to])
+		}
 	}
 }
 
@@ -277,8 +489,8 @@ func TestSubprocessTimeTravel(t *testing.T) {
 		if err := tr.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if tr.replaying() || tr.Len() != before+1 {
-			t.Fatalf("after a forward Step: rewound %v, %d -> %d steps", tr.replaying(), before, tr.Len())
+		if tr.Rewound() || tr.Len() != before+1 {
+			t.Fatalf("after a forward Step: rewound %v, %d -> %d steps", tr.Rewound(), before, tr.Len())
 		}
 	})
 

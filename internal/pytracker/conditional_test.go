@@ -272,7 +272,7 @@ func TestConditionalCrossEngine(t *testing.T) {
 				t.Fatal("the live session never paused")
 			}
 			rp := tracetracker.New()
-			if err := rp.LoadStore(live.Recording()); err != nil {
+			if err := rp.LoadStore(live.rec.Store()); err != nil {
 				t.Fatal(err)
 			}
 			if err := rp.Start(); err != nil {

@@ -107,6 +107,8 @@ type exitInfo struct {
 // goroutine; the inferior runs in a second goroutine started by Start.
 type Tracker struct {
 	core.Arming
+	// Travel is time travel over the session's recording (recording.go).
+	ttd.Travel
 
 	file     string
 	srcLines []string
@@ -210,17 +212,11 @@ type Tracker struct {
 	// (BenchmarkResumeWithWatchpointMiniPy gates it). recFr/recEpoch key the
 	// snapshot-free fast path; recOut tees the inferior's stdout so steps
 	// carry output deltas; recErr latches the first recording failure.
-	// cur is the time-travel cursor into the recording, on the head while
-	// inspection is live; liveReason/liveLast stash the present-moment
-	// pause bookkeeping while inspection is rewound. See recording.go.
-	rec        *ttd.Recorder
-	recErr     error
-	recOut     *recordTee
-	recFr      *minipy.RTFrame
-	recEpoch   uint64
-	cur        ttd.Cursor
-	liveReason core.PauseReason
-	liveLast   int
+	rec      *ttd.Recorder
+	recErr   error
+	recOut   *recordTee
+	recFr    *minipy.RTFrame
+	recEpoch uint64
 }
 
 // New returns an unloaded MiniPy tracker.
@@ -231,6 +227,7 @@ func New() *Tracker {
 		doneCh:   make(chan exitInfo, 1),
 	}
 	t.Arming = core.NewArming(t)
+	t.Travel = ttd.NewTravel(t)
 	t.view.t = t
 	t.event.View, t.event.Values = &t.view, &t.view
 	return t
@@ -682,10 +679,7 @@ func (t *Tracker) resumeWith(stopDepth int, opName string) error {
 	if t.exited {
 		return core.ErrExited
 	}
-	// Forward execution always runs from the inferior's present moment: a
-	// rewound replay cursor snaps back to live first (the inferior itself
-	// never moved).
-	t.returnToLive()
+	t.Present()
 	t.stopDepth = stopDepth
 	t.skip = stopDepth < 0 && t.entrySeen && t.rec == nil && !t.supervised && !t.condWatch
 	sp := t.tracer.StartOp(opName)
@@ -854,7 +848,7 @@ func (t *Tracker) CurrentFrame() (*core.Frame, error) {
 	if !t.started {
 		return nil, t.werr("CurrentFrame", core.ErrNotStarted)
 	}
-	if !t.replaying() && (t.exited || t.curFrame == nil) {
+	if !t.Rewound() && (t.exited || t.curFrame == nil) {
 		return nil, t.werr("CurrentFrame", core.ErrExited)
 	}
 	st, err := t.State()
@@ -870,7 +864,7 @@ func (t *Tracker) GlobalVariables() ([]*core.Variable, error) {
 	if !t.started {
 		return nil, t.werr("GlobalVariables", core.ErrNotStarted)
 	}
-	if t.replaying() {
+	if t.Rewound() {
 		st, err := t.State()
 		if err != nil {
 			return nil, t.werr("GlobalVariables", err)
@@ -902,7 +896,7 @@ func (t *Tracker) State() (*core.State, error) {
 	if !t.started {
 		return nil, t.werr("State", core.ErrNotStarted)
 	}
-	if t.replaying() {
+	if t.Rewound() {
 		st, err := t.replayState()
 		if err != nil {
 			return nil, t.werr("State", err)
@@ -937,9 +931,8 @@ func (t *Tracker) State() (*core.State, error) {
 // Position returns the next line to execute; while rewound into the
 // recording it reports the replay cursor's line.
 func (t *Tracker) Position() (string, int) {
-	if t.replaying() {
-		s := t.rec.Store()
-		return t.file, s.LineAt(t.cur.Pos(s))
+	if t.Rewound() {
+		return t.file, t.rec.Store().LineAt(t.Pos())
 	}
 	if t.curFrame == nil {
 		return t.file, 0

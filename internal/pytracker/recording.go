@@ -22,12 +22,12 @@ import (
 //     epoch) records a line advance without converting any state; only
 //     mutation, calls and returns pay for a snapshot.
 //
-//   - Navigation happens on the tool goroutine while the inferior is paused
-//     (or exited). A replay cursor rewinds *inspection* into the recording:
-//     State, CurrentFrame, GlobalVariables and Position serve reconstructed
-//     snapshots from the store while rewound. The inferior itself never moves
-//     backwards — any forward execution command snaps inspection back to the
-//     live present and then runs.
+//   - Navigation (the embedded ttd.Travel) happens on the tool goroutine
+//     while the inferior is paused (or exited). It rewinds *inspection* into
+//     the recording: State, CurrentFrame, GlobalVariables and Position serve
+//     reconstructed snapshots from the store while rewound. The inferior
+//     itself never moves backwards — any forward execution command snaps
+//     inspection back to the live present and then runs.
 //
 // Reconstructed states come from ttd.Store.StateAt, which is a pure function
 // of the step index, so seeking to a step yields byte-identical JSON to
@@ -123,24 +123,13 @@ func (t *Tracker) finishRecording(code int) {
 	if t.rec == nil || t.recErr != nil {
 		return
 	}
-	if err := t.rec.Finish(code, t.recOut.take()); err != nil {
+	if err := t.rec.Finish(code, t.recOut.take(), nil); err != nil {
 		t.recErr = fmt.Errorf("pytracker: recording: %w", err)
 	}
 }
 
-// Recording returns the live store over the session's recording, or nil when
-// recording was not requested. Reads are only valid while the inferior is
-// paused or exited.
-func (t *Tracker) Recording() *ttd.Store {
-	if t.rec == nil {
-		return nil
-	}
-	return t.rec.Store()
-}
-
-// SupportsCapability implements core.CapabilityGate: the time-travel methods
-// are compiled in unconditionally but only honest when a recording exists,
-// so TimeTraveler and ReverseWatcher are gated on WithRecording.
+// SupportsCapability implements core.CapabilityGate: the TimeTraveler and
+// ReverseWatcher methods only work with a recording (WithRecording).
 func (t *Tracker) SupportsCapability(ptr any) bool {
 	switch ptr.(type) {
 	case *core.TimeTraveler, *core.ReverseWatcher:
@@ -149,142 +138,30 @@ func (t *Tracker) SupportsCapability(ptr any) bool {
 	return true
 }
 
-// replaying reports whether inspection is rewound into the recording.
-func (t *Tracker) replaying() bool { return t.rec != nil && !t.cur.AtHead() }
+// Timeline implements ttd.Host: the session's recording.
+func (t *Tracker) Timeline() (ttd.Timeline, bool, bool) { return t.rec.Timeline(t.exited) }
 
-// ttOK guards every time-travel operation.
-func (t *Tracker) ttOK() error {
+// TravelGuard implements ttd.Host: a session navigates only what it
+// recorded, and nothing once recording failed.
+func (t *Tracker) TravelGuard(string) error {
 	if t.rec == nil {
-		return fmt.Errorf("%w: recording not enabled (load with WithRecording)", core.ErrUnsupported)
+		return ttd.ErrNoRecording
 	}
-	if t.recErr != nil {
-		return t.recErr
-	}
-	if !t.started {
-		return core.ErrNotStarted
-	}
-	if t.rec.Len() == 0 {
-		return core.ErrNotStarted
-	}
+	return t.recErr
+}
+
+// TravelErr implements ttd.Host.
+func (t *Tracker) TravelErr(op string, err error) error { return t.werr(op, err) }
+
+// Land implements ttd.Host: a landing reports what ttd.Landing does.
+func (t *Tracker) Land(_ ttd.Timeline, _ int, r core.PauseReason, last int) error {
+	t.reason, t.lastLine = r, last
 	return nil
 }
 
-// leaveLive stashes the present-moment pause bookkeeping before a cursor
-// move, so returning to the present restores it.
-func (t *Tracker) leaveLive() {
-	if t.cur.AtHead() {
-		t.liveReason, t.liveLast = t.reason, t.lastLine
-	}
-}
-
-// land reports where a cursor move put inspection: the landing step, or the
-// live present when the move ended on the head of a running inferior.
-func (t *Tracker) land() {
-	if t.cur.AtHead() {
-		t.reason, t.lastLine = t.liveReason, t.liveLast
-		return
-	}
-	s := t.rec.Store()
-	t.reason, t.lastLine = ttd.Landing(s, t.file, t.cur.Pos(s))
-}
-
-// returnToLive snaps inspection back to the inferior's present moment.
-func (t *Tracker) returnToLive() {
-	if !t.cur.AtHead() {
-		t.cur = ttd.Cursor{}
-		t.land()
-	}
-}
-
-// StepBack implements core.TimeTraveler: rewind inspection one recorded step.
-func (t *Tracker) StepBack() error {
-	if err := t.ttOK(); err != nil {
-		return t.werr("StepBack", err)
-	}
-	t.leaveLive()
-	t.cur.StepBack(t.rec.Store(), t.exited)
-	t.land()
-	return nil
-}
-
-// SeekTo implements core.TimeTraveler: jump inspection to an absolute
-// recorded step. Seeking to the live head of a still-running inferior
-// returns inspection to the live present.
-func (t *Tracker) SeekTo(step int) error {
-	if err := t.ttOK(); err != nil {
-		return t.werr("SeekTo", err)
-	}
-	t.leaveLive()
-	if err := t.cur.Seek(t.rec.Store(), step, t.exited); err != nil {
-		return t.werr("SeekTo", err)
-	}
-	t.land()
-	return nil
-}
-
-// ResumeBack implements core.TimeTraveler: rewind to the previous recorded
-// step where an armed probe would pause (ttd.Probes.PauseBack over the
-// session's own probe table), or to entry. Reverse traversal does not
-// consume ignore counts or one-shot arming, and leaves the watch
-// snapshots alone: forward execution resumes from the present.
-func (t *Tracker) ResumeBack() error {
-	if err := t.ttOK(); err != nil {
-		return t.werr("ResumeBack", err)
-	}
-	s := t.rec.Store()
-	t.leaveLive()
-	r, ok := t.cur.ResumeBack(s, t.exited, func(pos int) (core.PauseReason, bool) {
-		return t.probes.PauseBack(s, t.file, pos)
-	})
-	t.land()
-	if ok {
-		t.reason = r
-	}
-	return nil
-}
-
-// NextBack implements core.TimeTraveler: rewind to the previous recorded
-// step at the same or shallower depth.
-func (t *Tracker) NextBack() error {
-	if err := t.ttOK(); err != nil {
-		return t.werr("NextBack", err)
-	}
-	t.leaveLive()
-	t.cur.NextBack(t.rec.Store(), t.exited)
-	t.land()
-	return nil
-}
-
-// Pos implements core.TimeTraveler: the current step index in the
-// recording, -1 before Start.
-func (t *Tracker) Pos() int {
-	if t.rec == nil || t.rec.Len() == 0 {
-		return -1
-	}
-	return t.cur.Pos(t.rec.Store())
-}
-
-// Len implements core.TimeTraveler: the number of recorded steps.
-func (t *Tracker) Len() int {
-	if t.rec == nil {
-		return 0
-	}
-	return t.rec.Len()
-}
-
-// LastChange implements core.ReverseWatcher: the most recent recorded write
-// of expr at or before the current position, answered from the recording's
-// write log by binary search — no state reconstruction, no backward scan.
-func (t *Tracker) LastChange(expr string) (*core.VarChange, error) {
-	if err := t.ttOK(); err != nil {
-		return nil, t.werr("LastChange", err)
-	}
-	s := t.rec.Store()
-	ch, err := s.LastChange(expr, t.cur.Pos(s))
-	if err != nil {
-		return nil, t.werr("LastChange", err)
-	}
-	return ch, nil
+// PauseBack implements ttd.Reverser with the session's own probe table.
+func (t *Tracker) PauseBack(tl ttd.Timeline, pos int) (core.PauseReason, bool) {
+	return t.probes.PauseBack(tl, t.file, pos)
 }
 
 // replayState serves State() while rewound: the reconstructed snapshot at
@@ -293,8 +170,7 @@ func (t *Tracker) LastChange(expr string) (*core.VarChange, error) {
 // shared with the store's memo and must be treated as read-only, like the
 // live snapshot cache.
 func (t *Tracker) replayState() (*core.State, error) {
-	s := t.rec.Store()
-	st, err := s.StateAt(t.cur.Pos(s))
+	st, err := t.rec.Store().StateAt(t.Pos())
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func TestLiveRecordingSeekByteIdentity(t *testing.T) {
 	if _, ok := tr.ExitCode(); !ok {
 		t.Fatal("inferior did not exit")
 	}
-	s := tr.Recording()
+	s := tr.rec.Store()
 	if s == nil || s.Len() < 10 {
 		t.Fatalf("recording too small: %v", s)
 	}
@@ -244,7 +244,7 @@ func TestLiveReverseNavigation(t *testing.T) {
 	if err := tr.SeekTo(tr.Len() / 2); err != nil {
 		t.Fatal(err)
 	}
-	s := tr.Recording()
+	s := tr.rec.Store()
 	d0 := s.DepthAt(tr.Pos())
 	if err := tr.NextBack(); err != nil {
 		t.Fatal(err)

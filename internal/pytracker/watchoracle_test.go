@@ -188,7 +188,7 @@ func replayWatchHits(t *testing.T, s *ttd.Store, ids []string) []watchHit {
 // reads the mutation epoch at every event ahead of the watch check, so the
 // second run pins that recording leaves the epoch test and the snapshot
 // memo the fast path keys on undisturbed. The replay row runs the trace tracker over the
-// session's own Recording(): the one classifier reading Timeline.VarAt
+// session's own recording (rec.Store()): the one classifier reading Timeline.VarAt
 // must pause where the live tracker does, a second watch changed at the
 // same event one event later included.
 func TestWatchFastPathMatchesOracle(t *testing.T) {
@@ -269,7 +269,7 @@ g[0] = 9
 			t.Run(p.name+"/"+ses.name, func(t *testing.T) {
 				tr, got, want := oracleWatchRun(t, p.src, ids, ses.opts...)
 				if ses.replay {
-					got = replayWatchHits(t, tr.Recording(), ids)
+					got = replayWatchHits(t, tr.rec.Store(), ids)
 				}
 				t.Logf("%d watches, %d hits", len(ids), len(want))
 				sameWatchHits(t, ids, got, want)

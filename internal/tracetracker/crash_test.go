@@ -27,8 +27,8 @@ func TestReplayRejectsTraceWithoutSteps(t *testing.T) {
 	if err := tr.Start(); !errors.Is(err, core.ErrNoProgram) {
 		t.Fatalf("Start after rejected load = %v", err)
 	}
-	if err := tr.Seek(0); !errors.Is(err, core.ErrNoProgram) {
-		t.Fatalf("Seek after rejected load = %v", err)
+	if err := tr.SeekTo(0); !errors.Is(err, core.ErrNoProgram) {
+		t.Fatalf("SeekTo after rejected load = %v", err)
 	}
 	if _, err := tr.State(); !errors.Is(err, core.ErrNoProgram) {
 		t.Fatalf("State after rejected load = %v", err)
@@ -111,7 +111,7 @@ func TestReplayRunsOffUnfinishedTrace(t *testing.T) {
 			if ch.Step > head-1 {
 				t.Fatalf("LastChange at step %d after the cursor", ch.Step)
 			}
-			if err := tr.Seek(head); err != nil {
+			if err := tr.SeekTo(head); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := tr.State(); err != nil {

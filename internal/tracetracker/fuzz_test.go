@@ -13,9 +13,14 @@ import (
 // sequence of the control, navigation and inspection calls. Contract:
 // every call returns a result or a *core.TrackerError, never a panic. The
 // committed corpus (testdata/fuzz/FuzzTraceReplay) holds a small recorded
-// trace in both formats, a budget-cut partial trace, and the v2 recording
-// of a live WithRecording session, whose call and return steps pt.Record's
-// traces lack.
+// trace in both formats (recorded-v1, recorded-v2), a budget-cut partial
+// trace (budget-cut-v1), the v2 recording of a live MiniPy WithRecording
+// session, whose call and return steps pt.Record's traces lack
+// (live-recording-v2), and the v2 recording of a MiniGDB WithRecording
+// session with a watch, a tracked function and a breakpoint armed, one
+// step per pause, whose recorded reasons are BREAKPOINT, WATCH, CALL and
+// RETURN pauses and whose terminal step records a global written after
+// the last pause (minigdb-recording-v2).
 func FuzzTraceReplay(f *testing.F) {
 	every := make([]byte, 0, 32)
 	for op := byte(0); op < 16; op++ {
@@ -67,7 +72,7 @@ func FuzzTraceReplay(f *testing.F) {
 			case 5:
 				err = tr.ResumeBack()
 			case 6:
-				err = tr.Seek(target)
+				err = tr.SeekTo(target)
 			case 7:
 				_, err = tr.State()
 			case 8:

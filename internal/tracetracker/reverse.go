@@ -11,114 +11,33 @@ import (
 // immutable recording, stepping backwards is exact and deterministic; on
 // the delta-encoded format every landing reconstructs its state from the
 // nearest checkpoint, so a backward state is byte-identical to the forward
-// replay's. The moves are ttd.Cursor's, shared with live recordings and the
-// MI server; reverse execution resurrects a finished replay.
+// replay's. The moves are the embedded ttd.Travel's, as on the live
+// trackers' recordings; reverse execution resurrects a finished replay.
 
-// navOK guards the reverse-navigation calls.
-func (t *Tracker) navOK(op string) error {
+// Timeline implements ttd.Host: a replay's program has always finished.
+func (t *Tracker) Timeline() (ttd.Timeline, bool, bool) { return t.tl, t.started, true }
+
+// TravelGuard implements ttd.Host.
+func (t *Tracker) TravelGuard(string) error {
 	if !t.loaded {
-		return t.werr(op, core.ErrNoProgram)
-	}
-	if !t.started {
-		return t.werr(op, core.ErrNotStarted)
+		return core.ErrNoProgram
 	}
 	return nil
 }
 
-// land reports a landing on Start or a navigation move: the replay is
-// running again, paused at the cursor with the ENTRY/STEP reason and the
-// line before it, and every watch snapshot is re-baselined there.
-func (t *Tracker) land() {
-	t.exited = false
-	pos := t.cur.Pos(t.tl)
-	t.reason, t.lastLine = ttd.Landing(t.tl, t.file, pos)
-	t.probes.Baseline(t.tl, pos)
-}
+// TravelErr implements ttd.Host.
+func (t *Tracker) TravelErr(op string, err error) error { return t.werr(op, err) }
 
-// StepBack moves one recorded step backwards. At the first step it reports
-// the entry pause again.
-func (t *Tracker) StepBack() error {
-	if err := t.navOK("StepBack"); err != nil {
-		return err
-	}
-	t.cur.StepBack(t.tl, t.exited)
-	t.land()
+// Land implements ttd.Host, for Start and every move: the replay runs
+// again, paused at step pos, with every watch snapshot re-baselined there.
+func (t *Tracker) Land(tl ttd.Timeline, pos int, r core.PauseReason, last int) error {
+	t.reason, t.lastLine, t.exited = r, last, false
+	t.probes.Baseline(tl, pos)
 	return nil
 }
 
-// ResumeBack runs backwards to the previous step where an armed probe would
-// pause (ttd.Probes.PauseBack, which spends no ignore count or one-shot
-// latch), or to the entry point.
-func (t *Tracker) ResumeBack() error {
-	if err := t.navOK("ResumeBack"); err != nil {
-		return err
-	}
-	r, ok := t.cur.ResumeBack(t.tl, t.exited, func(pos int) (core.PauseReason, bool) {
-		return t.probes.PauseBack(t.tl, t.file, pos)
-	})
-	t.land()
-	if ok {
-		t.reason = r
-	}
-	return nil
-}
-
-// NextBack steps backwards to the previous step at the same or shallower
-// depth.
-func (t *Tracker) NextBack() error {
-	if err := t.navOK("NextBack"); err != nil {
-		return err
-	}
-	t.cur.NextBack(t.tl, t.exited)
-	t.land()
-	return nil
-}
-
-// Seek jumps the replay to an absolute step index (deterministic
-// time-travel, the capability RR recording enables). The terminal
-// "finished" step maps to the last real step.
-func (t *Tracker) Seek(step int) error {
-	if err := t.navOK("Seek"); err != nil {
-		return err
-	}
-	if err := t.cur.Seek(t.tl, step, t.exited); err != nil {
-		return t.werr("Seek", err)
-	}
-	t.land()
-	return nil
-}
-
-// SeekTo implements core.TimeTraveler; it is Seek under the capability
-// surface's name.
-func (t *Tracker) SeekTo(step int) error { return t.Seek(step) }
-
-// Pos returns the current step index (navigation UIs); -1 before Start.
-func (t *Tracker) Pos() int {
-	if !t.started {
-		return -1
-	}
-	return t.cur.Pos(t.tl)
-}
-
-// Len returns the number of recorded steps.
-func (t *Tracker) Len() int {
-	if t.tl == nil {
-		return 0
-	}
-	return t.tl.Len()
-}
-
-// LastChange implements core.ReverseWatcher: the most recent recorded
-// write of expr at or before the current position. On the delta format it
-// is answered from the write log by binary search; on v0/v1 traces it
-// falls back to a backward scan of the recorded states.
-func (t *Tracker) LastChange(expr string) (*core.VarChange, error) {
-	if err := t.navOK("LastChange"); err != nil {
-		return nil, err
-	}
-	ch, err := t.tl.LastChange(expr, t.cur.Pos(t.tl))
-	if err != nil {
-		return nil, t.werr("LastChange", err)
-	}
-	return ch, nil
+// PauseBack implements ttd.Reverser with the replay's probe table, which
+// spends no ignore count or one-shot latch in reverse.
+func (t *Tracker) PauseBack(tl ttd.Timeline, pos int) (core.PauseReason, bool) {
+	return t.probes.PauseBack(tl, t.file, pos)
 }

@@ -160,7 +160,7 @@ func TestSeek(t *testing.T) {
 	if n < 10 {
 		t.Fatalf("trace too short: %d", n)
 	}
-	if err := tr.Seek(7); err != nil {
+	if err := tr.SeekTo(7); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Pos() != 7 {
@@ -169,17 +169,17 @@ func TestSeek(t *testing.T) {
 	if _, err := tr.CurrentFrame(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Seek(0); err != nil {
+	if err := tr.SeekTo(0); err != nil {
 		t.Fatal(err)
 	}
 	if tr.PauseReason().Type != core.PauseEntry {
 		t.Errorf("reason = %v", tr.PauseReason())
 	}
-	if err := tr.Seek(n + 5); !errors.Is(err, core.ErrBadLine) {
+	if err := tr.SeekTo(n + 5); !errors.Is(err, core.ErrBadLine) {
 		t.Errorf("out-of-range seek = %v", err)
 	}
 	// Seeking to the finished sentinel lands on the last real step.
-	if err := tr.Seek(n - 1); err != nil {
+	if err := tr.SeekTo(n - 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tr.CurrentFrame(); err != nil {
@@ -205,8 +205,8 @@ func TestSeekRebasesLastLine(t *testing.T) {
 	}
 	// Scrambled landings, including jumps in both directions and a repeat.
 	for _, pos := range []int{7, 2, 9, 0, 11, 5, 5} {
-		if err := tr.Seek(pos); err != nil {
-			t.Fatalf("Seek(%d): %v", pos, err)
+		if err := tr.SeekTo(pos); err != nil {
+			t.Fatalf("SeekTo(%d): %v", pos, err)
 		}
 		_, line := tr.Position()
 		if line != forward[pos].line {

@@ -5,6 +5,7 @@ import (
 
 	"easytracker/internal/core"
 	"easytracker/internal/pt"
+	"easytracker/internal/ttd"
 )
 
 // v1source adapts a v0/v1 full-state-per-step trace to ttd.Timeline, the
@@ -59,9 +60,8 @@ func (s *v1source) LastChange(expr string, before int) (*core.VarChange, error) 
 	if err != nil {
 		return nil, err
 	}
-	if before >= len(s.tr.Steps) {
-		before = len(s.tr.Steps) - 1
-	}
+	// The terminal "finished" step carries no state, so no write either.
+	before = min(before, ttd.Head(s))
 	valAt := func(i int) (*core.Value, string, bool) {
 		if i < 0 {
 			return nil, "", false

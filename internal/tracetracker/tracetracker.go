@@ -31,6 +31,9 @@ func init() {
 // Tracker replays a recorded trace through the control/inspection API.
 type Tracker struct {
 	core.Arming
+	// Travel is the replay's position (reverse.go); after the replay runs
+	// off the end it rests on the head, the last real step.
+	ttd.Travel
 
 	// tl is the recording: a v0/v1 full-state trace or a v2 delta store.
 	// file, code and exitCode are its header, read once at load.
@@ -40,9 +43,6 @@ type Tracker struct {
 	exitCode int
 	loaded   bool
 
-	// cur is the replay position; after the replay runs off the end it
-	// rests on the head, the last real step.
-	cur     ttd.Cursor
 	started bool
 	exited  bool
 
@@ -50,7 +50,7 @@ type Tracker struct {
 	lastLine int
 
 	// probes is the armed-probe table and its classifier; a replay owns its
-	// timeline, so every landing re-baselines the watches (land).
+	// timeline, so every landing re-baselines the watches (Land).
 	probes ttd.Probes[struct{}]
 
 	// obs is the tracker's instrument panel, nil unless WithObservability
@@ -70,6 +70,7 @@ type Tracker struct {
 func New() *Tracker {
 	t := &Tracker{}
 	t.Arming = core.NewArming(t)
+	t.Travel = ttd.NewTravel(t)
 	return t
 }
 
@@ -170,8 +171,8 @@ func (t *Tracker) Start() error {
 	}
 	sp := t.tracer.StartOp(core.OpStart)
 	t.started = true
-	t.cur.Seek(t.tl, 0, false) // cannot fail: load rejects an empty trace
-	t.land()
+	// Cannot fail: load rejects a trace with no step before it finished.
+	_ = t.SeekTo(0)
 	t.notePause()
 	sp.End()
 	return nil
@@ -207,7 +208,7 @@ func (t *Tracker) Step() error { return t.run("Step", core.OpStep, math.MaxInt) 
 func (t *Tracker) Next() error {
 	depth := 0
 	if t.started {
-		depth = t.tl.DepthAt(t.cur.Pos(t.tl))
+		depth = t.tl.DepthAt(t.Pos())
 	}
 	return t.run("Next", core.OpNext, depth)
 }
@@ -224,14 +225,14 @@ func (t *Tracker) run(name, op string, stopDepth int) error {
 	sp := t.tracer.StartOp(op)
 	t0 := t.obs.Now()
 	for {
-		t.lastLine = t.tl.LineAt(t.cur.Pos(t.tl))
+		t.lastLine = t.tl.LineAt(t.Pos())
 		t.ctrSteps.Inc()
-		if !t.cur.Advance(t.tl) {
+		if !t.Advance(t.tl) {
 			t.exited = true
 			t.reason = core.PauseReason{Type: core.PauseExited, ExitCode: t.exitCode}
 			break
 		}
-		pos := t.cur.Pos(t.tl)
+		pos := t.Pos()
 		if t.probes.Replay(t.tl, t.file, pos, t.tl.DepthAt(pos) <= stopDepth, &t.reason) {
 			break
 		}
@@ -285,7 +286,7 @@ func (t *Tracker) arm(p core.Probe) error {
 	}
 	if w != nil {
 		if t.started {
-			w.Snap = t.tl.VarAt(t.cur.Pos(t.tl), w.Scope, w.Name)
+			w.Snap = t.tl.VarAt(t.Pos(), w.Scope, w.Name)
 		}
 		t.obs.Gauge(core.GaugeWatches).Set(int64(len(t.probes.Watches)))
 	}
@@ -314,7 +315,7 @@ func (t *Tracker) state(op string) (*core.State, error) {
 	if err := t.controlOK(); err != nil {
 		return nil, t.werr(op, err)
 	}
-	pos := t.cur.Pos(t.tl)
+	pos := t.Pos()
 	st, err := t.tl.StateAt(pos)
 	if err == nil && st == nil {
 		err = fmt.Errorf("tracetracker: step %d has no recorded state", pos)
@@ -332,7 +333,7 @@ func (t *Tracker) CurrentFrame() (*core.Frame, error) {
 		return nil, err
 	}
 	if st.Frame == nil {
-		return nil, t.werr("CurrentFrame", fmt.Errorf("tracetracker: step %d has no recorded frame", t.cur.Pos(t.tl)))
+		return nil, t.werr("CurrentFrame", fmt.Errorf("tracetracker: step %d has no recorded frame", t.Pos()))
 	}
 	return st.Frame, nil
 }
@@ -354,7 +355,7 @@ func (t *Tracker) Position() (string, int) {
 	if !t.started || t.exited {
 		return t.file, 0
 	}
-	return t.file, t.tl.LineAt(t.cur.Pos(t.tl))
+	return t.file, t.tl.LineAt(t.Pos())
 }
 
 // LastLine returns the most recently replayed line.
@@ -377,5 +378,5 @@ func (t *Tracker) Stdout() string {
 	if t.exited {
 		return t.tl.StdoutAt(t.tl.Len() - 1)
 	}
-	return t.tl.StdoutAt(t.cur.Pos(t.tl))
+	return t.tl.StdoutAt(t.Pos())
 }

@@ -76,11 +76,15 @@ func Served(st *core.State, r core.PauseReason) *core.State {
 // step. For a live recording the head is the inferior's present and any
 // other step is rewound inspection. Every move takes done, whether the
 // program has finished: stepping back from the head of a finished run
-// lands on the head itself, the last moment the program was alive.
+// lands on the head itself, the last moment the program was alive. The
+// step is an int32, as in the write log, to keep the trackers' size class.
 type Cursor struct {
-	step   int
+	step   int32
 	onStep bool
 }
+
+// stepCursor is the cursor on recorded step i.
+func stepCursor(i int) Cursor { return Cursor{step: int32(i), onStep: true} }
 
 // AtHead reports whether the cursor is on the head.
 func (c Cursor) AtHead() bool { return !c.onStep }
@@ -88,7 +92,7 @@ func (c Cursor) AtHead() bool { return !c.onStep }
 // Pos is the recorded step the cursor is on.
 func (c Cursor) Pos(tl Timeline) int {
 	if c.onStep {
-		return c.step
+		return int(c.step)
 	}
 	return Head(tl)
 }
@@ -103,7 +107,7 @@ func (c Cursor) backFrom(tl Timeline, done bool) int {
 
 // StepBack moves one recorded step back; at the first step it stays.
 func (c *Cursor) StepBack(tl Timeline, done bool) {
-	*c = Cursor{step: max(c.backFrom(tl, done), 0), onStep: true}
+	*c = stepCursor(max(c.backFrom(tl, done), 0))
 }
 
 // NextBack moves back to the previous step at the same or a shallower
@@ -114,7 +118,7 @@ func (c *Cursor) NextBack(tl Timeline, done bool) {
 	for pos > 0 && tl.DepthAt(pos) > depth {
 		pos--
 	}
-	*c = Cursor{step: max(pos, 0), onStep: true}
+	*c = stepCursor(max(pos, 0))
 }
 
 // ResumeBack moves back to the nearest earlier step where match reports a
@@ -122,11 +126,11 @@ func (c *Cursor) NextBack(tl Timeline, done bool) {
 func (c *Cursor) ResumeBack(tl Timeline, done bool, match func(pos int) (core.PauseReason, bool)) (core.PauseReason, bool) {
 	for pos := c.backFrom(tl, done); pos > 0; pos-- {
 		if r, ok := match(pos); ok {
-			*c = Cursor{step: pos, onStep: true}
+			*c = stepCursor(pos)
 			return r, true
 		}
 	}
-	*c = Cursor{onStep: true}
+	*c = stepCursor(0)
 	return core.PauseReason{}, false
 }
 
@@ -144,7 +148,7 @@ func (c *Cursor) Seek(tl Timeline, step int, done bool) error {
 	if step == Head(tl) && !done {
 		*c = Cursor{}
 	} else {
-		*c = Cursor{step: step, onStep: true}
+		*c = stepCursor(step)
 	}
 	return nil
 }
@@ -158,6 +162,6 @@ func (c *Cursor) Advance(tl Timeline) bool {
 		*c = Cursor{}
 		return false
 	}
-	*c = Cursor{step: next, onStep: true}
+	*c = stepCursor(next)
 	return true
 }

@@ -20,7 +20,7 @@ func recording(t *testing.T, n int, finished bool) *ttd.Store {
 		}
 	}
 	if finished {
-		if err := rec.Finish(0, ""); err != nil {
+		if err := rec.Finish(0, "", nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -48,6 +48,15 @@ func (r *Recorder) Store() *Store { return r.s }
 // Len reports the number of recorded steps.
 func (r *Recorder) Len() int { return len(r.s.t.Steps) }
 
+// Timeline is Host.Timeline for a live tracker whose recorder is r, nil
+// when it records nothing, and whose program has finished when done holds.
+func (r *Recorder) Timeline(done bool) (Timeline, bool, bool) {
+	if r == nil {
+		return nil, false, false
+	}
+	return r.s, r.Len() > 0, done
+}
+
 // Add records one step from a full state snapshot: the delta against the
 // previous snapshot, the step's pause reason, and — on checkpoint steps —
 // the serialized state itself. The recorder retains st as the next diff
@@ -90,12 +99,20 @@ func (r *Recorder) AddLineOnly(line int, out string, reason core.PauseReason) er
 }
 
 // Finish seals the recording with the terminal bookkeeping step, mirroring
-// the v1 format's trailing "finished" step.
-func (r *Recorder) Finish(exitCode int, out string) error {
+// the v1 format's trailing "finished" step. final, when non-nil, is the
+// program's state after its exit: the terminal step then records the
+// writes to its globals since the last step, keeping that step's frames.
+func (r *Recorder) Finish(exitCode int, out string, final *core.State) error {
 	if r.finished {
 		return nil
 	}
-	if err := r.addStep(pt.EventFinished, 0, "", out, nil, nil, nil); err != nil {
+	var d *pt.Delta
+	if final != nil && r.prev != nil {
+		last := *r.prev
+		last.Globals = final.Globals
+		d = diffState(r.prev, &last)
+	}
+	if err := r.addStep(pt.EventFinished, 0, "", out, d, nil, nil); err != nil {
 		return err
 	}
 	r.s.t.ExitCode = exitCode

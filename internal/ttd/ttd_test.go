@@ -326,7 +326,7 @@ func TestRecorderLiveMatchesFromTrace(t *testing.T) {
 		}
 	}
 	final := v1.Steps[len(v1.Steps)-1]
-	if err := rec.Finish(v1.ExitCode, strings.TrimPrefix(final.Stdout, prevOut)); err != nil {
+	if err := rec.Finish(v1.ExitCode, strings.TrimPrefix(final.Stdout, prevOut), nil); err != nil {
 		t.Fatal(err)
 	}
 	s := rec.Store()

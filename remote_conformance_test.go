@@ -503,16 +503,24 @@ func (tr *transcript) noteChange(tag string, ch *easytracker.VarChange, err erro
 // SeekTo, ResumeBack, NextBack, LastChange — on a trace-backed session,
 // locally and through the loopback server, in both trace formats. All four
 // transcripts (v1/v2 × local/remote) must be line-identical: the wire and
-// the delta encoding are both invisible to a tool replaying history.
+// the delta encoding are both invisible to a tool replaying history. The
+// MiniPy and MiniGDB recording sessions run the same script, and each
+// renders the same transcript locally and through the loopback server;
+// both next back and answer LastChange, and MiniGDB, which has no reverse
+// classifier, reports ResumeBack unsupported alike on both.
 func TestRemoteConformanceTimeTravel(t *testing.T) {
 	addr := startConformanceServer(t)
 	v1Path, v2Path := recordAgreeTraces(t)
 
-	run := func(remoteAddr, path string) []string {
-		tk := conformanceTracker(t, "trace", remoteAddr)
+	run := func(s armSurface, remoteAddr string) []string {
+		tk := conformanceTracker(t, s.kind, remoteAddr)
 		defer tk.Terminate()
+		var opts []easytracker.LoadOption
+		if s.recording {
+			opts = append(opts, easytracker.WithSource(s.src), easytracker.WithRecording(0))
+		}
 		tr := &transcript{}
-		tr.note("load %s", errClass(tk.LoadProgram(path)))
+		tr.note("load %s", errClass(tk.LoadProgram(s.path, opts...)))
 		_, tt := easytracker.As[easytracker.TimeTraveler](tk)
 		_, rw := easytracker.As[easytracker.ReverseWatcher](tk)
 		tr.note("caps tt=%v rw=%v", tt, rw)
@@ -556,11 +564,12 @@ func TestRemoteConformanceTimeTravel(t *testing.T) {
 		return tr.lines
 	}
 
+	v1, v2 := armSurface{kind: "trace", path: v1Path}, armSurface{kind: "trace", path: v2Path}
 	transcripts := map[string][]string{
-		"v1-local":  run("", v1Path),
-		"v1-remote": run(addr, v1Path),
-		"v2-local":  run("", v2Path),
-		"v2-remote": run(addr, v2Path),
+		"v1-local":  run(v1, ""),
+		"v1-remote": run(v1, addr),
+		"v2-local":  run(v2, ""),
+		"v2-remote": run(v2, addr),
 	}
 	ref := transcripts["v1-local"]
 	for name, lines := range transcripts {
@@ -571,6 +580,25 @@ func TestRemoteConformanceTimeTravel(t *testing.T) {
 		for i := range ref {
 			if lines[i] != ref[i] {
 				t.Errorf("%s line %d differs:\nv1-local: %s\n%s: %s", name, i, ref[i], name, lines[i])
+			}
+		}
+	}
+	for _, s := range recordingSurfaces() {
+		if s.remote {
+			continue
+		}
+		local, remote := run(s, ""), run(s, addr)
+		if len(remote) != len(local) {
+			t.Fatalf("%s: loopback transcript has %d lines, local %d\n%s\nvs\n%s", s.name,
+				len(remote), len(local), strings.Join(remote, "\n"), strings.Join(local, "\n"))
+		}
+		for i := range local {
+			if remote[i] != local[i] {
+				t.Errorf("%s line %d differs:\nlocal:    %s\nloopback: %s", s.name, i, local[i], remote[i])
+			}
+			if tag, rest, _ := strings.Cut(local[i], " "); tag == "next-back" && rest != "ok" ||
+				tag == "last-change" && !strings.HasPrefix(rest, "{") {
+				t.Errorf("%s: %s", s.name, local[i])
 			}
 		}
 	}

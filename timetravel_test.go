@@ -1,10 +1,14 @@
 package easytracker_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"easytracker"
+	"easytracker/internal/gdbtracker"
+	"easytracker/internal/pytracker"
+	"easytracker/internal/tracetracker"
 )
 
 // recordingSurfaces are the live surfaces loaded WithRecording(0).
@@ -60,13 +64,17 @@ func TestTimeTravelPosBeforeStart(t *testing.T) {
 
 // TestTimeTravelLandingLastLine: a landing's LastLine is the line of the
 // recorded step before it, 0 at the first step, on every recording
-// surface and on trace replays.
+// surface and on trace replays, locally and through a loopback server. A
+// failed navigation call names itself, SeekTo included, and reports the
+// line Position does: after SeekTo(1), the rewound one.
 func TestTimeTravelLandingLastLine(t *testing.T) {
 	addr := startConformanceServer(t)
 	v1, v2 := recordAgreeTraces(t)
 	surfaces := append(recordingSurfaces(),
 		armSurface{name: "trace-v1", kind: "trace", path: v1},
-		armSurface{name: "trace-v2", kind: "trace", path: v2})
+		armSurface{name: "trace-v2", kind: "trace", path: v2},
+		armSurface{name: "remote-trace-v1", kind: "trace", path: v1, remote: true},
+		armSurface{name: "remote-trace-v2", kind: "trace", path: v2, remote: true})
 	for _, s := range surfaces {
 		t.Run(s.name, func(t *testing.T) {
 			tk := s.open(t, addr)
@@ -92,6 +100,25 @@ func TestTimeTravelLandingLastLine(t *testing.T) {
 				}
 				if got := tk.LastLine(); got != want {
 					t.Errorf("SeekTo(%d): LastLine() = %d, want %d", k, got, want)
+				}
+			}
+			if err := tt.SeekTo(1); err != nil {
+				t.Fatal(err)
+			}
+			_, line := tk.Position()
+			_, lastChangeErr := easytracker.LastChange(tk, "::nosuch")
+			for _, c := range []struct {
+				op  string
+				err error
+			}{
+				{"SeekTo", tt.SeekTo(tt.Len() + 100)},
+				{"LastChange", lastChangeErr},
+			} {
+				var te *easytracker.TrackerError
+				if !errors.As(c.err, &te) {
+					t.Errorf("%s: error %v is no TrackerError", c.op, c.err)
+				} else if te.Op != c.op || te.Line != line {
+					t.Errorf("%s fails as op %q at line %d; want op %q at Position's line %d", c.op, te.Op, te.Line, c.op, line)
 				}
 			}
 		})
@@ -123,5 +150,27 @@ func TestTimeTravelForwardReturnsToLive(t *testing.T) {
 				t.Errorf("Step after SeekTo(1): %s\nwithout the rewind:  %s", got, want)
 			}
 		})
+	}
+}
+
+// newSink keeps each constructed tracker on the heap.
+var newSink any
+
+// TestTrackerNewAllocs pins what constructing each tracker allocates. The
+// time-travel front end, like the arming calls, holds the tracker as an
+// interface value and adds nothing.
+func TestTrackerNewAllocs(t *testing.T) {
+	for _, c := range []struct {
+		kind string
+		want float64
+		new  func() any
+	}{
+		{"minipy", 5, func() any { return pytracker.New() }},
+		{"minigdb", 3, func() any { return gdbtracker.New() }},
+		{"trace", 1, func() any { return tracetracker.New() }},
+	} {
+		if got := testing.AllocsPerRun(100, func() { newSink = c.new() }); got != c.want {
+			t.Errorf("%s: New() makes %v allocations, want %v", c.kind, got, c.want)
+		}
 	}
 }
