@@ -11,7 +11,8 @@
 // coming back to a MiniGDB control round trip (BenchmarkSteppingOverheadMiniC),
 // to a tracked function's pauses, each RETURN one round trip
 // (BenchmarkTrackFunctionMiniC), or to the MiniC machine's loads
-// (BenchmarkNativeMiniC), against the
+// (BenchmarkNativeMiniC), or to a raw MI round trip whose arguments pass
+// through Client.Send (BenchmarkFig4MIRoundTrip), against the
 // machine committing its whole stack up front or encoding its text image at
 // every start again (BenchmarkNativeMiniC's B/op), against the MI server
 // copying each -et-inspect State out of the encoder again
@@ -123,11 +124,11 @@ func loadBaseline(path string) (*Baseline, error) {
 }
 
 func main() {
-	bench := flag.String("bench", "BenchmarkResumeWithWatchpointMiniPy|BenchmarkAblationWatchCountMiniPy|BenchmarkCompileMiniPy|BenchmarkObsOverhead|BenchmarkSpanOverhead|BenchmarkBudgetCheckOverhead|BenchmarkConditionalBreakMiniPy|BenchmarkRemoteRoundTrip|BenchmarkRedialOverheadOff|BenchmarkRemoteInspectMiniPy|BenchmarkSeekColdVsCheckpoint|BenchmarkRecordingOverhead|BenchmarkFig3StateSerialize|BenchmarkMIInspectState|BenchmarkStateDecodeGolden|BenchmarkStateAcrossPausesMiniPy|BenchmarkSteppingOverheadMiniC|BenchmarkTrackFunctionMiniC|BenchmarkNativeMiniC", "benchmark regex passed to go test -bench")
+	bench := flag.String("bench", "BenchmarkResumeWithWatchpointMiniPy|BenchmarkAblationWatchCountMiniPy|BenchmarkCompileMiniPy|BenchmarkObsOverhead|BenchmarkSpanOverhead|BenchmarkBudgetCheckOverhead|BenchmarkConditionalBreakMiniPy|BenchmarkRemoteRoundTrip|BenchmarkRedialOverheadOff|BenchmarkRemoteInspectMiniPy|BenchmarkSeekColdVsCheckpoint|BenchmarkRecordingOverhead|BenchmarkFig3StateSerialize|BenchmarkMIInspectState|BenchmarkStateDecodeGolden|BenchmarkStateAcrossPausesMiniPy|BenchmarkSteppingOverheadMiniC|BenchmarkTrackFunctionMiniC|BenchmarkNativeMiniC|BenchmarkFig4MIRoundTrip", "benchmark regex passed to go test -bench")
 	baselinePath := flag.String("baseline", filepath.Join("cmd", "et-benchdiff", "baseline.json"), "committed baseline JSON")
 	outPath := flag.String("o", "BENCH_1.json", "report output path")
 	count := flag.Int("count", 1, "benchmark repetitions (best of N is kept)")
-	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,allocs:BenchmarkRemoteInspectMiniPy,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateDecodeGolden,allocs:BenchmarkStateAcrossPausesMiniPy,allocs:BenchmarkSteppingOverheadMiniC,allocs:BenchmarkTrackFunctionMiniC,allocs:BenchmarkNativeMiniC,bytes:BenchmarkNativeMiniC,bytes:BenchmarkMIInspectState,bytes:BenchmarkRemoteInspectMiniPy", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency), a bytes: prefix gates B/op only, at the allocs/op tolerance")
+	gate := flag.String("gate", "BenchmarkResumeWithWatchpointMiniPy,BenchmarkBudgetCheckOverhead,BenchmarkConditionalBreakMiniPy,BenchmarkAblationWatchCountMiniPy/-watches,allocs:BenchmarkRedialOverheadOff,allocs:BenchmarkRemoteInspectMiniPy,allocs:BenchmarkFig3StateSerialize,allocs:BenchmarkMIInspectState,allocs:BenchmarkStateDecodeGolden,allocs:BenchmarkStateAcrossPausesMiniPy,allocs:BenchmarkSteppingOverheadMiniC,allocs:BenchmarkTrackFunctionMiniC,allocs:BenchmarkNativeMiniC,allocs:BenchmarkFig4MIRoundTrip,bytes:BenchmarkNativeMiniC,bytes:BenchmarkMIInspectState,bytes:BenchmarkRemoteInspectMiniPy", "comma-separated benchmarks whose allocs/op and ns/op are gated against the baseline; an allocs: prefix gates allocs/op only (for wire benchmarks whose ns/op rides loopback latency), a bytes: prefix gates B/op only, at the allocs/op tolerance")
 	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op and B/op regression in percent")
 	nsTolerance := flag.Float64("ns-tolerance", 15, "allowed ns/op regression in percent (ns/op is noisier than allocs/op)")
 	dir := flag.String("dir", ".", "module directory to benchmark")

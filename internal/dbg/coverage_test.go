@@ -17,9 +17,6 @@ func TestAccessors(t *testing.T) {
 	if _, err := d.StepLine(nil); err != nil {
 		t.Fatal(err)
 	}
-	if d.LastLine() != 8 {
-		t.Errorf("LastLine = %d", d.LastLine())
-	}
 	for _, r := range []StopReason{StopNone, StopEntry, StopStep,
 		StopBreakpoint, StopWatch, StopExited, StopFault, StopReason(99)} {
 		if r.String() == "" {

@@ -156,7 +156,6 @@ type Debugger struct {
 	exited   bool
 	halted   bool // exited through the exit service: no frame is alive
 	exitCode int
-	lastLine int
 
 	nextBPID int
 	bps      map[int]*Breakpoint
@@ -196,21 +195,8 @@ func (d *Debugger) Machine() *vm.Machine { return d.m }
 // DataVersion returns the machine's store counter; see vm.Machine.DataVersion.
 func (d *Debugger) DataVersion() uint64 { return d.m.DataVersion() }
 
-// WatchVersions maps each armed watchpoint's debugger ID to its store
-// counter (stores so far that overlapped its range).
-func (d *Debugger) WatchVersions() map[int]uint64 {
-	out := make(map[int]uint64, len(d.watches))
-	for id, w := range d.watches {
-		out[id] = d.m.WatchVersion(w.vmID)
-	}
-	return out
-}
-
 // Prog returns the program image.
 func (d *Debugger) Prog() *isa.Program { return d.prog }
-
-// LastLine returns the line that most recently finished executing.
-func (d *Debugger) LastLine() int { return d.lastLine }
 
 // Exited reports termination.
 func (d *Debugger) Exited() (int, bool) { return d.exitCode, d.exited }
@@ -539,7 +525,6 @@ func (d *Debugger) Continue(onInternal func(*Watchpoint, *vm.WatchHit)) (Stop, e
 			if hit.Temporary {
 				d.RemoveBreakpoint(hit.ID)
 			}
-			d.lastLine = d.prog.LineAt(d.m.PC()) // breakpoint is *before* the line
 			st := d.locate(Stop{Reason: StopBreakpoint, Breakpoint: hit.ID})
 			if hit.Function != "" {
 				st.Function = hit.Function
@@ -684,7 +669,6 @@ func (d *Debugger) stepCore(over bool, onInternal func(*Watchpoint, *vm.WatchHit
 		switch stop.Kind {
 		case vm.StopStep:
 		case vm.StopExit:
-			d.lastLine = startLine
 			return d.finish(stop), nil
 		case vm.StopFault:
 			return d.fault(stop), nil
@@ -714,7 +698,6 @@ func (d *Debugger) stepCore(over bool, onInternal func(*Watchpoint, *vm.WatchHit
 				if hit.Temporary {
 					d.RemoveBreakpoint(hit.ID)
 				}
-				d.lastLine = startLine
 				return d.locate(Stop{Reason: StopBreakpoint, Breakpoint: hit.ID}), nil
 			}
 		}
@@ -735,7 +718,6 @@ func (d *Debugger) stepCore(over bool, onInternal func(*Watchpoint, *vm.WatchHit
 			continue
 		}
 		if line != startLine || depth != 0 {
-			d.lastLine = startLine
 			return d.locate(Stop{Reason: StopStep}), nil
 		}
 	}

@@ -62,10 +62,10 @@ type Tracker struct {
 	// Travel is time travel over the session's recording (timetravel.go).
 	ttd.Travel
 
-	// trans is the hardened command transport: the MI client, optionally
-	// behind a DeadlineTransport (core.WithCommandTimeout) and, in
-	// tests, behind a fault-injection wrapper (SetConnWrapper).
-	trans    mi.Transport
+	// client is the MI client, its Timeout the command deadline
+	// (core.WithCommandTimeout); in tests its connection may sit behind a
+	// fault-injection wrapper (SetConnWrapper).
+	client   *mi.Client
 	wrapConn func(mi.Conn) mi.Conn
 
 	// journal records every arming operation (breakpoints, tracked
@@ -237,9 +237,11 @@ func (t *Tracker) Spans() []obs.SpanRecord { return t.tracer.Spans() }
 // SpanTracer implements core.SpanTracerSource; nil when span tracing is off.
 func (t *Tracker) SpanTracer() *obs.Tracer { return t.tracer }
 
-// miTap is the wire-tap callback observing every MI round trip: the
-// command/record pair lands in the flight recorder, and with metrics on,
-// the round-trip latency lands in the OpMIRound histogram.
+// miTap is the MI wire tap, run after every round trip: the command/record
+// pair lands in the flight recorder, and with metrics on, the round-trip
+// latency lands in the OpMIRound histogram. It sees a round trip as the
+// tracker does, deadline expiries and connection deaths included, which
+// makes the flight recorder a faithful black box for crash reports.
 func (t *Tracker) miTap(op string, args []string, resp *mi.Response, err error, d time.Duration) {
 	rec := t.obs.Recorder()
 	cmd := op
@@ -298,10 +300,17 @@ func (t *Tracker) send(op string, args ...string) (*mi.Response, error) {
 }
 
 // sendRaw is send without the recovery layer (used by teardown-adjacent
-// paths and by recovery itself).
+// paths and by recovery itself). With span tracing on, the round trip is
+// one "mi.round_trip" span, Detail the MI command, nested under the
+// tracker op in flight.
 func (t *Tracker) sendRaw(op string, args ...string) (*mi.Response, error) {
-	resp, err := t.trans.RoundTrip(op, args...)
-	if out := t.trans.TakeOutput(); out != "" {
+	sp := t.tracer.Start(core.OpMIRound)
+	sp.Detail = op
+	t0 := time.Now()
+	resp, err := t.client.Send(op, args...)
+	sp.EndErr(err)
+	t.miTap(op, args, resp, err, time.Since(t0))
+	if out := t.client.TakeOutput(); out != "" {
 		if t.cfg.Stdout != nil {
 			fmt.Fprint(t.cfg.Stdout, out)
 		}
@@ -592,15 +601,12 @@ func (t *Tracker) armExecDeadline() func() {
 // band (no response of its own), so it is safe to call from any goroutine —
 // including while the tool goroutine is blocked inside Resume — and the
 // in-flight command returns a normal "interrupted" pause. No-op when the
-// transport does not support interrupts (e.g. a fault-injection wrapper
-// that swallowed the capability) or the session is down.
+// session is down.
 func (t *Tracker) Interrupt() {
-	if t.trans == nil || t.dead {
+	if t.client == nil || t.dead {
 		return
 	}
-	if in, ok := t.trans.(mi.Interrupter); ok {
-		_ = in.Interrupt()
-	}
+	_ = t.client.Interrupt()
 }
 
 // opHistName maps a public control-op name onto its canonical histogram.
@@ -628,7 +634,7 @@ func (t *Tracker) Next() error { return t.control("Next", "-exec-next") }
 // Terminate shuts the debugger down. It never triggers recovery: a dead
 // session is simply torn down.
 func (t *Tracker) Terminate() error {
-	if t.trans == nil {
+	if t.client == nil {
 		return nil
 	}
 	if !t.dead {
@@ -943,40 +949,6 @@ func (t *Tracker) revalidateStale() *core.State {
 	t.stale = nil
 	t.obs.Counter(core.CtrSnapshotHits).Inc()
 	return &cp
-}
-
-// WatchVersions returns the per-watchpoint store counters (number of
-// stores so far overlapping each armed watchpoint's range), keyed by
-// watchpoint number, via one -data-watch-version round trip.
-func (t *Tracker) WatchVersions() (map[int]uint64, error) {
-	if t.dead {
-		return nil, t.sessionDead("WatchVersions")
-	}
-	if !t.started {
-		return nil, t.werr("WatchVersions", core.ErrNotStarted)
-	}
-	if t.exited {
-		return nil, t.werr("WatchVersions", core.ErrExited)
-	}
-	if t.Rewound() {
-		return nil, t.notRecorded("WatchVersions")
-	}
-	resp, err := t.send("-data-watch-version")
-	if err != nil {
-		return nil, t.werr("WatchVersions", err)
-	}
-	out := map[int]uint64{}
-	lst, _ := resp.Result.Results.Get("watch-versions").(mi.List)
-	for _, el := range lst {
-		tp, ok := el.(mi.Tuple)
-		if !ok {
-			continue
-		}
-		no, _ := tp.GetInt("number")
-		ver, _ := strconv.ParseUint(tp.GetString("version"), 10, 64)
-		out[int(no)] = ver
-	}
-	return out, nil
 }
 
 // CurrentFrame returns the innermost frame of the paused inferior.

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"easytracker/internal/core"
+	"easytracker/internal/mi"
+	"easytracker/internal/obs"
 )
 
 // TestStatsMIRoundTrips exercises the full observability surface of the
@@ -147,5 +150,96 @@ func TestLostWatchpointRecordedInTrail(t *testing.T) {
 	}
 	if r := tr.PauseReason(); r.Type != core.PauseBreakpoint || r.Function != "fib" {
 		t.Fatalf("pause after recovery = %v, want replayed breakpoint", r)
+	}
+}
+
+// TestMIRoundTripSpansNestUnderOp pins the span half of the wire tap: every
+// MI round trip is one "mi.round_trip" span whose Detail is the MI command
+// and whose Parent is the span of the tracker op that sent it.
+func TestMIRoundTripSpansNestUnderOp(t *testing.T) {
+	tr := New()
+	if err := tr.LoadProgram("prog.c", core.WithSource(fibC),
+		core.WithObservability(core.WithSpanTracing(256))); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	t.Cleanup(func() { _ = tr.Terminate() })
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.BreakBeforeFunc("fib"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.State(); err != nil {
+		t.Fatal(err)
+	}
+
+	spans := tr.Spans()
+	byID := map[uint64]obs.SpanRecord{}
+	for _, sp := range spans {
+		byID[sp.SpanID] = sp
+	}
+	// The op each command was sent under, as "op.name command".
+	sent := map[string]bool{}
+	for _, sp := range spans {
+		if sp.Name != core.OpMIRound {
+			continue
+		}
+		op, ok := byID[sp.Parent]
+		if !ok || op.Name == core.OpMIRound {
+			t.Fatalf("round trip %q has parent %d, not an op span in the ring", sp.Detail, sp.Parent)
+		}
+		if op.TraceID != sp.TraceID {
+			t.Errorf("round trip %q is in trace %x, its op %s in %x", sp.Detail, sp.TraceID, op.Name, op.TraceID)
+		}
+		sent[op.Name+" "+sp.Detail] = true
+	}
+	for _, want := range []string{
+		core.OpStart + " -exec-run",
+		core.SpanArm + " -break-insert",
+		core.OpResume + " -exec-continue",
+		core.OpStep + " -exec-step",
+		core.OpStateFetch + " -et-inspect",
+	} {
+		if !sent[want] {
+			t.Errorf("no round trip %q; got %v", want, sent)
+		}
+	}
+}
+
+// TestMITapRecordsDeadlineExpiry pins the tap's view of a failed round
+// trip: a command whose reply never comes leaves an "mi!" event naming the
+// command and carrying the deadline error in the session error's flight
+// dump, and the mi.errors counter counts it.
+func TestMITapRecordsDeadlineExpiry(t *testing.T) {
+	tr, fc := faultTracker(t, countC, core.WithObservability(),
+		core.WithCommandTimeout(100*time.Millisecond))
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	fc().DropResponses(1000)
+	err := tr.Step()
+	te := sessionError(t, err)
+	if !errors.Is(err, core.ErrCommandTimeout) {
+		t.Fatalf("want ErrCommandTimeout, got %v", err)
+	}
+	var lost []string
+	for _, line := range te.Trail {
+		if strings.Contains(line, "mi!") {
+			lost = append(lost, line)
+		}
+	}
+	if len(lost) != 1 || !strings.Contains(lost[0], "-exec-step") ||
+		!strings.Contains(lost[0], mi.ErrTimeout.Error()) {
+		t.Fatalf("want one mi! event for -exec-step carrying %q, got %q in:\n%s",
+			mi.ErrTimeout, lost, te.FlightDump())
+	}
+	if got := tr.Stats().Counters[core.CtrMIErrors]; got != 1 {
+		t.Fatalf("%s = %d, want 1", core.CtrMIErrors, got)
 	}
 }

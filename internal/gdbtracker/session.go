@@ -22,21 +22,6 @@ import (
 // In-process mode only; must be called before LoadProgram.
 func (t *Tracker) SetConnWrapper(wrap func(mi.Conn) mi.Conn) { t.wrapConn = wrap }
 
-// setTransport wires the client behind the configured command deadline and
-// the observability wire tap. The tap is outermost, so it sees round trips
-// exactly as the tracker does — including deadline expiries and transport
-// deaths the DeadlineTransport below it produces.
-func (t *Tracker) setTransport(c *mi.Client) {
-	var trans mi.Transport = c
-	if t.cfg.CommandTimeout > 0 {
-		trans = &mi.DeadlineTransport{T: trans, Timeout: t.cfg.CommandTimeout}
-	}
-	if t.obs != nil {
-		trans = &mi.TapTransport{T: trans, Tap: t.miTap, Tracer: t.tracer}
-	}
-	t.trans = trans
-}
-
 // bootInProcess builds a fresh in-process MI server for the loaded program
 // and connects the transport to it. The server runs each command on the
 // goroutine that sends it, so the session starts no goroutine.
@@ -47,7 +32,8 @@ func (t *Tracker) bootInProcess() error {
 	if t.wrapConn != nil {
 		conn = t.wrapConn(conn)
 	}
-	t.setTransport(mi.NewClient(conn))
+	t.client = mi.NewClient(conn)
+	t.client.Timeout = t.cfg.CommandTimeout
 	return nil
 }
 
@@ -73,7 +59,8 @@ func (t *Tracker) bootSubprocess() error {
 		return fmt.Errorf("gdbtracker: bad minigdb greeting %q (%v)", line, err)
 	}
 	t.child = cmd
-	t.setTransport(mi.NewClient(conn))
+	t.client = mi.NewClient(conn)
+	t.client.Timeout = t.cfg.CommandTimeout
 	if _, err := t.sendRaw("-file-exec-and-symbols", t.mobjPath); err != nil {
 		t.teardown()
 		return err
@@ -93,8 +80,8 @@ func (t *Tracker) reboot() error {
 // child's wait status ("exit status 3", "signal: killed", ...) when there
 // was one — the liveness evidence quoted in session-lost errors.
 func (t *Tracker) teardown() string {
-	if t.trans != nil {
-		_ = t.trans.Close()
+	if t.client != nil {
+		_ = t.client.Close()
 	}
 	status := ""
 	if t.child != nil {

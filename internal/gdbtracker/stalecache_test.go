@@ -159,38 +159,6 @@ func TestInvalidateStateCacheDropsStaleCandidate(t *testing.T) {
 	}
 }
 
-func TestWatchVersionsOverTracker(t *testing.T) {
-	src := `int g = 0;
-int main() {
-    g = 1;
-    g = 2;
-    return 0;
-}`
-	tr := start(t, src)
-	if err := tr.Watch("g"); err != nil {
-		t.Fatal(err)
-	}
-	wv, err := tr.WatchVersions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wv) != 1 {
-		t.Fatalf("WatchVersions = %v, want one entry", wv)
-	}
-	if err := tr.Resume(); err != nil { // first hit: g = 1
-		t.Fatal(err)
-	}
-	wv2, err := tr.WatchVersions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, v0 := range wv {
-		if wv2[id] != v0+1 {
-			t.Errorf("watch %d version = %d, want %d", id, wv2[id], v0+1)
-		}
-	}
-}
-
 // TestRevalidatedFrameCarriesPC: a revalidated snapshot's innermost frame
 // takes the new pause's program counter as well as its line, so the State
 // served (and recorded) at a pause reached without a store is the one a
@@ -241,8 +209,8 @@ func (c *opLog) Send(line string) error {
 // lines that store nothing, and a call, reading the State at every pause.
 // A State sends at most one MI command, -et-inspect; at a pause that
 // stored nothing since the previous one, in the same frame, it sends none,
-// and the reused snapshot's innermost PC is the one -data-watch-version
-// reports there.
+// and the reused snapshot's innermost PC is the debugger's pc register
+// there.
 func TestStateCostsOneCommand(t *testing.T) {
 	const src = `int g = 1;
 int twice(int x) {
@@ -268,10 +236,10 @@ int main() {
 	if err := tr.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// versionAt reads the data version and PC with a round trip of its
-	// own, outside the State being counted.
+	// versionAt reads -et-inspect's data version and the pc register
+	// with round trips of their own, outside the State being counted.
 	versionAt := func() (uint64, uint64) {
-		resp, err := tr.send("-data-watch-version")
+		resp, err := tr.send("-et-inspect")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,11 +247,11 @@ int main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := strconv.ParseUint(resp.Result.GetString("addr"), 0, 64)
+		regs, err := tr.Registers()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ver, pc
+		return ver, regs["pc"]
 	}
 	if _, err := tr.State(); err != nil {
 		t.Fatal(err)
@@ -314,7 +282,7 @@ int main() {
 		case same:
 			reused++
 			if st.Frame.PC != pc {
-				t.Errorf("step %d: reused snapshot's PC %#x, -data-watch-version reports %#x", step, st.Frame.PC, pc)
+				t.Errorf("step %d: reused snapshot's PC %#x, the pc register reads %#x", step, st.Frame.PC, pc)
 			}
 		case len(sent) != 1 || sent[0] != "-et-inspect":
 			t.Errorf("step %d (line %d): State sent %v, want one -et-inspect", step, st.Frame.Line, sent)

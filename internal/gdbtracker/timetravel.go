@@ -21,9 +21,9 @@ import (
 //     final values.
 //
 //   - Navigation crosses no pipe. While rewound, State, CurrentFrame,
-//     GlobalVariables and Position read the recording; Registers, ValueAt,
-//     HeapBlocks and WatchVersions, which it does not hold, fail, and
-//     MemorySegments is nil.
+//     GlobalVariables and Position read the recording; Registers, ValueAt
+//     and HeapBlocks, which it does not hold, fail, and MemorySegments is
+//     nil.
 //
 // MiniGDB records pause by pause, so StepBack and NextBack move one pause
 // at a time, and LastChange dates a write at the first pause that saw it
@@ -36,9 +36,11 @@ import (
 // recordPause adds the live pause classifyStop just read to the recording:
 // the State fetched for it, which fetchState stamps with the tracker's
 // reason and caches for the tool (Recorder.Add never mutates it), and the
-// output since the pause before. At the exit it seals the recording with
-// the State read after the exit. A fetch failure is the control call's
-// error; a recording failure latches and the time-travel calls report it.
+// output since the pause before. The step is the call, return or line
+// event pt.EventOf makes of the reason, so a trace replay's probes fire
+// where the live ones did. At the exit it seals the recording with the
+// State read after the exit. A fetch failure is the control call's error;
+// a recording failure latches and the time-travel calls report it.
 func (t *Tracker) recordPause() error {
 	rec := t.rec
 	if rec == nil || t.recErr != nil {
@@ -64,7 +66,7 @@ func (t *Tracker) recordPause() error {
 	if t.exited {
 		err = rec.Finish(t.exitCode, out, st)
 	} else {
-		err = rec.Add(pt.EventStepLine, t.curLine, t.curFunc, out, st)
+		err = rec.Add(pt.EventOf(t.reason), t.curLine, t.curFunc, out, st)
 	}
 	if err != nil {
 		t.recErr = fmt.Errorf("gdbtracker: recording: %w", err)
@@ -103,7 +105,7 @@ func (t *Tracker) Land(tl ttd.Timeline, pos int, r core.PauseReason, last int) (
 }
 
 // notRecorded is the error of a live-machine inspector while rewound: the
-// recording holds neither registers, raw memory nor store counters.
+// recording holds neither registers nor raw memory.
 func (t *Tracker) notRecorded(op string) error {
 	return t.werr(op, fmt.Errorf("%w: not recorded; return to the present", core.ErrUnsupported))
 }

@@ -360,10 +360,10 @@ func TestTimeTravelNextBackOverTrackedCalls(t *testing.T) {
 }
 
 // TestTimeTravelRewoundInspectors: the recording holds neither registers,
-// raw memory, the segment table nor store counters, so while inspection is
-// rewound Registers, ValueAt, HeapBlocks and WatchVersions fail with
-// ErrUnsupported and MemorySegments is nil instead of answering from the
-// present; after a forward Step they answer again.
+// raw memory nor the segment table, so while inspection is rewound
+// Registers, ValueAt and HeapBlocks fail with ErrUnsupported and
+// MemorySegments is nil instead of answering from the present; after a
+// forward Step they answer again.
 func TestTimeTravelRewoundInspectors(t *testing.T) {
 	tr := start(t, loopC, core.WithRecording(0), core.WithHeapTracking())
 	for i := 0; i < 4; i++ {
@@ -383,7 +383,6 @@ func TestTimeTravelRewoundInspectors(t *testing.T) {
 		{"Registers", func() error { _, err := tr.Registers(); return err }},
 		{"ValueAt", func() error { _, err := tr.ValueAt(sp, 8); return err }},
 		{"HeapBlocks", func() error { _, err := tr.HeapBlocks(); return err }},
-		{"WatchVersions", func() error { _, err := tr.WatchVersions(); return err }},
 	}
 	if err := tr.SeekTo(0); err != nil {
 		t.Fatal(err)
@@ -539,4 +538,77 @@ func TestSubprocessTimeTravel(t *testing.T) {
 			t.Errorf("SeekTo(0): %s, want the re-run's entry: %s", got, shots[0])
 		}
 	})
+}
+
+// callTwiceC calls f twice: f returns 2, then 4.
+const callTwiceC = `int f(int n) {
+    return n + 2;
+}
+
+int x = 0;
+
+int main() {
+    x = f(x);
+    x = f(x);
+    return 0;
+}`
+
+// TestRecordingReplaysCallsAndReturns: a trace replay of a session's own
+// recording, armed with the probe the live session had, pauses where the
+// live session paused. The probes of a replay fire on call and return
+// steps, so the recording must keep a pause at a function's entry or
+// return as such a step.
+func TestRecordingReplaysCallsAndReturns(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		arm  func(core.Tracker) error
+	}{
+		{"TrackFunction", func(tk core.Tracker) error { return tk.TrackFunction("f") }},
+		{"BreakBeforeFunc", func(tk core.Tracker) error { return tk.BreakBeforeFunc("f") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pauses := func(tk core.Tracker) string {
+				t.Helper()
+				if err := c.arm(tk); err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for {
+					if err := tk.Resume(); err != nil {
+						t.Fatal(err)
+					}
+					r := tk.PauseReason()
+					s := fmt.Sprint(r.Type)
+					switch r.Type {
+					case core.PauseCall, core.PauseBreakpoint:
+						s += " " + r.Function
+					case core.PauseReturn:
+						s += fmt.Sprintf(" %s -> %s", r.Function, r.ReturnValue)
+					case core.PauseExited:
+						s += fmt.Sprint(" ", r.ExitCode)
+					}
+					got = append(got, s)
+					if _, done := tk.ExitCode(); done {
+						return strings.Join(got, ", ")
+					}
+				}
+			}
+			live := start(t, callTwiceC, core.WithRecording(0))
+			want := pauses(live)
+			data, err := live.rec.Store().Trace().Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp := tracetracker.New()
+			if err := rp.LoadProgram("calls.trace", core.WithSource(string(data))); err != nil {
+				t.Fatal(err)
+			}
+			if err := rp.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if got := pauses(rp); got != want {
+				t.Errorf("replay paused at %s; the live session at %s", got, want)
+			}
+		})
+	}
 }

@@ -12,9 +12,10 @@ import (
 	"easytracker/internal/minic"
 )
 
+// getVersion reads the data version -et-inspect reports.
 func getVersion(t *testing.T, cl *Client) uint64 {
 	t.Helper()
-	resp, err := cl.Send("-data-watch-version")
+	resp, err := cl.Send("-et-inspect")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,10 @@ func getVersion(t *testing.T, cl *Client) uint64 {
 	return v
 }
 
-func TestDataWatchVersionCommand(t *testing.T) {
+// TestInspectVersionTracksStores: the data version -et-inspect reports
+// advances across stores and holds still with no execution between two
+// reads.
+func TestInspectVersionTracksStores(t *testing.T) {
 	src := `int g = 0;
 int main() {
     g = 1;
@@ -41,8 +45,7 @@ int main() {
 	}
 	v0 := getVersion(t, cl)
 
-	// First watch hit: stores happened, so the data version advanced and
-	// the watchpoint's own counter went from 0 to 1.
+	// First watch hit: stores happened, so the data version advanced.
 	resp, err := cl.Send("-exec-continue")
 	if err != nil {
 		t.Fatal(err)
@@ -54,19 +57,6 @@ int main() {
 	v1 := getVersion(t, cl)
 	if v1 <= v0 {
 		t.Errorf("version did not advance across stores: %d -> %d", v0, v1)
-	}
-
-	resp, err = cl.Send("-data-watch-version")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lst, _ := resp.Result.Results.Get("watch-versions").(List)
-	if len(lst) != 1 {
-		t.Fatalf("watch-versions = %v, want one entry", lst)
-	}
-	tp, _ := lst[0].(Tuple)
-	if got := tp.GetString("version"); got != "1" {
-		t.Errorf("watch version after first hit = %s, want 1", got)
 	}
 
 	// No execution between two queries: the version is stable (this is
@@ -96,21 +86,6 @@ func TestEtInspectCarriesVersion(t *testing.T) {
 	if _, err := strconv.ParseUint(resp.Result.GetString("version"), 10, 64); err != nil {
 		t.Errorf("-et-inspect version = %q, want a number", resp.Result.GetString("version"))
 	}
-}
-
-func TestListFeaturesAdvertisesDataWatchVersion(t *testing.T) {
-	cl := startServer(t, "int main() { return 0; }")
-	resp, err := cl.Send("-list-features")
-	if err != nil {
-		t.Fatal(err)
-	}
-	feats, _ := resp.Result.Results.Get("features").(List)
-	for _, f := range feats {
-		if sv, ok := f.(StringVal); ok && string(sv) == "et-data-watch-version" {
-			return
-		}
-	}
-	t.Errorf("features %v missing et-data-watch-version", feats)
 }
 
 // stopsC stops at entry, after steps into and out of a call, at a
@@ -179,8 +154,8 @@ func checkStopsCarryVersion(t *testing.T, cl *Client, own func() (version, addr 
 }
 
 // TestStoppedCarriesVersionAndAddr checks the in-process server against
-// its debugger's own counters, and a minigdb child against its
-// -data-watch-version replies.
+// its debugger's own counters, and a minigdb child against the version
+// -et-inspect reports and the pc -data-list-register-values reads.
 func TestStoppedCarriesVersionAndAddr(t *testing.T) {
 	t.Run("pipe", func(t *testing.T) {
 		prog, err := minic.Compile("stops.c", stopsC)
@@ -226,11 +201,22 @@ func TestStoppedCarriesVersionAndAddr(t *testing.T) {
 		}
 		cl := NewClient(conn)
 		checkStopsCarryVersion(t, cl, func() (string, string) {
-			resp, err := cl.Send("-data-watch-version")
+			resp, err := cl.Send("-data-list-register-values", "x")
 			if err != nil {
 				t.Fatal(err)
 			}
-			return resp.Result.GetString("version"), resp.Result.GetString("addr")
+			regs, _ := resp.Result.Results.Get("register-values").(List)
+			for _, r := range regs {
+				if r, _ := r.(Tuple); r.GetString("name") == "pc" {
+					pc, err := strconv.ParseUint(r.GetString("value"), 10, 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return strconv.FormatUint(getVersion(t, cl), 10), fmt.Sprintf("%#x", pc)
+				}
+			}
+			t.Fatalf("no pc among %s", refPrint(resp.Result))
+			return "", ""
 		})
 	})
 }

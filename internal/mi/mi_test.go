@@ -487,7 +487,7 @@ func TestHeapTrackingOverMI(t *testing.T) {
 	}
 }
 
-func TestRegistersMemorySegmentsSource(t *testing.T) {
+func TestRegistersMemorySegments(t *testing.T) {
 	cl := startServer(t, miFibC)
 	if _, err := cl.Send("-exec-run"); err != nil {
 		t.Fatal(err)
@@ -513,13 +513,6 @@ func TestRegistersMemorySegmentsSource(t *testing.T) {
 	first := prog.Instrs[0].Encode()
 	if got := resp.Result.GetString("memory"); got != hex.EncodeToString(first[:]) {
 		t.Errorf("memory hex = %q, want the first instruction %x", got, first)
-	}
-	resp, err = cl.Send("-et-source")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp.Result.GetString("source"), "int fib") {
-		t.Error("source text missing")
 	}
 }
 

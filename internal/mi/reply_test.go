@@ -51,9 +51,9 @@ const maxFuzzCommands = 16
 func FuzzServerReply(f *testing.F) {
 	seeds := []string{
 		"-list-features",
-		"-et-source\n-et-segments\n-et-last-line",
+		"-et-segments",
 		"7-exec-next\n8-et-inspect\n-stack-list-frames\n-data-list-register-values",
-		"-break-watch g\n-exec-continue\n-exec-continue\n-data-watch-version",
+		"-break-watch g\n-exec-continue\n-exec-continue\n-et-inspect",
 		"-break-watch d\n-exec-continue",
 		"-break-watch c\n-exec-continue",
 		"-break-watch hp\n-exec-continue",
@@ -129,7 +129,7 @@ func TestServerRepliesReprint(t *testing.T) {
 			t.Helper()
 			return checkReply(t, srv.run(SplitCommand(line)))
 		}
-		for _, line := range []string{"-list-features", "-et-source", "-et-track-heap", "-exec-run", "-et-segments"} {
+		for _, line := range []string{"-list-features", "-et-track-heap", "-exec-run", "-et-segments"} {
 			run(line)
 		}
 		for _, f := range prog.Funcs {
@@ -147,7 +147,7 @@ func TestServerRepliesReprint(t *testing.T) {
 		}
 		for pause := 0; pause < maxReplyPauses; pause++ {
 			for _, line := range []string{"-et-inspect", "-stack-list-frames", "-data-list-register-values",
-				"-data-watch-version", "-et-heap-blocks", "-et-last-line"} {
+				"-et-heap-blocks"} {
 				run(line)
 			}
 			op := "-exec-step"

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -393,30 +392,6 @@ func (s *Server) dispatch(token, op string, args []string) error {
 		p.line()
 		return nil
 
-	case "-data-watch-version":
-		if err := s.need(); err != nil {
-			return err
-		}
-		wv := s.d.WatchVersions()
-		ids := make([]int, 0, len(wv))
-		for id := range wv {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		s.done(token)
-		p.uint("version", s.d.DataVersion())
-		p.open("watch-versions", '[')
-		for _, id := range ids {
-			p.open("", '{')
-			p.int("number", int64(id))
-			p.uint("version", wv[id])
-			p.close('}')
-		}
-		p.close(']')
-		p.hex("addr", s.d.Machine().PC())
-		p.line()
-		return nil
-
 	case "-et-heap-blocks":
 		s.done(token)
 		p.open("blocks", '[')
@@ -520,25 +495,6 @@ func (s *Server) dispatch(token, op string, args []string) error {
 		p.line()
 		return nil
 
-	case "-et-source":
-		if s.prog == nil {
-			return fmt.Errorf("no program loaded")
-		}
-		s.done(token)
-		p.str("file", s.prog.SourceFile)
-		p.str("source", s.prog.Source)
-		p.line()
-		return nil
-
-	case "-et-last-line":
-		if err := s.need(); err != nil {
-			return err
-		}
-		s.done(token)
-		p.int("line", int64(s.d.LastLine()))
-		p.line()
-		return nil
-
 	case "-list-features":
 		s.done(token)
 		p.open("features", '[')
@@ -556,8 +512,7 @@ func (s *Server) dispatch(token, op string, args []string) error {
 // features are the extensions -list-features reports.
 var features = [...]string{
 	"et-inspect", "et-maxdepth", "et-heap-track", "et-segments",
-	"et-data-watch-version", "et-exec-interrupt", "et-budget",
-	"et-break-condition",
+	"et-exec-interrupt", "et-budget", "et-break-condition",
 }
 
 // breakInsert handles -break-insert [-t] [-c EXPR] [-i N] [--maxdepth N]
@@ -831,12 +786,12 @@ func leBytes(b []byte) uint64 {
 // stopRecords prints a debugger stop as MI records: buffered inferior
 // output first, then ^running + *stopped (the synchronous condensation of
 // GDB's async protocol). A stop that leaves the inferior paused carries the
-// machine's data version and program counter, as -data-watch-version
-// reports them, so a client can tell from the stop alone whether memory
-// changed since an earlier pause: neither moves until the next execution
-// command. A stop at a return-event breakpoint carries return-value, a0 at
-// the stop in decimal, as GDB's function-finished stop carries the value
-// the function returned.
+// machine's data version, as -et-inspect reports it, and program counter,
+// so a client can tell from the stop alone whether memory changed since an
+// earlier pause: neither moves until the next execution command. A stop at
+// a return-event breakpoint carries return-value, a0 at the stop in
+// decimal, as GDB's function-finished stop carries the value the function
+// returned.
 func (s *Server) stopRecords(token string, stop dbg.Stop) {
 	s.drainOutput()
 	p := &s.out

@@ -125,22 +125,9 @@ int main() {
 	}
 }
 
-func TestLastLineAndFeatures(t *testing.T) {
+func TestListFeatures(t *testing.T) {
 	cl := startServer(t, miFibC)
-	if _, err := cl.Send("-exec-run"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Send("-exec-next"); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cl.Send("-et-last-line")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Result.GetString("line") != "8" {
-		t.Errorf("last line = %s", resp.Result.GetString("line"))
-	}
-	resp, err = cl.Send("-list-features")
+	resp, err := cl.Send("-list-features")
 	if err != nil {
 		t.Fatal(err)
 	}

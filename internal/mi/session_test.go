@@ -24,30 +24,30 @@ func faultSession(t *testing.T) (*Client, *FaultConn) {
 	return NewClient(fc), fc
 }
 
-func TestDeadlineTransportPassthrough(t *testing.T) {
+func TestClientTimeoutPassthrough(t *testing.T) {
 	cl, _ := faultSession(t)
-	dt := &DeadlineTransport{T: cl, Timeout: 5 * time.Second}
-	defer dt.Close()
-	resp, err := dt.RoundTrip("-exec-run")
+	cl.Timeout = 5 * time.Second
+	defer cl.Close()
+	resp, err := cl.Send("-exec-run")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stop, ok := resp.Stopped(); !ok || stop.GetString("reason") != "entry" {
-		t.Fatalf("entry stop through deadline transport: %v", refPrint(resp.Result))
+		t.Fatalf("entry stop within a deadline: %v", refPrint(resp.Result))
 	}
 }
 
-func TestDeadlineTransportTimeoutPoisons(t *testing.T) {
+func TestClientTimeoutPoisons(t *testing.T) {
 	cl, fc := faultSession(t)
-	dt := &DeadlineTransport{T: cl, Timeout: 80 * time.Millisecond}
-	if _, err := dt.RoundTrip("-exec-run"); err != nil {
+	cl.Timeout = 80 * time.Millisecond
+	if _, err := cl.Send("-exec-run"); err != nil {
 		t.Fatal(err)
 	}
 	// Swallow the whole next response: the client hangs on a reply that
 	// never arrives, and only the deadline gets control back.
 	fc.DropResponses(1000)
 	start := time.Now()
-	resp, err := dt.RoundTrip("-exec-next")
+	resp, err := cl.Send("-exec-next")
 	if resp != nil || err == nil {
 		t.Fatalf("want transport failure, got resp=%v err=%v", resp, err)
 	}
@@ -57,20 +57,19 @@ func TestDeadlineTransportTimeoutPoisons(t *testing.T) {
 	if d := time.Since(start); d > 3*time.Second {
 		t.Fatalf("deadline did not bound the round trip: %v", d)
 	}
-	// The wrapped transport is poisoned: reusing it fails immediately
-	// rather than desynchronizing on a late response.
+	// The connection is poisoned: reusing it fails immediately rather
+	// than desynchronizing on a late response.
 	fc.DropResponses(0)
-	if resp, err := dt.RoundTrip("-exec-next"); err == nil {
-		t.Fatalf("poisoned transport accepted a command: %v", refPrint(resp.Result))
+	if resp, err := cl.Send("-exec-next"); err == nil {
+		t.Fatalf("poisoned client accepted a command: %v", refPrint(resp.Result))
 	}
 }
 
-func TestDeadlineTransportZeroMeansNoDeadline(t *testing.T) {
+func TestClientTimeoutZeroMeansNoDeadline(t *testing.T) {
 	cl, fc := faultSession(t)
-	dt := &DeadlineTransport{T: cl}
-	defer dt.Close()
+	defer cl.Close()
 	fc.DelayRecv(20 * time.Millisecond) // a delay no zero-deadline should trip on
-	if _, err := dt.RoundTrip("-exec-run"); err != nil {
+	if _, err := cl.Send("-exec-run"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -78,13 +77,13 @@ func TestDeadlineTransportZeroMeansNoDeadline(t *testing.T) {
 func TestFaultConnKillAfterCommands(t *testing.T) {
 	cl, fc := faultSession(t)
 	fc.KillAfterCommands(2)
-	if _, err := cl.RoundTrip("-exec-run"); err != nil {
+	if _, err := cl.Send("-exec-run"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.RoundTrip("-exec-next"); err != nil {
+	if _, err := cl.Send("-exec-next"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.RoundTrip("-exec-next")
+	resp, err := cl.Send("-exec-next")
 	if resp != nil || !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed on command 3, got resp=%v err=%v", resp, err)
 	}
@@ -96,7 +95,7 @@ func TestFaultConnKillAfterCommands(t *testing.T) {
 func TestFaultConnCorruptResponses(t *testing.T) {
 	cl, fc := faultSession(t)
 	fc.CorruptResponses(1)
-	resp, err := cl.RoundTrip("-exec-run")
+	resp, err := cl.Send("-exec-run")
 	if resp != nil || err == nil {
 		t.Fatalf("want parse failure on corrupted line, got resp=%v err=%v", resp, err)
 	}
@@ -105,7 +104,7 @@ func TestFaultConnCorruptResponses(t *testing.T) {
 func TestFaultConnNoFaultsIsTransparent(t *testing.T) {
 	cl, _ := faultSession(t)
 	for _, op := range []string{"-exec-run", "-exec-next", "-et-inspect"} {
-		if _, err := cl.RoundTrip(op); err != nil {
+		if _, err := cl.Send(op); err != nil {
 			t.Fatalf("%s through idle FaultConn: %v", op, err)
 		}
 	}

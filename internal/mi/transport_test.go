@@ -134,7 +134,7 @@ func TestStdioInterruptDuringContinue(t *testing.T) {
 	if !ok || stopped.GetString("reason") != "interrupted" || stopped.GetString("detail") != "interrupt" {
 		t.Fatalf("continue answered %s", refPrint(stopped))
 	}
-	resp, err = cl.Send("-data-watch-version")
+	resp, err = cl.Send("-et-inspect")
 	if err != nil {
 		t.Fatal(err)
 	}

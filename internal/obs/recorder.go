@@ -1,9 +1,8 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -29,27 +28,19 @@ func (e Event) String() string {
 	return fmt.Sprintf("%+.3fms %-7s %s", float64(e.AtNs)/1e6, e.Kind, e.Detail)
 }
 
-// FlightRecorder retains the last N events in a fixed ring buffer. Recording
-// is lock-free: a producer claims a slot with one atomic add and publishes
-// the event with one atomic pointer store, so concurrent producers (inferior
-// goroutine, tool goroutine, async owner goroutine) never contend on a lock
-// and never tear an entry. Snapshot orders whatever is published by sequence
-// number; an in-flight producer's entry may be missing, never corrupt.
+// FlightRecorder retains the last N events in a fixed lock-free ring.
+// Snapshot orders whatever is published by sequence number; an in-flight
+// producer's entry may be missing, never corrupt.
 type FlightRecorder struct {
 	start time.Time
-	seq   atomic.Uint64
-	slots []atomic.Pointer[Event]
+	ring  ring[Event]
 }
 
 // NewFlightRecorder builds a recorder retaining the last n events (n >= 1).
 func NewFlightRecorder(n int) *FlightRecorder {
-	if n < 1 {
-		n = 1
-	}
-	return &FlightRecorder{
-		start: time.Now(),
-		slots: make([]atomic.Pointer[Event], n),
-	}
+	r := &FlightRecorder{start: time.Now()}
+	r.ring.init(n)
+	return r
 }
 
 // Cap returns the number of retained events.
@@ -57,7 +48,7 @@ func (r *FlightRecorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return len(r.ring.slots)
 }
 
 // Total returns how many events were ever recorded (retained or wrapped
@@ -66,7 +57,7 @@ func (r *FlightRecorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq.Load()
+	return r.ring.seq.Load()
 }
 
 // Record appends one event, overwriting the oldest once the ring is full.
@@ -102,9 +93,9 @@ func RecordLazy[T fmt.Stringer](r *FlightRecorder, kind string, v T) {
 
 // publish stamps ev and stores it in its slot.
 func (r *FlightRecorder) publish(ev *Event) {
-	ev.Seq = r.seq.Add(1)
+	ev.Seq = r.ring.claim()
 	ev.AtNs = time.Since(r.start).Nanoseconds()
-	r.slots[(ev.Seq-1)%uint64(len(r.slots))].Store(ev)
+	r.ring.put(ev.Seq, ev)
 }
 
 // Snapshot returns the retained events ordered oldest first. Entries being
@@ -114,17 +105,12 @@ func (r *FlightRecorder) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		if ev := r.slots[i].Load(); ev != nil {
-			e := *ev
-			if e.lazy != nil {
-				e.Detail, e.lazy = e.lazy.detail(), nil
-			}
-			out = append(out, e)
+	out := r.ring.snapshot(func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	for i := range out {
+		if e := &out[i]; e.lazy != nil {
+			e.Detail, e.lazy = e.lazy.detail(), nil
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 

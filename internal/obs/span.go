@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
 	"sync/atomic"
 	"time"
 )
@@ -10,10 +10,9 @@ import (
 // metrics side (obs.go) answers "how often and how long on average", spans
 // answer "what exactly happened inside THIS slow Resume" — one record per
 // completed operation, linked into a tree by 64-bit trace/span/parent ids
-// that survive serialization across the remote wire. The design mirrors the
-// flight recorder: completed spans are published lock-free into a fixed
-// ring (one atomic add to claim a slot, one atomic pointer store to
-// publish), and every method tolerates a nil receiver so the disabled path
+// that survive serialization across the remote wire. Completed spans are
+// published into the flight recorder's kind of lock-free ring (ring.go),
+// and every method tolerates a nil receiver so the disabled path
 // costs one pointer test and zero allocations
 // (BenchmarkResumeWithWatchpointMiniPy guards this).
 //
@@ -82,14 +81,11 @@ func newSpanID() uint64 {
 	}
 }
 
-// SpanRing retains the last N completed spans. Publication is lock-free and
-// identical in shape to the flight recorder: claim a slot with one atomic
-// add, publish with one atomic pointer store. Multiple tracers may share one
-// ring (the remote server shares its ring with every session backend so one
-// /spans dump shows the whole process).
+// SpanRing retains the last N completed spans in a lock-free ring. Multiple
+// tracers may share one ring (the remote server shares its ring with every
+// session backend so one /spans dump shows the whole process).
 type SpanRing struct {
-	seq   atomic.Uint64
-	slots []atomic.Pointer[SpanRecord]
+	ring ring[SpanRecord]
 }
 
 // DefaultSpanCapacity sizes a span ring when no explicit capacity is given:
@@ -98,10 +94,9 @@ const DefaultSpanCapacity = 1024
 
 // NewSpanRing builds a ring retaining the last n spans (n >= 1).
 func NewSpanRing(n int) *SpanRing {
-	if n < 1 {
-		n = 1
-	}
-	return &SpanRing{slots: make([]atomic.Pointer[SpanRecord], n)}
+	r := &SpanRing{}
+	r.ring.init(n)
+	return r
 }
 
 // Cap returns the number of retained spans. Safe on a nil receiver.
@@ -109,7 +104,7 @@ func (r *SpanRing) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return len(r.ring.slots)
 }
 
 // Total returns how many spans were ever published (retained or wrapped
@@ -118,7 +113,7 @@ func (r *SpanRing) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq.Load()
+	return r.ring.seq.Load()
 }
 
 // publish stores one completed record, overwriting the oldest when full.
@@ -126,8 +121,7 @@ func (r *SpanRing) publish(rec *SpanRecord) {
 	if r == nil {
 		return
 	}
-	seq := r.seq.Add(1)
-	r.slots[(seq-1)%uint64(len(r.slots))].Store(rec)
+	r.ring.put(r.ring.claim(), rec)
 }
 
 // Snapshot returns the retained spans ordered by start time (ties broken by
@@ -137,19 +131,9 @@ func (r *SpanRing) Snapshot() []SpanRecord {
 	if r == nil {
 		return nil
 	}
-	out := make([]SpanRecord, 0, len(r.slots))
-	for i := range r.slots {
-		if rec := r.slots[i].Load(); rec != nil {
-			out = append(out, *rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].StartUnixNs != out[j].StartUnixNs {
-			return out[i].StartUnixNs < out[j].StartUnixNs
-		}
-		return out[i].SpanID < out[j].SpanID
+	return r.ring.snapshot(func(a, b SpanRecord) int {
+		return cmp.Or(cmp.Compare(a.StartUnixNs, b.StartUnixNs), cmp.Compare(a.SpanID, b.SpanID))
 	})
-	return out
 }
 
 // Tracer mints spans for one component and publishes them into a ring. A

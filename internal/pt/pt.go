@@ -24,6 +24,18 @@ const (
 	EventFinished  = "finished"
 )
 
+// EventOf is the step event of a pause: a tracked call or a function
+// breakpoint is a call, a tracked return a return, any other pause a line.
+func EventOf(r core.PauseReason) string {
+	switch {
+	case r.Type == core.PauseCall || r.Type == core.PauseBreakpoint && r.Function != "":
+		return EventCall
+	case r.Type == core.PauseReturn:
+		return EventReturn
+	}
+	return EventStepLine
+}
+
 // Step is one recorded execution point.
 type Step struct {
 	// Event classifies the step.
@@ -195,16 +207,9 @@ func Record(tr core.Tracker, out *strings.Builder, opts Options) (*Trace, error)
 		// stops into CALL/RETURN client-side).
 		st.Reason = tr.PauseReason()
 		_, line := tr.Position()
-		step := Step{Line: line, Stdout: stdout(), State: st}
-		switch st.Reason.Type {
-		case core.PauseCall:
-			step.Event = EventCall
+		step := Step{Event: EventOf(st.Reason), Line: line, Stdout: stdout(), State: st}
+		if step.Event != EventStepLine {
 			step.Func = st.Reason.Function
-		case core.PauseReturn:
-			step.Event = EventReturn
-			step.Func = st.Reason.Function
-		default:
-			step.Event = EventStepLine
 		}
 		trace.Steps = append(trace.Steps, step)
 		return nil

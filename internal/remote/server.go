@@ -78,12 +78,6 @@ func WithLogf(f func(format string, args ...any)) ServerOption {
 	return func(s *Server) { s.logf = f }
 }
 
-// WithSpanCapacity sizes the server's span ring (retained completed spans
-// across all sessions). Zero or negative picks obs.DefaultSpanCapacity.
-func WithSpanCapacity(n int) ServerOption {
-	return func(s *Server) { s.spanCap = n }
-}
-
 // WithHeartbeat arms liveness heartbeats: every session's hello reply tells
 // its client to ping every interval, and a connection that goes completely
 // silent for misses consecutive intervals is evicted — even mid-command,
@@ -128,7 +122,6 @@ type Server struct {
 	hbInterval  time.Duration
 	hbMisses    int
 	retryAfter  time.Duration
-	spanCap     int
 	caps        tenantCaps
 	logf        func(string, ...any)
 	met         *obs.Metrics
@@ -172,7 +165,7 @@ func NewServer(opts ...ServerOption) *Server {
 	// One ring for the whole process: executor spans and every session
 	// backend's op spans land together, so one /spans dump is the full
 	// server-side timeline.
-	s.tracer = obs.NewTracer("et-serve", s.spanCap)
+	s.tracer = obs.NewTracer("et-serve", obs.DefaultSpanCapacity)
 	return s
 }
 

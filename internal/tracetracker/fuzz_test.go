@@ -20,7 +20,9 @@ import (
 // session with a watch, a tracked function and a breakpoint armed, one
 // step per pause, whose recorded reasons are BREAKPOINT, WATCH, CALL and
 // RETURN pauses and whose terminal step records a global written after
-// the last pause (minigdb-recording-v2).
+// the last pause, once as recorded when every pause was a line step
+// (minigdb-recording-v2) and once with its CALL and RETURN pauses
+// recorded as call and return steps (minigdb-recording-calls-v2).
 func FuzzTraceReplay(f *testing.F) {
 	every := make([]byte, 0, 32)
 	for op := byte(0); op < 16; op++ {

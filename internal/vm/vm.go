@@ -105,8 +105,6 @@ type watch struct {
 	id   int
 	addr uint64
 	size uint64
-	// version counts stores that overlapped this watched range.
-	version uint64
 }
 
 // Segment describes one mapped memory region.
@@ -238,17 +236,6 @@ func (m *Machine) Reset() {
 // snapshot) is unchanged.
 func (m *Machine) DataVersion() uint64 { return m.dataVersion }
 
-// WatchVersion returns the per-watchpoint store counter: the number of
-// stores so far that overlapped the watched range. Unknown ids return 0.
-func (m *Machine) WatchVersion(id int) uint64 {
-	for i := range m.watches {
-		if m.watches[i].id == id {
-			return m.watches[i].version
-		}
-	}
-	return 0
-}
-
 // Prog returns the loaded program image.
 func (m *Machine) Prog() *isa.Program { return m.prog }
 
@@ -358,7 +345,6 @@ func (m *Machine) WriteMem(addr uint64, data []byte) error {
 	}
 	copy(buf[off:], data)
 	m.dataVersion++
-	m.watchStore(addr, uint64(len(data)))
 	return nil
 }
 
@@ -627,22 +613,15 @@ func (m *Machine) StepOne() Stop {
 	return Stop{Kind: StopStep}
 }
 
-// watchStore bumps the store counter of every armed watchpoint whose range
-// overlaps the store — clients polling per-watch counters must see each
-// overlapped range as changed, not just the first — and returns the first
-// overlapping watchpoint, which is the one that reports the stop.
+// watchStore returns the first armed watchpoint whose range overlaps the
+// store, the one that reports the stop, or nil.
 func (m *Machine) watchStore(addr, size uint64) *watch {
-	var first *watch
 	for i := range m.watches {
-		w := &m.watches[i]
-		if addr < w.addr+w.size && w.addr < addr+size {
-			w.version++
-			if first == nil {
-				first = w
-			}
+		if w := &m.watches[i]; addr < w.addr+w.size && w.addr < addr+size {
+			return w
 		}
 	}
-	return first
+	return nil
 }
 
 func b2u(b bool) uint64 {
